@@ -20,14 +20,11 @@ import sys
 from pathlib import Path
 
 from .config import Config, load_config
-from .consistency import (InputDescriptor, MatchOptions, Report, check,
-                          fingerprint_text)
+from .consistency import InputDescriptor, MatchOptions, Report, check
 from .correction import (CorrectionEdit, CorrectionSet, Policy, apply,
                          propose, resolve)
 from .errors import (ConfigError, GenerationUnparsableError, ModelSyncError,
                      NoBlockFoundError, ParseError, TransportError)
-from .llm import FixtureTransport, HttpTransport, gen_code as llm_gen_code, \
-    gen_model as llm_gen_model
 from .model import ClassModel, make_type_table
 from .plantuml import parse_plantuml, render_plantuml
 from .pycode import CodeDocument, parse_code, render_code_skeleton
@@ -228,23 +225,22 @@ def _match_options(cfg: Config, args) -> MatchOptions:
     threshold = getattr(args, "rename_threshold", None)
     if threshold is None:
         threshold = cfg.rename_threshold
+    elif not 0.0 <= threshold <= 1.0:  # also rejects NaN
+        raise ConfigError("--rename-threshold must be in [0, 1]")
     infer = bool(getattr(args, "infer_relationships", False))
     return MatchOptions(name_mode, threshold,
                         make_type_table(cfg.type_equivalences), infer)
 
 
 def _checked_pair(args, cfg: Config):
+    opts = _match_options(cfg, args)
     model_text = _read_file(args.model)
     code_text = _read_file(args.code)
     design = parse_plantuml(model_text, artifact=args.model).model
     code_doc = parse_code(code_text, artifact=args.code)
-    opts = _match_options(cfg, args)
-    report = check(
-        design, code_doc.model, opts,
-        inputs=(_descriptor(args.model, model_text),
-                _descriptor(args.code, code_text)),
-        model_fingerprint=fingerprint_text(render_plantuml(design)),
-        code_fingerprint=fingerprint_text(code_doc.raw_text))
+    report = check(design, code_doc.model, opts,
+                   inputs=(_descriptor(args.model, model_text),
+                           _descriptor(args.code, code_text)))
     return model_text, code_text, design, code_doc, report
 
 
@@ -321,10 +317,9 @@ def cmd_sync(args) -> int:
     print(f"wrote {model_out}")
     print(f"wrote {code_out}")
 
-    opts = _match_options(cfg, args)
     re_design = parse_plantuml(out_model, artifact=model_out).model
     re_code = parse_code(out_code, artifact=code_out)
-    re_report = check(re_design, re_code.model, opts)
+    re_report = check(re_design, re_code.model, report.options)
     remaining = re_report.error_findings()
     if remaining:
         print(f"synchronization did not converge: "
@@ -365,7 +360,10 @@ def cmd_gen_code(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .llm import FixtureTransport, HttpTransport, gen_code, gen_model
+
     cfg = load_config(args.config)
+    opts = _match_options(cfg, args)
     requirements = _read_file(args.requirements)
     if args.transport == "fixtures":
         transport = FixtureTransport(args.fixtures_dir or cfg.fixtures_dir)
@@ -381,13 +379,13 @@ def cmd_gen(args) -> int:
     design: ClassModel | None = None
     code_doc: CodeDocument | None = None
     if args.what in ("model", "both"):
-        generated = llm_gen_model(requirements, transport, cfg.llm_model)
+        generated = gen_model(requirements, transport, cfg.llm_model)
         model_text = render_plantuml(generated)
         model_path.write_text(model_text, encoding="utf-8")
         design = parse_plantuml(model_text, artifact=str(model_path)).model
         print(f"wrote {model_path}", file=notes)
     if args.what in ("code", "both"):
-        code_text = llm_gen_code(requirements, transport, cfg.llm_model)
+        code_text = gen_code(requirements, transport, cfg.llm_model)
         code_path.write_text(code_text, encoding="utf-8")
         code_doc = parse_code(code_text, artifact=str(code_path))
         print(f"wrote {code_path}", file=notes)
@@ -395,13 +393,10 @@ def cmd_gen(args) -> int:
     if args.what == "both":
         assert design is not None and code_doc is not None
         model_text = render_plantuml(design)
-        opts = _match_options(cfg, args)
-        report = check(
-            design, code_doc.model, opts,
-            inputs=(_descriptor(str(model_path), model_text),
-                    _descriptor(str(code_path), code_doc.raw_text)),
-            model_fingerprint=fingerprint_text(model_text),
-            code_fingerprint=fingerprint_text(code_doc.raw_text))
+        report = check(design, code_doc.model, opts,
+                       inputs=(_descriptor(str(model_path), model_text),
+                               _descriptor(str(code_path),
+                                           code_doc.raw_text)))
         sets = propose(report, design, code_doc)
         _print_report(report, sets, args.json)
     return 0

@@ -5,7 +5,13 @@ pair with constructors, methods pair by canonical name, attributes by
 canonical name.  Leftover members on opposite sides whose canonical names
 sit within a relative Levenshtein distance threshold (and whose arity
 matches, for methods) become rename candidates; a rename candidate
-suppresses the pair of missing-member findings it replaces.
+suppresses the pair of missing-member findings it replaces.  The distance
+behind a candidate is bounded: for names whose longer one has ``n``
+characters, :func:`levenshtein` runs with ``limit = floor(threshold * n) + 1``
+and gives up as soon as the distance provably exceeds that limit (length
+gap first, then a diagonal band whose row minimum passes it; Ukkonen 1985).
+The ``+ 1`` means float rounding can never reject a pair that the exact
+``distance / n <= threshold`` test accepts, and that test alone decides.
 
 Unknown types never produce findings, so unannotated code cannot drown a
 report in false positives.  The same principle extends to unpaired
@@ -21,6 +27,7 @@ type evidence.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -108,27 +115,64 @@ class Report:
     findings: tuple[Finding, ...]
     model_fingerprint: str | None = None
     code_fingerprint: str | None = None
+    # one context per finding, in order; kept for propose(), so neither
+    # equality nor the JSON report sees it
+    contexts: tuple[FindingContext, ...] = field(default=(), compare=False,
+                                                 repr=False)
 
     def error_findings(self) -> tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.severity == "error")
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance (insert/delete/substitute, unit costs)."""
+def levenshtein(a: str, b: str, limit: int | None = None) -> int:
+    """Edit distance (insert/delete/substitute, unit costs).
+
+    With ``limit >= 0`` the result is exact when the distance is at most
+    ``limit`` and ``limit + 1`` otherwise (Ukkonen's cut-off): only the
+    diagonals a path of cost ``<= limit`` can cross are filled, and the
+    scan stops once a whole row exceeds ``limit``.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
+    if len(a) > len(b):
+        a, b = b, a
+    n, m = len(a), len(b)
+    if limit is None:
+        limit = m
+    elif m - n > limit:
+        return limit + 1
+    if not n:
+        return m
+    over = limit + 1
+    # a cell on diagonal d = j - i costs at least |d| to reach and
+    # |d - (m - n)| to leave, so the band is -p <= d <= m - n + p; cells
+    # outside it read as ``over``, which only raises results above limit
+    p = (limit - (m - n)) // 2
+    prev = list(range(m + 1))
+    cur = [over] * (m + 1)
     for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
-                           prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+        lo = i - p if i > p else 1
+        hi = min(m, i + m - n + p)
+        left = cur[lo - 1] = i if i <= p else over
+        low = left
+        diag = prev[lo - 1]
+        for j in range(lo, hi + 1):
+            up = prev[j]
+            v = diag if ca == b[j - 1] else diag + 1
+            if up < v:
+                v = up + 1
+            if left < v:
+                v = left + 1
+            cur[j] = left = v
+            diag = up
+            if v < low:
+                low = v
+        if low > limit:
+            return over
+        if hi < m:
+            cur[hi + 1] = over
+        prev, cur = cur, prev
+    return min(prev[m], over)
 
 
 def relative_distance(a: str, b: str) -> float:
@@ -209,21 +253,15 @@ def _match_class(mc: ClassDef, cc: ClassDef, opts: MatchOptions) -> ClassMatch:
     c_methods = [m for m in cc.methods if not m.is_constructor]
     m_left, c_left = _pair_by_name(m_methods, c_methods, opts,
                                    match.method_pairs)
-    _pair_renames(m_left, c_left, opts, match.method_renames,
-                  require_arity=True)
-    match.model_only_methods = [m for m in m_left if not _renamed(
-        m, match.method_renames, "model")]
-    match.code_only_methods = [m for m in c_left if not _renamed(
-        m, match.method_renames, "code")]
+    (match.method_renames, match.model_only_methods,
+     match.code_only_methods) = _pair_renames(m_left, c_left, opts,
+                                              require_arity=True)
 
     a_left, b_left = _pair_by_name(mc.attributes, cc.attributes, opts,
                                    match.attribute_pairs)
-    _pair_renames(a_left, b_left, opts, match.attribute_renames,
-                  require_arity=False)
-    match.model_only_attributes = [a for a in a_left if not _renamed(
-        a, match.attribute_renames, "model")]
-    match.code_only_attributes = [a for a in b_left if not _renamed(
-        a, match.attribute_renames, "code")]
+    (match.attribute_renames, match.model_only_attributes,
+     match.code_only_attributes) = _pair_renames(a_left, b_left, opts,
+                                                 require_arity=False)
     return match
 
 
@@ -253,20 +291,28 @@ def _pair_by_name(model_members, code_members, opts: MatchOptions,
     return model_left, code_left
 
 
-def _pair_renames(model_left, code_left, opts: MatchOptions,
-                  out: list[RenamePair], *, require_arity: bool) -> None:
+def _pair_renames(model_left, code_left, opts: MatchOptions, *,
+                  require_arity: bool) -> tuple[list[RenamePair], list, list]:
+    """Rename pairs, then the model-only and code-only leftovers."""
+    threshold = opts.rename_threshold
     candidates: list[tuple[float, str, str, int, int, object, object]] = []
-    for m in model_left:
-        for c in code_left:
-            if require_arity and m.arity != c.arity:
-                continue
+    if threshold >= 0:  # a negative or NaN threshold admits no distance
+        code_keys = [(c, normalize_name(c.name, opts.name_mode))
+                     for c in code_left]
+        for m in model_left:
             a = normalize_name(m.name, opts.name_mode)
-            b = normalize_name(c.name, opts.name_mode)
-            longest = max(len(a), len(b))
-            dist = levenshtein(a, b)
-            if longest and dist / longest <= opts.rename_threshold:
-                candidates.append((dist / longest, m.name, c.name,
-                                   dist, longest, m, c))
+            for c, b in code_keys:
+                if require_arity and m.arity != c.arity:
+                    continue
+                # a != b: leftover keys never match across sides
+                longest = max(len(a), len(b))
+                # the + 1 absorbs float rounding of threshold * longest
+                limit = math.floor(min(threshold, 1.0) * longest) + 1
+                dist = levenshtein(a, b, limit)
+                if dist / longest <= threshold:
+                    candidates.append((dist / longest, m.name, c.name,
+                                       dist, longest, m, c))
+    renames: list[RenamePair] = []
     used_m: set[int] = set()
     used_c: set[int] = set()
     for rel, mn, cn, dist, longest, m, c in sorted(
@@ -275,12 +321,9 @@ def _pair_renames(model_left, code_left, opts: MatchOptions,
             continue
         used_m.add(id(m))
         used_c.add(id(c))
-        out.append(RenamePair(m, c, dist, longest))
-
-
-def _renamed(member, renames: list[RenamePair], side: str) -> bool:
-    return any((r.model if side == "model" else r.code) is member
-               for r in renames)
+        renames.append(RenamePair(m, c, dist, longest))
+    return (renames, [m for m in model_left if id(m) not in used_m],
+            [c for c in code_left if id(c) not in used_c])
 
 
 def _finding_id(kind: FindingKind, model_loc: Location | None,
@@ -347,9 +390,11 @@ def check(design: ClassModel, code: ClassModel,
           code_fingerprint: str | None = None) -> Report:
     """Diff two models into a deterministic, ordered report."""
     opts = opts or MatchOptions()
-    findings = tuple(f for f, _ in annotated_findings(design, code, opts))
-    return Report(1, tuple(inputs), opts, findings,
-                  model_fingerprint, code_fingerprint)
+    annotated = annotated_findings(design, code, opts)
+    return Report(1, tuple(inputs), opts,
+                  tuple(f for f, _ in annotated),
+                  model_fingerprint, code_fingerprint,
+                  tuple(ctx for _, ctx in annotated))
 
 
 def _class_findings(out: list[AnnotatedFinding], cm: ClassMatch,

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .consistency import (Finding, FindingContext, FindingKind,
-                          MISSING_KINDS, Report, annotated_findings,
-                          fingerprint_text)
+                          MISSING_KINDS, Report, fingerprint_text)
 from .errors import EditConflictError, StaleReportError
 from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
                     SourceSpan, TypeRef, normalize_name)
@@ -103,7 +102,14 @@ def _camelized_class(cls: ClassDef) -> ClassDef:
 
 def verify_fresh(report: Report, design: ClassModel,
                  code_doc: CodeDocument) -> None:
-    """Raise StaleReportError when the report predates the artifacts."""
+    """Raise StaleReportError when the report predates the artifacts.
+
+    Only a report built with fingerprints is checked.  The CLI passes none:
+    it proposes from the very pair it just analysed.  A library caller that
+    keeps a report and later hands it artifacts parsed again can pass
+    fingerprints to ``check`` so that a stale pairing fails here instead of
+    proposing edits for findings the artifacts no longer have.
+    """
     if report.model_fingerprint is not None and \
             report.model_fingerprint != fingerprint_text(
                 render_plantuml(design)):
@@ -115,21 +121,16 @@ def verify_fresh(report: Report, design: ClassModel,
 
 def propose(report: Report, design: ClassModel,
             code_doc: CodeDocument) -> list[CorrectionSet]:
-    """One CorrectionSet per error finding; advisory findings yield none."""
+    """One CorrectionSet per error finding; advisory findings yield none.
+
+    The edits come from the contexts ``check`` kept on the report, so the
+    pair is not analysed a second time; a report whose contexts do not
+    line up with its findings raises ValueError.
+    """
     verify_fresh(report, design, code_doc)
-    annotated = {f.id: (f, ctx) for f, ctx in annotated_findings(
-        design, code_doc.model, report.options)}
-    sets: list[CorrectionSet] = []
-    for finding in report.findings:
-        if finding.severity != "error":
-            continue
-        entry = annotated.get(finding.id)
-        if entry is None:
-            raise StaleReportError(
-                f"finding {finding.id} not reproducible from the artifacts")
-        _, ctx = entry
-        sets.append(_build_set(finding, ctx))
-    return sets
+    return [_build_set(finding, ctx) for finding, ctx in
+            zip(report.findings, report.contexts, strict=True)
+            if finding.severity == "error"]
 
 
 def _build_set(f: Finding, ctx: FindingContext) -> CorrectionSet:

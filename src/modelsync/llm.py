@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-import requests
-
 from .errors import (GenerationUnparsableError, MissingInputError,
                      NoBlockFoundError, ParseError, TransportError)
 from .model import ClassModel
@@ -183,6 +181,44 @@ class FixtureTransport:
         return exchange.response
 
 
+class _HttpResponse:
+    """The two members of an HTTP response that HttpTransport reads."""
+
+    def __init__(self, status_code: int, body: bytes = b""):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        return json.loads(self._body)
+
+
+def _json_body(payload) -> bytes:
+    return json.dumps(payload).encode("utf-8")
+
+
+def _urllib_post(url: str, json=None, headers=None,
+                 timeout: float | None = None) -> _HttpResponse:
+    """POST a JSON payload with the standard library.
+
+    An HTTP error status comes back as a response carrying that status;
+    connection failures raise OSError (``URLError`` is one).
+    """
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url, data=_json_body(json),
+                                     headers=headers or {}, method="POST")
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return _HttpResponse(resp.status, resp.read())
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        return _HttpResponse(exc.code)
+    except http.client.HTTPException as exc:
+        raise ConnectionError(f"malformed HTTP exchange: {exc!r}") from exc
+
+
 class HttpTransport:
     """Talks to a chat-completion endpoint with timeout and bounded retries.
 
@@ -200,7 +236,7 @@ class HttpTransport:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self._post = post or requests.post
+        self._post = post or _urllib_post
         self._sleep = sleep or time.sleep
 
     def send(self, request: ChatRequest) -> ChatResponse:
@@ -214,8 +250,7 @@ class HttpTransport:
             try:
                 resp = self._post(self.endpoint, json=request.to_json(),
                                   headers=headers, timeout=self.timeout)
-            except (requests.RequestException, OSError,
-                    TimeoutError) as exc:
+            except OSError as exc:  # TimeoutError and URLError included
                 last_error = exc
                 continue
             status = getattr(resp, "status_code", 0)

@@ -242,7 +242,7 @@ def test_criterion_6_offline_pipeline(capsys, monkeypatch, tmp_path,
     with criterion("6 offline-pipeline"):
         def no_network(*args, **kwargs):
             raise AssertionError("network access attempted")
-        monkeypatch.setattr("modelsync.llm.requests.post", no_network)
+        monkeypatch.setattr("socket.socket.connect", no_network)
 
         status = main(["gen", str(fixtures_dir / "library_problem.txt"),
                        "--what", "both", "--transport", "fixtures",

@@ -302,3 +302,47 @@ def test_cli_threshold_flag_overrides(capsys, tmp_path, v1_model_text):
                          "--rename-threshold", "0.9")
     assert status == 1
     assert "likely corresponds" in out
+
+
+@pytest.mark.parametrize("value", ["-0.1", "1.5", "nan"])
+def test_cli_threshold_out_of_range_exits_three(capsys, tmp_path, pair,
+                                                value):
+    model, code = pair
+    status, out, err = run(capsys, "check", model, code,
+                           "--rename-threshold", value)
+    assert status == 3
+    assert "--rename-threshold" in err
+    assert out == ""
+
+
+def _count_analyses(monkeypatch) -> list[int]:
+    from modelsync import consistency
+    calls = [0]
+    original = consistency.annotated_findings
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(consistency, "annotated_findings", counting)
+    return calls
+
+
+def test_each_command_analyses_the_pair_once(capsys, monkeypatch, tmp_path,
+                                             pair, fixtures_dir,
+                                             llm_fixtures_dir):
+    model, code = pair
+    calls = _count_analyses(monkeypatch)
+    assert run(capsys, "check", model, code)[0] == 1
+    assert calls == [1]
+
+    calls[0] = 0
+    assert run(capsys, "sync", model, code, "--policy", "model-wins",
+               "--out-dir", tmp_path / "out")[0] == 0
+    assert calls == [2]  # the analysis, then the re-check of the outputs
+
+    calls[0] = 0
+    assert run(capsys, "gen", fixtures_dir / "library_problem.txt",
+               "--what", "both", "--transport", "fixtures",
+               "--fixtures-dir", llm_fixtures_dir,
+               "--out-dir", tmp_path / "gen")[0] == 0
+    assert calls == [1]

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import copy
 import random
 
+from hypothesis import given, strategies as st
+
+from modelsync import consistency
 from modelsync.consistency import (FindingKind, MatchOptions, check,
                                    levenshtein, match_models,
                                    relative_distance)
@@ -22,6 +26,95 @@ def test_levenshtein_basics():
     assert levenshtein("abc", "abc") == 0
     assert levenshtein("getnamae", "getname") == 1
     assert levenshtein("kitten", "sitting") == 3
+
+
+def _reference_levenshtein(a: str, b: str) -> int:
+    """The unbounded full-matrix distance the rename matcher used to run."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
+                           prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+_short_words = st.text(alphabet="abcd_", max_size=14)
+
+
+@given(_short_words, _short_words, st.integers(min_value=0, max_value=16))
+def test_bounded_levenshtein_matches_reference(a, b, limit):
+    bounded = levenshtein(a, b, limit)
+    assert bounded == min(_reference_levenshtein(a, b), limit + 1)
+    assert levenshtein(a, b) == _reference_levenshtein(a, b)
+
+
+def _perturbed(rng: random.Random, name: str) -> str:
+    chars = list(name)
+    for _ in range(rng.randint(1, 5)):
+        pos = rng.randrange(len(chars) + 1)
+        roll = rng.random()
+        if roll < 0.4:
+            chars.insert(pos, rng.choice("aeoxyz"))
+        elif roll < 0.7 and len(chars) > 1:
+            del chars[min(pos, len(chars) - 1)]
+        else:
+            chars[min(pos, len(chars) - 1)] = rng.choice("aeoxyz")
+    return "".join(chars)
+
+
+def _drifted_names(rng: random.Random, design: ClassModel) -> ClassModel:
+    """A copy whose member names are randomly edited by one to five
+    characters, so relative distances spread across every threshold."""
+    code = copy.deepcopy(design)
+    for cls in code.classes:
+        for member in cls.attributes + cls.methods:
+            if not getattr(member, "is_constructor", False) and \
+                    rng.random() < 0.7:
+                member.name = _perturbed(rng, member.name)
+    return code
+
+
+def test_bounded_matcher_matches_unbounded(monkeypatch):
+    def rows(design, code, threshold):
+        report = check(design, code, MatchOptions(rename_threshold=threshold))
+        return [(f.id, f.kind, f.detail) for f in report.findings]
+
+    cases = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        design = make_code_model(rng)
+        cases.append((design, _drifted_names(rng, design)))
+    thresholds = (0.1, 0.29, 0.3, 0.35, 0.6, 1.0)
+    bounded = [rows(d, c, t) for d, c in cases for t in thresholds]
+    monkeypatch.setattr(consistency, "levenshtein",
+                        lambda a, b, limit=None: _reference_levenshtein(a, b))
+    unbounded = [rows(d, c, t) for d, c in cases for t in thresholds]
+    assert bounded == unbounded
+    renames = sum(kind is FindingKind.PROBABLE_RENAME
+                  for case in bounded for _, kind, _ in case)
+    assert renames > 100
+
+
+def test_rename_bound_survives_float_rounding():
+    # 0.29 * 100 is 28.999999999999996 in floating point
+    def renames(code_name):
+        design = ClassModel([ClassDef("A", [], [Method("a" * 100)])])
+        code = ClassModel([ClassDef("A", [], [Method(code_name)])])
+        report = check(design, code, MatchOptions(rename_threshold=0.29))
+        return [f.detail for f in report.findings
+                if f.kind is FindingKind.PROBABLE_RENAME]
+
+    assert [d.endswith("(edit distance 29/100)")
+            for d in renames("a" * 71 + "b" * 29)] == [True]
+    assert renames("a" * 70 + "b" * 30) == []
 
 
 def test_relative_distance_pairs_rename_candidates():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -258,3 +260,58 @@ def test_http_transport_non_200_retries():
     with pytest.raises(TransportError):
         transport.send(make_request(PromptKind.GEN_CODE, {"problem": "p"}))
     assert len(attempts) == 2
+
+
+@pytest.fixture()
+def loopback_endpoint(monkeypatch):
+    """A chat endpoint on 127.0.0.1: answers 200 on /ok, 503 elsewhere,
+    and records each request's path, headers and JSON body."""
+    for var in ("no_proxy", "NO_PROXY"):
+        monkeypatch.setenv(var, "127.0.0.1")
+    seen = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            seen.append((self.path, dict(self.headers), json.loads(body)))
+            status = 200 if self.path == "/ok" else 503
+            payload = json.dumps(
+                {"choices": [{"message": {"content": "hi"}}]}).encode()
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}", seen
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_http_transport_default_post_round_trip(loopback_endpoint):
+    base, seen = loopback_endpoint
+    request = make_request(PromptKind.GEN_CODE, {"problem": "p"})
+    transport = HttpTransport(base + "/ok", api_key="secret", timeout=5)
+    assert transport.send(request).content == "hi"
+    (path, headers, body), = seen
+    assert headers["Authorization"] == "Bearer secret"
+    assert body == request.to_json()
+
+
+def test_http_transport_default_post_maps_http_errors(loopback_endpoint):
+    base, seen = loopback_endpoint
+    transport = HttpTransport(base + "/busy", api_key="k", timeout=5,
+                              retries=2, sleep=lambda s: None)
+    with pytest.raises(TransportError, match="HTTP 503"):
+        transport.send(make_request(PromptKind.GEN_CODE, {"problem": "p"}))
+    assert len(seen) == 2
