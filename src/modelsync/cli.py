@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import Config, load_config
+from .config import POLICIES, Config, load_config
 from .consistency import InputDescriptor, MatchOptions, Report, check
 from .correction import (CorrectionEdit, CorrectionSet, Policy, apply,
                          propose, resolve)
@@ -433,9 +433,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sync", help="repair a model/code pair in one pass")
     p.add_argument("model")
     p.add_argument("code")
-    p.add_argument("--policy",
-                   choices=("model-wins", "code-wins", "union", "ask"),
-                   default=None, help="which side's values win")
+    p.add_argument("--policy", choices=POLICIES, default=None,
+                   help="which side's values win")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--out-dir", help="write corrected artifacts here")
     target.add_argument("--in-place", action="store_true",

@@ -9,7 +9,8 @@ from .errors import ConfigError
 
 DEFAULT_CONFIG_PATH = "modelsync.conf"
 
-_POLICIES = ("model-wins", "code-wins", "union", "report-only")
+# sync policies: the config key and the --policy flag take the same names
+POLICIES = ("model-wins", "code-wins", "union", "ask")
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,9 @@ def _apply_key(cfg: Config, key: str, value: str, where: str) -> Config:
     if key == "type_equivalences":
         return replace(cfg, type_equivalences=_parse_type_equivalences(value))
     if key == "policy":
-        if value not in _POLICIES:
+        if value not in POLICIES:
             raise ConfigError(
-                f"{where}: policy must be one of {', '.join(_POLICIES)}")
+                f"{where}: policy must be one of {', '.join(POLICIES)}")
         return replace(cfg, policy=value)
     if key == "preferred_side":
         if value not in ("model", "code"):

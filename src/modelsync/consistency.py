@@ -113,8 +113,6 @@ class Report:
     inputs: tuple[InputDescriptor, ...]
     options: MatchOptions
     findings: tuple[Finding, ...]
-    model_fingerprint: str | None = None
-    code_fingerprint: str | None = None
     # one context per finding, in order; kept for propose(), so neither
     # equality nor the JSON report sees it
     contexts: tuple[FindingContext, ...] = field(default=(), compare=False,
@@ -385,15 +383,12 @@ def annotated_findings(design: ClassModel, code: ClassModel,
 
 def check(design: ClassModel, code: ClassModel,
           opts: MatchOptions | None = None, *,
-          inputs: tuple[InputDescriptor, ...] = (),
-          model_fingerprint: str | None = None,
-          code_fingerprint: str | None = None) -> Report:
+          inputs: tuple[InputDescriptor, ...] = ()) -> Report:
     """Diff two models into a deterministic, ordered report."""
     opts = opts or MatchOptions()
     annotated = annotated_findings(design, code, opts)
     return Report(1, tuple(inputs), opts,
                   tuple(f for f, _ in annotated),
-                  model_fingerprint, code_fingerprint,
                   tuple(ctx for _, ctx in annotated))
 
 
@@ -589,7 +584,3 @@ def _finding_sort_key(f: Finding) -> tuple:
         member_key = normalize_name(member) if member else ""
     cls_key = normalize_name(cls_name) if cls_name else ""
     return (cls_key, member_key, _KIND_ORDER[f.kind], f.detail)
-
-
-def fingerprint_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()

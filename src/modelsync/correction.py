@@ -7,13 +7,14 @@ picks among alternatives:
 * ``model-wins`` edits the code, ``code-wins`` edits the model
 * ``union`` adds missing entities to whichever side lacks them and, for
   value conflicts, imposes the preferred side's value (default: model)
-* ``report-only`` applies nothing
 
-Model edits are made on the class-model values and re-rendered canonically;
-code edits compile down to span-based text patches so method bodies and
-comments survive byte-for-byte.  Members copied from the code into the
-model get snake_case names converted to camelCase, mirroring how merged
-models conventionally spell them.
+Each edit carries the very class and member objects ``check`` matched on
+its side, so same-name overloads stay apart and nothing is looked up again
+by name.  Model edits are made on a copy of the class-model values and
+re-rendered canonically; code edits compile down to span-based text
+patches so method bodies and comments survive byte-for-byte.  Members
+copied from the code into the model get snake_case names converted to
+camelCase, mirroring how merged models conventionally spell them.
 """
 
 from __future__ import annotations
@@ -23,11 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .consistency import (Finding, FindingContext, FindingKind,
-                          MISSING_KINDS, Report, fingerprint_text)
+                          MISSING_KINDS, Report)
 from .errors import EditConflictError, StaleReportError
 from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
                     SourceSpan, TypeRef, normalize_name)
-from .plantuml import render_plantuml
 from .pycode import (CodeDocument, CodeEdit, PY_TYPE_SPELLINGS,
                      apply_code_edits, block_delete_span, body_indent,
                      member_indent, render_class_stub, scan_def_line)
@@ -37,7 +37,6 @@ class Policy(Enum):
     MODEL_WINS = "model-wins"
     CODE_WINS = "code-wins"
     UNION = "union"
-    REPORT_ONLY = "report-only"
 
 
 EDIT_KINDS = ("add-class", "add-member", "rename", "change-type",
@@ -46,14 +45,18 @@ EDIT_KINDS = ("add-class", "add-member", "rename", "change-type",
 
 @dataclass(frozen=True)
 class CorrectionEdit:
-    """One abstract edit on one side; payload fields depend on ``kind``."""
+    """One abstract edit on one side; payload fields depend on ``kind``.
+
+    ``cls`` and ``member`` are the objects the finding matched on this
+    side: the edited class (None for add-class) and the edited member
+    (None for class edits and add-member).
+    """
 
     side: str            # "model" | "code"
     kind: str            # one of EDIT_KINDS
     description: str
-    class_name: str
-    member_kind: str | None = None       # "method" | "attribute"
-    member_name: str | None = None
+    cls: ClassDef | None = None
+    member: object | None = None         # Method | Attribute
     new_name: str | None = None          # rename
     new_type: TypeRef | None = None      # change-type
     type_slot: str | None = None         # "param:<i>" | "return" | "attribute"
@@ -100,37 +103,40 @@ def _camelized_class(cls: ClassDef) -> ClassDef:
     return clone
 
 
-def verify_fresh(report: Report, design: ClassModel,
-                 code_doc: CodeDocument) -> None:
-    """Raise StaleReportError when the report predates the artifacts.
-
-    Only a report built with fingerprints is checked.  The CLI passes none:
-    it proposes from the very pair it just analysed.  A library caller that
-    keeps a report and later hands it artifacts parsed again can pass
-    fingerprints to ``check`` so that a stale pairing fails here instead of
-    proposing edits for findings the artifacts no longer have.
-    """
-    if report.model_fingerprint is not None and \
-            report.model_fingerprint != fingerprint_text(
-                render_plantuml(design)):
-        raise StaleReportError("design model changed since the report")
-    if report.code_fingerprint is not None and \
-            report.code_fingerprint != fingerprint_text(code_doc.raw_text):
-        raise StaleReportError("code changed since the report")
-
-
 def propose(report: Report, design: ClassModel,
             code_doc: CodeDocument) -> list[CorrectionSet]:
     """One CorrectionSet per error finding; advisory findings yield none.
 
-    The edits come from the contexts ``check`` kept on the report, so the
-    pair is not analysed a second time; a report whose contexts do not
-    line up with its findings raises ValueError.
+    The edits come from the contexts ``check`` kept on the report and act
+    on the objects those contexts hold, so ``design`` and ``code_doc``
+    must be the very pair ``check`` analysed: a context holding a class
+    of any other model raises StaleReportError.  A report whose contexts
+    do not line up with its findings raises ValueError.
     """
-    verify_fresh(report, design, code_doc)
+    model_classes = {id(c) for c in design.classes}
+    code_classes = {id(c) for c in code_doc.model.classes}
+    for ctx in report.contexts:
+        if ctx.model_class is not None and \
+                id(ctx.model_class) not in model_classes:
+            raise StaleReportError(
+                "the report was made from another design model")
+        if ctx.code_class is not None and \
+                id(ctx.code_class) not in code_classes:
+            raise StaleReportError("the report was made from another code "
+                                   "document")
     return [_build_set(finding, ctx) for finding, ctx in
             zip(report.findings, report.contexts, strict=True)
             if finding.severity == "error"]
+
+
+def _edit(ctx: FindingContext, side: str, kind: str, description: str,
+          **payload) -> CorrectionEdit:
+    """An edit on ``side`` targeting that side's matched class and member."""
+    if side == "model":
+        return CorrectionEdit(side, kind, description, ctx.model_class,
+                              ctx.model_member, **payload)
+    return CorrectionEdit(side, kind, description, ctx.code_class,
+                          ctx.code_member, **payload)
 
 
 def _build_set(f: Finding, ctx: FindingContext) -> CorrectionSet:
@@ -140,23 +146,21 @@ def _build_set(f: Finding, ctx: FindingContext) -> CorrectionSet:
         cls = ctx.model_class
         assert cls is not None
         alts = [
-            CorrectionEdit("code", "add-class",
-                           f"add class '{cls.name}' to the code as a stub",
-                           cls.name, class_payload=cls),
-            CorrectionEdit("model", "remove-class",
-                           f"remove class '{cls.name}' from the design model",
-                           cls.name),
+            _edit(ctx, "code", "add-class",
+                  f"add class '{cls.name}' to the code as a stub",
+                  class_payload=cls),
+            _edit(ctx, "model", "remove-class",
+                  f"remove class '{cls.name}' from the design model"),
         ]
     elif kind is FindingKind.MISSING_CLASS_IN_MODEL:
         cls = ctx.code_class
         assert cls is not None
         alts = [
-            CorrectionEdit("model", "add-class",
-                           f"add class '{cls.name}' to the design model",
-                           cls.name, class_payload=_camelized_class(cls)),
-            CorrectionEdit("code", "remove-class",
-                           f"remove class '{cls.name}' from the code",
-                           cls.name),
+            _edit(ctx, "model", "add-class",
+                  f"add class '{cls.name}' to the design model",
+                  class_payload=_camelized_class(cls)),
+            _edit(ctx, "code", "remove-class",
+                  f"remove class '{cls.name}' from the code"),
         ]
     elif kind in (FindingKind.MISSING_METHOD_IN_CODE,
                   FindingKind.MISSING_ATTRIBUTE_IN_CODE):
@@ -164,16 +168,13 @@ def _build_set(f: Finding, ctx: FindingContext) -> CorrectionSet:
         what = ("method" if kind is FindingKind.MISSING_METHOD_IN_CODE
                 else "attribute")
         alts = [
-            CorrectionEdit("code", "add-member",
-                           f"add {what} '{member.name}' to class "
-                           f"'{ctx.code_class.name}' in the code as a stub",
-                           ctx.code_class.name, member_kind=what,
-                           member_payload=member),
-            CorrectionEdit("model", "remove-member",
-                           f"remove {what} '{member.name}' from class "
-                           f"'{ctx.model_class.name}' in the design model",
-                           ctx.model_class.name, member_kind=what,
-                           member_name=member.name),
+            _edit(ctx, "code", "add-member",
+                  f"add {what} '{member.name}' to class "
+                  f"'{ctx.code_class.name}' in the code as a stub",
+                  member_payload=member),
+            _edit(ctx, "model", "remove-member",
+                  f"remove {what} '{member.name}' from class "
+                  f"'{ctx.model_class.name}' in the design model"),
         ]
     elif kind in (FindingKind.MISSING_METHOD_IN_MODEL,
                   FindingKind.MISSING_ATTRIBUTE_IN_MODEL):
@@ -182,49 +183,37 @@ def _build_set(f: Finding, ctx: FindingContext) -> CorrectionSet:
                 else "attribute")
         renamed = _camelized_member(member)
         alts = [
-            CorrectionEdit("model", "add-member",
-                           f"add {what} '{renamed.name}' to class "
-                           f"'{ctx.model_class.name}' in the design model",
-                           ctx.model_class.name, member_kind=what,
-                           member_payload=renamed),
-            CorrectionEdit("code", "remove-member",
-                           f"remove {what} '{member.name}' from class "
-                           f"'{ctx.code_class.name}' in the code",
-                           ctx.code_class.name, member_kind=what,
-                           member_name=member.name),
+            _edit(ctx, "model", "add-member",
+                  f"add {what} '{renamed.name}' to class "
+                  f"'{ctx.model_class.name}' in the design model",
+                  member_payload=renamed),
+            _edit(ctx, "code", "remove-member",
+                  f"remove {what} '{member.name}' from class "
+                  f"'{ctx.code_class.name}' in the code"),
         ]
     elif kind is FindingKind.PROBABLE_RENAME:
         m, c = ctx.model_member, ctx.code_member
         what = "method" if isinstance(m, Method) else "attribute"
         alts = [
-            CorrectionEdit("model", "rename",
-                           f"rename {what} '{m.name}' to "
-                           f"'{snake_to_camel(c.name)}' in the design model",
-                           ctx.model_class.name, member_kind=what,
-                           member_name=m.name,
-                           new_name=snake_to_camel(c.name)),
-            CorrectionEdit("code", "rename",
-                           f"rename {what} '{c.name}' to '{m.name}' "
-                           f"in the code",
-                           ctx.code_class.name, member_kind=what,
-                           member_name=c.name, new_name=m.name),
+            _edit(ctx, "model", "rename",
+                  f"rename {what} '{m.name}' to "
+                  f"'{snake_to_camel(c.name)}' in the design model",
+                  new_name=snake_to_camel(c.name)),
+            _edit(ctx, "code", "rename",
+                  f"rename {what} '{c.name}' to '{m.name}' in the code",
+                  new_name=m.name),
         ]
     elif kind is FindingKind.CONSTRUCTOR_ARITY_MISMATCH:
         m, c = ctx.model_member, ctx.code_member
         alts = [
-            CorrectionEdit("model", "change-signature",
-                           f"make '{m.name}' in the design model take "
-                           f"({_params_text(c.params)}) as in the code",
-                           ctx.model_class.name, member_kind="method",
-                           member_name=m.name,
-                           new_params=tuple(copy.deepcopy(c.params))),
-            CorrectionEdit("code", "change-signature",
-                           f"make '{c.name}' in the code take "
-                           f"({_params_text(m.params)}) as in the design "
-                           f"model",
-                           ctx.code_class.name, member_kind="method",
-                           member_name=c.name,
-                           new_params=tuple(copy.deepcopy(m.params))),
+            _edit(ctx, "model", "change-signature",
+                  f"make '{m.name}' in the design model take "
+                  f"({_params_text(c.params)}) as in the code",
+                  new_params=tuple(copy.deepcopy(c.params))),
+            _edit(ctx, "code", "change-signature",
+                  f"make '{c.name}' in the code take "
+                  f"({_params_text(m.params)}) as in the design model",
+                  new_params=tuple(copy.deepcopy(m.params))),
         ]
     elif kind is FindingKind.PARAM_TYPE_MISMATCH:
         m, c = ctx.model_member, ctx.code_member
@@ -232,54 +221,41 @@ def _build_set(f: Finding, ctx: FindingContext) -> CorrectionSet:
         assert i is not None
         slot = f"param:{i}"
         alts = [
-            CorrectionEdit("model", "change-type",
-                           f"change parameter '{m.params[i].name}' of "
-                           f"'{m.name}' to '{c.params[i].type}' in the "
-                           f"design model",
-                           ctx.model_class.name, member_kind="method",
-                           member_name=m.name, new_type=c.params[i].type,
-                           type_slot=slot),
-            CorrectionEdit("code", "change-type",
-                           f"change parameter '{c.params[i].name}' of "
-                           f"'{c.name}' to "
-                           f"'{_py_spelling_text(m.params[i].type)}' in "
-                           f"the code",
-                           ctx.code_class.name, member_kind="method",
-                           member_name=c.name, new_type=m.params[i].type,
-                           type_slot=slot),
+            _edit(ctx, "model", "change-type",
+                  f"change parameter '{m.params[i].name}' of "
+                  f"'{m.name}' to '{c.params[i].type}' in the "
+                  f"design model",
+                  new_type=c.params[i].type, type_slot=slot),
+            _edit(ctx, "code", "change-type",
+                  f"change parameter '{c.params[i].name}' of "
+                  f"'{c.name}' to "
+                  f"'{_py_spelling_text(m.params[i].type)}' in "
+                  f"the code",
+                  new_type=m.params[i].type, type_slot=slot),
         ]
     elif kind is FindingKind.RETURN_TYPE_MISMATCH:
         m, c = ctx.model_member, ctx.code_member
         alts = [
-            CorrectionEdit("model", "change-type",
-                           f"change the return type of '{m.name}' to "
-                           f"'{c.return_type}' in the design model",
-                           ctx.model_class.name, member_kind="method",
-                           member_name=m.name, new_type=c.return_type,
-                           type_slot="return"),
-            CorrectionEdit("code", "change-type",
-                           f"change the return type of '{c.name}' to "
-                           f"'{_py_spelling_text(m.return_type)}' in "
-                           f"the code",
-                           ctx.code_class.name, member_kind="method",
-                           member_name=c.name, new_type=m.return_type,
-                           type_slot="return"),
+            _edit(ctx, "model", "change-type",
+                  f"change the return type of '{m.name}' to "
+                  f"'{c.return_type}' in the design model",
+                  new_type=c.return_type, type_slot="return"),
+            _edit(ctx, "code", "change-type",
+                  f"change the return type of '{c.name}' to "
+                  f"'{_py_spelling_text(m.return_type)}' in the code",
+                  new_type=m.return_type, type_slot="return"),
         ]
     elif kind is FindingKind.ATTRIBUTE_TYPE_MISMATCH:
         m, c = ctx.model_member, ctx.code_member
         alts = [
-            CorrectionEdit("model", "change-type",
-                           f"change attribute '{m.name}' to '{c.type}' "
-                           f"in the design model",
-                           ctx.model_class.name, member_kind="attribute",
-                           member_name=m.name, new_type=c.type,
-                           type_slot="attribute"),
-            CorrectionEdit("code", "change-type",
-                           f"change attribute '{c.name}' to "
-                           f"'{_py_spelling_text(m.type)}' in the code",
-                           ctx.code_class.name, member_kind="attribute",
-                           member_name=c.name, new_type=m.type,
-                           type_slot="attribute"),
+            _edit(ctx, "model", "change-type",
+                  f"change attribute '{m.name}' to '{c.type}' "
+                  f"in the design model",
+                  new_type=c.type, type_slot="attribute"),
+            _edit(ctx, "code", "change-type",
+                  f"change attribute '{c.name}' to "
+                  f"'{_py_spelling_text(m.type)}' in the code",
+                  new_type=m.type, type_slot="attribute"),
         ]
     else:  # pragma: no cover - advisory kinds are filtered by propose
         raise ValueError(f"no corrections for {kind}")
@@ -299,8 +275,6 @@ def _py_spelling_text(t: TypeRef) -> str:
 def resolve(sets: list[CorrectionSet], policy: Policy,
             preferred_side: str = "model") -> list[CorrectionEdit]:
     """Pick one alternative per set according to the policy."""
-    if policy is Policy.REPORT_ONLY:
-        return []
     chosen: list[CorrectionEdit] = []
     for s in sets:
         if policy is Policy.MODEL_WINS:
@@ -323,29 +297,33 @@ def apply(design: ClassModel, code_doc: CodeDocument,
           chosen: list[CorrectionEdit]) -> tuple[ClassModel, str]:
     """Apply chosen edits; returns the new model and the patched code text.
 
-    The model is edited as values (callers re-render it); the code is
-    patched span-wise so untouched bytes survive verbatim.
+    The edits must come from ``propose`` on this ``design`` and
+    ``code_doc``.  The model is edited as values on a copy (callers
+    re-render it); the code is patched span-wise so untouched bytes
+    survive verbatim.
     """
-    new_model = copy.deepcopy(design)
+    # the copy of each design object, by the id of the original
+    memo: dict[int, object] = {}
+    new_model = copy.deepcopy(design, memo)
     code_edits: list[CodeEdit] = []
     # attribute insertions into classes lacking a constructor are grouped,
     # one synthesized __init__ per class
-    ctorless_attrs: dict[str, list[Attribute]] = {}
+    ctorless_attrs: dict[int, tuple[ClassDef, list[Attribute]]] = {}
 
     # compile class insertions last: they share their insertion point with
     # member stubs appended to the final class, and must come after them
     class_adds: list[CorrectionEdit] = []
     for edit in chosen:
         if edit.side == "model":
-            _apply_model_edit(new_model, edit)
+            _apply_model_edit(new_model, memo, edit)
         elif edit.kind == "add-class":
             class_adds.append(edit)
         else:
             code_edits.extend(
                 _compile_code_edit(code_doc, edit, ctorless_attrs))
 
-    for class_name, attrs in ctorless_attrs.items():
-        code_edits.append(_ctor_insertion(code_doc, class_name, attrs))
+    for cls, attrs in ctorless_attrs.values():
+        code_edits.append(_ctor_insertion(code_doc, cls, attrs))
     for edit in class_adds:
         code_edits.extend(_compile_code_edit(code_doc, edit, ctorless_attrs))
 
@@ -356,65 +334,42 @@ def apply(design: ClassModel, code_doc: CodeDocument,
 
 # --- model-side edits ------------------------------------------------------
 
-def _model_class(model: ClassModel, name: str) -> ClassDef:
-    cls = model.class_named(name)
-    if cls is None:
-        raise EditConflictError(f"model edit targets missing class {name!r}")
-    return cls
-
-
-def _find_member(cls: ClassDef, kind: str | None, name: str):
-    if kind in (None, "method"):
-        for m in cls.methods:
-            if m.name == name:
-                return m
-    if kind in (None, "attribute"):
-        for a in cls.attributes:
-            if a.name == name:
-                return a
-    raise EditConflictError(
-        f"edit targets missing member {cls.name}.{name}")
-
-
-def _apply_model_edit(model: ClassModel, edit: CorrectionEdit) -> None:
+def _apply_model_edit(model: ClassModel, memo: dict[int, object],
+                      edit: CorrectionEdit) -> None:
     if edit.kind == "add-class":
         assert edit.class_payload is not None
         model.classes.append(copy.deepcopy(edit.class_payload))
         return
+    cls = memo[id(edit.cls)]
     if edit.kind == "remove-class":
-        cls = _model_class(model, edit.class_name)
         model.classes.remove(cls)
         key = normalize_name(cls.name)
         model.relationships = [
             r for r in model.relationships
             if key not in (normalize_name(r.left), normalize_name(r.right))]
         return
-
-    cls = _model_class(model, edit.class_name)
     if edit.kind == "add-member":
         member = copy.deepcopy(edit.member_payload)
-        if edit.member_kind == "attribute":
+        if isinstance(member, Attribute):
             cls.attributes.append(member)
         else:
             cls.methods.append(member)
         return
+
+    member = memo[id(edit.member)]
     if edit.kind == "remove-member":
-        member = _find_member(cls, edit.member_kind, edit.member_name)
         if isinstance(member, Attribute):
             cls.attributes.remove(member)
         else:
             cls.methods.remove(member)
         return
     if edit.kind == "rename":
-        member = _find_member(cls, edit.member_kind, edit.member_name)
         member.name = edit.new_name
         return
     if edit.kind == "change-signature":
-        member = _find_member(cls, "method", edit.member_name)
         member.params = list(copy.deepcopy(edit.new_params or ()))
         return
     if edit.kind == "change-type":
-        member = _find_member(cls, edit.member_kind, edit.member_name)
         assert edit.new_type is not None
         slot = edit.type_slot or ""
         if slot == "attribute":
@@ -422,12 +377,7 @@ def _apply_model_edit(model: ClassModel, edit: CorrectionEdit) -> None:
         elif slot == "return":
             member.return_type = edit.new_type
         elif slot.startswith("param:"):
-            index = int(slot.split(":", 1)[1])
-            try:
-                member.params[index].type = edit.new_type
-            except IndexError:
-                raise EditConflictError(
-                    f"parameter {index} missing on {member.name!r}")
+            member.params[int(slot.split(":", 1)[1])].type = edit.new_type
         else:
             raise EditConflictError(f"unknown type slot {slot!r}")
         return
@@ -435,13 +385,6 @@ def _apply_model_edit(model: ClassModel, edit: CorrectionEdit) -> None:
 
 
 # --- code-side edits -------------------------------------------------------
-
-def _code_class(doc: CodeDocument, name: str) -> ClassDef:
-    cls = doc.model.class_named(name)
-    if cls is None:
-        raise EditConflictError(f"code edit targets missing class {name!r}")
-    return cls
-
 
 def _def_layout(doc: CodeDocument, method: Method):
     assert method.span is not None
@@ -451,22 +394,6 @@ def _def_layout(doc: CodeDocument, method: Method):
         raise EditConflictError(
             f"cannot re-scan def line for {method.name!r}")
     return layout, method.span.start_line
-
-
-def _code_method(doc: CodeDocument, cls: ClassDef, name: str) -> Method:
-    for m in cls.methods:
-        if m.name == name:
-            return m
-    raise EditConflictError(f"code edit targets missing method "
-                            f"{cls.name}.{name}")
-
-
-def _code_attr(doc: CodeDocument, cls: ClassDef, name: str) -> Attribute:
-    for a in cls.attributes:
-        if a.name == name:
-            return a
-    raise EditConflictError(f"code edit targets missing attribute "
-                            f"{cls.name}.{name}")
 
 
 def _py_param_text(p: Parameter) -> str:
@@ -495,7 +422,8 @@ def _artifact_of(doc: CodeDocument) -> str:
 
 
 def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
-                       ctorless_attrs: dict[str, list[Attribute]]
+                       ctorless_attrs: dict[int, tuple[ClassDef,
+                                                       list[Attribute]]]
                        ) -> list[CodeEdit]:
     artifact = _artifact_of(doc)
     if edit.kind == "add-class":
@@ -507,17 +435,18 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                          _insertion_span(artifact, last_line + 1),
                          f"\n{stub}\n")]
 
-    cls = _code_class(doc, edit.class_name)
+    cls = edit.cls
+    assert cls is not None and cls.span is not None
     if edit.kind == "remove-class":
-        assert cls.span is not None
         return [CodeEdit("delete-span", block_delete_span(cls.span))]
 
     if edit.kind == "add-member":
         member = edit.member_payload
-        if edit.member_kind == "attribute":
+        if isinstance(member, Attribute):
             ctor = cls.constructor()
             if ctor is None:
-                ctorless_attrs.setdefault(cls.name, []).append(member)
+                ctorless_attrs.setdefault(id(cls), (cls, []))[1].append(
+                    member)
                 return []
             indent = " " * body_indent(doc, ctor)
             line = (f"{indent}self.{member.name} = "
@@ -538,35 +467,30 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
         name = "__init__" if member.is_constructor else member.name
         stub = (f"{indent}def {name}({sig}){ret}:\n"
                 f"{indent}    pass\n")
-        assert cls.span is not None
         return [CodeEdit("insert-member",
                          _insertion_span(artifact, cls.span.end_line + 1),
                          stub)]
 
+    member = edit.member
+    assert member is not None and member.span is not None
     if edit.kind == "remove-member":
-        member = _find_member(cls, edit.member_kind, edit.member_name)
-        assert member.span is not None
         return [CodeEdit("delete-span", block_delete_span(member.span))]
 
     if edit.kind == "rename":
-        if edit.member_kind == "attribute":
-            attr = _code_attr(doc, cls, edit.member_name)
-            assert attr.span is not None
-            line = doc.lines()[attr.span.start_line - 1]
-            target = f"self.{attr.name}"
+        if isinstance(member, Attribute):
+            line = doc.lines()[member.span.start_line - 1]
+            target = f"self.{member.name}"
             col = line.index(target) + len("self.") + 1
-            span = SourceSpan(artifact, attr.span.start_line, col,
-                              attr.span.start_line, col + len(attr.name))
+            span = SourceSpan(artifact, member.span.start_line, col,
+                              member.span.start_line, col + len(member.name))
             return [CodeEdit("rename-identifier", span, edit.new_name or "")]
-        method = _code_method(doc, cls, edit.member_name)
-        layout, line_no = _def_layout(doc, method)
+        layout, line_no = _def_layout(doc, member)
         span = SourceSpan(artifact, line_no, layout.name_start + 1,
                           line_no, layout.name_end + 1)
         return [CodeEdit("rename-identifier", span, edit.new_name or "")]
 
     if edit.kind == "change-signature":
-        method = _code_method(doc, cls, edit.member_name)
-        layout, line_no = _def_layout(doc, method)
+        layout, line_no = _def_layout(doc, member)
         sig = ", ".join(["self"] + [_py_param_text(p)
                                     for p in (edit.new_params or ())])
         span = SourceSpan(artifact, line_no, layout.lparen + 2,
@@ -577,9 +501,8 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
         assert edit.new_type is not None
         slot = edit.type_slot or ""
         if slot == "attribute":
-            return _attr_type_edit(doc, cls, edit, artifact)
-        method = _code_method(doc, cls, edit.member_name)
-        layout, line_no = _def_layout(doc, method)
+            return _attr_type_edit(doc, cls, member, edit, artifact)
+        layout, line_no = _def_layout(doc, member)
         spelled = (PY_TYPE_SPELLINGS.get(edit.new_type.name,
                                          edit.new_type.name)
                    if edit.new_type.kind == "named" else None)
@@ -592,19 +515,14 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                 span = _after_col(artifact, line_no, layout.rparen + 1)
                 payload = f" -> {spelled}" if spelled else ""
             return [CodeEdit("set-annotation", span, payload)]
-        index = int(slot.split(":", 1)[1])
-        try:
-            pl = layout.params[index + 1]  # skip the receiver
-        except IndexError:
-            raise EditConflictError(
-                f"parameter {index} missing on {method.name!r}")
+        # params[0] is the receiver
+        pl = layout.params[int(slot.split(":", 1)[1]) + 1]
         if pl.annotation is not None:
             span = SourceSpan(artifact, line_no, pl.annot_start + 1,
                               line_no, pl.annot_end + 1)
-            payload = f": {spelled}" if spelled else ""
         else:
             span = _after_col(artifact, line_no, pl.name_end)
-            payload = f": {spelled}" if spelled else ""
+        payload = f": {spelled}" if spelled else ""
         return [CodeEdit("set-annotation", span, payload)]
 
     raise EditConflictError(f"unknown code edit kind {edit.kind!r}")
@@ -614,9 +532,8 @@ def _after_col(artifact: str, line: int, col0: int) -> SourceSpan:
     return SourceSpan(artifact, line, col0 + 1, line, col0 + 1)
 
 
-def _attr_type_edit(doc: CodeDocument, cls: ClassDef, edit: CorrectionEdit,
-                    artifact: str) -> list[CodeEdit]:
-    attr = _code_attr(doc, cls, edit.member_name)
+def _attr_type_edit(doc: CodeDocument, cls: ClassDef, attr: Attribute,
+                    edit: CorrectionEdit, artifact: str) -> list[CodeEdit]:
     rhs = doc.attr_exprs.get((cls.name, attr.name))
     ctor = cls.constructor()
     if rhs is not None and ctor is not None:
@@ -626,8 +543,7 @@ def _attr_type_edit(doc: CodeDocument, cls: ClassDef, edit: CorrectionEdit,
                 # the attribute's type comes from this parameter's
                 # annotation, so retarget the edit there
                 sub = CorrectionEdit(
-                    "code", "change-type", edit.description,
-                    cls.name, member_kind="method", member_name=ctor.name,
+                    "code", "change-type", edit.description, cls, ctor,
                     new_type=edit.new_type, type_slot=f"param:{i}")
                 return _compile_code_edit(doc, sub, {})
     if rhs is None:
@@ -639,9 +555,8 @@ def _attr_type_edit(doc: CodeDocument, cls: ClassDef, edit: CorrectionEdit,
                      _placeholder_rhs(edit.new_type))]
 
 
-def _ctor_insertion(doc: CodeDocument, class_name: str,
+def _ctor_insertion(doc: CodeDocument, cls: ClassDef,
                     attrs: list[Attribute]) -> CodeEdit:
-    cls = _code_class(doc, class_name)
     artifact = _artifact_of(doc)
     indent = " " * member_indent(doc, cls)
     body = " " * (member_indent(doc, cls) + 4)

@@ -63,7 +63,7 @@ class EditConflictError(EditError):
 
 
 class StaleReportError(ModelSyncError):
-    """A report was produced from different artifact contents."""
+    """A report was made from other parsed artifacts than the ones given."""
 
 
 class ConfigError(ModelSyncError):

@@ -39,10 +39,6 @@ _IDENT_RE = re.compile(r"^\w+$")
 # Spelling used when a model-side type must appear in a code annotation.
 PY_TYPE_SPELLINGS = {"String": "str", "boolean": "bool"}
 
-EDIT_KINDS = ("rename-identifier", "set-annotation", "insert-member",
-              "insert-class", "delete-span")
-
-
 @dataclass(frozen=True)
 class CodeEdit:
     """One textual patch; spans use the same convention as SourceSpan."""
@@ -95,11 +91,22 @@ class DefLayout:
     ret_end: int
 
 
-def _match_paren(line: str, lparen: int) -> int:
+def _scan_brackets(line: str, lparen: int
+                   ) -> tuple[int, list[tuple[int, int, int, int]]] | None:
+    """One pass over the brackets and quotes from the ``(`` at ``lparen``.
+
+    Returns the index of the bracket that closes it and, for each
+    comma-separated piece at the top level inside, the absolute
+    ``(start, end, colon, eq)`` where ``colon`` and ``eq`` are the first
+    top-level ``:`` and ``=`` in the piece, or -1.  A quote runs to the
+    next copy of its own character; any closing bracket closes any
+    opening one.  None when the parenthesis never closes.
+    """
+    pieces: list[tuple[int, int, int, int]] = []
     depth = 0
-    i = lparen
     quote: str | None = None
-    while i < len(line):
+    start, colon, eq = lparen + 1, -1, -1
+    for i in range(lparen, len(line)):
         ch = line[i]
         if quote:
             if ch == quote:
@@ -111,32 +118,17 @@ def _match_paren(line: str, lparen: int) -> int:
         elif ch in ")]}":
             depth -= 1
             if depth == 0:
-                return i
-        i += 1
-    return -1
-
-
-def _split_top_level(text: str, base: int) -> list[tuple[int, int]]:
-    """Comma-split; returns absolute (start, end) extents of each piece."""
-    pieces: list[tuple[int, int]] = []
-    depth = 0
-    quote: str | None = None
-    start = 0
-    for i, ch in enumerate(text):
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            pieces.append((base + start, base + i))
-            start = i + 1
-    pieces.append((base + start, base + len(text)))
-    return pieces
+                pieces.append((start, i, colon, eq))
+                return i, pieces
+        elif depth == 1:
+            if ch == ",":
+                pieces.append((start, i, colon, eq))
+                start, colon, eq = i + 1, -1, -1
+            elif ch == ":" and colon < 0:
+                colon = i
+            elif ch == "=" and eq < 0:
+                eq = i
+    return None
 
 
 def scan_def_line(line: str) -> DefLayout | None:
@@ -148,40 +140,34 @@ def scan_def_line(line: str) -> DefLayout | None:
     name = m.group(2)
     name_start, name_end = m.start(2), m.end(2)
     lparen = m.end() - 1
-    rparen = _match_paren(line, lparen)
-    if rparen < 0:
+    scanned = _scan_brackets(line, lparen)
+    if scanned is None:
         return None
+    rparen, pieces = scanned
 
     params: list[ParamLayout] = []
-    inner = line[lparen + 1:rparen]
-    if inner.strip():
-        for lo, hi in _split_top_level(inner, lparen + 1):
-            piece = line[lo:hi]
-            pm = re.match(r"(\s*)(\w+)", piece)
+    if line[lparen + 1:rparen].strip():
+        for lo, hi, colon, eq in pieces:
+            pm = re.match(r"(\s*)(\w+)", line[lo:hi])
             if not pm:
                 return None
             p_start = lo + pm.start(2)
             p_end = lo + pm.end(2)
-            rest = piece[pm.end():]
-            rest_base = lo + pm.end()
             annotation = None
             annot_start = annot_end = p_end
             default = None
-            colon = _find_top_level(rest, ":")
-            eq = _find_top_level(rest, "=")
-            first_marker = min(m for m in (colon, eq, len(rest))
-                               if m >= 0)
-            if rest[:first_marker].strip():
+            first_marker = min(m for m in (colon, eq, hi) if m >= 0)
+            if line[p_end:first_marker].strip():
                 return None  # stray text between the name and : or =
             if colon >= 0 and (eq < 0 or colon < eq):
-                annot_text_end = eq if eq >= 0 else len(rest)
-                annotation = rest[colon + 1:annot_text_end].strip()
+                annot_text_end = eq if eq >= 0 else hi
+                annotation = line[colon + 1:annot_text_end].strip()
                 if not annotation:
                     return None
-                annot_start = rest_base + colon
-                annot_end = rest_base + len(rest[:annot_text_end].rstrip())
+                annot_start = colon
+                annot_end = p_end + len(line[p_end:annot_text_end].rstrip())
             if eq >= 0:
-                default = rest[eq + 1:].strip()
+                default = line[eq + 1:hi].strip()
             params.append(ParamLayout(pm.group(2), p_start, p_end,
                                       annotation, annot_start, annot_end,
                                       default))
@@ -199,24 +185,6 @@ def scan_def_line(line: str) -> DefLayout | None:
         return DefLayout(indent, name, name_start, name_end, lparen, rparen,
                          tuple(params), None, rparen + 1, rparen + 1)
     return None
-
-
-def _find_top_level(text: str, target: str) -> int:
-    depth = 0
-    quote: str | None = None
-    for i, ch in enumerate(text):
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == target and depth == 0:
-            return i
-    return -1
 
 
 def _strip_fence(text: str) -> str:

@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 
 from modelsync.cli import main
-from modelsync.consistency import FindingKind, check, fingerprint_text
+from modelsync.consistency import FindingKind, check
 from modelsync.correction import Policy, apply, propose, resolve
 from modelsync.model import model_equal
 from modelsync.plantuml import parse_plantuml, render_plantuml
@@ -33,10 +33,7 @@ def criterion(name: str):
 def _checked(model_text: str, code_text: str):
     design = parse_plantuml(model_text).model
     code_doc = parse_code(code_text)
-    report = check(
-        design, code_doc.model,
-        model_fingerprint=fingerprint_text(render_plantuml(design)),
-        code_fingerprint=fingerprint_text(code_doc.raw_text))
+    report = check(design, code_doc.model)
     return design, code_doc, report
 
 

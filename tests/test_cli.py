@@ -346,3 +346,81 @@ def test_each_command_analyses_the_pair_once(capsys, monkeypatch, tmp_path,
                "--fixtures-dir", llm_fixtures_dir,
                "--out-dir", tmp_path / "gen")[0] == 0
     assert calls == [1]
+
+
+OVERLOAD_CODE = """class A:
+    def go(self, x: int):
+        return x
+
+    def go(self, x: int, y: str):
+        return y
+"""
+KEPT_OVERLOAD = "    def go(self, x: int):\n        return x\n"
+OVERLOAD_MODELS = {
+    # go/2 exists in the code only
+    "missing": "@startuml\nclass A {\n  +go(x: int)\n}\n@enduml\n",
+    # go/2 exists on both sides with a different type for y
+    "mistyped": "@startuml\nclass A {\n  +go(x: int)\n"
+                "  +go(x: int, y: int)\n}\n@enduml\n",
+}
+
+
+@pytest.mark.parametrize("policy", ["model-wins", "code-wins", "union"])
+@pytest.mark.parametrize("case", sorted(OVERLOAD_MODELS))
+def test_sync_edits_the_matched_overload(capsys, tmp_path, case, policy):
+    model = tmp_path / "m.puml"
+    code = tmp_path / "c.py"
+    model.write_text(OVERLOAD_MODELS[case], encoding="utf-8")
+    code.write_text(OVERLOAD_CODE, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    status, _, err = run(capsys, "sync", model, code, "--policy", policy,
+                         "--out-dir", out_dir)
+    assert status == 0, err
+    out_model, out_code = out_dir / "m.puml", out_dir / "c.py"
+    assert run(capsys, "check", out_model, out_code)[0] == 0
+    assert KEPT_OVERLOAD in out_code.read_text(encoding="utf-8")
+    assert "  +go(x: int)\n" in out_model.read_text(encoding="utf-8")
+
+
+def test_config_policy_ask_reaches_the_prompt(capsys, monkeypatch, tmp_path,
+                                              pair):
+    model, code = pair
+    conf = tmp_path / "c.conf"
+    conf.write_text("policy = ask\n", encoding="utf-8")
+    prompts = []
+
+    def skip(prompt=""):
+        prompts.append(prompt)
+        return "s"
+    monkeypatch.setattr("builtins.input", skip)
+    status, out, _ = run(capsys, "sync", model, code, "--config", conf,
+                         "--out-dir", tmp_path / "out")
+    assert status == 1  # every correction skipped
+    assert prompts and prompts[0].startswith("Choose 1-2")
+    assert "already synchronized" in out
+
+
+def test_config_policy_report_only_exits_three(capsys, tmp_path, pair):
+    model, code = pair
+    conf = tmp_path / "c.conf"
+    conf.write_text("policy = report-only\n", encoding="utf-8")
+    status, _, err = run(capsys, "sync", model, code, "--config", conf,
+                         "--out-dir", tmp_path / "out")
+    assert status == 3
+    assert "policy must be one of model-wins, code-wins, union, ask" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("policy", ["model-wins", "code-wins", "union"])
+def test_sync_renames_and_retypes_one_member(capsys, tmp_path, policy):
+    # the rename and the parameter type fix edit the same method
+    model = tmp_path / "m.puml"
+    code = tmp_path / "c.py"
+    model.write_text("@startuml\nclass A {\n  +getNamae(x: int)\n}\n"
+                     "@enduml\n", encoding="utf-8")
+    code.write_text("class A:\n    def get_name(self, x: str):\n"
+                    "        return x\n", encoding="utf-8")
+    status, out, err = run(capsys, "sync", model, code, "--policy", policy,
+                           "--out-dir", tmp_path / "out")
+    assert status == 0, err
+    assert "applied 2 correction(s):" in out

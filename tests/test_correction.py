@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from modelsync.consistency import FindingKind, check, fingerprint_text
+from modelsync.consistency import FindingKind, check
 from modelsync.correction import (Policy, apply, propose, resolve,
-                                  snake_to_camel, verify_fresh)
+                                  snake_to_camel)
 from modelsync.errors import StaleReportError
 from modelsync.model import model_equal
 from modelsync.plantuml import parse_plantuml, render_plantuml
@@ -20,10 +20,7 @@ POLICIES = (Policy.MODEL_WINS, Policy.CODE_WINS, Policy.UNION)
 def _checked(model_text: str, code_text: str):
     design = parse_plantuml(model_text).model
     code_doc = parse_code(code_text)
-    report = check(
-        design, code_doc.model,
-        model_fingerprint=fingerprint_text(render_plantuml(design)),
-        code_fingerprint=fingerprint_text(code_doc.raw_text))
+    report = check(design, code_doc.model)
     return design, code_doc, report
 
 
@@ -64,7 +61,9 @@ def test_propose_stale_report_rejected(drifted_model_text,
     other_doc = parse_code(v1_code_text)
     with pytest.raises(StaleReportError):
         propose(report, design, other_doc)
-    verify_fresh(report, design, code_doc)  # must not raise
+    with pytest.raises(StaleReportError):  # equal text, other objects
+        propose(report, parse_plantuml(drifted_model_text).model, code_doc)
+    propose(report, design, code_doc)  # must not raise
 
 
 def test_param_type_alternatives_match_both_directions(drifted_model_text,
@@ -103,14 +102,6 @@ def test_code_annotation_edit_matches_expected_shape(drifted_model_text,
                      if s.finding_kind is FindingKind.PARAM_TYPE_MISMATCH)
     _, new_code = apply(design, code_doc, [param_set.side("code")])
     assert "def __init__(self, userID: str):" in new_code
-
-
-def test_resolve_report_only_selects_nothing(drifted_model_text,
-                                             drifted_code_text):
-    design, code_doc, report = _checked(drifted_model_text,
-                                        drifted_code_text)
-    sets = propose(report, design, code_doc)
-    assert resolve(sets, Policy.REPORT_ONLY) == []
 
 
 def test_apply_no_edits_keeps_artifacts(drifted_model_text,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modelsync.errors import (DuplicateClassError, DuplicateMemberError,
                               OverlappingEditsError, ParseError,
@@ -12,6 +13,8 @@ from modelsync.plantuml import parse_plantuml
 from modelsync.pycode import (CodeEdit, apply_code_edits, parse_code,
                               render_code_skeleton, scan_def_line)
 
+import defline_reference
+from conftest import FIXTURES
 from modelgen import make_code_model
 
 
@@ -151,6 +154,66 @@ def test_scan_def_line_layout():
     assert layout.params[1].annotation == "int"
     assert layout.params[2].default == "2"
     assert layout.ret == "str"
+
+
+def test_scan_def_line_matches_reference_on_fixtures():
+    lines = [line for path in sorted(FIXTURES.rglob("*"))
+             if path.suffix in (".py", ".txt")
+             for line in path.read_text(encoding="utf-8").splitlines()
+             if "def " in line]
+    assert sum(scan_def_line(line) is not None for line in lines) > 40
+    for line in lines:
+        assert scan_def_line(line) == defline_reference.scan_def_line(line)
+
+
+_words = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+_spaces = st.sampled_from(["", " ", "  "])
+# quoted text holding the characters the scanner splits and matches on
+_quoted = st.builds(lambda q, body: q + body.replace(q, "") + q,
+                    st.sampled_from(["'", '"']),
+                    st.text(alphabet="ab ,:=()[]{}->#'\"", max_size=8))
+_annotation = st.recursive(
+    st.one_of(_words, _quoted, st.just("...")),
+    lambda inner: st.one_of(
+        st.builds(lambda b, args: f"{b}[{', '.join(args)}]", _words,
+                  st.lists(inner, min_size=1, max_size=3)),
+        st.builds(lambda args: f"[{', '.join(args)}]",
+                  st.lists(inner, max_size=2))),
+    max_leaves=6)
+_default = st.recursive(
+    st.one_of(_words, _quoted, st.sampled_from(["0", "-1", "None", "1.5"])),
+    lambda inner: st.one_of(
+        st.builds(lambda f, args: f"{f}({', '.join(args)})", _words,
+                  st.lists(inner, max_size=3)),
+        st.builds(lambda args: f"({', '.join(args)},)",
+                  st.lists(inner, min_size=1, max_size=2)),
+        st.builds(lambda k, v: f"{{{k}: {v}}}", inner, inner),
+        st.builds(lambda a, b: f"{a} == {b}", inner, inner),
+        st.builds(lambda body: f"lambda: {body}", inner)),
+    max_leaves=6)
+_param = st.builds(
+    lambda name, s1, annot, s2, default: (
+        name + (f"{s1}:{s1}{annot}" if annot else "")
+        + (f"{s2}={s2}{default}" if default else "")),
+    _words, _spaces, st.none() | _annotation, _spaces, st.none() | _default)
+_header = st.builds(
+    lambda indent, name, params, sep, ret, tail: (
+        f"{indent}def {name}({sep.join(params)})"
+        + (f" -> {ret}" if ret else "") + tail),
+    st.sampled_from(["", "    ", "\t", "        "]), _words,
+    st.lists(_param, max_size=4).map(lambda ps: ["self"] + ps),
+    st.sampled_from([", ", ",", " , "]), st.none() | _annotation,
+    st.sampled_from([":", ":  # note", " :", "", ": pass", ":#x"]))
+# arbitrary text after the opening parenthesis: unbalanced brackets,
+# unclosed quotes and misplaced markers
+_noise = st.builds(lambda name, rest: f"def {name}({rest}", _words,
+                   st.text(alphabet="ab_ ,:=()[]{}'\"->#", max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_header, _noise))
+def test_scan_def_line_matches_reference(line):
+    assert scan_def_line(line) == defline_reference.scan_def_line(line)
 
 
 def _span(line: int, start: int, end: int) -> SourceSpan:
