@@ -312,6 +312,8 @@ def cmd_sync(args) -> int:
         print(f"applied {len(chosen)} correction(s):")
         for edit in chosen:
             print(f"  - [{edit.side}] {edit.description}")
+    elif report.error_findings():
+        print("no correction chosen; artifacts unchanged")
     else:
         print("already synchronized; artifacts unchanged")
     print(f"wrote {model_out}")

@@ -80,25 +80,27 @@ class Location:
     span: SourceSpan | None = None
 
 
+def _matched():
+    return field(default=None, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class Finding:
+    """One divergence.  The trailing fields hold the entities ``check``
+    matched, for the correction engine; neither equality nor the report
+    sees them."""
+
     id: str
     kind: FindingKind
     severity: str  # "error" | "advisory"
     model_loc: Location | None
     code_loc: Location | None
     detail: str
-
-
-@dataclass(frozen=True)
-class FindingContext:
-    """The matched entities behind a finding, for the correction engine."""
-
-    model_class: ClassDef | None = None
-    code_class: ClassDef | None = None
-    model_member: object | None = None  # Method | Attribute
-    code_member: object | None = None
-    param_index: int | None = None
+    model_class: ClassDef | None = _matched()
+    code_class: ClassDef | None = _matched()
+    model_member: object | None = _matched()  # Method | Attribute
+    code_member: object | None = _matched()
+    param_index: int | None = _matched()  # ParamTypeMismatch only
 
 
 @dataclass(frozen=True)
@@ -113,10 +115,6 @@ class Report:
     inputs: tuple[InputDescriptor, ...]
     options: MatchOptions
     findings: tuple[Finding, ...]
-    # one context per finding, in order; kept for propose(), so neither
-    # equality nor the JSON report sees it
-    contexts: tuple[FindingContext, ...] = field(default=(), compare=False,
-                                                 repr=False)
 
     def error_findings(self) -> tuple[Finding, ...]:
         return tuple(f for f in self.findings if f.severity == "error")
@@ -340,45 +338,15 @@ def _loc(cls: ClassDef, member=None) -> Location:
     return Location(cls.name, member.name, member.span)
 
 
-AnnotatedFinding = tuple[Finding, FindingContext]
-
-
-def _emit(out: list[AnnotatedFinding], kind: FindingKind,
+def _emit(out: list[Finding], kind: FindingKind,
           model_loc: Location | None, code_loc: Location | None,
-          detail: str, ctx: FindingContext) -> None:
+          detail: str, *matched, **named) -> None:
+    """Append a finding; the trailing arguments fill its matched-entity
+    fields (model class, code class, model member, code member, index)."""
     severity = "advisory" if kind in _ADVISORY_KINDS else "error"
-    finding = Finding(_finding_id(kind, model_loc, code_loc, detail),
-                      kind, severity, model_loc, code_loc, detail)
-    out.append((finding, ctx))
-
-
-def annotated_findings(design: ClassModel, code: ClassModel,
-                       opts: MatchOptions | None = None
-                       ) -> list[AnnotatedFinding]:
-    """All findings, each paired with the matched entities behind it."""
-    opts = opts or MatchOptions()
-    matched = match_models(design, code, opts)
-    out: list[AnnotatedFinding] = []
-
-    for cls in matched.model_only_classes:
-        _emit(out, FindingKind.MISSING_CLASS_IN_CODE, _loc(cls), None,
-              f"class '{cls.name}' is declared in the design model but "
-              f"missing from the code",
-              FindingContext(model_class=cls))
-    for cls in matched.code_only_classes:
-        _emit(out, FindingKind.MISSING_CLASS_IN_MODEL, None, _loc(cls),
-              f"class '{cls.name}' is defined in the code but missing "
-              f"from the design model",
-              FindingContext(code_class=cls))
-
-    for cm in matched.class_matches:
-        _class_findings(out, cm, opts)
-
-    if opts.infer_code_relationships:
-        _relationship_findings(out, design, code, opts)
-
-    out.sort(key=lambda pair: _finding_sort_key(pair[0]))
-    return out
+    out.append(Finding(_finding_id(kind, model_loc, code_loc, detail),
+                       kind, severity, model_loc, code_loc, detail,
+                       *matched, **named))
 
 
 def check(design: ClassModel, code: ClassModel,
@@ -386,13 +354,29 @@ def check(design: ClassModel, code: ClassModel,
           inputs: tuple[InputDescriptor, ...] = ()) -> Report:
     """Diff two models into a deterministic, ordered report."""
     opts = opts or MatchOptions()
-    annotated = annotated_findings(design, code, opts)
-    return Report(1, tuple(inputs), opts,
-                  tuple(f for f, _ in annotated),
-                  tuple(ctx for _, ctx in annotated))
+    matched = match_models(design, code, opts)
+    out: list[Finding] = []
+
+    for cls in matched.model_only_classes:
+        _emit(out, FindingKind.MISSING_CLASS_IN_CODE, _loc(cls), None,
+              f"class '{cls.name}' is declared in the design model but "
+              f"missing from the code", model_class=cls)
+    for cls in matched.code_only_classes:
+        _emit(out, FindingKind.MISSING_CLASS_IN_MODEL, None, _loc(cls),
+              f"class '{cls.name}' is defined in the code but missing "
+              f"from the design model", code_class=cls)
+
+    for cm in matched.class_matches:
+        _class_findings(out, cm, opts)
+
+    if opts.infer_code_relationships:
+        _relationship_findings(out, design, code, opts)
+
+    out.sort(key=_finding_sort_key)
+    return Report(1, tuple(inputs), opts, tuple(out))
 
 
-def _class_findings(out: list[AnnotatedFinding], cm: ClassMatch,
+def _class_findings(out: list[Finding], cm: ClassMatch,
                     opts: MatchOptions) -> None:
     mc, cc = cm.model_class, cm.code_class
 
@@ -414,13 +398,13 @@ def _class_findings(out: list[AnnotatedFinding], cm: ClassMatch,
               Location(cc.name),
               f"method '{m.name}' of class '{mc.name}' is declared in the "
               f"design model but missing from the code",
-              FindingContext(mc, cc, model_member=m))
+              mc, cc, model_member=m)
     for m in cm.code_only_methods:
         _emit(out, FindingKind.MISSING_METHOD_IN_MODEL, Location(mc.name),
               _loc(cc, m),
               f"method '{m.name}' of class '{cc.name}' is defined in the "
               f"code but missing from the design model",
-              FindingContext(mc, cc, code_member=m))
+              mc, cc, code_member=m)
     for a in cm.model_only_attributes:
         if not _has_named_evidence(a.type):
             continue
@@ -428,7 +412,7 @@ def _class_findings(out: list[AnnotatedFinding], cm: ClassMatch,
               Location(cc.name),
               f"attribute '{a.name}' of class '{mc.name}' is declared in "
               f"the design model but missing from the code",
-              FindingContext(mc, cc, model_member=a))
+              mc, cc, model_member=a)
     for a in cm.code_only_attributes:
         if not _has_named_evidence(a.type):
             continue
@@ -436,7 +420,7 @@ def _class_findings(out: list[AnnotatedFinding], cm: ClassMatch,
               _loc(cc, a),
               f"attribute '{a.name}' of class '{cc.name}' is assigned in "
               f"the code but missing from the design model",
-              FindingContext(mc, cc, code_member=a))
+              mc, cc, code_member=a)
 
 
 def _has_named_evidence(t: TypeRef) -> bool:
@@ -448,7 +432,7 @@ def _has_named_evidence(t: TypeRef) -> bool:
     return False
 
 
-def _rename_finding(out: list[AnnotatedFinding], cm: ClassMatch,
+def _rename_finding(out: list[Finding], cm: ClassMatch,
                     rename: RenamePair, what: str) -> None:
     _emit(out, FindingKind.PROBABLE_RENAME,
           _loc(cm.model_class, rename.model),
@@ -456,11 +440,10 @@ def _rename_finding(out: list[AnnotatedFinding], cm: ClassMatch,
           f"{what} '{rename.model.name}' in the design model likely "
           f"corresponds to '{rename.code.name}' in the code "
           f"(edit distance {rename.distance}/{rename.longest})",
-          FindingContext(cm.model_class, cm.code_class,
-                         rename.model, rename.code))
+          cm.model_class, cm.code_class, rename.model, rename.code)
 
 
-def _signature_findings(out: list[AnnotatedFinding], cm: ClassMatch,
+def _signature_findings(out: list[Finding], cm: ClassMatch,
                         pair: MemberPair, opts: MatchOptions) -> None:
     model_m: Method = pair.model
     code_m: Method = pair.code
@@ -472,13 +455,12 @@ def _signature_findings(out: list[AnnotatedFinding], cm: ClassMatch,
               f"{what} class '{cm.model_class.name}' takes "
               f"{model_m.arity} parameter(s) in the design model but "
               f"{code_m.arity} in the code",
-              FindingContext(cm.model_class, cm.code_class,
-                             model_m, code_m))
+              cm.model_class, cm.code_class, model_m, code_m)
         return
     _paired_type_findings(out, cm, model_m, code_m, opts)
 
 
-def _paired_type_findings(out: list[AnnotatedFinding], cm: ClassMatch,
+def _paired_type_findings(out: list[Finding], cm: ClassMatch,
                           model_m: Method, code_m: Method,
                           opts: MatchOptions) -> None:
     if model_m.arity != code_m.arity:
@@ -492,8 +474,8 @@ def _paired_type_findings(out: list[AnnotatedFinding], cm: ClassMatch,
                   f"{what} parameter '{mp.name}' of class "
                   f"'{cm.model_class.name}' is '{mp.type}' in the design "
                   f"model but '{cp.type}' in the code (position {i + 1})",
-                  FindingContext(cm.model_class, cm.code_class,
-                                 model_m, code_m, param_index=i))
+                  cm.model_class, cm.code_class, model_m, code_m,
+                  param_index=i)
     if not type_equivalent(model_m.return_type, code_m.return_type,
                            opts.type_table):
         _emit(out, FindingKind.RETURN_TYPE_MISMATCH,
@@ -501,11 +483,10 @@ def _paired_type_findings(out: list[AnnotatedFinding], cm: ClassMatch,
               f"method '{model_m.name}' of class '{cm.model_class.name}' "
               f"returns '{model_m.return_type}' in the design model but "
               f"'{code_m.return_type}' in the code",
-              FindingContext(cm.model_class, cm.code_class,
-                             model_m, code_m))
+              cm.model_class, cm.code_class, model_m, code_m)
 
 
-def _attr_type_findings(out: list[AnnotatedFinding], cm: ClassMatch,
+def _attr_type_findings(out: list[Finding], cm: ClassMatch,
                         model_a: Attribute, code_a: Attribute,
                         opts: MatchOptions) -> None:
     if type_equivalent(model_a.type, code_a.type, opts.type_table):
@@ -515,7 +496,7 @@ def _attr_type_findings(out: list[AnnotatedFinding], cm: ClassMatch,
           f"attribute '{model_a.name}' of class '{cm.model_class.name}' is "
           f"'{model_a.type}' in the design model but '{code_a.type}' in "
           f"the code",
-          FindingContext(cm.model_class, cm.code_class, model_a, code_a))
+          cm.model_class, cm.code_class, model_a, code_a)
 
 
 def _code_reference_pairs(code: ClassModel,
@@ -547,7 +528,7 @@ def _code_reference_pairs(code: ClassModel,
     return pairs
 
 
-def _relationship_findings(out: list[AnnotatedFinding], design: ClassModel,
+def _relationship_findings(out: list[Finding], design: ClassModel,
                            code: ClassModel, opts: MatchOptions) -> None:
     evidence = _code_reference_pairs(code, opts)
     model_pairs: set[frozenset[str]] = set()
@@ -560,8 +541,7 @@ def _relationship_findings(out: list[AnnotatedFinding], design: ClassModel,
             _emit(out, FindingKind.RELATIONSHIP_MISSING_IN_CODE,
                   Location(rel.left, f"--{rel.right}"), None,
                   f"relationship{label} between '{rel.left}' and "
-                  f"'{rel.right}' has no code-side evidence",
-                  FindingContext())
+                  f"'{rel.right}' has no code-side evidence")
     canonical_to_name = {normalize_name(c.name, opts.name_mode): c.name
                          for c in code.classes}
     for pair in sorted(evidence, key=sorted):
@@ -570,8 +550,7 @@ def _relationship_findings(out: list[AnnotatedFinding], design: ClassModel,
             _emit(out, FindingKind.RELATIONSHIP_MISSING_IN_MODEL, None,
                   Location(left, f"--{right}"),
                   f"code references between '{left}' and '{right}' have "
-                  f"no relationship in the design model",
-                  FindingContext())
+                  f"no relationship in the design model")
 
 
 def _finding_sort_key(f: Finding) -> tuple:

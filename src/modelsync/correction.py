@@ -23,14 +23,14 @@ import copy
 from dataclasses import dataclass
 from enum import Enum
 
-from .consistency import (Finding, FindingContext, FindingKind,
-                          MISSING_KINDS, Report)
+from .consistency import Finding, FindingKind, MISSING_KINDS, Report
 from .errors import EditConflictError, StaleReportError
 from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
                     SourceSpan, TypeRef, normalize_name)
 from .pycode import (CodeDocument, CodeEdit, PY_TYPE_SPELLINGS,
                      apply_code_edits, block_delete_span, body_indent,
-                     member_indent, render_class_stub, scan_def_line)
+                     member_indent, render_class_stub, scan_attr_line,
+                     scan_def_line)
 
 
 class Policy(Enum):
@@ -49,7 +49,9 @@ class CorrectionEdit:
 
     ``cls`` and ``member`` are the objects the finding matched on this
     side: the edited class (None for add-class) and the edited member
-    (None for class edits and add-member).
+    (None for class edits and add-member).  A change-type edit retypes an
+    attribute member, or a method's parameter ``param_index``, or its
+    return type when ``param_index`` is None.
     """
 
     side: str            # "model" | "code"
@@ -59,7 +61,7 @@ class CorrectionEdit:
     member: object | None = None         # Method | Attribute
     new_name: str | None = None          # rename
     new_type: TypeRef | None = None      # change-type
-    type_slot: str | None = None         # "param:<i>" | "return" | "attribute"
+    param_index: int | None = None       # change-type of a parameter
     new_params: tuple[Parameter, ...] | None = None   # change-signature
     class_payload: ClassDef | None = None             # add-class
     member_payload: object | None = None              # add-member
@@ -107,155 +109,158 @@ def propose(report: Report, design: ClassModel,
             code_doc: CodeDocument) -> list[CorrectionSet]:
     """One CorrectionSet per error finding; advisory findings yield none.
 
-    The edits come from the contexts ``check`` kept on the report and act
-    on the objects those contexts hold, so ``design`` and ``code_doc``
-    must be the very pair ``check`` analysed: a context holding a class
-    of any other model raises StaleReportError.  A report whose contexts
-    do not line up with its findings raises ValueError.
+    The edits act on the objects each finding matched, so ``design`` and
+    ``code_doc`` must be the very pair ``check`` analysed; any other pair
+    raises StaleReportError.
     """
-    model_classes = {id(c) for c in design.classes}
-    code_classes = {id(c) for c in code_doc.model.classes}
-    for ctx in report.contexts:
-        if ctx.model_class is not None and \
-                id(ctx.model_class) not in model_classes:
+    sets = [_build_set(f) for f in report.findings if f.severity == "error"]
+    _require_pair(design, code_doc,
+                  (alt for s in sets for alt in s.alternatives))
+    return sets
+
+
+def _require_pair(design: ClassModel, code_doc: CodeDocument,
+                  edits) -> None:
+    """Raise StaleReportError unless every edit targets a class of this
+    ``design`` (model edits) or of ``code_doc`` (code edits)."""
+    classes = {"model": {id(c) for c in design.classes},
+               "code": {id(c) for c in code_doc.model.classes}}
+    for edit in edits:
+        if edit.cls is not None and id(edit.cls) not in classes[edit.side]:
             raise StaleReportError(
-                "the report was made from another design model")
-        if ctx.code_class is not None and \
-                id(ctx.code_class) not in code_classes:
-            raise StaleReportError("the report was made from another code "
-                                   "document")
-    return [_build_set(finding, ctx) for finding, ctx in
-            zip(report.findings, report.contexts, strict=True)
-            if finding.severity == "error"]
+                "the report was made from another "
+                + ("design model" if edit.side == "model"
+                   else "code document"))
 
 
-def _edit(ctx: FindingContext, side: str, kind: str, description: str,
+def _edit(f: Finding, side: str, kind: str, description: str,
           **payload) -> CorrectionEdit:
     """An edit on ``side`` targeting that side's matched class and member."""
     if side == "model":
-        return CorrectionEdit(side, kind, description, ctx.model_class,
-                              ctx.model_member, **payload)
-    return CorrectionEdit(side, kind, description, ctx.code_class,
-                          ctx.code_member, **payload)
+        return CorrectionEdit(side, kind, description, f.model_class,
+                              f.model_member, param_index=f.param_index,
+                              **payload)
+    return CorrectionEdit(side, kind, description, f.code_class,
+                          f.code_member, param_index=f.param_index,
+                          **payload)
 
 
-def _build_set(f: Finding, ctx: FindingContext) -> CorrectionSet:
+def _build_set(f: Finding) -> CorrectionSet:
     kind = f.kind
     alts: list[CorrectionEdit]
     if kind is FindingKind.MISSING_CLASS_IN_CODE:
-        cls = ctx.model_class
+        cls = f.model_class
         assert cls is not None
         alts = [
-            _edit(ctx, "code", "add-class",
+            _edit(f, "code", "add-class",
                   f"add class '{cls.name}' to the code as a stub",
                   class_payload=cls),
-            _edit(ctx, "model", "remove-class",
+            _edit(f, "model", "remove-class",
                   f"remove class '{cls.name}' from the design model"),
         ]
     elif kind is FindingKind.MISSING_CLASS_IN_MODEL:
-        cls = ctx.code_class
+        cls = f.code_class
         assert cls is not None
         alts = [
-            _edit(ctx, "model", "add-class",
+            _edit(f, "model", "add-class",
                   f"add class '{cls.name}' to the design model",
                   class_payload=_camelized_class(cls)),
-            _edit(ctx, "code", "remove-class",
+            _edit(f, "code", "remove-class",
                   f"remove class '{cls.name}' from the code"),
         ]
     elif kind in (FindingKind.MISSING_METHOD_IN_CODE,
                   FindingKind.MISSING_ATTRIBUTE_IN_CODE):
-        member = ctx.model_member
+        member = f.model_member
         what = ("method" if kind is FindingKind.MISSING_METHOD_IN_CODE
                 else "attribute")
         alts = [
-            _edit(ctx, "code", "add-member",
+            _edit(f, "code", "add-member",
                   f"add {what} '{member.name}' to class "
-                  f"'{ctx.code_class.name}' in the code as a stub",
+                  f"'{f.code_class.name}' in the code as a stub",
                   member_payload=member),
-            _edit(ctx, "model", "remove-member",
+            _edit(f, "model", "remove-member",
                   f"remove {what} '{member.name}' from class "
-                  f"'{ctx.model_class.name}' in the design model"),
+                  f"'{f.model_class.name}' in the design model"),
         ]
     elif kind in (FindingKind.MISSING_METHOD_IN_MODEL,
                   FindingKind.MISSING_ATTRIBUTE_IN_MODEL):
-        member = ctx.code_member
+        member = f.code_member
         what = ("method" if kind is FindingKind.MISSING_METHOD_IN_MODEL
                 else "attribute")
         renamed = _camelized_member(member)
         alts = [
-            _edit(ctx, "model", "add-member",
+            _edit(f, "model", "add-member",
                   f"add {what} '{renamed.name}' to class "
-                  f"'{ctx.model_class.name}' in the design model",
+                  f"'{f.model_class.name}' in the design model",
                   member_payload=renamed),
-            _edit(ctx, "code", "remove-member",
+            _edit(f, "code", "remove-member",
                   f"remove {what} '{member.name}' from class "
-                  f"'{ctx.code_class.name}' in the code"),
+                  f"'{f.code_class.name}' in the code"),
         ]
     elif kind is FindingKind.PROBABLE_RENAME:
-        m, c = ctx.model_member, ctx.code_member
+        m, c = f.model_member, f.code_member
         what = "method" if isinstance(m, Method) else "attribute"
         alts = [
-            _edit(ctx, "model", "rename",
+            _edit(f, "model", "rename",
                   f"rename {what} '{m.name}' to "
                   f"'{snake_to_camel(c.name)}' in the design model",
                   new_name=snake_to_camel(c.name)),
-            _edit(ctx, "code", "rename",
+            _edit(f, "code", "rename",
                   f"rename {what} '{c.name}' to '{m.name}' in the code",
                   new_name=m.name),
         ]
     elif kind is FindingKind.CONSTRUCTOR_ARITY_MISMATCH:
-        m, c = ctx.model_member, ctx.code_member
+        m, c = f.model_member, f.code_member
         alts = [
-            _edit(ctx, "model", "change-signature",
+            _edit(f, "model", "change-signature",
                   f"make '{m.name}' in the design model take "
                   f"({_params_text(c.params)}) as in the code",
                   new_params=tuple(copy.deepcopy(c.params))),
-            _edit(ctx, "code", "change-signature",
+            _edit(f, "code", "change-signature",
                   f"make '{c.name}' in the code take "
                   f"({_params_text(m.params)}) as in the design model",
                   new_params=tuple(copy.deepcopy(m.params))),
         ]
     elif kind is FindingKind.PARAM_TYPE_MISMATCH:
-        m, c = ctx.model_member, ctx.code_member
-        i = ctx.param_index
+        m, c = f.model_member, f.code_member
+        i = f.param_index
         assert i is not None
-        slot = f"param:{i}"
         alts = [
-            _edit(ctx, "model", "change-type",
+            _edit(f, "model", "change-type",
                   f"change parameter '{m.params[i].name}' of "
                   f"'{m.name}' to '{c.params[i].type}' in the "
                   f"design model",
-                  new_type=c.params[i].type, type_slot=slot),
-            _edit(ctx, "code", "change-type",
+                  new_type=c.params[i].type),
+            _edit(f, "code", "change-type",
                   f"change parameter '{c.params[i].name}' of "
                   f"'{c.name}' to "
                   f"'{_py_spelling_text(m.params[i].type)}' in "
                   f"the code",
-                  new_type=m.params[i].type, type_slot=slot),
+                  new_type=m.params[i].type),
         ]
     elif kind is FindingKind.RETURN_TYPE_MISMATCH:
-        m, c = ctx.model_member, ctx.code_member
+        m, c = f.model_member, f.code_member
         alts = [
-            _edit(ctx, "model", "change-type",
+            _edit(f, "model", "change-type",
                   f"change the return type of '{m.name}' to "
                   f"'{c.return_type}' in the design model",
-                  new_type=c.return_type, type_slot="return"),
-            _edit(ctx, "code", "change-type",
+                  new_type=c.return_type),
+            _edit(f, "code", "change-type",
                   f"change the return type of '{c.name}' to "
                   f"'{_py_spelling_text(m.return_type)}' in the code",
-                  new_type=m.return_type, type_slot="return"),
+                  new_type=m.return_type),
         ]
     elif kind is FindingKind.ATTRIBUTE_TYPE_MISMATCH:
-        m, c = ctx.model_member, ctx.code_member
+        m, c = f.model_member, f.code_member
         alts = [
-            _edit(ctx, "model", "change-type",
+            _edit(f, "model", "change-type",
                   f"change attribute '{m.name}' to '{c.type}' "
                   f"in the design model",
-                  new_type=c.type, type_slot="attribute"),
-            _edit(ctx, "code", "change-type",
+                  new_type=c.type),
+            _edit(f, "code", "change-type",
                   f"change attribute '{c.name}' to "
                   f"'{_py_spelling_text(m.type)}' in the code",
-                  new_type=m.type, type_slot="attribute"),
+                  new_type=m.type),
         ]
     else:  # pragma: no cover - advisory kinds are filtered by propose
         raise ValueError(f"no corrections for {kind}")
@@ -267,9 +272,7 @@ def _params_text(params) -> str:
 
 
 def _py_spelling_text(t: TypeRef) -> str:
-    if t.kind == "named":
-        return PY_TYPE_SPELLINGS.get(t.name or "", t.name or "")
-    return str(t)
+    return _py_spelling(t) or str(t)
 
 
 def resolve(sets: list[CorrectionSet], policy: Policy,
@@ -298,10 +301,11 @@ def apply(design: ClassModel, code_doc: CodeDocument,
     """Apply chosen edits; returns the new model and the patched code text.
 
     The edits must come from ``propose`` on this ``design`` and
-    ``code_doc``.  The model is edited as values on a copy (callers
-    re-render it); the code is patched span-wise so untouched bytes
-    survive verbatim.
+    ``code_doc``; edits of another pair raise StaleReportError.  The model
+    is edited as values on a copy (callers re-render it); the code is
+    patched span-wise so untouched bytes survive verbatim.
     """
+    _require_pair(design, code_doc, chosen)
     # the copy of each design object, by the id of the original
     memo: dict[int, object] = {}
     new_model = copy.deepcopy(design, memo)
@@ -371,15 +375,12 @@ def _apply_model_edit(model: ClassModel, memo: dict[int, object],
         return
     if edit.kind == "change-type":
         assert edit.new_type is not None
-        slot = edit.type_slot or ""
-        if slot == "attribute":
+        if isinstance(member, Attribute):
             member.type = edit.new_type
-        elif slot == "return":
+        elif edit.param_index is None:
             member.return_type = edit.new_type
-        elif slot.startswith("param:"):
-            member.params[int(slot.split(":", 1)[1])].type = edit.new_type
         else:
-            raise EditConflictError(f"unknown type slot {slot!r}")
+            member.params[edit.param_index].type = edit.new_type
         return
     raise EditConflictError(f"unknown model edit kind {edit.kind!r}")
 
@@ -396,10 +397,17 @@ def _def_layout(doc: CodeDocument, method: Method):
     return layout, method.span.start_line
 
 
+def _attr_layout(doc: CodeDocument, attr: Attribute):
+    # the parser matched this very line, so the scan cannot miss
+    assert attr.span is not None
+    layout = scan_attr_line(doc.lines()[attr.span.start_line - 1])
+    assert layout is not None
+    return layout, attr.span.start_line
+
+
 def _py_param_text(p: Parameter) -> str:
-    if p.type.kind == "named":
-        return f"{p.name}: {PY_TYPE_SPELLINGS.get(p.type.name, p.type.name)}"
-    return p.name
+    spelled = _py_spelling(p.type)
+    return f"{p.name}: {spelled}" if spelled else p.name
 
 
 def _placeholder_rhs(t: TypeRef) -> str:
@@ -410,22 +418,22 @@ def _placeholder_rhs(t: TypeRef) -> str:
     return "None"
 
 
+def _py_spelling(t: TypeRef) -> str | None:
+    """A type as a code annotation; None when it names nothing."""
+    if t.kind != "named":
+        return None
+    return PY_TYPE_SPELLINGS.get(t.name, t.name)
+
+
 def _insertion_span(artifact: str, line: int) -> SourceSpan:
     return SourceSpan(artifact, line, 1, line, 1)
-
-
-def _artifact_of(doc: CodeDocument) -> str:
-    for cls in doc.model.classes:
-        if cls.span is not None:
-            return cls.span.artifact
-    return "code"
 
 
 def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                        ctorless_attrs: dict[int, tuple[ClassDef,
                                                        list[Attribute]]]
                        ) -> list[CodeEdit]:
-    artifact = _artifact_of(doc)
+    artifact = doc.artifact
     if edit.kind == "add-class":
         assert edit.class_payload is not None
         last_line = max((c.span.end_line for c in doc.model.classes
@@ -459,11 +467,8 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
         indent = " " * member_indent(doc, cls)
         sig = ", ".join(["self"] + [_py_param_text(p)
                                     for p in member.params])
-        ret = ""
-        if member.return_type.kind == "named":
-            spelled = PY_TYPE_SPELLINGS.get(member.return_type.name,
-                                            member.return_type.name)
-            ret = f" -> {spelled}"
+        spelled = _py_spelling(member.return_type)
+        ret = f" -> {spelled}" if spelled else ""
         name = "__init__" if member.is_constructor else member.name
         stub = (f"{indent}def {name}({sig}){ret}:\n"
                 f"{indent}    pass\n")
@@ -477,14 +482,9 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
         return [CodeEdit("delete-span", block_delete_span(member.span))]
 
     if edit.kind == "rename":
-        if isinstance(member, Attribute):
-            line = doc.lines()[member.span.start_line - 1]
-            target = f"self.{member.name}"
-            col = line.index(target) + len("self.") + 1
-            span = SourceSpan(artifact, member.span.start_line, col,
-                              member.span.start_line, col + len(member.name))
-            return [CodeEdit("rename-identifier", span, edit.new_name or "")]
-        layout, line_no = _def_layout(doc, member)
+        layout, line_no = (_attr_layout(doc, member)
+                           if isinstance(member, Attribute)
+                           else _def_layout(doc, member))
         span = SourceSpan(artifact, line_no, layout.name_start + 1,
                           line_no, layout.name_end + 1)
         return [CodeEdit("rename-identifier", span, edit.new_name or "")]
@@ -499,30 +499,20 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
 
     if edit.kind == "change-type":
         assert edit.new_type is not None
-        slot = edit.type_slot or ""
-        if slot == "attribute":
-            return _attr_type_edit(doc, cls, member, edit, artifact)
+        if isinstance(member, Attribute):
+            return [_attr_type_edit(doc, cls, member, edit.new_type)]
+        if edit.param_index is not None:
+            return [_param_type_edit(doc, member, edit.param_index,
+                                     edit.new_type)]
         layout, line_no = _def_layout(doc, member)
-        spelled = (PY_TYPE_SPELLINGS.get(edit.new_type.name,
-                                         edit.new_type.name)
-                   if edit.new_type.kind == "named" else None)
-        if slot == "return":
-            if layout.ret is not None:
-                span = SourceSpan(artifact, line_no, layout.ret_start + 1,
-                                  line_no, layout.ret_end + 1)
-                payload = f"-> {spelled}" if spelled else ""
-            else:
-                span = _after_col(artifact, line_no, layout.rparen + 1)
-                payload = f" -> {spelled}" if spelled else ""
-            return [CodeEdit("set-annotation", span, payload)]
-        # params[0] is the receiver
-        pl = layout.params[int(slot.split(":", 1)[1]) + 1]
-        if pl.annotation is not None:
-            span = SourceSpan(artifact, line_no, pl.annot_start + 1,
-                              line_no, pl.annot_end + 1)
+        spelled = _py_spelling(edit.new_type)
+        if layout.ret is not None:
+            span = SourceSpan(artifact, line_no, layout.ret_start + 1,
+                              line_no, layout.ret_end + 1)
+            payload = f"-> {spelled}" if spelled else ""
         else:
-            span = _after_col(artifact, line_no, pl.name_end)
-        payload = f": {spelled}" if spelled else ""
+            span = _after_col(artifact, line_no, layout.rparen + 1)
+            payload = f" -> {spelled}" if spelled else ""
         return [CodeEdit("set-annotation", span, payload)]
 
     raise EditConflictError(f"unknown code edit kind {edit.kind!r}")
@@ -532,32 +522,37 @@ def _after_col(artifact: str, line: int, col0: int) -> SourceSpan:
     return SourceSpan(artifact, line, col0 + 1, line, col0 + 1)
 
 
+def _param_type_edit(doc: CodeDocument, method: Method, index: int,
+                     new_type: TypeRef) -> CodeEdit:
+    layout, line_no = _def_layout(doc, method)
+    pl = layout.params[index + 1]  # params[0] is the receiver
+    if pl.annotation is not None:
+        span = SourceSpan(doc.artifact, line_no, pl.annot_start + 1,
+                          line_no, pl.annot_end + 1)
+    else:
+        span = _after_col(doc.artifact, line_no, pl.name_end)
+    spelled = _py_spelling(new_type)
+    return CodeEdit("set-annotation", span, f": {spelled}" if spelled else "")
+
+
 def _attr_type_edit(doc: CodeDocument, cls: ClassDef, attr: Attribute,
-                    edit: CorrectionEdit, artifact: str) -> list[CodeEdit]:
-    rhs = doc.attr_exprs.get((cls.name, attr.name))
+                    new_type: TypeRef) -> CodeEdit:
+    layout, line_no = _attr_layout(doc, attr)
     ctor = cls.constructor()
-    if rhs is not None and ctor is not None:
-        rhs_text, rhs_span = rhs
-        for i, p in enumerate(ctor.params):
-            if p.name == rhs_text.strip():
-                # the attribute's type comes from this parameter's
-                # annotation, so retarget the edit there
-                sub = CorrectionEdit(
-                    "code", "change-type", edit.description, cls, ctor,
-                    new_type=edit.new_type, type_slot=f"param:{i}")
-                return _compile_code_edit(doc, sub, {})
-    if rhs is None:
-        raise EditConflictError(
-            f"no recorded initializer for {cls.name}.{attr.name}")
-    rhs_text, rhs_span = rhs
-    assert edit.new_type is not None
-    return [CodeEdit("set-annotation", rhs_span,
-                     _placeholder_rhs(edit.new_type))]
+    assert ctor is not None  # code attributes are assigned in __init__
+    for i, p in enumerate(ctor.params):
+        if p.name == layout.rhs:
+            # the attribute's type comes from this parameter's annotation,
+            # so the edit retypes the parameter
+            return _param_type_edit(doc, ctor, i, new_type)
+    span = SourceSpan(doc.artifact, line_no, layout.rhs_start + 1,
+                      line_no, layout.rhs_end + 1)
+    return CodeEdit("set-annotation", span, _placeholder_rhs(new_type))
 
 
 def _ctor_insertion(doc: CodeDocument, cls: ClassDef,
                     attrs: list[Attribute]) -> CodeEdit:
-    artifact = _artifact_of(doc)
+    artifact = doc.artifact
     indent = " " * member_indent(doc, cls)
     body = " " * (member_indent(doc, cls) + 4)
     lines = [f"{indent}def __init__(self):"]

@@ -30,6 +30,9 @@ from .pycode import parse_code
 DEFAULT_MODEL_NAME = "gpt-4-0613"
 DEFAULT_TEMPERATURE = 0.0
 API_KEY_ENV_VAR = "MODELSYNC_LLM_KEY"
+HTTP_TIMEOUT_S = 30.0
+HTTP_ATTEMPTS = 3
+HTTP_BACKOFF_S = 1.0  # before the first retry; doubles on each one
 
 
 class PromptKind(Enum):
@@ -220,7 +223,8 @@ def _urllib_post(url: str, json=None, headers=None,
 
 
 class HttpTransport:
-    """Talks to a chat-completion endpoint with timeout and bounded retries.
+    """Talks to a chat-completion endpoint with a timeout and bounded,
+    exponentially backed-off retries (``HTTP_*`` above).
 
     The bearer token is read from the ``MODELSYNC_LLM_KEY`` environment
     variable unless given explicitly.  ``post`` and ``sleep`` are
@@ -228,14 +232,10 @@ class HttpTransport:
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None,
-                 timeout: float = 30.0, retries: int = 3,
-                 backoff: float = 1.0, post=None, sleep=None):
+                 post=None, sleep=None):
         self.endpoint = endpoint
         self.api_key = api_key if api_key is not None \
             else os.environ.get(API_KEY_ENV_VAR, "")
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
         self._post = post or _urllib_post
         self._sleep = sleep or time.sleep
 
@@ -244,12 +244,12 @@ class HttpTransport:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error: Exception | None = None
-        for attempt in range(self.retries):
+        for attempt in range(HTTP_ATTEMPTS):
             if attempt:
-                self._sleep(self.backoff * (2 ** (attempt - 1)))
+                self._sleep(HTTP_BACKOFF_S * (2 ** (attempt - 1)))
             try:
                 resp = self._post(self.endpoint, json=request.to_json(),
-                                  headers=headers, timeout=self.timeout)
+                                  headers=headers, timeout=HTTP_TIMEOUT_S)
             except OSError as exc:  # TimeoutError and URLError included
                 last_error = exc
                 continue
@@ -260,7 +260,7 @@ class HttpTransport:
                 continue
             return ChatResponse(_response_content(resp.json()))
         raise TransportError(
-            f"request failed after {self.retries} attempt(s): {last_error}")
+            f"request failed after {HTTP_ATTEMPTS} attempt(s): {last_error}")
 
 
 def _response_content(payload: dict) -> str:

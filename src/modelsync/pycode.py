@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import (DuplicateClassError, DuplicateMemberError,
                      OverlappingEditsError, ParseError, SpanOutOfRangeError)
@@ -50,16 +51,16 @@ class CodeEdit:
 
 @dataclass
 class CodeDocument:
-    """A parsed code artifact: its model plus the verbatim text."""
+    """A parsed code artifact: its model, the verbatim text, that text split
+    once into lines, and the artifact name its spans carry."""
 
     model: ClassModel
     raw_text: str
-    # (class name, attribute name) -> (right-hand-side text, its span)
-    attr_exprs: dict[tuple[str, str], tuple[str, SourceSpan]] = \
-        field(default_factory=dict)
+    artifact: str
+    text_lines: list[str] = field(repr=False, compare=False)
 
     def lines(self) -> list[str]:
-        return self.raw_text.split("\n")
+        return self.text_lines
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,20 @@ class DefLayout:
     ret: str | None
     ret_start: int     # covers '->' through the type; insertion point if absent
     ret_end: int
+
+
+@dataclass(frozen=True)
+class AttrLayout:
+    """Character extents of a ``self.NAME = RHS`` line (0-based)."""
+
+    start: int         # the statement without surrounding blanks
+    end: int
+    name: str
+    name_start: int
+    name_end: int
+    rhs: str           # up to any '#', trailing blanks dropped
+    rhs_start: int
+    rhs_end: int
 
 
 def _scan_brackets(line: str, lparen: int
@@ -187,6 +202,20 @@ def scan_def_line(line: str) -> DefLayout | None:
     return None
 
 
+def scan_attr_line(line: str) -> AttrLayout | None:
+    """Decompose a ``self.NAME = RHS`` line into precisely located pieces."""
+    stripped = line.strip()
+    m = _ATTR_RE.match(stripped)
+    if not m:
+        return None
+    start = len(line) - len(line.lstrip())
+    rhs = m.group(2).split("#")[0].rstrip()
+    rhs_start = start + m.start(2)
+    return AttrLayout(start, start + len(stripped), m.group(1),
+                      start + m.start(1), start + m.end(1),
+                      rhs, rhs_start, rhs_start + len(rhs))
+
+
 def _strip_fence(text: str) -> str:
     lines = text.split("\n")
     starts = [i for i, ln in enumerate(lines)
@@ -206,8 +235,8 @@ class _OpenDef:
         self.line_no = line_no
         self.last_line = line_no
         self.is_ctor = is_ctor
-        # (attr name, rhs text, line span, rhs span) in first-seen order
-        self.assignments: list[tuple[str, str, SourceSpan, SourceSpan]] = []
+        # (attr name, rhs text, line span) in first-seen order
+        self.assignments: list[tuple[str, str, SourceSpan]] = []
 
 
 class _OpenClass:
@@ -217,7 +246,7 @@ class _OpenClass:
         self.line_no = line_no
         self.last_line = line_no
         self.member_keys: set[tuple[str, int]] = set()
-        self.attr_order: list[tuple[str, str, SourceSpan, SourceSpan]] = []
+        self.attr_order: list[tuple[str, str, SourceSpan]] = []
 
 
 def parse_code(text: str, artifact: str = "code") -> CodeDocument:
@@ -225,7 +254,7 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
     content = _strip_fence(text)
     lines = content.split("\n")
     model = ClassModel(origin="code-artifact")
-    doc = CodeDocument(model, content)
+    doc = CodeDocument(model, content, artifact, lines)
     seen_classes: set[str] = set()
     cur_class: _OpenClass | None = None
     cur_def: _OpenDef | None = None
@@ -255,7 +284,7 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
         nonlocal cur_class
         if cur_class is None:
             return
-        _finish_attributes(cur_class, doc, artifact)
+        _finish_attributes(cur_class)
         cur_class.cls.span = SourceSpan(
             artifact, cur_class.line_no, 1, cur_class.last_line,
             len(lines[cur_class.last_line - 1]) + 1)
@@ -272,9 +301,9 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
         if cur_def is not None and indent > cur_def.layout.indent:
             cur_def.last_line = line_no
             if cur_def.is_ctor:
-                am = _ATTR_RE.match(stripped)
-                if am:
-                    _record_assignment(cur_def, am, line, line_no, artifact)
+                attr = scan_attr_line(line)
+                if attr is not None:
+                    _record_assignment(cur_def, attr, line_no, artifact)
             continue
         close_def()
 
@@ -318,20 +347,13 @@ def _open_def(cur_class: _OpenClass, layout: DefLayout, line_no: int,
     return _OpenDef(layout, line_no, layout.name == "__init__")
 
 
-def _record_assignment(cur_def: _OpenDef, am: re.Match, line: str,
-                       line_no: int, artifact: str) -> None:
-    name, rhs = am.group(1), am.group(2)
-    if any(existing == name for existing, *_ in cur_def.assignments):
+def _record_assignment(cur_def: _OpenDef, attr: AttrLayout, line_no: int,
+                       artifact: str) -> None:
+    if any(existing == attr.name for existing, *_ in cur_def.assignments):
         return  # first assignment wins
-    offset = len(line) - len(line.lstrip())
-    stripped = line.strip()
-    line_span = SourceSpan(artifact, line_no, offset + 1, line_no,
-                           offset + len(stripped) + 1)
-    rhs_rel = am.start(2)
-    rhs_text = rhs.split("#")[0].rstrip() if "#" in rhs else rhs.rstrip()
-    rhs_span = SourceSpan(artifact, line_no, offset + rhs_rel + 1, line_no,
-                          offset + rhs_rel + len(rhs_text) + 1)
-    cur_def.assignments.append((name, rhs_text, line_span, rhs_span))
+    line_span = SourceSpan(artifact, line_no, attr.start + 1, line_no,
+                           attr.end + 1)
+    cur_def.assignments.append((attr.name, attr.rhs, line_span))
 
 
 def _finish_method(cur_class: _OpenClass, cur_def: _OpenDef,
@@ -353,12 +375,11 @@ def _finish_method(cur_class: _OpenClass, cur_def: _OpenDef,
                   is_constructor=cur_def.is_ctor, span=span)
 
 
-def _finish_attributes(cur_class: _OpenClass, doc: CodeDocument,
-                       artifact: str) -> None:
+def _finish_attributes(cur_class: _OpenClass) -> None:
     ctor = cur_class.cls.constructor()
     ctor_types = {p.name: p.type for p in ctor.params} if ctor else {}
     seen: set[str] = set()
-    for name, rhs, line_span, rhs_span in cur_class.attr_order:
+    for name, rhs, line_span in cur_class.attr_order:
         key = normalize_name(name)
         if key in seen:
             continue
@@ -366,7 +387,6 @@ def _finish_attributes(cur_class: _OpenClass, doc: CodeDocument,
         atype = _infer_attr_type(rhs, ctor_types)
         cur_class.cls.attributes.append(
             Attribute(name, atype, Visibility.UNKNOWN, line_span))
-        doc.attr_exprs[(cur_class.cls.name, name)] = (rhs, rhs_span)
 
 
 def _infer_attr_type(rhs: str, ctor_types: dict[str, TypeRef]) -> TypeRef:
@@ -451,14 +471,6 @@ def render_code_skeleton(model: ClassModel) -> str:
     return "\n".join(out) + "\n"
 
 
-def _line_starts(text: str) -> list[int]:
-    starts = [0]
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(i + 1)
-    return starts
-
-
 def _offset(text: str, starts: list[int], line: int, col: int) -> int:
     if line == len(starts) + 1 and col == 1:
         return len(text)  # insertion at end of final, newline-terminated line
@@ -471,10 +483,12 @@ def _offset(text: str, starts: list[int], line: int, col: int) -> int:
     return off
 
 
-def apply_code_edits(doc: CodeDocument | str, edits: list[CodeEdit]) -> str:
+def apply_code_edits(doc: CodeDocument, edits: list[CodeEdit]) -> str:
     """Apply edits span-wise; untouched bytes are preserved verbatim."""
-    text = doc if isinstance(doc, str) else doc.raw_text
-    starts = _line_starts(text)
+    text = doc.raw_text
+    # the offset of each line; the last line has no newline after it
+    starts = list(accumulate((len(line) + 1 for line in doc.lines()[:-1]),
+                             initial=0))
     resolved: list[tuple[int, int, str, int]] = []
     seen: set[tuple[int, int, str, str]] = set()
     for seq, edit in enumerate(edits):

@@ -318,12 +318,12 @@ def test_cli_threshold_out_of_range_exits_three(capsys, tmp_path, pair,
 def _count_analyses(monkeypatch) -> list[int]:
     from modelsync import consistency
     calls = [0]
-    original = consistency.annotated_findings
+    original = consistency.match_models
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return original(*args, **kwargs)
-    monkeypatch.setattr(consistency, "annotated_findings", counting)
+    monkeypatch.setattr(consistency, "match_models", counting)
     return calls
 
 
@@ -397,7 +397,7 @@ def test_config_policy_ask_reaches_the_prompt(capsys, monkeypatch, tmp_path,
                          "--out-dir", tmp_path / "out")
     assert status == 1  # every correction skipped
     assert prompts and prompts[0].startswith("Choose 1-2")
-    assert "already synchronized" in out
+    assert "no correction chosen; artifacts unchanged" in out
 
 
 def test_config_policy_report_only_exits_three(capsys, tmp_path, pair):
@@ -424,3 +424,47 @@ def test_sync_renames_and_retypes_one_member(capsys, tmp_path, policy):
                            "--out-dir", tmp_path / "out")
     assert status == 0, err
     assert "applied 2 correction(s):" in out
+
+
+COMMENTED_ATTRS_CODE = """class Shelf:
+    def __init__(self, label: str, size: int):
+        self.label = label  # printed on the spine
+        self.slots = size  # never below one
+        self.locked = False  # no loans while set
+        self.loans = []  # open loans only
+"""
+# renames the parameter-initialised label and the literal-initialised
+# locked; retypes the parameter-initialised slots and the literal loans
+COMMENTED_ATTRS_MODEL = """@startuml
+class Shelf {
+  +labels: String
+  +slots: float
+  +isLocked: boolean
+  +loans: boolean
+}
+@enduml
+"""
+COMMENTED_ATTRS_SYNCED = """class Shelf:
+    def __init__(self, label: str, size: float):
+        self.labels = label  # printed on the spine
+        self.slots = size  # never below one
+        self.isLocked = False  # no loans while set
+        self.loans = False  # open loans only
+"""
+
+
+def test_sync_edits_commented_attribute_lines_bytewise(capsys, tmp_path):
+    model = tmp_path / "m.puml"
+    code = tmp_path / "c.py"
+    model.write_text(COMMENTED_ATTRS_MODEL, encoding="utf-8")
+    code.write_text(COMMENTED_ATTRS_CODE, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    status, out, err = run(capsys, "sync", model, code, "--policy",
+                           "model-wins", "--out-dir", out_dir)
+    assert status == 0, err
+    assert "applied 4 correction(s):" in out
+    assert (out_dir / "c.py").read_text(encoding="utf-8") == \
+        COMMENTED_ATTRS_SYNCED
+    assert (out_dir / "m.puml").read_text(encoding="utf-8") == \
+        COMMENTED_ATTRS_MODEL
+    assert run(capsys, "check", out_dir / "m.puml", out_dir / "c.py")[0] == 0

@@ -66,6 +66,21 @@ def test_propose_stale_report_rejected(drifted_model_text,
     propose(report, design, code_doc)  # must not raise
 
 
+def test_apply_stale_edits_rejected(drifted_model_text, drifted_code_text):
+    design, code_doc, report = _checked(drifted_model_text,
+                                        drifted_code_text)
+    sets = propose(report, design, code_doc)
+    with pytest.raises(StaleReportError):  # equal text, other objects
+        apply(parse_plantuml(drifted_model_text).model, code_doc,
+              resolve(sets, Policy.CODE_WINS))
+    # the User method the model calls getNamae, respelled in another doc
+    assert "def getName(self)" in drifted_code_text
+    respelled = parse_code(drifted_code_text.replace("def getName(self)",
+                                                     "def getTitle(self)"))
+    with pytest.raises(StaleReportError):
+        apply(design, respelled, resolve(sets, Policy.MODEL_WINS))
+
+
 def test_param_type_alternatives_match_both_directions(drifted_model_text,
                                                        drifted_code_text):
     design, code_doc, report = _checked(drifted_model_text,

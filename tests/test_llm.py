@@ -8,11 +8,11 @@ import pytest
 
 from modelsync.errors import (GenerationUnparsableError, MissingInputError,
                               NoBlockFoundError, TransportError)
-from modelsync.llm import (ChatRequest, ChatResponse,
-                           FixtureTransport, HttpTransport, PromptKind,
-                           build_prompt, extract_block, gen_code, gen_model,
-                           llm_sync_suggest, make_request, record_exchange,
-                           request_key)
+from modelsync.llm import (HTTP_ATTEMPTS, HTTP_TIMEOUT_S, ChatRequest,
+                           ChatResponse, FixtureTransport, HttpTransport,
+                           PromptKind, build_prompt, extract_block,
+                           gen_code, gen_model, llm_sync_suggest,
+                           make_request, record_exchange, request_key)
 from modelsync.model import model_equal
 from modelsync.plantuml import parse_plantuml
 from modelsync.pycode import parse_code
@@ -212,11 +212,10 @@ def test_http_transport_retries_then_fails():
     post, calls = _failing_post(TimeoutError("too slow"))
     naps = []
     transport = HttpTransport("https://example.invalid/chat",
-                              api_key="k", timeout=0.01, retries=3,
-                              backoff=1.0, post=post, sleep=naps.append)
+                              api_key="k", post=post, sleep=naps.append)
     with pytest.raises(TransportError):
         transport.send(make_request(PromptKind.GEN_CODE, {"problem": "p"}))
-    assert len(calls) == 3
+    assert len(calls) == HTTP_ATTEMPTS
     assert naps == [1.0, 2.0]  # exponential backoff between attempts
 
 
@@ -229,6 +228,7 @@ def test_http_transport_parses_completion_shape():
             return {"choices": [{"message": {"content": "hello"}}]}
 
     def post(url, json=None, headers=None, timeout=None):
+        assert timeout == HTTP_TIMEOUT_S
         assert headers["Authorization"] == "Bearer secret"
         assert json["temperature"] == 0.0
         return Resp()
@@ -256,10 +256,10 @@ def test_http_transport_non_200_retries():
         return Resp()
 
     transport = HttpTransport("https://example.invalid/chat", api_key="k",
-                              retries=2, post=post, sleep=lambda s: None)
+                              post=post, sleep=lambda s: None)
     with pytest.raises(TransportError):
         transport.send(make_request(PromptKind.GEN_CODE, {"problem": "p"}))
-    assert len(attempts) == 2
+    assert len(attempts) == HTTP_ATTEMPTS
 
 
 @pytest.fixture()
@@ -301,7 +301,7 @@ def loopback_endpoint(monkeypatch):
 def test_http_transport_default_post_round_trip(loopback_endpoint):
     base, seen = loopback_endpoint
     request = make_request(PromptKind.GEN_CODE, {"problem": "p"})
-    transport = HttpTransport(base + "/ok", api_key="secret", timeout=5)
+    transport = HttpTransport(base + "/ok", api_key="secret")
     assert transport.send(request).content == "hi"
     (path, headers, body), = seen
     assert headers["Authorization"] == "Bearer secret"
@@ -310,8 +310,8 @@ def test_http_transport_default_post_round_trip(loopback_endpoint):
 
 def test_http_transport_default_post_maps_http_errors(loopback_endpoint):
     base, seen = loopback_endpoint
-    transport = HttpTransport(base + "/busy", api_key="k", timeout=5,
-                              retries=2, sleep=lambda s: None)
+    transport = HttpTransport(base + "/busy", api_key="k",
+                              sleep=lambda s: None)
     with pytest.raises(TransportError, match="HTTP 503"):
         transport.send(make_request(PromptKind.GEN_CODE, {"problem": "p"}))
-    assert len(seen) == 2
+    assert len(seen) == HTTP_ATTEMPTS
