@@ -3,7 +3,8 @@
 Exit codes:
   0  success / no error findings
   1  error findings (check), or synchronization did not converge (sync)
-  2  parse error in an input artifact (message carries the location)
+  2  parse error in an input artifact, or in an output sync would write
+     (message carries the location; sync then writes nothing)
   3  I/O or configuration error
   4  transport or extraction failure (gen)
 
@@ -16,6 +17,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -293,20 +296,20 @@ def cmd_sync(args) -> int:
     else:
         chosen = resolve(sets, Policy(policy_name), cfg.preferred_side)
 
+    out_model, out_code = model_text, code_text
     if chosen:
-        new_model, new_code = apply(design, code_doc, chosen)
-        model_changed = any(e.side == "model" for e in chosen)
-        out_model = render_plantuml(new_model) if model_changed \
-            else model_text
-        out_code = new_code
-    else:
-        new_model, out_model, out_code = design, model_text, code_text
+        new_model, out_code = apply(design, code_doc, chosen)
+        if any(e.side == "model" for e in chosen):
+            out_model = render_plantuml(new_model)
 
+    # verify in memory before anything is written; a side whose bytes did
+    # not change is re-checked as already parsed
     model_out, code_out = _output_paths(args)
-    Path(model_out).parent.mkdir(parents=True, exist_ok=True)
-    Path(code_out).parent.mkdir(parents=True, exist_ok=True)
-    Path(model_out).write_text(out_model, encoding="utf-8")
-    Path(code_out).write_text(out_code, encoding="utf-8")
+    re_design = (design if out_model == model_text
+                 else _reparse(parse_plantuml, out_model, model_out).model)
+    re_code = (code_doc.model if out_code == code_text
+               else _reparse(parse_code, out_code, code_out).model)
+    remaining = check(re_design, re_code, report.options).error_findings()
 
     if chosen:
         print(f"applied {len(chosen)} correction(s):")
@@ -316,20 +319,53 @@ def cmd_sync(args) -> int:
         print("no correction chosen; artifacts unchanged")
     else:
         print("already synchronized; artifacts unchanged")
-    print(f"wrote {model_out}")
-    print(f"wrote {code_out}")
-
-    re_design = parse_plantuml(out_model, artifact=model_out).model
-    re_code = parse_code(out_code, artifact=code_out)
-    re_report = check(re_design, re_code.model, report.options)
-    remaining = re_report.error_findings()
     if remaining:
         print(f"synchronization did not converge: "
               f"{len(remaining)} finding(s) remain", file=sys.stderr)
         for f in remaining:
             print(f"  - {f.detail}", file=sys.stderr)
+        print("nothing written", file=sys.stderr)
         return 1
+
+    _write_atomically([(model_out, out_model), (code_out, out_code)])
+    print(f"wrote {model_out}")
+    print(f"wrote {code_out}")
     return 0
+
+
+def _reparse(parse, text: str, artifact: str):
+    """Parse a corrected output; a failure says that nothing was written."""
+    try:
+        return parse(text, artifact=artifact)
+    except ParseError as exc:
+        raise ParseError(f"{exc.args[0]} (in the corrected output; "
+                         f"nothing written)", artifact=exc.artifact,
+                         line=exc.line, col=exc.col,
+                         expected=exc.expected) from exc
+
+
+def _write_atomically(outputs: list[tuple[str, str]]) -> None:
+    """Write each (path, text) through a temp file in the path's directory,
+    then move every temp file over its path with ``os.replace``.  A path
+    that is a symlink is written through; an existing file keeps its mode.
+    """
+    staged: list[tuple[str, str]] = []
+    try:
+        for path, text in outputs:
+            target = os.path.realpath(path)
+            Path(target).parent.mkdir(parents=True, exist_ok=True)
+            tmp = f"{target}.{os.getpid()}.tmp"
+            with open(tmp, "x", encoding="utf-8") as f:
+                staged.append((tmp, target))
+                f.write(text)
+            if os.path.exists(target):
+                shutil.copymode(target, tmp)
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def _output_paths(args) -> tuple[str, str]:
@@ -394,7 +430,6 @@ def cmd_gen(args) -> int:
 
     if args.what == "both":
         assert design is not None and code_doc is not None
-        model_text = render_plantuml(design)
         report = check(design, code_doc.model, opts,
                        inputs=(_descriptor(str(model_path), model_text),
                                _descriptor(str(code_path),

@@ -10,8 +10,8 @@ picks among alternatives:
 
 Each edit carries the very class and member objects ``check`` matched on
 its side, so same-name overloads stay apart and nothing is looked up again
-by name.  Model edits are made on a copy of the class-model values and
-re-rendered canonically; code edits compile down to span-based text
+by name.  Model edits copy only the classes and members they touch and
+are re-rendered canonically; code edits compile down to span-based text
 patches so method bodies and comments survive byte-for-byte.  Members
 copied from the code into the model get snake_case names converted to
 camelCase, mirroring how merged models conventionally spell them.
@@ -20,7 +20,7 @@ camelCase, mirroring how merged models conventionally spell them.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .consistency import Finding, FindingKind, MISSING_KINDS, Report
@@ -302,13 +302,16 @@ def apply(design: ClassModel, code_doc: CodeDocument,
 
     The edits must come from ``propose`` on this ``design`` and
     ``code_doc``; edits of another pair raise StaleReportError.  The model
-    is edited as values on a copy (callers re-render it); the code is
+    is edited copy-on-write: ``new_model`` holds a copy of each class and
+    member an edit touches and shares every other one with ``design``, so
+    treat both as values (callers re-render the model).  The code is
     patched span-wise so untouched bytes survive verbatim.
     """
     _require_pair(design, code_doc, chosen)
-    # the copy of each design object, by the id of the original
+    new_model = ClassModel(list(design.classes), list(design.relationships),
+                           design.origin)
+    # the copy of each edited design object, by the id of the original
     memo: dict[int, object] = {}
-    new_model = copy.deepcopy(design, memo)
     code_edits: list[CodeEdit] = []
     # attribute insertions into classes lacking a constructor are grouped,
     # one synthesized __init__ per class
@@ -338,35 +341,62 @@ def apply(design: ClassModel, code_doc: CodeDocument,
 
 # --- model-side edits ------------------------------------------------------
 
+def _slot(items: list, obj: object) -> int:
+    """The index of ``obj`` itself in ``items``; ``list.index`` would
+    match the first equal value instead."""
+    return next(i for i, item in enumerate(items) if item is obj)
+
+
+def _own(items: list, memo: dict[int, object], original, make_copy):
+    """The copy of ``original`` in ``items``, made and put in its slot on
+    the first edit; later edits find it in ``memo``."""
+    copied = memo.get(id(original))
+    if copied is None:
+        copied = memo[id(original)] = make_copy(original)
+        items[_slot(items, original)] = copied
+    return copied
+
+
+def _copy_class(cls: ClassDef) -> ClassDef:
+    return replace(cls, attributes=list(cls.attributes),
+                   methods=list(cls.methods))
+
+
+def _copy_member(member):
+    if isinstance(member, Method):
+        return replace(member, params=list(member.params))
+    return replace(member)
+
+
+def _members_like(cls: ClassDef, member) -> list:
+    return cls.attributes if isinstance(member, Attribute) else cls.methods
+
+
 def _apply_model_edit(model: ClassModel, memo: dict[int, object],
                       edit: CorrectionEdit) -> None:
     if edit.kind == "add-class":
         assert edit.class_payload is not None
         model.classes.append(copy.deepcopy(edit.class_payload))
         return
-    cls = memo[id(edit.cls)]
     if edit.kind == "remove-class":
-        model.classes.remove(cls)
+        cls = memo.get(id(edit.cls), edit.cls)
+        del model.classes[_slot(model.classes, cls)]
         key = normalize_name(cls.name)
         model.relationships = [
             r for r in model.relationships
             if key not in (normalize_name(r.left), normalize_name(r.right))]
         return
+    cls = _own(model.classes, memo, edit.cls, _copy_class)
     if edit.kind == "add-member":
-        member = copy.deepcopy(edit.member_payload)
-        if isinstance(member, Attribute):
-            cls.attributes.append(member)
-        else:
-            cls.methods.append(member)
+        payload = copy.deepcopy(edit.member_payload)
+        _members_like(cls, payload).append(payload)
+        return
+    members = _members_like(cls, edit.member)
+    if edit.kind == "remove-member":
+        del members[_slot(members, memo.get(id(edit.member), edit.member))]
         return
 
-    member = memo[id(edit.member)]
-    if edit.kind == "remove-member":
-        if isinstance(member, Attribute):
-            cls.attributes.remove(member)
-        else:
-            cls.methods.remove(member)
-        return
+    member = _own(members, memo, edit.member, _copy_member)
     if edit.kind == "rename":
         member.name = edit.new_name
         return
@@ -380,7 +410,8 @@ def _apply_model_edit(model: ClassModel, memo: dict[int, object],
         elif edit.param_index is None:
             member.return_type = edit.new_type
         else:
-            member.params[edit.param_index].type = edit.new_type
+            member.params[edit.param_index] = replace(
+                member.params[edit.param_index], type=edit.new_type)
         return
     raise EditConflictError(f"unknown model edit kind {edit.kind!r}")
 

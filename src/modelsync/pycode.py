@@ -511,10 +511,15 @@ def apply_code_edits(doc: CodeDocument, edits: list[CodeEdit]) -> str:
             raise OverlappingEditsError(
                 f"edits overlap at offsets {s1}..{e1} and {s2}..{e2}")
 
-    for s, e, payload, _ in sorted(resolved,
-                                   key=lambda t: (-t[0], -t[1], -t[3])):
-        text = text[:s] + payload + text[e:]
-    return text
+    # one forward pass: the check above leaves each span starting at or
+    # after the end of the one before it
+    parts: list[str] = []
+    pos = 0
+    for s, e, payload, _ in ordered:
+        parts += (text[pos:s], payload)
+        pos = e
+    parts.append(text[pos:])
+    return "".join(parts)
 
 
 def block_delete_span(span: SourceSpan) -> SourceSpan:

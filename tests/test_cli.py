@@ -468,3 +468,100 @@ def test_sync_edits_commented_attribute_lines_bytewise(capsys, tmp_path):
     assert (out_dir / "m.puml").read_text(encoding="utf-8") == \
         COMMENTED_ATTRS_MODEL
     assert run(capsys, "check", out_dir / "m.puml", out_dir / "c.py")[0] == 0
+
+
+def _parse_counts(monkeypatch) -> dict[str, int]:
+    from modelsync import cli
+    calls = {"model": 0, "code": 0}
+
+    def counting(side, original):
+        def parse(*args, **kwargs):
+            calls[side] += 1
+            return original(*args, **kwargs)
+        return parse
+    monkeypatch.setattr(cli, "parse_plantuml",
+                        counting("model", cli.parse_plantuml))
+    monkeypatch.setattr(cli, "parse_code", counting("code", cli.parse_code))
+    return calls
+
+
+@pytest.mark.parametrize("pair_name, policy, parses", [
+    ("v1_drifted", "model-wins", {"model": 1, "code": 2}),
+    ("v1_drifted", "code-wins", {"model": 2, "code": 1}),
+    ("v2", "union", {"model": 2, "code": 2}),  # adds classes to both
+])
+def test_sync_reparses_only_the_rewritten_side(capsys, monkeypatch, tmp_path,
+                                               fixtures_dir, pair_name,
+                                               policy, parses):
+    model = fixtures_dir / f"library_{pair_name}_model.puml"
+    code = fixtures_dir / f"library_{pair_name}_code.py"
+    calls = _parse_counts(monkeypatch)
+    status, _, err = run(capsys, "sync", model, code, "--policy", policy,
+                         "--out-dir", tmp_path / "out")
+    assert status == 0, err
+    assert calls == parses
+
+
+UNPARSABLE_AFTER_SYNC_MODEL = """@startuml
+class A {
+  +go(x: int): int
+}
+@enduml
+"""
+UNPARSABLE_AFTER_SYNC_CODE = """class A:
+    def go(self, x: int) -> int:
+        return x
+
+    def extra(self, y: Optional[str]) -> list[int]:
+        return []
+"""
+
+
+def test_sync_unparsable_output_writes_nothing(capsys, tmp_path):
+    # code-wins copies `extra` into the model, whose types PlantUML rejects
+    model = tmp_path / "m.puml"
+    code = tmp_path / "c.py"
+    model.write_text(UNPARSABLE_AFTER_SYNC_MODEL, encoding="utf-8")
+    code.write_text(UNPARSABLE_AFTER_SYNC_CODE, encoding="utf-8")
+    status, out, err = run(capsys, "sync", model, code,
+                           "--policy", "code-wins", "--in-place")
+    assert status == 2
+    assert "invalid type 'list[int]'" in err
+    assert "nothing written" in err
+    assert out == ""
+    assert model.read_text(encoding="utf-8") == UNPARSABLE_AFTER_SYNC_MODEL
+    assert code.read_text(encoding="utf-8") == UNPARSABLE_AFTER_SYNC_CODE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.py", "m.puml"]
+
+
+def test_sync_not_converging_writes_nothing(capsys, monkeypatch, tmp_path,
+                                            pair):
+    model, code = pair
+    before = model.read_bytes(), code.read_bytes()
+    answers = iter(["1", "s", "s", "s", "s"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(answers))
+    status, out, err = run(capsys, "sync", model, code, "--policy", "ask",
+                           "--in-place")
+    assert status == 1
+    assert "applied 1 correction(s):" in out
+    assert "wrote" not in out
+    assert "synchronization did not converge" in err
+    assert err.endswith("nothing written\n")
+    assert (model.read_bytes(), code.read_bytes()) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["code.py",
+                                                          "model.puml"]
+
+
+def test_sync_in_place_keeps_file_mode_and_symlinks(capsys, tmp_path, pair):
+    model, code = pair
+    code.chmod(0o640)
+    link = tmp_path / "link.py"
+    link.symlink_to(code)
+    status, _, _ = run(capsys, "sync", model, link,
+                       "--policy", "model-wins", "--in-place")
+    assert status == 0
+    assert link.is_symlink()
+    assert "def getNamae(self):" in code.read_text(encoding="utf-8")
+    assert code.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "code.py", "link.py", "model.puml"]
