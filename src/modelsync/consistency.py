@@ -171,13 +171,6 @@ def levenshtein(a: str, b: str, limit: int | None = None) -> int:
     return min(prev[m], over)
 
 
-def relative_distance(a: str, b: str) -> float:
-    longest = max(len(a), len(b))
-    if longest == 0:
-        return 0.0
-    return levenshtein(a, b) / longest
-
-
 @dataclass
 class MemberPair:
     model: object  # Method | Attribute

@@ -39,13 +39,11 @@ class Policy(Enum):
     UNION = "union"
 
 
-EDIT_KINDS = ("add-class", "add-member", "rename", "change-type",
-              "change-signature", "remove-class", "remove-member")
-
-
 @dataclass(frozen=True)
 class CorrectionEdit:
-    """One abstract edit on one side; payload fields depend on ``kind``.
+    """One abstract edit on one side; payload fields depend on ``kind``:
+    add-class, add-member, rename, change-type, change-signature,
+    remove-class or remove-member.
 
     ``cls`` and ``member`` are the objects the finding matched on this
     side: the edited class (None for add-class) and the edited member
@@ -55,7 +53,7 @@ class CorrectionEdit:
     """
 
     side: str            # "model" | "code"
-    kind: str            # one of EDIT_KINDS
+    kind: str
     description: str
     cls: ClassDef | None = None
     member: object | None = None         # Method | Attribute

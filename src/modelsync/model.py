@@ -22,7 +22,7 @@ class Visibility(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SourceSpan:
     """A region of an artifact's text.
 
@@ -43,7 +43,7 @@ class SourceSpan:
             raise ValueError("span end precedes its start")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeRef:
     """A declared or inferred type.
 
@@ -89,14 +89,14 @@ class TypeRef:
         return self.kind
 
 
-@dataclass
+@dataclass(slots=True)
 class Parameter:
     name: str
     type: TypeRef = field(default_factory=TypeRef.unknown)
     span: SourceSpan | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class Method:
     name: str
     params: list[Parameter] = field(default_factory=list)
@@ -110,7 +110,7 @@ class Method:
         return len(self.params)
 
 
-@dataclass
+@dataclass(slots=True)
 class Attribute:
     name: str
     type: TypeRef = field(default_factory=TypeRef.unknown)
@@ -118,7 +118,7 @@ class Attribute:
     span: SourceSpan | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassDef:
     name: str
     attributes: list[Attribute] = field(default_factory=list)
@@ -132,7 +132,7 @@ class ClassDef:
         return None
 
 
-@dataclass
+@dataclass(slots=True)
 class Relationship:
     left: str
     right: str
@@ -142,7 +142,7 @@ class Relationship:
     directed: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassModel:
     """Classes plus relationships, in declaration order.
 
@@ -153,12 +153,6 @@ class ClassModel:
     classes: list[ClassDef] = field(default_factory=list)
     relationships: list[Relationship] = field(default_factory=list)
     origin: str = "synthetic"
-
-    def class_named(self, name: str) -> ClassDef | None:
-        for c in self.classes:
-            if c.name == name:
-                return c
-        return None
 
 
 def normalize_name(raw: str, mode: str = "canonical") -> str:

@@ -27,23 +27,25 @@ from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
                     normalize_name)
 
 _CLASS_RE = re.compile(r"^class\s+(\w+)\s*\{$")
-_METHOD_RE = re.compile(r"^([+\-#])\s*(\w+)\s*\((.*)\)\s*(?::\s*(.+?))?\s*$")
-_ATTR_RE = re.compile(r"^([+\-#])\s*(\w+)\s*(?::\s*(.+?))?\s*$")
+# a stripped member line: an attribute, or a method when the parenthesised
+# parameters are present
+_MEMBER_RE = re.compile(
+    r"([+\-#])\s*(\w+)\s*(?:\((.*)\)\s*)?(?::\s*(.+))?$")
 _RELATION_RE = re.compile(
     r'^(\w+)\s*(?:"([^"]*)"\s*)?--\s*(?:"([^"]*)"\s*)?(\w+)\s*(?::(.*))?$')
-_PARAM_RE = re.compile(r"^(\w+)\s*(?::\s*(.+?))?\s*$")
+# one comma-separated piece of a parameter list: NAME[: TYPE]
+_PARAM_RE = re.compile(r"\s*(\w+)\s*(?::\s*(\S(?:.*\S)?))?\s*$")
+_TYPE_NAME_RE = re.compile(r"\w+")
 
 _VIS_MARKERS = {"+": Visibility.PUBLIC, "-": Visibility.PRIVATE,
                 "#": Visibility.PROTECTED}
 
 
-@dataclass
+@dataclass(slots=True)
 class PlantUmlDocument:
-    """A parsed model plus the prose surrounding its envelope."""
+    """A parsed model."""
 
     model: ClassModel
-    leading_text: str = ""
-    trailing_text: str = ""
 
 
 def _parse_type(text: str, artifact: str, line_no: int) -> TypeRef:
@@ -52,43 +54,42 @@ def _parse_type(text: str, artifact: str, line_no: int) -> TypeRef:
         return TypeRef.collection(_parse_type(t[:-2], artifact, line_no))
     if t == "void":
         return TypeRef.void()
-    if not re.fullmatch(r"\w+", t):
+    if not _TYPE_NAME_RE.fullmatch(t):
         raise ParseError(f"invalid type {text.strip()!r}",
                          artifact=artifact, line=line_no, col=1,
                          expected="type name")
     return TypeRef.named(t)
 
 
-def _parse_params(text: str, artifact: str, line_no: int,
+def _new_type(types: dict[str | None, TypeRef], text: str, artifact: str,
+              line_no: int) -> TypeRef:
+    """Parse a type spelling that ``types`` does not hold yet, and add it."""
+    t = types[text] = _parse_type(text, artifact, line_no)
+    return t
+
+
+def _parse_params(text: str, types: dict[str | None, TypeRef],
+                  artifact: str, line_no: int,
                   span: SourceSpan) -> list[Parameter]:
-    text = text.strip()
-    if not text:
+    if not text or text.isspace():
         return []
     params: list[Parameter] = []
     for piece in text.split(","):
-        m = _PARAM_RE.match(piece.strip())
+        m = _PARAM_RE.match(piece)
         if not m:
             raise ParseError(f"invalid parameter {piece.strip()!r}",
                              artifact=artifact, line=line_no, col=1,
                              expected="name[: TYPE]")
         name, type_text = m.groups()
-        ptype = (_parse_type(type_text, artifact, line_no)
-                 if type_text else TypeRef.unknown())
-        params.append(Parameter(name, ptype, span))
+        params.append(Parameter(name, types.get(type_text) or _new_type(
+            types, type_text, artifact, line_no), span))
     return params
-
-
-def _line_span(artifact: str, line_no: int, line: str) -> SourceSpan:
-    stripped = line.strip()
-    start = line.index(stripped[0]) + 1 if stripped else 1
-    return SourceSpan(artifact, line_no, start, line_no,
-                      start + len(stripped))
 
 
 def _find_region(lines: list[str], artifact: str) -> tuple[int, int]:
     """Locate the diagram body; returns (first, last) 0-based line indexes."""
-    fence_starts = [i for i, ln in enumerate(lines)
-                    if ln.strip().startswith("```plantuml")]
+    fence_starts = [i for i, ln in enumerate(lines) if "```plantuml" in ln
+                    and ln.strip().startswith("```plantuml")]
     if len(fence_starts) > 1:
         raise ParseError("multiple ```plantuml blocks",
                          artifact=artifact, line=fence_starts[1] + 1,
@@ -111,7 +112,8 @@ def _find_region(lines: list[str], artifact: str) -> tuple[int, int]:
 
 def _inner_startuml(lines: list[str], lo: int, hi: int,
                     artifact: str) -> tuple[int, int] | None:
-    starts = [i for i in range(lo, hi) if lines[i].strip() == "@startuml"]
+    starts = [i for i in range(lo, hi)
+              if "@startuml" in lines[i] and lines[i].strip() == "@startuml"]
     if not starts:
         return None
     if len(starts) > 1:
@@ -133,14 +135,14 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
 
     model = ClassModel(origin="model-artifact")
     seen_classes: dict[str, int] = {}
+    # one TypeRef per type spelling; None spells the unknown type
+    types: dict[str | None, TypeRef] = {None: TypeRef.unknown()}
     cur: ClassDef | None = None
     cur_start = 0
     member_keys: set[tuple[str, int]] = set()
     attr_keys: set[str] = set()
 
-    for idx in range(first, last + 1):
-        line = lines[idx]
-        line_no = idx + 1
+    for line_no, line in enumerate(lines[first:last + 1], first + 1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -175,63 +177,49 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
             cur = None
             continue
 
-        member = _parse_member(stripped, cur, artifact, line_no,
-                               _line_span(artifact, line_no, line))
-        if isinstance(member, Method):
-            key = (normalize_name(member.name), member.arity)
-            if key in member_keys:
-                raise DuplicateMemberError(
-                    f"duplicate method {member.name!r}/{member.arity}",
-                    artifact=artifact, line=line_no)
-            if member.is_constructor and cur.constructor() is not None:
-                raise DuplicateMemberError(
-                    f"class {cur.name!r} declares two constructors",
-                    artifact=artifact, line=line_no)
-            member_keys.add(key)
-            cur.methods.append(member)
-        else:
-            key_a = normalize_name(member.name)
+        m = _MEMBER_RE.match(stripped)
+        if not m:
+            raise ParseError(f"unrecognized member line {stripped!r}",
+                             artifact=artifact, line=line_no, col=1,
+                             expected="attribute, method or }")
+        vis, name, params_text, type_text = m.groups()
+        start = line.index(stripped[0]) + 1
+        span = SourceSpan(artifact, line_no, start, line_no,
+                          start + len(stripped))
+        member_type = (types.get(type_text)
+                       or _new_type(types, type_text, artifact, line_no))
+        if params_text is None:
+            key_a = normalize_name(name)
             if key_a in attr_keys:
                 raise DuplicateMemberError(
-                    f"duplicate attribute {member.name!r}",
+                    f"duplicate attribute {name!r}",
                     artifact=artifact, line=line_no)
             attr_keys.add(key_a)
-            cur.attributes.append(member)
+            cur.attributes.append(
+                Attribute(name, member_type, _VIS_MARKERS[vis], span))
+            continue
+        params = _parse_params(params_text, types, artifact, line_no, span)
+        arity = len(params)
+        key = (normalize_name(name), arity)
+        if key in member_keys:
+            raise DuplicateMemberError(
+                f"duplicate method {name!r}/{arity}",
+                artifact=artifact, line=line_no)
+        is_ctor = name == cur.name
+        if is_ctor and cur.constructor() is not None:
+            raise DuplicateMemberError(
+                f"class {cur.name!r} declares two constructors",
+                artifact=artifact, line=line_no)
+        member_keys.add(key)
+        cur.methods.append(Method(name, params, member_type,
+                                  _VIS_MARKERS[vis], is_ctor, span))
 
     if cur is not None:
         raise ParseError(f"class {cur.name!r} is never closed",
                          artifact=artifact, line=cur_start, expected="}")
 
     _check_relationship_endpoints(model, artifact)
-    leading = "\n".join(lines[:max(first - 1, 0)])
-    trailing = "\n".join(lines[last + 2:])
-    return PlantUmlDocument(model, leading, trailing)
-
-
-def _parse_member(stripped: str, cls: ClassDef, artifact: str, line_no: int,
-                  span: SourceSpan) -> Method | Attribute:
-    m = _METHOD_RE.match(stripped)
-    if m:
-        vis, name, params_text, ret_text = m.groups()
-        ret = (_parse_type(ret_text, artifact, line_no)
-               if ret_text else TypeRef.unknown())
-        return Method(
-            name,
-            _parse_params(params_text, artifact, line_no, span),
-            ret,
-            _VIS_MARKERS[vis],
-            is_constructor=(name == cls.name),
-            span=span,
-        )
-    a = _ATTR_RE.match(stripped)
-    if a:
-        vis, name, type_text = a.groups()
-        atype = (_parse_type(type_text, artifact, line_no)
-                 if type_text else TypeRef.unknown())
-        return Attribute(name, atype, _VIS_MARKERS[vis], span)
-    raise ParseError(f"unrecognized member line {stripped!r}",
-                     artifact=artifact, line=line_no, col=1,
-                     expected="attribute, method or }")
+    return PlantUmlDocument(model)
 
 
 def _parse_relationship(stripped: str) -> Relationship | None:

@@ -3,7 +3,9 @@
 The dialect is an indentation-based subset of Python treated purely as a
 data format:
 
-* ``class NAME:`` introduces a class block
+* ``class NAME:`` introduces a class block; any other top-level line
+  starting with ``class `` (base classes, ``class A():``, a one-line
+  body) is rejected with a ParseError at its line
 * ``def name(self, p[: T][= default]*)[ -> T]:`` introduces a method; the
   receiver is dropped and the body is kept verbatim, never analyzed —
   except ``self.x = expr`` lines inside ``__init__``, which declare
@@ -26,15 +28,25 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import (DuplicateClassError, DuplicateMemberError,
                      OverlappingEditsError, ParseError, SpanOutOfRangeError)
 from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
                     SourceSpan, TypeRef, Visibility, normalize_name)
 
-_CLASS_RE = re.compile(r"^class\s+(\w+)\s*:\s*(?:#.*)?$")
-_DEF_START_RE = re.compile(r"^(\s*)def\s+(\w+)\s*\(")
-_ATTR_RE = re.compile(r"^self\.(\w+)\s*=\s*(.+)$")
+_CLASS_RE = re.compile(r"class\s+(\w+)\s*:\s*(?:#.*)?$")
+_CLASS_KEYWORD_RE = re.compile(r"class\s")
+_DEF_START_RE = re.compile(r"(\s*)def\s+(\w+)\s*\(")
+# what the bracket scanner stops at: a bracket, a separator, or a quote
+# running to the next copy of its own character (alone when none follows)
+_SCAN_RE = re.compile(r"""[()\[\]{},=]|"[^"]*"|'[^']*'|["']""")
+# a parameter up to its default: the name, then ':' and the annotation
+_PARAM_RE = re.compile(r"\s*(\w+)\s*(:\s*(.*\S)?)?\s*$")
+# after the ')': an optional '-> TYPE', then ':' and an optional comment
+_TAIL_RE = re.compile(
+    r"\s*(?:(->)\s*(\S(?:[^:]*[^:\s])?)\s*)?:\s*(?:#.*)?$")
+_ATTR_RE = re.compile(r"(\s*)self\.(\w+)\s*=\s*(.*\S)\s*$")
 _IDENT_RE = re.compile(r"^\w+$")
 
 # Spelling used when a model-side type must appear in a code annotation.
@@ -63,8 +75,7 @@ class CodeDocument:
         return self.text_lines
 
 
-@dataclass(frozen=True)
-class ParamLayout:
+class ParamLayout(NamedTuple):
     """Character extents of one parameter inside a def line (0-based)."""
 
     name: str
@@ -76,8 +87,7 @@ class ParamLayout:
     default: str | None
 
 
-@dataclass(frozen=True)
-class DefLayout:
+class DefLayout(NamedTuple):
     """Character extents of the pieces of a ``def`` line (0-based)."""
 
     indent: int
@@ -92,8 +102,7 @@ class DefLayout:
     ret_end: int
 
 
-@dataclass(frozen=True)
-class AttrLayout:
+class AttrLayout(NamedTuple):
     """Character extents of a ``self.NAME = RHS`` line (0-based)."""
 
     start: int         # the statement without surrounding blanks
@@ -106,117 +115,83 @@ class AttrLayout:
     rhs_end: int
 
 
-def _scan_brackets(line: str, lparen: int
-                   ) -> tuple[int, list[tuple[int, int, int, int]]] | None:
-    """One pass over the brackets and quotes from the ``(`` at ``lparen``.
+def scan_def_line(line: str) -> DefLayout | None:
+    """Decompose a ``def`` line into precisely located pieces.
 
-    Returns the index of the bracket that closes it and, for each
-    comma-separated piece at the top level inside, the absolute
-    ``(start, end, colon, eq)`` where ``colon`` and ``eq`` are the first
-    top-level ``:`` and ``=`` in the piece, or -1.  A quote runs to the
-    next copy of its own character; any closing bracket closes any
-    opening one.  None when the parenthesis never closes.
+    One pass jumps from bracket to separator to quote after the ``(``: a
+    quote runs to the next copy of its own character, and any closing
+    bracket closes any opening one.  None when the parenthesis or a quote
+    never closes, or a top-level piece is not a parameter.
     """
-    pieces: list[tuple[int, int, int, int]] = []
-    depth = 0
-    quote: str | None = None
-    start, colon, eq = lparen + 1, -1, -1
-    for i in range(lparen, len(line)):
+    m = _DEF_START_RE.match(line)
+    if not m:
+        return None
+    params: list[ParamLayout] = []
+    depth = 1
+    start = m.end()
+    eq = -1       # the piece's first top-level '='
+    for token in _SCAN_RE.finditer(line, start):
+        i = token.start()
         ch = line[i]
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
+        if depth == 1 and ch in ",)]}":  # a piece ends
+            if ch != "," and not params and not line[start:i].strip():
+                break  # no parameters at all
+            # the name and annotation end where the default begins
+            pm = _PARAM_RE.match(line, start, eq if eq >= 0 else i)
+            if not pm:
+                return None  # no name, or stray text before : or =
+            name, colon, annotation = pm.groups()
+            p_start, p_end = pm.span(1)
+            if not colon:
+                annot_start = annot_end = p_end
+            elif annotation:
+                annot_start, annot_end = pm.start(2), pm.end(3)
+            else:
+                return None
+            params.append(ParamLayout(
+                name, p_start, p_end, annotation, annot_start, annot_end,
+                line[eq + 1:i].strip() if eq >= 0 else None))
+            if ch != ",":
+                break
+            start, eq = i + 1, -1
+        elif ch == "=":
+            if eq < 0 and depth == 1:
+                eq = i
         elif ch in "([{":
             depth += 1
         elif ch in ")]}":
             depth -= 1
-            if depth == 0:
-                pieces.append((start, i, colon, eq))
-                return i, pieces
-        elif depth == 1:
-            if ch == ",":
-                pieces.append((start, i, colon, eq))
-                start, colon, eq = i + 1, -1, -1
-            elif ch == ":" and colon < 0:
-                colon = i
-            elif ch == "=" and eq < 0:
-                eq = i
-    return None
-
-
-def scan_def_line(line: str) -> DefLayout | None:
-    """Decompose a ``def`` line into precisely located pieces."""
-    m = _DEF_START_RE.match(line)
-    if not m:
+        elif ch != "," and token.end() == i + 1:
+            return None  # a quote that never closes
+    else:
         return None
-    indent = len(m.group(1))
-    name = m.group(2)
-    name_start, name_end = m.start(2), m.end(2)
-    lparen = m.end() - 1
-    scanned = _scan_brackets(line, lparen)
-    if scanned is None:
+
+    tail = _TAIL_RE.match(line, i + 1)
+    if not tail:
         return None
-    rparen, pieces = scanned
-
-    params: list[ParamLayout] = []
-    if line[lparen + 1:rparen].strip():
-        for lo, hi, colon, eq in pieces:
-            pm = re.match(r"(\s*)(\w+)", line[lo:hi])
-            if not pm:
-                return None
-            p_start = lo + pm.start(2)
-            p_end = lo + pm.end(2)
-            annotation = None
-            annot_start = annot_end = p_end
-            default = None
-            first_marker = min(m for m in (colon, eq, hi) if m >= 0)
-            if line[p_end:first_marker].strip():
-                return None  # stray text between the name and : or =
-            if colon >= 0 and (eq < 0 or colon < eq):
-                annot_text_end = eq if eq >= 0 else hi
-                annotation = line[colon + 1:annot_text_end].strip()
-                if not annotation:
-                    return None
-                annot_start = colon
-                annot_end = p_end + len(line[p_end:annot_text_end].rstrip())
-            if eq >= 0:
-                default = line[eq + 1:hi].strip()
-            params.append(ParamLayout(pm.group(2), p_start, p_end,
-                                      annotation, annot_start, annot_end,
-                                      default))
-
-    tail = line[rparen + 1:]
-    rm = re.match(r"\s*->\s*(\S[^:]*?)\s*:\s*(?:#.*)?$", tail)
-    if rm:
-        ret = rm.group(1)
-        # span covers '->' plus the type text, excluding the final colon
-        ret_start = rparen + 1 + tail.index("->")
-        ret_end = rparen + 1 + rm.end(1)
-        return DefLayout(indent, name, name_start, name_end, lparen, rparen,
-                         tuple(params), ret, ret_start, ret_end)
-    if re.match(r"\s*:\s*(?:#.*)?$", tail):
-        return DefLayout(indent, name, name_start, name_end, lparen, rparen,
-                         tuple(params), None, rparen + 1, rparen + 1)
-    return None
+    if tail.group(1):
+        # the span covers '->' plus the type text, not the final colon
+        ret, ret_start, ret_end = tail.group(2), tail.start(1), tail.end(2)
+    else:
+        ret, ret_start, ret_end = None, i + 1, i + 1
+    return DefLayout(m.end(1), m.group(2), *m.span(2), m.end() - 1, i,
+                     tuple(params), ret, ret_start, ret_end)
 
 
 def scan_attr_line(line: str) -> AttrLayout | None:
     """Decompose a ``self.NAME = RHS`` line into precisely located pieces."""
-    stripped = line.strip()
-    m = _ATTR_RE.match(stripped)
+    m = _ATTR_RE.match(line)
     if not m:
         return None
-    start = len(line) - len(line.lstrip())
-    rhs = m.group(2).split("#")[0].rstrip()
-    rhs_start = start + m.start(2)
-    return AttrLayout(start, start + len(stripped), m.group(1),
-                      start + m.start(1), start + m.end(1),
+    rhs = m.group(3).split("#")[0].rstrip()
+    rhs_start = m.start(3)
+    return AttrLayout(m.end(1), m.end(3), m.group(2), *m.span(2),
                       rhs, rhs_start, rhs_start + len(rhs))
 
 
 def _strip_fence(text: str) -> str:
+    if "```python" not in text:
+        return text
     lines = text.split("\n")
     starts = [i for i, ln in enumerate(lines)
               if ln.strip().startswith("```python")]
@@ -229,24 +204,13 @@ def _strip_fence(text: str) -> str:
     return "\n".join(lines[first + 1:])
 
 
-class _OpenDef:
-    def __init__(self, layout: DefLayout, line_no: int, is_ctor: bool):
-        self.layout = layout
-        self.line_no = line_no
-        self.last_line = line_no
-        self.is_ctor = is_ctor
-        # (attr name, rhs text, line span) in first-seen order
-        self.assignments: list[tuple[str, str, SourceSpan]] = []
-
-
 class _OpenClass:
-    def __init__(self, name: str, indent: int, line_no: int):
+    def __init__(self, name: str, line_no: int):
         self.cls = ClassDef(name)
-        self.indent = indent
         self.line_no = line_no
         self.last_line = line_no
         self.member_keys: set[tuple[str, int]] = set()
-        self.attr_order: list[tuple[str, str, SourceSpan]] = []
+        self.attr_order: list[tuple[str, tuple[str, SourceSpan]]] = []
 
 
 def parse_code(text: str, artifact: str = "code") -> CodeDocument:
@@ -256,148 +220,154 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
     model = ClassModel(origin="code-artifact")
     doc = CodeDocument(model, content, artifact, lines)
     seen_classes: set[str] = set()
+    # one TypeRef per annotation spelling; None spells the unknown type
+    types: dict[str | None, TypeRef] = {None: TypeRef.unknown()}
     cur_class: _OpenClass | None = None
-    cur_def: _OpenDef | None = None
-
-    def close_def() -> None:
-        nonlocal cur_def
-        if cur_def is None or cur_class is None:
-            return
-        method = _finish_method(cur_class, cur_def, artifact, lines)
-        key = (normalize_name(method.name), method.arity)
-        if key in cur_class.member_keys:
-            raise DuplicateMemberError(
-                f"duplicate method {method.name!r}/{method.arity}",
-                artifact=artifact, line=cur_def.line_no)
-        if method.is_constructor and cur_class.cls.constructor() is not None:
-            raise DuplicateMemberError(
-                f"class {cur_class.cls.name!r} defines __init__ twice",
-                artifact=artifact, line=cur_def.line_no)
-        cur_class.member_keys.add(key)
-        cur_class.cls.methods.append(method)
-        cur_class.last_line = cur_def.last_line
-        if cur_def.is_ctor:
-            cur_class.attr_order.extend(cur_def.assignments)
-        cur_def = None
+    # the open def: its header, first and last line, and for __init__ the
+    # first assignment to each attribute, as (rhs text, line span)
+    header: DefLayout | None = None
+    def_line = def_last = 0
+    assignments: dict[str, tuple[str, SourceSpan]] | None = None
 
     def close_class() -> None:
         nonlocal cur_class
-        if cur_class is None:
-            return
-        _finish_attributes(cur_class)
+        _finish_attributes(cur_class, types)
         cur_class.cls.span = SourceSpan(
             artifact, cur_class.line_no, 1, cur_class.last_line,
             len(lines[cur_class.last_line - 1]) + 1)
         model.classes.append(cur_class.cls)
         cur_class = None
 
-    for idx, line in enumerate(lines):
-        line_no = idx + 1
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    for line_no, line in enumerate(lines, 1):
+        body = line.lstrip()
+        if not body or body[0] == "#":
             continue
-        indent = len(line) - len(line.lstrip())
+        indent = len(line) - len(body)
 
-        if cur_def is not None and indent > cur_def.layout.indent:
-            cur_def.last_line = line_no
-            if cur_def.is_ctor:
-                attr = scan_attr_line(line)
-                if attr is not None:
-                    _record_assignment(cur_def, attr, line_no, artifact)
-            continue
-        close_def()
-
-        if cur_class is not None and indent > cur_class.indent:
-            layout = scan_def_line(line)
-            if layout is not None:
-                cur_def = _open_def(cur_class, layout, line_no, artifact)
+        if header is not None:
+            if indent > header.indent:
+                def_last = line_no
+                if assignments is not None:
+                    attr = scan_attr_line(line)
+                    if attr is not None and attr.name not in assignments:
+                        assignments[attr.name] = (attr.rhs, SourceSpan(
+                            artifact, line_no, attr.start + 1, line_no,
+                            attr.end + 1))
                 continue
-            if stripped == "pass":
-                cur_class.last_line = line_no
-                continue
-            raise ParseError(
-                f"unexpected class-level line {stripped!r}",
-                artifact=artifact, line=line_no,
-                expected="method definition or pass")
-        close_class()
+            _add_method(cur_class, header, def_line, def_last, assignments,
+                        artifact, lines, types)
+            header = None
 
-        cm = _CLASS_RE.match(stripped)
-        if cm and indent == 0:
+        if cur_class is not None:
+            if indent:
+                header = scan_def_line(line)
+                if header is not None:
+                    if not header.params or header.params[0].name != "self":
+                        raise ParseError(
+                            f"method {header.name!r} lacks a self receiver",
+                            artifact=artifact, line=line_no, expected="self")
+                    def_line = def_last = line_no
+                    assignments = {} if header.name == "__init__" else None
+                    continue
+                stripped = body.rstrip()
+                if stripped == "pass":
+                    cur_class.last_line = line_no
+                    continue
+                raise ParseError(
+                    f"unexpected class-level line {stripped!r}",
+                    artifact=artifact, line=line_no,
+                    expected="method definition or pass")
+            close_class()
+
+        if indent:
+            continue  # an indented top-level statement is preserved opaque
+        cm = _CLASS_RE.match(line)
+        if cm:
             name = cm.group(1)
             key = normalize_name(name)
             if key in seen_classes:
                 raise DuplicateClassError(f"class {name!r} already defined",
                                           artifact=artifact, line=line_no)
             seen_classes.add(key)
-            cur_class = _OpenClass(name, indent, line_no)
-            continue
+            cur_class = _OpenClass(name, line_no)
+        elif _CLASS_KEYWORD_RE.match(line):
+            raise ParseError(
+                f"unsupported class header {line.rstrip()!r}",
+                artifact=artifact, line=line_no,
+                expected="class NAME: (base classes are not supported)")
         # any other top-level statement is preserved opaque
 
-    close_def()
-    close_class()
+    if header is not None:
+        _add_method(cur_class, header, def_line, def_last, assignments,
+                    artifact, lines, types)
+    if cur_class is not None:
+        close_class()
     return doc
 
 
-def _open_def(cur_class: _OpenClass, layout: DefLayout, line_no: int,
-              artifact: str) -> _OpenDef:
-    if not layout.params or layout.params[0].name != "self":
-        raise ParseError(
-            f"method {layout.name!r} lacks a self receiver",
-            artifact=artifact, line=line_no, expected="self")
-    return _OpenDef(layout, line_no, layout.name == "__init__")
+def _new_type(types: dict[str | None, TypeRef], spelling: str) -> TypeRef:
+    """The type an annotation spells that ``types`` does not hold yet, added
+    to it."""
+    t = types[spelling] = TypeRef.named(spelling)
+    return t
 
 
-def _record_assignment(cur_def: _OpenDef, attr: AttrLayout, line_no: int,
-                       artifact: str) -> None:
-    if any(existing == attr.name for existing, *_ in cur_def.assignments):
-        return  # first assignment wins
-    line_span = SourceSpan(artifact, line_no, attr.start + 1, line_no,
-                           attr.end + 1)
-    cur_def.assignments.append((attr.name, attr.rhs, line_span))
+def _add_method(cur_class: _OpenClass, header: DefLayout, line_no: int,
+                last: int,
+                assignments: dict[str, tuple[str, SourceSpan]] | None,
+                artifact: str, lines: list[str],
+                types: dict[str | None, TypeRef]) -> None:
+    params = [Parameter(
+        p.name, types.get(p.annotation) or _new_type(types, p.annotation),
+        SourceSpan(artifact, line_no, p.name_start + 1, line_no,
+                   p.name_end + 1))
+        for p in header.params[1:]]
+    cls = cur_class.cls
+    is_ctor = assignments is not None
+    name = cls.name if is_ctor else header.name
+    key = (normalize_name(name), len(params))
+    if key in cur_class.member_keys:
+        raise DuplicateMemberError(f"duplicate method {name!r}/{len(params)}",
+                                   artifact=artifact, line=line_no)
+    if is_ctor:
+        if cls.constructor() is not None:
+            raise DuplicateMemberError(
+                f"class {cls.name!r} defines __init__ twice",
+                artifact=artifact, line=line_no)
+        cur_class.attr_order.extend(assignments.items())
+    cur_class.member_keys.add(key)
+    cur_class.last_line = last
+    cls.methods.append(Method(
+        name, params, types.get(header.ret) or _new_type(types, header.ret),
+        Visibility.UNKNOWN, is_ctor,
+        SourceSpan(artifact, line_no, 1, last, len(lines[last - 1]) + 1)))
 
 
-def _finish_method(cur_class: _OpenClass, cur_def: _OpenDef,
-                   artifact: str, lines: list[str]) -> Method:
-    layout = cur_def.layout
-    params = []
-    for p in layout.params[1:]:
-        ptype = TypeRef.named(p.annotation) if p.annotation \
-            else TypeRef.unknown()
-        span = SourceSpan(artifact, cur_def.line_no, p.name_start + 1,
-                          cur_def.line_no, p.name_end + 1)
-        params.append(Parameter(p.name, ptype, span))
-    ret = TypeRef.named(layout.ret) if layout.ret else TypeRef.unknown()
-    name = cur_class.cls.name if cur_def.is_ctor else layout.name
-    last = max(cur_def.last_line, cur_def.line_no)
-    span = SourceSpan(artifact, cur_def.line_no, 1, last,
-                      len(lines[last - 1]) + 1)
-    return Method(name, params, ret, Visibility.UNKNOWN,
-                  is_constructor=cur_def.is_ctor, span=span)
-
-
-def _finish_attributes(cur_class: _OpenClass) -> None:
+def _finish_attributes(cur_class: _OpenClass,
+                       types: dict[str | None, TypeRef]) -> None:
     ctor = cur_class.cls.constructor()
     ctor_types = {p.name: p.type for p in ctor.params} if ctor else {}
     seen: set[str] = set()
-    for name, rhs, line_span in cur_class.attr_order:
+    for name, (rhs, line_span) in cur_class.attr_order:
         key = normalize_name(name)
         if key in seen:
             continue
         seen.add(key)
-        atype = _infer_attr_type(rhs, ctor_types)
+        atype = _infer_attr_type(rhs, ctor_types, types)
         cur_class.cls.attributes.append(
             Attribute(name, atype, Visibility.UNKNOWN, line_span))
 
 
-def _infer_attr_type(rhs: str, ctor_types: dict[str, TypeRef]) -> TypeRef:
+def _infer_attr_type(rhs: str, ctor_types: dict[str, TypeRef],
+                     types: dict[str | None, TypeRef]) -> TypeRef:
     rhs = rhs.strip()
     if rhs in ("True", "False"):
-        return TypeRef.named("boolean")
+        return types.get("boolean") or _new_type(types, "boolean")
     if rhs == "[]":
-        return TypeRef.collection(TypeRef.unknown())
+        return TypeRef.collection(types[None])
     if _IDENT_RE.match(rhs) and rhs in ctor_types:
         return ctor_types[rhs]
-    return TypeRef.unknown()
+    return types[None]
 
 
 def _annotation_spelling(t: TypeRef) -> str | None:

@@ -18,6 +18,7 @@ from modelsync.plantuml import parse_plantuml, render_plantuml
 from modelsync.pycode import parse_code, render_code_skeleton
 
 from modelgen import OPERATORS, make_code_model, make_plantuml_model, mutate
+from helpers import class_named
 
 
 @contextmanager
@@ -139,7 +140,7 @@ def test_criterion_3_detailed_pair_sync(v2_model_text, v2_code_text):
         new_model, new_code = apply(design, code_doc, chosen)
         out_model = render_plantuml(new_model)
 
-        library = new_model.class_named("Library")
+        library = class_named(new_model, "Library")
         assert {"addBook", "addUser", "lendBook", "returnBook",
                 "checkOverdueBooks"} <= {m.name for m in library.methods}
         merged_code = parse_code(new_code)

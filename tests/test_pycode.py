@@ -16,6 +16,7 @@ from modelsync.pycode import (CodeEdit, apply_code_edits, parse_code,
 import defline_reference
 from conftest import FIXTURES
 from modelgen import make_code_model
+from helpers import class_named
 
 
 def test_empty_text_gives_empty_model():
@@ -28,10 +29,10 @@ def test_v1_code_contents(v1_code_text):
     model = parse_code(v1_code_text).model
     assert [c.name for c in model.classes] == \
         ["Library", "User", "UserCard", "Book"]
-    book = model.class_named("Book")
+    book = class_named(model, "Book")
     assert [(a.name, str(a.type)) for a in book.attributes] == \
         [("title", "unknown"), ("borrowed", "boolean")]
-    lib = model.class_named("Library")
+    lib = class_named(model, "Library")
     assert [(m.name, m.arity) for m in lib.methods if not m.is_constructor] \
         == [("borrowBook", 2), ("returnBook", 2), ("checkLendingStatus", 0)]
     assert [str(a.type) for a in lib.attributes] == \
@@ -39,7 +40,7 @@ def test_v1_code_contents(v1_code_text):
 
 
 def test_constructor_renamed_to_class(v1_code_text):
-    user = parse_code(v1_code_text).model.class_named("User")
+    user = class_named(parse_code(v1_code_text).model, "User")
     ctor = user.constructor()
     assert ctor is not None
     assert ctor.name == "User" and ctor.is_constructor
@@ -47,7 +48,7 @@ def test_constructor_renamed_to_class(v1_code_text):
 
 
 def test_annotated_param_and_attr_inference(drifted_code_text):
-    card = parse_code(drifted_code_text).model.class_named("UserCard")
+    card = class_named(parse_code(drifted_code_text).model, "UserCard")
     ctor = card.constructor()
     assert str(ctor.params[0].type) == "int"
     assert str(card.attributes[0].type) == "int"
@@ -56,11 +57,11 @@ def test_annotated_param_and_attr_inference(drifted_code_text):
 def test_v2_code_contents(v2_code_text):
     model = parse_code(v2_code_text).model
     assert [c.name for c in model.classes] == ["Book", "User", "Library"]
-    lib = model.class_named("Library")
+    lib = class_named(model, "Library")
     assert sorted(m.name for m in lib.methods if not m.is_constructor) == \
         ["add_book", "add_user", "check_overdue_books", "lend_book",
          "return_book"]
-    user = model.class_named("User")
+    user = class_named(model, "User")
     assert [str(a.type) for a in user.attributes] == \
         ["unknown", "unknown", "unknown[]"]
 
@@ -68,7 +69,7 @@ def test_v2_code_contents(v2_code_text):
 def test_top_level_statements_preserved(v2_code_text):
     doc = parse_code(v2_code_text)
     assert 'library.add_book("Book1", "Author1")' in doc.raw_text
-    assert doc.model.class_named("Library") is not None
+    assert class_named(doc.model, "Library") is not None
 
 
 def test_fenced_envelope_stripped(v1_code_text):
@@ -81,6 +82,20 @@ def test_class_level_garbage_rejected():
     with pytest.raises(ParseError) as err:
         parse_code("class A:\n    x = 1\n")
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("header", ["class A(Base):", "class A():",
+                                    "class A: pass", "class A(Base):  # x"])
+def test_unsupported_class_header_rejected(header):
+    with pytest.raises(ParseError) as err:
+        parse_code(f"import os\n\n{header}\n    def f(self):\n"
+                   "        pass\n")
+    assert err.value.line == 3
+
+
+def test_class_like_statements_stay_opaque():
+    model = parse_code("classes = []\nclass_ = 1\n    class A(B):\n").model
+    assert model.classes == []
 
 
 def test_method_without_receiver_rejected():
@@ -140,7 +155,7 @@ def test_skeleton_from_design_model_keeps_members(v1_model_text):
     model = parse_plantuml(v1_model_text).model
     skeleton = render_code_skeleton(model)
     parsed = parse_code(skeleton).model
-    book = parsed.class_named("Book")
+    book = class_named(parsed, "Book")
     assert {a.name for a in book.attributes} == {"title", "borrowed"}
     assert "def __init__(self, title: String):" in skeleton
     assert "self.borrowed = False" in skeleton
@@ -167,11 +182,11 @@ def test_scan_def_line_matches_reference_on_fixtures():
 
 
 _words = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
-_spaces = st.sampled_from(["", " ", "  "])
+_spaces = st.sampled_from(["", " ", "  ", "\t"])
 # quoted text holding the characters the scanner splits and matches on
 _quoted = st.builds(lambda q, body: q + body.replace(q, "") + q,
                     st.sampled_from(["'", '"']),
-                    st.text(alphabet="ab ,:=()[]{}->#'\"", max_size=8))
+                    st.text(alphabet="ab \t,:=()[]{}->#'\"", max_size=8))
 _annotation = st.recursive(
     st.one_of(_words, _quoted, st.just("...")),
     lambda inner: st.one_of(
@@ -196,6 +211,12 @@ _param = st.builds(
         name + (f"{s1}:{s1}{annot}" if annot else "")
         + (f"{s2}={s2}{default}" if default else "")),
     _words, _spaces, st.none() | _annotation, _spaces, st.none() | _default)
+# what follows the closing parenthesis: comments, arrows, tabs and quotes
+# that never close
+_tail = st.one_of(
+    st.sampled_from([":", ":  # note", " :", "", ": pass", ":#x", "\t:\t",
+                     ": # it's", ":'", ' -> "x:', " -> 'A'", "->:", "'"]),
+    st.text(alphabet=":#->'\" \tab", max_size=6))
 _header = st.builds(
     lambda indent, name, params, sep, ret, tail: (
         f"{indent}def {name}({sep.join(params)})"
@@ -203,11 +224,11 @@ _header = st.builds(
     st.sampled_from(["", "    ", "\t", "        "]), _words,
     st.lists(_param, max_size=4).map(lambda ps: ["self"] + ps),
     st.sampled_from([", ", ",", " , "]), st.none() | _annotation,
-    st.sampled_from([":", ":  # note", " :", "", ": pass", ":#x"]))
+    _tail)
 # arbitrary text after the opening parenthesis: unbalanced brackets,
 # unclosed quotes and misplaced markers
 _noise = st.builds(lambda name, rest: f"def {name}({rest}", _words,
-                   st.text(alphabet="ab_ ,:=()[]{}'\"->#", max_size=30))
+                   st.text(alphabet="ab_ \t,:=()[]{}'\"->#", max_size=30))
 
 
 @settings(max_examples=200, deadline=None)
@@ -277,7 +298,7 @@ def test_apply_edits_disjoint_order_independent():
 
 def test_patched_code_reparses(v1_code_text):
     doc = parse_code(v1_code_text)
-    user = doc.model.class_named("User")
+    user = class_named(doc.model, "User")
     method = next(m for m in user.methods if m.name == "getName")
     line = method.span.start_line
     text = doc.lines()[line - 1]
@@ -285,5 +306,5 @@ def test_patched_code_reparses(v1_code_text):
     edit = CodeEdit("rename-identifier",
                     _span(line, col, col + len("getName")), "getNamae")
     patched = apply_code_edits(doc, [edit])
-    renamed = parse_code(patched).model.class_named("User")
+    renamed = class_named(parse_code(patched).model, "User")
     assert any(m.name == "getNamae" for m in renamed.methods)
