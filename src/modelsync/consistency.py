@@ -12,6 +12,12 @@ and gives up as soon as the distance provably exceeds that limit (length
 gap first, then a diagonal band whose row minimum passes it; Ukkonen 1985).
 The ``+ 1`` means float rounding can never reject a pair that the exact
 ``distance / n <= threshold`` test accepts, and that test alone decides.
+Only pairs that pass the q-gram count filter are measured: a class's
+leftover code-side names are indexed by their bigrams, padded with one
+sentinel at each end, and a distance of at most ``limit`` leaves at least
+``n + 1 - 2 * limit`` of them shared (Jokinen & Ukkonen 1991).  Pairs for
+which that bound is not positive are visited through length buckets, so
+the filter never loses a pair the test would accept.
 
 Unknown types never produce findings, so unannotated code cannot drown a
 report in false positives.  The same principle extends to unpaired
@@ -28,8 +34,11 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
+from itertools import chain
 
 from .model import (Attribute, ClassDef, ClassModel, Method, SourceSpan,
                     TypeRef, TypeTable, DEFAULT_TYPE_EQUIVALENCES,
@@ -132,7 +141,15 @@ def levenshtein(a: str, b: str, limit: int | None = None) -> int:
         return 0
     if len(a) > len(b):
         a, b = b, a
-    n, m = len(a), len(b)
+    # a shared prefix or suffix never changes the distance
+    start, n, m = 0, len(a), len(b)
+    while start < n and a[start] == b[start]:
+        start += 1
+    while n > start and a[n - 1] == b[m - 1]:
+        n -= 1
+        m -= 1
+    a, b = a[start:n], b[start:m]
+    n, m = n - start, m - start
     if limit is None:
         limit = m
     elif m - n > limit:
@@ -280,39 +297,93 @@ def _pair_by_name(model_members, code_members, opts: MatchOptions,
     return model_left, code_left
 
 
+def _bigrams(name: str) -> list[str]:
+    """The bigrams of ``name`` padded with one sentinel at each end.  The
+    k-th occurrence of a bigram is keyed by the bigram written k times, so
+    the keys two names share count the multiset intersection of their
+    bigrams."""
+    padded = f"\0{name}\0"
+    grams = [padded[i:i + 2] for i in range(len(name) + 1)]
+    if len(set(grams)) < len(grams):
+        seen: dict[str, int] = {}
+        for i, gram in enumerate(grams):
+            seen[gram] = k = seen.get(gram, 0) + 1
+            grams[i] = gram * k
+    return grams
+
+
+@lru_cache(maxsize=256)
+def _count_filter(scale: float, widest: int):
+    """Tables over the longer name's length ``n <= widest``: the distance
+    limit (the + 1 absorbs float rounding of ``scale * n``); the bigrams a
+    pair within it must share (q-gram lemma, q = 2: each edit breaks at
+    most two of the ``n + 1`` padded bigrams); and the lengths where that
+    need is <= 0, so such pairs may share none."""
+    limits = tuple(math.floor(scale * n) + 1 for n in range(widest + 1))
+    needs = tuple(n + 1 - 2 * limit for n, limit in enumerate(limits))
+    return (limits, needs,
+            frozenset(n for n, need in enumerate(needs) if need <= 0))
+
+
 def _pair_renames(model_left, code_left, opts: MatchOptions, *,
                   require_arity: bool) -> tuple[list[RenamePair], list, list]:
     """Rename pairs, then the model-only and code-only leftovers."""
     threshold = opts.rename_threshold
-    candidates: list[tuple[float, str, str, int, int, object, object]] = []
-    if threshold >= 0:  # a negative or NaN threshold admits no distance
-        code_keys = [(c, normalize_name(c.name, opts.name_mode))
-                     for c in code_left]
-        for m in model_left:
-            a = normalize_name(m.name, opts.name_mode)
-            for c, b in code_keys:
-                if require_arity and m.arity != c.arity:
-                    continue
-                # a != b: leftover keys never match across sides
-                longest = max(len(a), len(b))
-                # the + 1 absorbs float rounding of threshold * longest
-                limit = math.floor(min(threshold, 1.0) * longest) + 1
-                dist = levenshtein(a, b, limit)
-                if dist / longest <= threshold:
-                    candidates.append((dist / longest, m.name, c.name,
-                                       dist, longest, m, c))
+    # a negative or NaN threshold admits no distance
+    if not (model_left and code_left and threshold >= 0):
+        return [], model_left, code_left
+    model_keys = [normalize_name(m.name, opts.name_mode) for m in model_left]
+    code_keys = [normalize_name(c.name, opts.name_mode) for c in code_left]
+    # per arity: bigram key -> code positions, and name length -> positions
+    postings: dict[int, dict[str, list[int]]] = {}
+    lengths: dict[int, dict[int, list[int]]] = {}
+    for j, (c, b) in enumerate(zip(code_left, code_keys)):
+        arity = c.arity if require_arity else 0
+        index = postings.setdefault(arity, {})
+        for key in _bigrams(b):
+            index.setdefault(key, []).append(j)
+        lengths.setdefault(arity, {}).setdefault(len(b), []).append(j)
+    limits, needs, loose = _count_filter(
+        min(threshold, 1.0), max(map(len, model_keys + code_keys)))
+    widest_loose = max(loose)
+
+    candidates: list[tuple[float, str, str, int, int, int, int]] = []
+    for i, (m, a) in enumerate(zip(model_left, model_keys)):
+        arity = m.arity if require_arity else 0
+        index = postings.get(arity)
+        if index is None:
+            continue
+        n = len(a)
+        shared = Counter(chain.from_iterable(
+            index[key] for key in _bigrams(a) if key in index))
+        if n <= widest_loose:
+            for length, js in lengths[arity].items():
+                if max(n, length) in loose:
+                    for j in js:
+                        shared.setdefault(j, 0)
+        for j, count in shared.items():
+            b = code_keys[j]
+            longest = n if n > len(b) else len(b)
+            if count < needs[longest]:
+                continue
+            dist = levenshtein(a, b, limits[longest])
+            if dist / longest <= threshold:
+                candidates.append((dist / longest, m.name, code_left[j].name,
+                                   i, j, dist, longest))
     renames: list[RenamePair] = []
     used_m: set[int] = set()
     used_c: set[int] = set()
-    for rel, mn, cn, dist, longest, m, c in sorted(
-            candidates, key=lambda t: (t[0], t[1], t[2])):
-        if id(m) in used_m or id(c) in used_c:
+    # (i, j) breaks ties in model order, then code order
+    for _, _, _, i, j, dist, longest in sorted(candidates):
+        if i in used_m or j in used_c:
             continue
-        used_m.add(id(m))
-        used_c.add(id(c))
-        renames.append(RenamePair(m, c, dist, longest))
-    return (renames, [m for m in model_left if id(m) not in used_m],
-            [c for c in code_left if id(c) not in used_c])
+        used_m.add(i)
+        used_c.add(j)
+        renames.append(RenamePair(model_left[i], code_left[j], dist,
+                                  longest))
+    return (renames,
+            [m for i, m in enumerate(model_left) if i not in used_m],
+            [c for j, c in enumerate(code_left) if j not in used_c])
 
 
 def _finding_id(kind: FindingKind, model_loc: Location | None,

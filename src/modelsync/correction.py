@@ -315,22 +315,37 @@ def apply(design: ClassModel, code_doc: CodeDocument,
     # one synthesized __init__ per class
     ctorless_attrs: dict[int, tuple[ClassDef, list[Attribute]]] = {}
 
+    # a retype of a parameter on a def line that also gets a new signature
+    # is folded into that signature when it keeps the parameter's name: the
+    # parameter types it writes, by name, for each re-signed method
+    signature_types: dict[int, dict[str, TypeRef]] = {
+        id(e.member): {p.name: p.type for p in e.new_params or ()}
+        for e in chosen if e.side == "code" and e.kind == "change-signature"}
+
     # compile class insertions last: they share their insertion point with
-    # member stubs appended to the final class, and must come after them
+    # member stubs appended to the final class, and must come after them;
+    # compile signatures after the retypes they take in
     class_adds: list[CorrectionEdit] = []
+    signatures: list[CorrectionEdit] = []
     for edit in chosen:
         if edit.side == "model":
             _apply_model_edit(new_model, memo, edit)
         elif edit.kind == "add-class":
             class_adds.append(edit)
+        elif edit.kind == "change-signature":
+            signatures.append(edit)
         else:
-            code_edits.extend(
-                _compile_code_edit(code_doc, edit, ctorless_attrs))
+            code_edits.extend(_compile_code_edit(
+                code_doc, edit, ctorless_attrs, signature_types))
 
+    for edit in signatures:
+        code_edits.extend(_compile_code_edit(
+            code_doc, edit, ctorless_attrs, signature_types))
     for cls, attrs in ctorless_attrs.values():
         code_edits.append(_ctor_insertion(code_doc, cls, attrs))
     for edit in class_adds:
-        code_edits.extend(_compile_code_edit(code_doc, edit, ctorless_attrs))
+        code_edits.extend(_compile_code_edit(
+            code_doc, edit, ctorless_attrs, signature_types))
 
     patched = (apply_code_edits(code_doc, code_edits)
                if code_edits else code_doc.raw_text)
@@ -460,7 +475,8 @@ def _insertion_span(artifact: str, line: int) -> SourceSpan:
 
 def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                        ctorless_attrs: dict[int, tuple[ClassDef,
-                                                       list[Attribute]]]
+                                                       list[Attribute]]],
+                       signature_types: dict[int, dict[str, TypeRef]]
                        ) -> list[CodeEdit]:
     artifact = doc.artifact
     if edit.kind == "add-class":
@@ -520,8 +536,10 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
 
     if edit.kind == "change-signature":
         layout, line_no = _def_layout(doc, member)
-        sig = ", ".join(["self"] + [_py_param_text(p)
-                                    for p in (edit.new_params or ())])
+        types = signature_types[id(member)]
+        sig = ", ".join(["self"] + [
+            _py_param_text(replace(p, type=types[p.name]))
+            for p in (edit.new_params or ())])
         span = SourceSpan(artifact, line_no, layout.lparen + 2,
                           line_no, layout.rparen + 1)
         return [CodeEdit("set-annotation", span, sig)]
@@ -529,7 +547,8 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
     if edit.kind == "change-type":
         assert edit.new_type is not None
         if isinstance(member, Attribute):
-            return [_attr_type_edit(doc, cls, member, edit.new_type)]
+            return _attr_type_edit(doc, cls, member, edit.new_type,
+                                   signature_types)
         if edit.param_index is not None:
             return [_param_type_edit(doc, member, edit.param_index,
                                      edit.new_type)]
@@ -565,18 +584,25 @@ def _param_type_edit(doc: CodeDocument, method: Method, index: int,
 
 
 def _attr_type_edit(doc: CodeDocument, cls: ClassDef, attr: Attribute,
-                    new_type: TypeRef) -> CodeEdit:
+                    new_type: TypeRef,
+                    signature_types: dict[int, dict[str, TypeRef]]
+                    ) -> list[CodeEdit]:
     layout, line_no = _attr_layout(doc, attr)
     ctor = cls.constructor()
     assert ctor is not None  # code attributes are assigned in __init__
     for i, p in enumerate(ctor.params):
         if p.name == layout.rhs:
             # the attribute's type comes from this parameter's annotation,
-            # so the edit retypes the parameter
-            return _param_type_edit(doc, ctor, i, new_type)
+            # so the edit retypes the parameter, in the constructor's new
+            # signature when that keeps it
+            types = signature_types.get(id(ctor))
+            if types is not None and p.name in types:
+                types[p.name] = new_type
+                return []
+            return [_param_type_edit(doc, ctor, i, new_type)]
     span = SourceSpan(doc.artifact, line_no, layout.rhs_start + 1,
                       line_no, layout.rhs_end + 1)
-    return CodeEdit("set-annotation", span, _placeholder_rhs(new_type))
+    return [CodeEdit("set-annotation", span, _placeholder_rhs(new_type))]
 
 
 def _ctor_insertion(doc: CodeDocument, cls: ClassDef,

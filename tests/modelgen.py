@@ -361,3 +361,30 @@ def _different_named(rng: random.Random, current: TypeRef) -> TypeRef:
     choices = [t for t in TYPE_NAMES
                if t != current.name and t != "boolean"]
     return TypeRef.named(rng.choice(choices))
+
+
+def perturbed(rng: random.Random, name: str) -> str:
+    """``name`` with one to five random single-character edits."""
+    chars = list(name)
+    for _ in range(rng.randint(1, 5)):
+        pos = rng.randrange(len(chars) + 1)
+        roll = rng.random()
+        if roll < 0.4:
+            chars.insert(pos, rng.choice("aeoxyz"))
+        elif roll < 0.7 and len(chars) > 1:
+            del chars[min(pos, len(chars) - 1)]
+        else:
+            chars[min(pos, len(chars) - 1)] = rng.choice("aeoxyz")
+    return "".join(chars)
+
+
+def drifted_names(rng: random.Random, design: ClassModel) -> ClassModel:
+    """A copy whose member names are randomly edited by one to five
+    characters, so relative distances spread across every threshold."""
+    code = copy.deepcopy(design)
+    for cls in code.classes:
+        for member in cls.attributes + cls.methods:
+            if not getattr(member, "is_constructor", False) and \
+                    rng.random() < 0.7:
+                member.name = perturbed(rng, member.name)
+    return code

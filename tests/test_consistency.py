@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import random
 
 from hypothesis import given, strategies as st
@@ -13,7 +12,7 @@ from modelsync.model import (Attribute, ClassDef, ClassModel, Method,
 from modelsync.plantuml import parse_plantuml, render_plantuml
 from modelsync.pycode import parse_code, render_code_skeleton
 
-from modelgen import OPERATORS, make_code_model, mutate
+from modelgen import OPERATORS, drifted_names, make_code_model, mutate
 from helpers import relative_distance
 
 
@@ -56,32 +55,6 @@ def test_bounded_levenshtein_matches_reference(a, b, limit):
     assert levenshtein(a, b) == _reference_levenshtein(a, b)
 
 
-def _perturbed(rng: random.Random, name: str) -> str:
-    chars = list(name)
-    for _ in range(rng.randint(1, 5)):
-        pos = rng.randrange(len(chars) + 1)
-        roll = rng.random()
-        if roll < 0.4:
-            chars.insert(pos, rng.choice("aeoxyz"))
-        elif roll < 0.7 and len(chars) > 1:
-            del chars[min(pos, len(chars) - 1)]
-        else:
-            chars[min(pos, len(chars) - 1)] = rng.choice("aeoxyz")
-    return "".join(chars)
-
-
-def _drifted_names(rng: random.Random, design: ClassModel) -> ClassModel:
-    """A copy whose member names are randomly edited by one to five
-    characters, so relative distances spread across every threshold."""
-    code = copy.deepcopy(design)
-    for cls in code.classes:
-        for member in cls.attributes + cls.methods:
-            if not getattr(member, "is_constructor", False) and \
-                    rng.random() < 0.7:
-                member.name = _perturbed(rng, member.name)
-    return code
-
-
 def test_bounded_matcher_matches_unbounded(monkeypatch):
     def rows(design, code, threshold):
         report = check(design, code, MatchOptions(rename_threshold=threshold))
@@ -91,7 +64,7 @@ def test_bounded_matcher_matches_unbounded(monkeypatch):
     for seed in range(60):
         rng = random.Random(seed)
         design = make_code_model(rng)
-        cases.append((design, _drifted_names(rng, design)))
+        cases.append((design, drifted_names(rng, design)))
     thresholds = (0.1, 0.29, 0.3, 0.35, 0.6, 1.0)
     bounded = [rows(d, c, t) for d, c in cases for t in thresholds]
     monkeypatch.setattr(consistency, "levenshtein",

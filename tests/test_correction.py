@@ -7,7 +7,7 @@ import pytest
 from modelsync.consistency import FindingKind, check
 from modelsync.correction import (Policy, apply, propose, resolve,
                                   snake_to_camel)
-from modelsync.errors import StaleReportError
+from modelsync.errors import OverlappingEditsError, StaleReportError
 from modelsync.model import model_equal
 from modelsync.plantuml import parse_plantuml, render_plantuml
 from modelsync.pycode import parse_code, render_code_skeleton
@@ -246,3 +246,33 @@ def test_one_pass_convergence_over_mutations():
                 f"seed {seed} op {op} side {side} policy {policy.value}"
         converged += 1
     assert converged >= 90
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+def test_constructor_signature_takes_in_parameter_retype(policy):
+    # a new constructor parameter and a retype of the attribute that an
+    # existing parameter initialises both land on one def line
+    model_text = ("@startuml\nclass A {\n  +size: String\n"
+                  "  +A(size: String, extra)\n}\n@enduml\n")
+    code_text = ("class A:\n    def __init__(self, size: int):\n"
+                 "        self.size = size\n")
+    design, code_doc, report = _checked(model_text, code_text)
+    chosen = resolve(propose(report, design, code_doc), policy)
+    new_model, new_code = apply(design, code_doc, chosen)
+    assert _recheck(render_plantuml(new_model),
+                    new_code).error_findings() == ()
+    if policy is not Policy.CODE_WINS:
+        assert "def __init__(self, size: str, extra):" in new_code
+
+
+def test_retype_of_a_dropped_constructor_parameter_is_not_lost():
+    # the new signature has no 'size' to carry the attribute's type, so
+    # the retype stays beside it and the two edits are refused together
+    model_text = ("@startuml\nclass A {\n  +size: String\n"
+                  "  +A(count: int, extra)\n}\n@enduml\n")
+    code_text = ("class A:\n    def __init__(self, size: int):\n"
+                 "        self.size = size\n")
+    design, code_doc, report = _checked(model_text, code_text)
+    chosen = resolve(propose(report, design, code_doc), Policy.MODEL_WINS)
+    with pytest.raises(OverlappingEditsError):
+        apply(design, code_doc, chosen)
