@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -13,8 +13,7 @@ DEFAULT_CONFIG_PATH = "modelsync.conf"
 POLICIES = ("model-wins", "code-wins", "union", "ask")
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     name_mode: str = "canonical"
     rename_threshold: float = 0.3
     type_equivalences: tuple[tuple[str, str], ...] = ()
@@ -68,7 +67,7 @@ def _apply_key(cfg: Config, key: str, value: str, where: str) -> Config:
     if key == "name_mode":
         if value not in ("exact", "canonical"):
             raise ConfigError(f"{where}: name_mode must be exact|canonical")
-        return replace(cfg, name_mode=value)
+        return cfg._replace(name_mode=value)
     if key == "rename_threshold":
         try:
             threshold = float(value)
@@ -76,22 +75,22 @@ def _apply_key(cfg: Config, key: str, value: str, where: str) -> Config:
             raise ConfigError(f"{where}: rename_threshold must be a number")
         if not 0.0 <= threshold <= 1.0:
             raise ConfigError(f"{where}: rename_threshold must be in [0, 1]")
-        return replace(cfg, rename_threshold=threshold)
+        return cfg._replace(rename_threshold=threshold)
     if key == "type_equivalences":
-        return replace(cfg, type_equivalences=_parse_type_equivalences(value))
+        return cfg._replace(type_equivalences=_parse_type_equivalences(value))
     if key == "policy":
         if value not in POLICIES:
             raise ConfigError(
                 f"{where}: policy must be one of {', '.join(POLICIES)}")
-        return replace(cfg, policy=value)
+        return cfg._replace(policy=value)
     if key == "preferred_side":
         if value not in ("model", "code"):
             raise ConfigError(f"{where}: preferred_side must be model|code")
-        return replace(cfg, preferred_side=value)
+        return cfg._replace(preferred_side=value)
     if key == "fixtures_dir":
-        return replace(cfg, fixtures_dir=value)
+        return cfg._replace(fixtures_dir=value)
     if key == "llm_endpoint":
-        return replace(cfg, llm_endpoint=value)
+        return cfg._replace(llm_endpoint=value)
     if key == "llm_model":
-        return replace(cfg, llm_model=value)
+        return cfg._replace(llm_model=value)
     raise ConfigError(f"{where}: unknown key {key!r}")

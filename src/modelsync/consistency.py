@@ -35,13 +35,13 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import chain
+from typing import NamedTuple
 
-from .model import (Attribute, ClassDef, ClassModel, Method, SourceSpan,
-                    TypeRef, TypeTable, DEFAULT_TYPE_EQUIVALENCES,
+from .model import (Attribute, ClassDef, ClassModel, Method, Record,
+                    SourceSpan, TypeRef, TypeTable, DEFAULT_TYPE_EQUIVALENCES,
                     normalize_name, type_equivalent)
 
 
@@ -74,52 +74,60 @@ _ADVISORY_KINDS = {FindingKind.RELATIONSHIP_MISSING_IN_CODE,
 _KIND_ORDER = {kind: i for i, kind in enumerate(FindingKind)}
 
 
-@dataclass(frozen=True)
-class MatchOptions:
+class MatchOptions(NamedTuple):
     name_mode: str = "canonical"
     rename_threshold: float = 0.3
     type_table: TypeTable = DEFAULT_TYPE_EQUIVALENCES
     infer_code_relationships: bool = False
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(NamedTuple):
     class_name: str
     member: str | None = None
     span: SourceSpan | None = None
 
 
-def _matched():
-    return field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Finding:
+class Finding(Record):
     """One divergence.  The trailing fields hold the entities ``check``
-    matched, for the correction engine; neither equality nor the report
-    sees them."""
+    matched, for the correction engine; neither equality, hashing nor the
+    report sees them."""
 
-    id: str
-    kind: FindingKind
-    severity: str  # "error" | "advisory"
-    model_loc: Location | None
-    code_loc: Location | None
-    detail: str
-    model_class: ClassDef | None = _matched()
-    code_class: ClassDef | None = _matched()
-    model_member: object | None = _matched()  # Method | Attribute
-    code_member: object | None = _matched()
-    param_index: int | None = _matched()  # ParamTypeMismatch only
+    __slots__ = ("id", "kind", "severity", "model_loc", "code_loc", "detail",
+                 "model_class", "code_class", "model_member", "code_member",
+                 "param_index")
+    _compared = __slots__[:6]
+
+    def __init__(self, id: str, kind: FindingKind,
+                 severity: str,  # "error" | "advisory"
+                 model_loc: Location | None, code_loc: Location | None,
+                 detail: str, model_class: ClassDef | None = None,
+                 code_class: ClassDef | None = None,
+                 model_member: object | None = None,  # Method | Attribute
+                 code_member: object | None = None,
+                 param_index: int | None = None,  # ParamTypeMismatch only
+                 ) -> None:
+        self.id = id
+        self.kind = kind
+        self.severity = severity
+        self.model_loc = model_loc
+        self.code_loc = code_loc
+        self.detail = detail
+        self.model_class = model_class
+        self.code_class = code_class
+        self.model_member = model_member
+        self.code_member = code_member
+        self.param_index = param_index
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
 
 
-@dataclass(frozen=True)
-class InputDescriptor:
+class InputDescriptor(NamedTuple):
     path: str
     sha256: str
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     schema_version: int
     inputs: tuple[InputDescriptor, ...]
     options: MatchOptions
@@ -188,40 +196,66 @@ def levenshtein(a: str, b: str, limit: int | None = None) -> int:
     return min(prev[m], over)
 
 
-@dataclass
-class MemberPair:
+class MemberPair(NamedTuple):
     model: object  # Method | Attribute
     code: object
 
 
-@dataclass
-class RenamePair:
+class RenamePair(NamedTuple):
     model: object
     code: object
     distance: int
     longest: int
 
 
-@dataclass
-class ClassMatch:
-    model_class: ClassDef
-    code_class: ClassDef
-    constructor_pair: MemberPair | None = None
-    method_pairs: list[MemberPair] = field(default_factory=list)
-    attribute_pairs: list[MemberPair] = field(default_factory=list)
-    method_renames: list[RenamePair] = field(default_factory=list)
-    attribute_renames: list[RenamePair] = field(default_factory=list)
-    model_only_methods: list[Method] = field(default_factory=list)
-    code_only_methods: list[Method] = field(default_factory=list)
-    model_only_attributes: list[Attribute] = field(default_factory=list)
-    code_only_attributes: list[Attribute] = field(default_factory=list)
+class ClassMatch(Record):
+    __slots__ = ("model_class", "code_class", "constructor_pair",
+                 "method_pairs", "attribute_pairs", "method_renames",
+                 "attribute_renames", "model_only_methods",
+                 "code_only_methods", "model_only_attributes",
+                 "code_only_attributes")
+
+    def __init__(self, model_class: ClassDef, code_class: ClassDef,
+                 constructor_pair: MemberPair | None = None,
+                 method_pairs: list[MemberPair] | None = None,
+                 attribute_pairs: list[MemberPair] | None = None,
+                 method_renames: list[RenamePair] | None = None,
+                 attribute_renames: list[RenamePair] | None = None,
+                 model_only_methods: list[Method] | None = None,
+                 code_only_methods: list[Method] | None = None,
+                 model_only_attributes: list[Attribute] | None = None,
+                 code_only_attributes: list[Attribute] | None = None
+                 ) -> None:
+        self.model_class = model_class
+        self.code_class = code_class
+        self.constructor_pair = constructor_pair
+        self.method_pairs = [] if method_pairs is None else method_pairs
+        self.attribute_pairs = ([] if attribute_pairs is None
+                                else attribute_pairs)
+        self.method_renames = [] if method_renames is None else method_renames
+        self.attribute_renames = ([] if attribute_renames is None
+                                  else attribute_renames)
+        self.model_only_methods = ([] if model_only_methods is None
+                                   else model_only_methods)
+        self.code_only_methods = ([] if code_only_methods is None
+                                  else code_only_methods)
+        self.model_only_attributes = ([] if model_only_attributes is None
+                                      else model_only_attributes)
+        self.code_only_attributes = ([] if code_only_attributes is None
+                                     else code_only_attributes)
 
 
-@dataclass
-class MatchResult:
-    class_matches: list[ClassMatch] = field(default_factory=list)
-    model_only_classes: list[ClassDef] = field(default_factory=list)
-    code_only_classes: list[ClassDef] = field(default_factory=list)
+class MatchResult(Record):
+    __slots__ = ("class_matches", "model_only_classes", "code_only_classes")
+
+    def __init__(self, class_matches: list[ClassMatch] | None = None,
+                 model_only_classes: list[ClassDef] | None = None,
+                 code_only_classes: list[ClassDef] | None = None) -> None:
+        self.class_matches = [] if class_matches is None else class_matches
+        self.model_only_classes = ([] if model_only_classes is None
+                                   else model_only_classes)
+        self.code_only_classes = ([] if code_only_classes is None
+                                  else code_only_classes)
 
 
 def match_models(design: ClassModel, code: ClassModel,

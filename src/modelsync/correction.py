@@ -20,11 +20,12 @@ camelCase, mirroring how merged models conventionally spell them.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .consistency import Finding, FindingKind, MISSING_KINDS, Report
-from .errors import EditConflictError, StaleReportError
+from .errors import (DanglingParameterError, EditConflictError,
+                     StaleReportError)
 from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
                     SourceSpan, TypeRef, normalize_name)
 from .pycode import (CodeDocument, CodeEdit, PY_TYPE_SPELLINGS,
@@ -39,8 +40,7 @@ class Policy(Enum):
     UNION = "union"
 
 
-@dataclass(frozen=True)
-class CorrectionEdit:
+class CorrectionEdit(NamedTuple):
     """One abstract edit on one side; payload fields depend on ``kind``:
     add-class, add-member, rename, change-type, change-signature,
     remove-class or remove-member.
@@ -65,8 +65,7 @@ class CorrectionEdit:
     member_payload: object | None = None              # add-member
 
 
-@dataclass(frozen=True)
-class CorrectionSet:
+class CorrectionSet(NamedTuple):
     finding_id: str
     finding_kind: FindingKind
     detail: str
@@ -349,6 +348,11 @@ def apply(design: ClassModel, code_doc: CodeDocument,
 
     patched = (apply_code_edits(code_doc, code_edits)
                if code_edits else code_doc.raw_text)
+    # after the splice, so that overlapping edits are reported as such
+    removed = {id(e.member) for e in chosen
+               if e.side == "code" and e.kind == "remove-member"}
+    for edit in signatures:
+        _require_kept_sources(code_doc, edit, removed)
     return new_model, patched
 
 
@@ -371,14 +375,14 @@ def _own(items: list, memo: dict[int, object], original, make_copy):
 
 
 def _copy_class(cls: ClassDef) -> ClassDef:
-    return replace(cls, attributes=list(cls.attributes),
-                   methods=list(cls.methods))
+    return cls.replace(attributes=list(cls.attributes),
+                       methods=list(cls.methods))
 
 
 def _copy_member(member):
     if isinstance(member, Method):
-        return replace(member, params=list(member.params))
-    return replace(member)
+        return member.replace(params=list(member.params))
+    return member.replace()
 
 
 def _members_like(cls: ClassDef, member) -> list:
@@ -423,8 +427,8 @@ def _apply_model_edit(model: ClassModel, memo: dict[int, object],
         elif edit.param_index is None:
             member.return_type = edit.new_type
         else:
-            member.params[edit.param_index] = replace(
-                member.params[edit.param_index], type=edit.new_type)
+            member.params[edit.param_index] = member.params[
+                edit.param_index].replace(type=edit.new_type)
         return
     raise EditConflictError(f"unknown model edit kind {edit.kind!r}")
 
@@ -538,7 +542,7 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
         layout, line_no = _def_layout(doc, member)
         types = signature_types[id(member)]
         sig = ", ".join(["self"] + [
-            _py_param_text(replace(p, type=types[p.name]))
+            _py_param_text(p.replace(type=types[p.name]))
             for p in (edit.new_params or ())])
         span = SourceSpan(artifact, line_no, layout.lparen + 2,
                           line_no, layout.rparen + 1)
@@ -603,6 +607,35 @@ def _attr_type_edit(doc: CodeDocument, cls: ClassDef, attr: Attribute,
     span = SourceSpan(doc.artifact, line_no, layout.rhs_start + 1,
                       line_no, layout.rhs_end + 1)
     return [CodeEdit("set-annotation", span, _placeholder_rhs(new_type))]
+
+
+def _require_kept_sources(doc: CodeDocument, edit: CorrectionEdit,
+                          removed: set[int]) -> None:
+    """Raise DanglingParameterError when a constructor's new signature
+    drops an annotated parameter that an attribute assignment in its body
+    still reads, and no chosen edit removes that assignment.
+
+    The attribute's type comes from that annotation, so its re-parsed type
+    would turn unknown and the re-check would pass without seeing the
+    loss.  A dropped unannotated parameter is still written dangling: the
+    attribute's type was unknown before and stays so.
+    """
+    ctor = edit.member
+    if not ctor.is_constructor:
+        return
+    dropped = ({p.name for p in ctor.params if p.type.kind != "unknown"}
+               - {p.name for p in edit.new_params or ()})
+    for attr in edit.cls.attributes:
+        if (id(attr) in removed or attr.span is None
+                or not ctor.span.start_line < attr.span.start_line
+                <= ctor.span.end_line):
+            continue
+        layout, line_no = _attr_layout(doc, attr)
+        if layout.rhs in dropped:
+            raise DanglingParameterError(
+                f"{doc.artifact}:{line_no}: 'self.{attr.name}' is assigned "
+                f"from parameter '{layout.rhs}', which the new signature "
+                f"of '{ctor.name}' drops")
 
 
 def _ctor_insertion(doc: CodeDocument, cls: ClassDef,

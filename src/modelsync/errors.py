@@ -62,6 +62,10 @@ class EditConflictError(EditError):
     """Two chosen corrections target the same entity incompatibly."""
 
 
+class DanglingParameterError(EditError):
+    """A new signature drops a parameter that the body still assigns from."""
+
+
 class StaleReportError(ModelSyncError):
     """A report was made from other parsed artifacts than the ones given."""
 

@@ -17,9 +17,9 @@ import json
 import os
 import re
 import time
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (GenerationUnparsableError, MissingInputError,
                      NoBlockFoundError, ParseError, TransportError)
@@ -88,14 +88,12 @@ def build_prompt(kind: PromptKind, **inputs: str) -> str:
                                     instruction=_INSTRUCTIONS[kind])
 
 
-@dataclass(frozen=True)
-class ChatMessage:
+class ChatMessage(NamedTuple):
     role: str
     content: str
 
 
-@dataclass(frozen=True)
-class ChatRequest:
+class ChatRequest(NamedTuple):
     model: str = DEFAULT_MODEL_NAME
     temperature: float = DEFAULT_TEMPERATURE
     messages: tuple[ChatMessage, ...] = ()
@@ -106,13 +104,11 @@ class ChatRequest:
                              for m in self.messages]}
 
 
-@dataclass(frozen=True)
-class ChatResponse:
+class ChatResponse(NamedTuple):
     content: str
 
 
-@dataclass(frozen=True)
-class ChatExchange:
+class ChatExchange(NamedTuple):
     key: str
     request: ChatRequest
     response: ChatResponse

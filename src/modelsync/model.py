@@ -11,8 +11,11 @@ are ignored.  Rendering, by contrast, preserves declaration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
+from typing import NamedTuple
+
+_new_tuple = tuple.__new__
 
 
 class Visibility(Enum):
@@ -22,64 +25,128 @@ class Visibility(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
-    """A region of an artifact's text.
+class Record:
+    """Base of the mutable, slotted records.
 
-    Lines and columns are 1-based; ``end_col`` is exclusive (it points one
-    past the last character), so a zero-width span marks an insertion point.
+    A subclass lists its fields in ``__slots__``, in constructor order.
+    ``==`` and ``repr`` go over the fields named in ``_compared`` (all of
+    them unless the subclass names fewer), and ``==`` holds only between
+    records of one class.  Records are mutable, hence unhashable unless a
+    subclass defines ``__hash__``.
     """
 
+    __slots__ = ()
+    __hash__ = None
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_compared" not in cls.__dict__:
+            cls._compared = cls.__slots__
+        cls._key = attrgetter(*cls._compared)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._compared)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A shallow copy with ``changes`` applied to the named fields."""
+        for name in self.__slots__:
+            if name not in changes:
+                changes[name] = getattr(self, name)
+        return type(self)(**changes)
+
+
+class _SourceSpanFields(NamedTuple):
     artifact: str
     start_line: int
     start_col: int
     end_line: int
     end_col: int
 
-    def __post_init__(self) -> None:
-        if self.start_line < 1 or self.start_col < 1:
+
+class SourceSpan(_SourceSpanFields):
+    """A region of an artifact's text.
+
+    Lines and columns are 1-based; ``end_col`` is exclusive (it points one
+    past the last character), so a zero-width span marks an insertion point.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, artifact: str, start_line: int, start_col: int,
+                end_line: int, end_col: int) -> SourceSpan:
+        if start_line < 1 or start_col < 1:
             raise ValueError("span positions are 1-based")
-        if (self.end_line, self.end_col) < (self.start_line, self.start_col):
+        if end_line < start_line or (end_line == start_line
+                                     and end_col < start_col):
             raise ValueError("span end precedes its start")
+        return _new_tuple(cls, (artifact, start_line, start_col, end_line,
+                                end_col))
+
+    @classmethod
+    def _make(cls, iterable) -> SourceSpan:
+        # ``_replace`` builds through here, so it validates too
+        return cls(*iterable)
+
+    def __deepcopy__(self, memo) -> SourceSpan:
+        return self
 
 
-@dataclass(frozen=True, slots=True)
-class TypeRef:
+class _TypeRefFields(NamedTuple):
+    kind: str
+    name: str | None = None
+    element: TypeRef | None = None
+
+
+class TypeRef(_TypeRefFields):
     """A declared or inferred type.
 
     ``kind`` is one of ``named``, ``collection``, ``unknown``, ``void``.
     Only ``named`` carries a name; only ``collection`` carries an element.
     """
 
-    kind: str
-    name: str | None = None
-    element: "TypeRef | None" = None
+    __slots__ = ()
+
+    def __new__(cls, kind: str, name: str | None = None,
+                element: TypeRef | None = None) -> TypeRef:
+        if kind == "named" and not name:
+            raise ValueError("named type requires a name")
+        if kind != "named" and name is not None:
+            raise ValueError(f"{kind} type carries no name")
+        if kind == "collection" and element is None:
+            raise ValueError("collection type requires an element type")
+        if kind != "collection" and element is not None:
+            raise ValueError(f"{kind} type carries no element")
+        return _new_tuple(cls, (kind, name, element))
+
+    @classmethod
+    def _make(cls, iterable) -> TypeRef:
+        return cls(*iterable)
+
+    def __deepcopy__(self, memo) -> TypeRef:
+        return self
 
     @staticmethod
-    def named(name: str) -> "TypeRef":
+    def named(name: str) -> TypeRef:
         return TypeRef("named", name=name)
 
     @staticmethod
-    def unknown() -> "TypeRef":
+    def unknown() -> TypeRef:
         return TypeRef("unknown")
 
     @staticmethod
-    def void() -> "TypeRef":
+    def void() -> TypeRef:
         return TypeRef("void")
 
     @staticmethod
-    def collection(element: "TypeRef") -> "TypeRef":
+    def collection(element: TypeRef) -> TypeRef:
         return TypeRef("collection", element=element)
-
-    def __post_init__(self) -> None:
-        if self.kind == "named" and not self.name:
-            raise ValueError("named type requires a name")
-        if self.kind != "named" and self.name is not None:
-            raise ValueError(f"{self.kind} type carries no name")
-        if self.kind == "collection" and self.element is None:
-            raise ValueError("collection type requires an element type")
-        if self.kind != "collection" and self.element is not None:
-            raise ValueError(f"{self.kind} type carries no element")
 
     def __str__(self) -> str:
         if self.kind == "named":
@@ -89,41 +156,63 @@ class TypeRef:
         return self.kind
 
 
-@dataclass(slots=True)
-class Parameter:
-    name: str
-    type: TypeRef = field(default_factory=TypeRef.unknown)
-    span: SourceSpan | None = None
+# the default type of a parameter or attribute; TypeRefs never change
+_UNKNOWN = TypeRef("unknown")
 
 
-@dataclass(slots=True)
-class Method:
-    name: str
-    params: list[Parameter] = field(default_factory=list)
-    return_type: TypeRef = field(default_factory=TypeRef.unknown)
-    visibility: Visibility = Visibility.UNKNOWN
-    is_constructor: bool = False
-    span: SourceSpan | None = None
+class Parameter(Record):
+    __slots__ = ("name", "type", "span")
+
+    def __init__(self, name: str, type: TypeRef = _UNKNOWN,
+                 span: SourceSpan | None = None) -> None:
+        self.name = name
+        self.type = type
+        self.span = span
+
+
+class Method(Record):
+    __slots__ = ("name", "params", "return_type", "visibility",
+                 "is_constructor", "span")
+
+    def __init__(self, name: str, params: list[Parameter] | None = None,
+                 return_type: TypeRef = _UNKNOWN,
+                 visibility: Visibility = Visibility.UNKNOWN,
+                 is_constructor: bool = False,
+                 span: SourceSpan | None = None) -> None:
+        self.name = name
+        self.params = [] if params is None else params
+        self.return_type = return_type
+        self.visibility = visibility
+        self.is_constructor = is_constructor
+        self.span = span
 
     @property
     def arity(self) -> int:
         return len(self.params)
 
 
-@dataclass(slots=True)
-class Attribute:
-    name: str
-    type: TypeRef = field(default_factory=TypeRef.unknown)
-    visibility: Visibility = Visibility.UNKNOWN
-    span: SourceSpan | None = None
+class Attribute(Record):
+    __slots__ = ("name", "type", "visibility", "span")
+
+    def __init__(self, name: str, type: TypeRef = _UNKNOWN,
+                 visibility: Visibility = Visibility.UNKNOWN,
+                 span: SourceSpan | None = None) -> None:
+        self.name = name
+        self.type = type
+        self.visibility = visibility
+        self.span = span
 
 
-@dataclass(slots=True)
-class ClassDef:
-    name: str
-    attributes: list[Attribute] = field(default_factory=list)
-    methods: list[Method] = field(default_factory=list)
-    span: SourceSpan | None = None
+class ClassDef(Record):
+    __slots__ = ("name", "attributes", "methods", "span")
+
+    def __init__(self, name: str, attributes: list[Attribute] | None = None,
+                 methods: list[Method] | None = None,
+                 span: SourceSpan | None = None) -> None:
+        self.name = name
+        self.attributes = [] if attributes is None else attributes
+        self.methods = [] if methods is None else methods
+        self.span = span
 
     def constructor(self) -> Method | None:
         for m in self.methods:
@@ -132,27 +221,36 @@ class ClassDef:
         return None
 
 
-@dataclass(slots=True)
-class Relationship:
-    left: str
-    right: str
-    left_mult: str | None = None
-    right_mult: str | None = None
-    label: str | None = None
-    directed: bool = False
+class Relationship(Record):
+    __slots__ = ("left", "right", "left_mult", "right_mult", "label",
+                 "directed")
+
+    def __init__(self, left: str, right: str, left_mult: str | None = None,
+                 right_mult: str | None = None, label: str | None = None,
+                 directed: bool = False) -> None:
+        self.left = left
+        self.right = right
+        self.left_mult = left_mult
+        self.right_mult = right_mult
+        self.label = label
+        self.directed = directed
 
 
-@dataclass(slots=True)
-class ClassModel:
+class ClassModel(Record):
     """Classes plus relationships, in declaration order.
 
     ``origin`` records which artifact kind produced the model:
     ``model-artifact``, ``code-artifact`` or ``synthetic``.
     """
 
-    classes: list[ClassDef] = field(default_factory=list)
-    relationships: list[Relationship] = field(default_factory=list)
-    origin: str = "synthetic"
+    __slots__ = ("classes", "relationships", "origin")
+
+    def __init__(self, classes: list[ClassDef] | None = None,
+                 relationships: list[Relationship] | None = None,
+                 origin: str = "synthetic") -> None:
+        self.classes = [] if classes is None else classes
+        self.relationships = [] if relationships is None else relationships
+        self.origin = origin
 
 
 def normalize_name(raw: str, mode: str = "canonical") -> str:

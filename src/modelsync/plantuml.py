@@ -18,7 +18,7 @@ checker.  Anything else inside the region is a syntax error carrying the
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (DuplicateClassError, DuplicateMemberError,
                      MissingRegionError, ParseError)
@@ -41,8 +41,7 @@ _VIS_MARKERS = {"+": Visibility.PUBLIC, "-": Visibility.PRIVATE,
                 "#": Visibility.PROTECTED}
 
 
-@dataclass(slots=True)
-class PlantUmlDocument:
+class PlantUmlDocument(NamedTuple):
     """A parsed model."""
 
     model: ClassModel

@@ -26,14 +26,13 @@ survive patching byte-for-byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import (DuplicateClassError, DuplicateMemberError,
                      OverlappingEditsError, ParseError, SpanOutOfRangeError)
 from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
-                    SourceSpan, TypeRef, Visibility, normalize_name)
+                    Record, SourceSpan, TypeRef, Visibility, normalize_name)
 
 _CLASS_RE = re.compile(r"class\s+(\w+)\s*:\s*(?:#.*)?$")
 _CLASS_KEYWORD_RE = re.compile(r"class\s")
@@ -43,17 +42,18 @@ _DEF_START_RE = re.compile(r"(\s*)def\s+(\w+)\s*\(")
 _SCAN_RE = re.compile(r"""[()\[\]{},=]|"[^"]*"|'[^']*'|["']""")
 # a parameter up to its default: the name, then ':' and the annotation
 _PARAM_RE = re.compile(r"\s*(\w+)\s*(:\s*(.*\S)?)?\s*$")
-# after the ')': an optional '-> TYPE', then ':' and an optional comment
+# after the ')': an optional '-> TYPE' (no colon in it), then ':' and an
+# optional comment
 _TAIL_RE = re.compile(
-    r"\s*(?:(->)\s*(\S(?:[^:]*[^:\s])?)\s*)?:\s*(?:#.*)?$")
+    r"\s*(?:(->)\s*([^:\s](?:[^:]*[^:\s])?)\s*)?:\s*(?:#.*)?$")
 _ATTR_RE = re.compile(r"(\s*)self\.(\w+)\s*=\s*(.*\S)\s*$")
 _IDENT_RE = re.compile(r"^\w+$")
 
 # Spelling used when a model-side type must appear in a code annotation.
 PY_TYPE_SPELLINGS = {"String": "str", "boolean": "bool"}
 
-@dataclass(frozen=True)
-class CodeEdit:
+
+class CodeEdit(NamedTuple):
     """One textual patch; spans use the same convention as SourceSpan."""
 
     kind: str
@@ -61,15 +61,20 @@ class CodeEdit:
     payload: str = ""
 
 
-@dataclass
-class CodeDocument:
+class CodeDocument(Record):
     """A parsed code artifact: its model, the verbatim text, that text split
-    once into lines, and the artifact name its spans carry."""
+    once into lines, and the artifact name its spans carry.  Equality and
+    ``repr`` leave the lines out."""
 
-    model: ClassModel
-    raw_text: str
-    artifact: str
-    text_lines: list[str] = field(repr=False, compare=False)
+    __slots__ = ("model", "raw_text", "artifact", "text_lines")
+    _compared = __slots__[:3]
+
+    def __init__(self, model: ClassModel, raw_text: str, artifact: str,
+                 text_lines: list[str]) -> None:
+        self.model = model
+        self.raw_text = raw_text
+        self.artifact = artifact
+        self.text_lines = text_lines
 
     def lines(self) -> list[str]:
         return self.text_lines
@@ -121,7 +126,8 @@ def scan_def_line(line: str) -> DefLayout | None:
     One pass jumps from bracket to separator to quote after the ``(``: a
     quote runs to the next copy of its own character, and any closing
     bracket closes any opening one.  None when the parenthesis or a quote
-    never closes, or a top-level piece is not a parameter.
+    never closes, a top-level piece is not a parameter, an ``=`` has no
+    default after it, or the return type holds a colon.
     """
     m = _DEF_START_RE.match(line)
     if not m:
@@ -148,9 +154,12 @@ def scan_def_line(line: str) -> DefLayout | None:
                 annot_start, annot_end = pm.start(2), pm.end(3)
             else:
                 return None
+            default = line[eq + 1:i].strip() if eq >= 0 else None
+            if default == "":
+                return None  # '=' with no default after it
             params.append(ParamLayout(
                 name, p_start, p_end, annotation, annot_start, annot_end,
-                line[eq + 1:i].strip() if eq >= 0 else None))
+                default))
             if ch != ",":
                 break
             start, eq = i + 1, -1

@@ -590,3 +590,30 @@ def test_base_class_header_rejected_at_its_line(capsys, tmp_path):
     assert not out_dir.exists() or not any(out_dir.iterdir())
     assert code.read_text(encoding="utf-8") == BASE_CLASS_CODE
     assert model.read_text(encoding="utf-8") == BASE_CLASS_MODEL
+
+
+DROPPED_PARAM_MODEL = ("@startuml\nclass A {\n  +size: int\n"
+                       "  +A(count: int, extra)\n}\n@enduml\n")
+DROPPED_PARAM_CODE = ("class A:\n    def __init__(self, size: int):\n"
+                      "        self.size = size\n")
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_sync_refuses_to_drop_an_assigned_parameter(capsys, tmp_path,
+                                                    in_place):
+    # the new signature (count, extra) drops 'size', which line 3 still
+    # assigns from: the written code raised NameError on A(1, 2)
+    model = tmp_path / "m.puml"
+    code = tmp_path / "c.py"
+    model.write_text(DROPPED_PARAM_MODEL, encoding="utf-8")
+    code.write_text(DROPPED_PARAM_CODE, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    where = ["--in-place"] if in_place else ["--out-dir", out_dir]
+    status, out, err = run(capsys, "sync", model, code,
+                           "--policy", "model-wins", *where)
+    assert status == 1
+    assert f"{code}:3:" in err and "'size'" in err
+    assert "wrote" not in out
+    assert not out_dir.exists()
+    assert code.read_text(encoding="utf-8") == DROPPED_PARAM_CODE
+    assert model.read_text(encoding="utf-8") == DROPPED_PARAM_MODEL

@@ -1,0 +1,32 @@
+"""Importing the library loads no standard module it does not use.
+
+``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis`` and
+``tokenize``, and each command pays that import, so the records are
+``NamedTuple``s and slotted classes instead.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _loaded_after(statement: str) -> set[str]:
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         f"{statement}\nimport sys\nprint('\\n'.join(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_library_import_loads_no_dataclasses_or_inspect():
+    bare = _loaded_after("pass")
+    loaded = _loaded_after("import modelsync.cli, modelsync.llm")
+    assert {"modelsync.cli", "modelsync.llm"} <= loaded
+    assert not {"dataclasses", "inspect"} & (loaded - bare)

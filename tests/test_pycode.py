@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modelsync.errors import (DuplicateClassError, DuplicateMemberError,
                               OverlappingEditsError, ParseError,
@@ -16,7 +16,7 @@ from modelsync.pycode import (CodeEdit, apply_code_edits, parse_code,
 import defline_reference
 from conftest import FIXTURES
 from modelgen import make_code_model
-from helpers import class_named
+from helpers import class_named, reference_accepts_non_python
 
 
 def test_empty_text_gives_empty_model():
@@ -233,8 +233,22 @@ _noise = st.builds(lambda name, rest: f"def {name}({rest}", _words,
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(_header, _noise))
+@example("    def f(self) -> ::")
+@example("def g(self, x: int = ):")
 def test_scan_def_line_matches_reference(line):
-    assert scan_def_line(line) == defline_reference.scan_def_line(line)
+    expected = (None if reference_accepts_non_python(line)
+                else defline_reference.scan_def_line(line))
+    assert scan_def_line(line) == expected
+
+
+@pytest.mark.parametrize("header", ["def f(self) -> ::",
+                                    "def g(self, x: int = ):"])
+def test_non_python_def_header_rejected_at_its_line(header):
+    assert reference_accepts_non_python(header)
+    assert scan_def_line(header) is None
+    with pytest.raises(ParseError) as err:
+        parse_code(f"class A:\n    {header}\n        pass\n")
+    assert err.value.line == 2
 
 
 def _span(line: int, start: int, end: int) -> SourceSpan:
