@@ -15,7 +15,7 @@ identical invocations.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import gc
 import json
 import os
 import shutil
@@ -28,7 +28,7 @@ from .correction import (CorrectionEdit, CorrectionSet, Policy, apply,
                          propose, resolve)
 from .errors import (ConfigError, GenerationUnparsableError, ModelSyncError,
                      NoBlockFoundError, ParseError, TransportError)
-from .model import ClassModel, make_type_table
+from .model import ClassModel, make_type_table, sha256_hex
 from .plantuml import parse_plantuml, render_plantuml
 from .pycode import CodeDocument, parse_code, render_code_skeleton
 
@@ -214,13 +214,19 @@ def format_report_text(report: Report,
     return "\n".join(lines) + "\n"
 
 
-def _read_file(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read_file(path: str) -> tuple[bytes, str]:
+    """The bytes of ``path`` and their UTF-8 text, in which ``\\r\\n`` and a
+    lone ``\\r`` read as ``\\n``, as in a text-mode read."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    return data, text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _descriptor(path: str, text: str) -> InputDescriptor:
-    return InputDescriptor(
-        path, hashlib.sha256(text.encode("utf-8")).hexdigest())
+def _descriptor(path: str, data: bytes) -> InputDescriptor:
+    return InputDescriptor(path, sha256_hex(data))
 
 
 def _match_options(cfg: Config, args) -> MatchOptions:
@@ -236,15 +242,17 @@ def _match_options(cfg: Config, args) -> MatchOptions:
 
 
 def _checked_pair(args, cfg: Config):
+    """Read, parse and check the pair; the inputs come back as the
+    ``(bytes, text)`` pairs of :func:`_read_file`."""
     opts = _match_options(cfg, args)
-    model_text = _read_file(args.model)
-    code_text = _read_file(args.code)
-    design = parse_plantuml(model_text, artifact=args.model).model
-    code_doc = parse_code(code_text, artifact=args.code)
+    model_in = _read_file(args.model)
+    code_in = _read_file(args.code)
+    design = parse_plantuml(model_in[1], artifact=args.model).model
+    code_doc = parse_code(code_in[1], artifact=args.code)
     report = check(design, code_doc.model, opts,
-                   inputs=(_descriptor(args.model, model_text),
-                           _descriptor(args.code, code_text)))
-    return model_text, code_text, design, code_doc, report
+                   inputs=(_descriptor(args.model, model_in[0]),
+                           _descriptor(args.code, code_in[0])))
+    return model_in, code_in, design, code_doc, report
 
 
 def _print_report(report: Report, sets: list[CorrectionSet],
@@ -287,7 +295,8 @@ def _ask(sets: list[CorrectionSet]) -> list[CorrectionEdit]:
 
 def cmd_sync(args) -> int:
     cfg = load_config(args.config)
-    model_text, code_text, design, code_doc, report = _checked_pair(args, cfg)
+    model_in, code_in, design, code_doc, report = _checked_pair(args, cfg)
+    model_text, code_text = model_in[1], code_in[1]
     sets = propose(report, design, code_doc)
 
     policy_name = args.policy or cfg.policy
@@ -327,7 +336,8 @@ def cmd_sync(args) -> int:
         print("nothing written", file=sys.stderr)
         return 1
 
-    _write_atomically([(model_out, out_model), (code_out, out_code)])
+    _write_atomically([(model_out, _output_bytes(out_model, model_in)),
+                       (code_out, _output_bytes(out_code, code_in))])
     print(f"wrote {model_out}")
     print(f"wrote {code_out}")
     return 0
@@ -344,20 +354,27 @@ def _reparse(parse, text: str, artifact: str):
                          expected=exc.expected) from exc
 
 
-def _write_atomically(outputs: list[tuple[str, str]]) -> None:
-    """Write each (path, text) through a temp file in the path's directory,
+def _output_bytes(text: str, read: tuple[bytes, str]) -> bytes:
+    """The input's own bytes when ``text`` is its text, so line ends
+    survive; otherwise ``text`` in UTF-8, with ``\\n`` line ends."""
+    data, read_text = read
+    return data if text == read_text else text.encode("utf-8")
+
+
+def _write_atomically(outputs: list[tuple[str, bytes]]) -> None:
+    """Write each (path, data) through a temp file in the path's directory,
     then move every temp file over its path with ``os.replace``.  A path
     that is a symlink is written through; an existing file keeps its mode.
     """
     staged: list[tuple[str, str]] = []
     try:
-        for path, text in outputs:
+        for path, data in outputs:
             target = os.path.realpath(path)
             Path(target).parent.mkdir(parents=True, exist_ok=True)
             tmp = f"{target}.{os.getpid()}.tmp"
-            with open(tmp, "x", encoding="utf-8") as f:
+            with open(tmp, "xb") as f:
                 staged.append((tmp, target))
-                f.write(text)
+                f.write(data)
             if os.path.exists(target):
                 shutil.copymode(target, tmp)
         for tmp, target in staged:
@@ -378,21 +395,21 @@ def _output_paths(args) -> tuple[str, str]:
 
 def cmd_render(args) -> int:
     load_config(args.config)
-    doc = parse_plantuml(_read_file(args.model), artifact=args.model)
+    doc = parse_plantuml(_read_file(args.model)[1], artifact=args.model)
     print(render_plantuml(doc.model), end="")
     return 0
 
 
 def cmd_extract(args) -> int:
     load_config(args.config)
-    doc = parse_code(_read_file(args.code), artifact=args.code)
+    doc = parse_code(_read_file(args.code)[1], artifact=args.code)
     print(render_plantuml(doc.model), end="")
     return 0
 
 
 def cmd_gen_code(args) -> int:
     load_config(args.config)
-    doc = parse_plantuml(_read_file(args.model), artifact=args.model)
+    doc = parse_plantuml(_read_file(args.model)[1], artifact=args.model)
     print(render_code_skeleton(doc.model), end="")
     return 0
 
@@ -402,7 +419,7 @@ def cmd_gen(args) -> int:
 
     cfg = load_config(args.config)
     opts = _match_options(cfg, args)
-    requirements = _read_file(args.requirements)
+    requirements = _read_file(args.requirements)[1]
     if args.transport == "fixtures":
         transport = FixtureTransport(args.fixtures_dir or cfg.fixtures_dir)
     else:
@@ -431,9 +448,10 @@ def cmd_gen(args) -> int:
     if args.what == "both":
         assert design is not None and code_doc is not None
         report = check(design, code_doc.model, opts,
-                       inputs=(_descriptor(str(model_path), model_text),
+                       inputs=(_descriptor(str(model_path),
+                                           model_text.encode("utf-8")),
                                _descriptor(str(code_path),
-                                           code_doc.raw_text)))
+                                           code_text.encode("utf-8"))))
         sets = propose(report, design, code_doc)
         _print_report(report, sets, args.json)
     return 0
@@ -514,6 +532,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the cyclic collector is paused while it runs.
+
+    A command builds acyclic records and ends soon after, so collections
+    would only scan live objects.  Whether the collector runs afterwards
+    is as it was before the call, however the command ends.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

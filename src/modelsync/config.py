@@ -49,9 +49,13 @@ def load_config(path: str | Path | None = None) -> Config:
             raise ConfigError(f"config file {config_path} does not exist")
         return Config()
 
+    try:
+        text = config_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{config_path}: not valid UTF-8 at byte "
+                          f"{exc.start}") from None
     cfg = Config()
-    for line_no, raw in enumerate(
-            config_path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -32,7 +32,6 @@ type evidence.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import Counter
 from enum import Enum
@@ -42,7 +41,7 @@ from typing import NamedTuple
 
 from .model import (Attribute, ClassDef, ClassModel, Method, Record,
                     SourceSpan, TypeRef, TypeTable, DEFAULT_TYPE_EQUIVALENCES,
-                    normalize_name, type_equivalent)
+                    normalize_name, sha256_hex, type_equivalent)
 
 
 class FindingKind(Enum):
@@ -427,7 +426,7 @@ def _finding_id(kind: FindingKind, model_loc: Location | None,
             return "-"
         return f"{loc.class_name}.{loc.member or ''}"
     raw = f"{kind.value}|{loc_key(model_loc)}|{loc_key(code_loc)}|{detail}"
-    return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:12]
+    return sha256_hex(raw.encode("utf-8"))[:12]
 
 
 def _loc(cls: ClassDef, member=None) -> Location:

@@ -12,7 +12,6 @@ the deterministic toolchain, never trusted blindly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -23,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import (GenerationUnparsableError, MissingInputError,
                      NoBlockFoundError, ParseError, TransportError)
-from .model import ClassModel
+from .model import ClassModel, sha256_hex
 from .plantuml import parse_plantuml
 from .pycode import parse_code
 
@@ -126,7 +125,7 @@ def request_key(request: ChatRequest) -> str:
     """Content hash of the full request; the fixture lookup key."""
     canonical = json.dumps(request.to_json(), sort_keys=True,
                            separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256_hex(canonical.encode("utf-8"))
 
 
 def exchange_to_json(exchange: ChatExchange) -> dict:

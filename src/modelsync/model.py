@@ -15,7 +15,20 @@ from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
 
+try:  # CPython's own SHA-256; the OpenSSL-backed module costs 3.5 MB of RSS
+    from _sha256 import sha256 as _sha256          # Python 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256        # Python 3.12+
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 _new_tuple = tuple.__new__
+
+
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 digest of ``data`` as 64 lowercase hex digits."""
+    return _sha256(data).hexdigest()
 
 
 class Visibility(Enum):

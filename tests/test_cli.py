@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import gc
+import hashlib
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from modelsync import cli
 from modelsync.cli import REPORT_JSON_SCHEMA, main
 from modelsync.config import Config, load_config
 from modelsync.errors import ConfigError
@@ -12,6 +16,7 @@ from modelsync.model import model_equal
 from modelsync.plantuml import parse_plantuml
 from modelsync.pycode import parse_code
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.fixture()
 def pair(tmp_path, drifted_model_text, drifted_code_text):
@@ -289,6 +294,16 @@ def test_cli_config_error_exits_three(capsys, tmp_path, pair):
     status, _, err = run(capsys, "check", model, code, "--config", conf)
     assert status == 3
     assert "config error" in err
+
+
+def test_cli_config_not_utf8_exits_three(capsys, tmp_path, pair):
+    model, code = pair
+    conf = tmp_path / "c.conf"
+    conf.write_bytes(b"name_mode = \xe9\n")
+    status, out, err = run(capsys, "check", model, code, "--config", conf)
+    assert status == 3
+    assert out == ""
+    assert err == f"config error: {conf}: not valid UTF-8 at byte 12\n"
 
 
 def test_cli_threshold_flag_overrides(capsys, tmp_path, v1_model_text):
@@ -617,3 +632,107 @@ def test_sync_refuses_to_drop_an_assigned_parameter(capsys, tmp_path,
     assert not out_dir.exists()
     assert code.read_text(encoding="utf-8") == DROPPED_PARAM_CODE
     assert model.read_text(encoding="utf-8") == DROPPED_PARAM_MODEL
+
+
+def test_check_input_not_utf8_exits_three(capsys, pair):
+    model, _ = pair
+    bad = model.parent / "bad.py"
+    data = b'class A:\n    def f(self) -> str:\n        return "caf\xe9"\n'
+    bad.write_bytes(data)
+    status, out, err = run(capsys, "check", model, bad)
+    assert status == 3
+    assert out == ""
+    assert err == (f"i/o error: {bad}: not valid UTF-8 at byte "
+                   f"{data.index(0xe9)}\n")
+
+
+def _crlf_pair(tmp_path, drifted_model_text, drifted_code_text):
+    """The v1 drifted pair with CRLF line ends, under the fixtures' names."""
+    model = tmp_path / "library_v1_drifted_model.puml"
+    code = tmp_path / "library_v1_drifted_code.py"
+    model.write_bytes(drifted_model_text.replace("\n", "\r\n").encode())
+    code.write_bytes(drifted_code_text.replace("\n", "\r\n").encode())
+    return model, code
+
+
+def test_check_hashes_crlf_inputs_as_read(capsys, tmp_path,
+                                          drifted_model_text,
+                                          drifted_code_text):
+    model, code = _crlf_pair(tmp_path, drifted_model_text, drifted_code_text)
+    status, out, _ = run(capsys, "check", model, code, "--json")
+    assert status == 1
+    payload = json.loads(out)
+    assert [d["sha256"] for d in payload["inputs"]] == [
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (model, code)]
+    # the text is the LF fixtures' text, so findings and their ids are too
+    golden = json.loads((GOLDEN / "v1-check-json" / "stdout").read_bytes())
+    assert payload["findings"] == golden["findings"]
+
+
+@pytest.mark.parametrize("policy", ["model-wins", "code-wins", "union"])
+def test_sync_writes_an_unchanged_side_back_as_read(capsys, tmp_path,
+                                                    drifted_model_text,
+                                                    drifted_code_text,
+                                                    policy):
+    model, code = _crlf_pair(tmp_path, drifted_model_text, drifted_code_text)
+    out_dir = tmp_path / "out"
+    status, _, _ = run(capsys, "sync", model, code, "--policy", policy,
+                       "--out-dir", out_dir)
+    assert status == 0
+    golden = GOLDEN / f"v1-sync-{policy}"
+    unchanged = 0
+    for path, lf_text in ((model, drifted_model_text),
+                          (code, drifted_code_text)):
+        written = (out_dir / path.name).read_bytes()
+        expected = (golden / path.name).read_bytes()
+        if expected == lf_text.encode():
+            unchanged += 1
+            assert written == path.read_bytes()
+        else:  # a rewritten side has LF line ends, as from LF input
+            assert written == expected
+    assert unchanged == 1
+
+
+def _boom(*args, **kwargs):
+    raise RuntimeError("not caught by main")
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", ["exit-0", "exit-1", "exit-2", "usage",
+                                  "uncaught"])
+def test_main_pauses_the_collector_and_restores_it(capsys, monkeypatch,
+                                                   pair, case, collecting):
+    model, code = pair
+    bad = model.parent / "bad.puml"
+    bad.write_text("@startuml\nclass A {\n  ???\n}\n@enduml\n",
+                   encoding="utf-8")
+    argv, outcome = {
+        "exit-0": (["render", model], 0),
+        "exit-1": (["check", model, code], 1),
+        "exit-2": (["check", bad, code], 2),
+        "usage": (["check", model], SystemExit),
+        "uncaught": (["check", model, code], RuntimeError),
+    }[case]
+    if case == "uncaught":
+        monkeypatch.setattr(cli, "check", _boom)
+    seen = []
+    parse = cli.parse_plantuml
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return parse(*args, **kwargs)
+    monkeypatch.setattr(cli, "parse_plantuml", recording)
+
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if isinstance(outcome, int):
+            assert run(capsys, *argv)[0] == outcome
+        else:
+            with pytest.raises(outcome):
+                run(capsys, *argv)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([] if case == "usage" else [False])

@@ -15,6 +15,7 @@ import contextlib
 import io
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -23,7 +24,8 @@ import pytest
 
 from modelsync.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 PAIRS = {
@@ -91,6 +93,20 @@ def test_golden_output(workdir, name):
     expected_dir = GOLDEN / name
     expected = {p.name: p.read_bytes() for p in expected_dir.iterdir()}
     assert run_case(name, workdir) == expected
+
+
+def test_module_entry_point_matches_golden():
+    """``python -m modelsync.cli`` in a fresh interpreter, from the root of
+    the checkout, prints the in-process golden bytes."""
+    argv, _ = CASES["v1-check-json"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-m", "modelsync.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True)
+    expected = GOLDEN / "v1-check-json"
+    assert {"exit": f"{done.returncode}\n".encode(), "stdout": done.stdout,
+            "stderr": done.stderr} == {
+        p.name: p.read_bytes() for p in expected.iterdir()}
 
 
 if __name__ == "__main__":

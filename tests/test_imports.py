@@ -2,7 +2,9 @@
 
 ``dataclasses`` alone pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, and each command pays that import, so the records are
-``NamedTuple``s and slotted classes instead.
+``NamedTuple``s and slotted classes instead.  ``hashlib`` maps OpenSSL
+into the process, about 3.5 MB of peak RSS, so digests come from
+CPython's own SHA-256 module (``model.sha256_hex``).
 """
 
 from __future__ import annotations
@@ -30,3 +32,16 @@ def test_library_import_loads_no_dataclasses_or_inspect():
     loaded = _loaded_after("import modelsync.cli, modelsync.llm")
     assert {"modelsync.cli", "modelsync.llm"} <= loaded
     assert not {"dataclasses", "inspect"} & (loaded - bare)
+
+
+def test_library_import_loads_no_openssl():
+    bare = _loaded_after("pass")
+    loaded = _loaded_after("import modelsync.cli, modelsync.llm")
+    assert not {"hashlib", "_hashlib", "ssl"} & (loaded - bare)
+
+
+def test_cli_import_leaves_llm_unloaded():
+    # only ``gen`` needs it, and it imports it when it runs
+    loaded = _loaded_after("import modelsync.cli")
+    assert "modelsync.cli" in loaded
+    assert "modelsync.llm" not in loaded

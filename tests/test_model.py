@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +13,7 @@ from hypothesis import given, strategies as st
 from modelsync.model import (Attribute, ClassDef, ClassModel, Method,
                              Parameter, TypeRef, DEFAULT_TYPE_EQUIVALENCES,
                              make_type_table, model_equal, normalize_name,
-                             type_equivalent)
+                             sha256_hex, type_equivalent)
 
 from modelgen import make_plantuml_model, shuffled_copy
 
@@ -133,3 +138,30 @@ def test_model_equal_sees_type_changes():
     a, b = _sample_model(), _sample_model()
     b.classes[0].attributes[0].type = TypeRef.named("int")
     assert not model_equal(a, b)
+
+
+@given(st.one_of(st.binary(), st.text().map(str.encode)))
+def test_sha256_hex_matches_hashlib(data):
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("data", [
+    b"", "Bücher – 本の貸出".encode("utf-8"),
+    random.Random(0).randbytes(1 << 20)], ids=["empty", "utf8", "1MB"])
+def test_sha256_hex_matches_hashlib_on_edge_inputs(data):
+    assert sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_sha256_hex_falls_back_to_hashlib():
+    src = Path(__file__).resolve().parent.parent / "src"
+    program = ("import sys\n"
+               "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+               "import hashlib\n"
+               "from modelsync import model\n"
+               "assert model._sha256 is hashlib.sha256\n"
+               "print(model.sha256_hex(b'modelsync'))\n")
+    out = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": str(src),
+                         "PYTHONDONTWRITEBYTECODE": "1"}).stdout
+    assert out == hashlib.sha256(b"modelsync").hexdigest() + "\n"
