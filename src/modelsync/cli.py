@@ -17,20 +17,17 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
-import shutil
 import sys
 from pathlib import Path
 
 from .config import POLICIES, Config, load_config
 from .consistency import InputDescriptor, MatchOptions, Report, check
-from .correction import (CorrectionEdit, CorrectionSet, Policy, apply,
-                         propose, resolve)
+from .correction import CorrectionSet, propose
 from .errors import (ConfigError, GenerationUnparsableError, ModelSyncError,
                      NoBlockFoundError, ParseError, TransportError)
 from .model import ClassModel, make_type_table, sha256_hex
 from .plantuml import parse_plantuml, render_plantuml
-from .pycode import CodeDocument, parse_code, render_code_skeleton
+from .pycode import CodeDocument, parse_code
 
 REPORT_JSON_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -216,12 +213,14 @@ def format_report_text(report: Report,
 
 def _read_file(path: str) -> tuple[bytes, str]:
     """The bytes of ``path`` and their UTF-8 text, in which ``\\r\\n`` and a
-    lone ``\\r`` read as ``\\n``, as in a text-mode read."""
+    lone ``\\r`` read as ``\\n``, as in a text-mode read, and a leading
+    byte-order mark is dropped."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: not valid UTF-8 at byte {exc.start}") from None
+    text = text.removeprefix("\ufeff")
     return data, text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -272,28 +271,12 @@ def cmd_check(args) -> int:
     return 1 if report.error_findings() else 0
 
 
-def _ask(sets: list[CorrectionSet]) -> list[CorrectionEdit]:
-    chosen: list[CorrectionEdit] = []
-    for i, s in enumerate(sets, 1):
-        print(f"\n[{i}/{len(sets)}] {s.detail}")
-        for j, alt in enumerate(s.alternatives, 1):
-            print(f"  {j}. [{alt.side}] {alt.description}")
-        while True:
-            try:
-                answer = input(
-                    f"Choose 1-{len(s.alternatives)} or s to skip: ")
-            except EOFError:
-                return chosen
-            answer = answer.strip().lower()
-            if answer == "s":
-                break
-            if answer.isdigit() and 1 <= int(answer) <= len(s.alternatives):
-                chosen.append(s.alternatives[int(answer) - 1])
-                break
-    return chosen
-
-
 def cmd_sync(args) -> int:
+    # looked up here, when the command runs: ``check`` never compiles the
+    # write path, and a wrapper put on ``repair.apply`` is the one called
+    from . import repair
+
+    model_out, code_out = repair.output_paths(args)
     cfg = load_config(args.config)
     model_in, code_in, design, code_doc, report = _checked_pair(args, cfg)
     model_text, code_text = model_in[1], code_in[1]
@@ -301,23 +284,24 @@ def cmd_sync(args) -> int:
 
     policy_name = args.policy or cfg.policy
     if policy_name == "ask":
-        chosen = _ask(sets)
+        chosen = repair.ask(sets)
     else:
-        chosen = resolve(sets, Policy(policy_name), cfg.preferred_side)
+        chosen = repair.resolve(sets, repair.Policy(policy_name),
+                                cfg.preferred_side)
 
     out_model, out_code = model_text, code_text
     if chosen:
-        new_model, out_code = apply(design, code_doc, chosen)
+        new_model, out_code = repair.apply(design, code_doc, chosen)
         if any(e.side == "model" for e in chosen):
             out_model = render_plantuml(new_model)
 
     # verify in memory before anything is written; a side whose bytes did
     # not change is re-checked as already parsed
-    model_out, code_out = _output_paths(args)
     re_design = (design if out_model == model_text
-                 else _reparse(parse_plantuml, out_model, model_out).model)
+                 else repair.reparse(parse_plantuml, out_model,
+                                     model_out).model)
     re_code = (code_doc.model if out_code == code_text
-               else _reparse(parse_code, out_code, code_out).model)
+               else repair.reparse(parse_code, out_code, code_out).model)
     remaining = check(re_design, re_code, report.options).error_findings()
 
     if chosen:
@@ -336,61 +320,12 @@ def cmd_sync(args) -> int:
         print("nothing written", file=sys.stderr)
         return 1
 
-    _write_atomically([(model_out, _output_bytes(out_model, model_in)),
-                       (code_out, _output_bytes(out_code, code_in))])
+    repair.write_atomically([
+        (model_out, repair.output_bytes(out_model, model_in)),
+        (code_out, repair.output_bytes(out_code, code_in))])
     print(f"wrote {model_out}")
     print(f"wrote {code_out}")
     return 0
-
-
-def _reparse(parse, text: str, artifact: str):
-    """Parse a corrected output; a failure says that nothing was written."""
-    try:
-        return parse(text, artifact=artifact)
-    except ParseError as exc:
-        raise ParseError(f"{exc.args[0]} (in the corrected output; "
-                         f"nothing written)", artifact=exc.artifact,
-                         line=exc.line, col=exc.col,
-                         expected=exc.expected) from exc
-
-
-def _output_bytes(text: str, read: tuple[bytes, str]) -> bytes:
-    """The input's own bytes when ``text`` is its text, so line ends
-    survive; otherwise ``text`` in UTF-8, with ``\\n`` line ends."""
-    data, read_text = read
-    return data if text == read_text else text.encode("utf-8")
-
-
-def _write_atomically(outputs: list[tuple[str, bytes]]) -> None:
-    """Write each (path, data) through a temp file in the path's directory,
-    then move every temp file over its path with ``os.replace``.  A path
-    that is a symlink is written through; an existing file keeps its mode.
-    """
-    staged: list[tuple[str, str]] = []
-    try:
-        for path, data in outputs:
-            target = os.path.realpath(path)
-            Path(target).parent.mkdir(parents=True, exist_ok=True)
-            tmp = f"{target}.{os.getpid()}.tmp"
-            with open(tmp, "xb") as f:
-                staged.append((tmp, target))
-                f.write(data)
-            if os.path.exists(target):
-                shutil.copymode(target, tmp)
-        for tmp, target in staged:
-            os.replace(tmp, target)
-    finally:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-
-
-def _output_paths(args) -> tuple[str, str]:
-    if args.in_place:
-        return args.model, args.code
-    out_dir = Path(args.out_dir)
-    return (str(out_dir / Path(args.model).name),
-            str(out_dir / Path(args.code).name))
 
 
 def cmd_render(args) -> int:
@@ -408,6 +343,8 @@ def cmd_extract(args) -> int:
 
 
 def cmd_gen_code(args) -> int:
+    from .pywrite import render_code_skeleton
+
     load_config(args.config)
     doc = parse_plantuml(_read_file(args.model)[1], artifact=args.model)
     print(render_code_skeleton(doc.model), end="")

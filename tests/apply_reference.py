@@ -11,7 +11,8 @@ from itertools import accumulate
 
 from modelsync.errors import OverlappingEditsError, SpanOutOfRangeError
 from modelsync.model import Attribute, ClassModel, normalize_name
-from modelsync.pycode import CodeDocument, CodeEdit, _offset
+from modelsync.pycode import CodeDocument, CodeEdit
+from modelsync.pywrite import _offset
 
 
 def reference_model(design: ClassModel, chosen) -> ClassModel:

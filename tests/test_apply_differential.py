@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from modelsync import correction
+from modelsync import repair
 from modelsync.consistency import check
 from modelsync.correction import Policy, apply, propose, resolve
 from modelsync.errors import ModelSyncError
@@ -80,7 +80,7 @@ def _apply_with_reference(design, code_doc, chosen, monkeypatch):
         return text
 
     with monkeypatch.context() as m:
-        m.setattr(correction, "apply_code_edits", splice_both)
+        m.setattr(repair, "apply_code_edits", splice_both)
         new_model, new_code = apply(design, code_doc, chosen)
     ref_code = spliced[0] if spliced else code_doc.raw_text
     return (new_model, new_code), (reference_model(design, chosen), ref_code)

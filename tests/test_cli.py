@@ -694,6 +694,87 @@ def test_sync_writes_an_unchanged_side_back_as_read(capsys, tmp_path,
     assert unchanged == 1
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def _bom_pair(tmp_path, drifted_model_text, drifted_code_text, sides):
+    """The v1 drifted pair under the fixtures' names, with a UTF-8
+    byte-order mark before each side in ``sides``."""
+    model = tmp_path / "library_v1_drifted_model.puml"
+    code = tmp_path / "library_v1_drifted_code.py"
+    for side, path, text in (("model", model, drifted_model_text),
+                             ("code", code, drifted_code_text)):
+        path.write_bytes((BOM if side in sides else b"") + text.encode())
+    return model, code
+
+
+@pytest.mark.parametrize("side", ["model", "code"])
+def test_check_reads_a_byte_order_mark_as_absent(capsys, tmp_path,
+                                                 drifted_model_text,
+                                                 drifted_code_text, side):
+    # the mark hid the first code class, and made the model unparsable
+    model, code = _bom_pair(tmp_path, drifted_model_text, drifted_code_text,
+                            {side})
+    status, out, err = run(capsys, "check", model, code, "--json")
+    assert (status, err) == (1, "")
+    payload = json.loads(out)
+    assert [d["sha256"] for d in payload["inputs"]] == [
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (model, code)]
+    golden = json.loads((GOLDEN / "v1-check-json" / "stdout").read_bytes())
+    assert payload["findings"] == golden["findings"]
+
+
+def test_sync_keeps_a_byte_order_mark_on_a_rewritten_side(
+        capsys, tmp_path, drifted_model_text, drifted_code_text):
+    model, code = _bom_pair(tmp_path, drifted_model_text, drifted_code_text,
+                            {"model", "code"})
+    out_dir = tmp_path / "out"
+    status, _, err = run(capsys, "sync", model, code,
+                         "--policy", "model-wins", "--out-dir", out_dir)
+    assert (status, err) == (0, "")
+    golden = GOLDEN / "v1-sync-model-wins"
+    assert (out_dir / code.name).read_bytes() == \
+        BOM + (golden / code.name).read_bytes()
+    # the model side is unchanged, so it is written back as read
+    assert (out_dir / model.name).read_bytes() == model.read_bytes()
+    assert run(capsys, "check", out_dir / model.name,
+               out_dir / code.name)[0] == 0
+
+
+@pytest.mark.parametrize("case", ["out-dir", "in-place", "in-place-link"])
+def test_sync_refuses_two_inputs_written_to_one_file(capsys, tmp_path,
+                                                     drifted_model_text,
+                                                     drifted_code_text,
+                                                     case):
+    # the two temp files had one name: sync printed that it applied the
+    # corrections, then failed on the second one and wrote nothing
+    (tmp_path / "m").mkdir()
+    (tmp_path / "c").mkdir()
+    model = tmp_path / "m" / "lib"
+    model.write_text(drifted_model_text, encoding="utf-8")
+    out_dir = tmp_path / "o"
+    if case == "out-dir":
+        code = tmp_path / "c" / "lib"
+        code.write_text(drifted_code_text, encoding="utf-8")
+        where = ["--out-dir", out_dir]
+    else:
+        code = model
+        if case == "in-place-link":
+            code = tmp_path / "c" / "link"
+            code.symlink_to(model)
+        where = ["--in-place"]
+    before = model.read_bytes(), code.read_bytes()
+    status, out, err = run(capsys, "sync", model, code,
+                           "--policy", "model-wins", *where)
+    assert (status, out) == (3, "")
+    assert err.startswith(f"i/o error: {model} and {code} would both be "
+                          f"written to ")
+    assert (model.read_bytes(), code.read_bytes()) == before
+    assert not out_dir.exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def _boom(*args, **kwargs):
     raise RuntimeError("not caught by main")
 

@@ -95,18 +95,23 @@ def test_golden_output(workdir, name):
     assert run_case(name, workdir) == expected
 
 
-def test_module_entry_point_matches_golden():
-    """``python -m modelsync.cli`` in a fresh interpreter, from the root of
-    the checkout, prints the in-process golden bytes."""
-    argv, _ = CASES["v1-check-json"]
+def test_module_entry_point_matches_golden(tmp_path):
+    """``python -m modelsync.cli`` in a fresh interpreter prints and writes
+    the in-process golden bytes.  Only there is the CLI ``__main__``, which
+    imports the write path when ``sync`` runs."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"),
            "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, "-m", "modelsync.cli", *argv],
-                          cwd=ROOT, env=env, capture_output=True)
-    expected = GOLDEN / "v1-check-json"
-    assert {"exit": f"{done.returncode}\n".encode(), "stdout": done.stdout,
-            "stderr": done.stderr} == {
-        p.name: p.read_bytes() for p in expected.iterdir()}
+    workdir = _workdir(tmp_path)
+    for name in ("v1-check-json", "v1-sync-model-wins", "gen-json"):
+        argv, written = CASES[name]
+        done = subprocess.run([sys.executable, "-m", "modelsync.cli", *argv],
+                              cwd=workdir, env=env, capture_output=True)
+        result = {"exit": f"{done.returncode}\n".encode(),
+                  "stdout": done.stdout, "stderr": done.stderr}
+        for path in written:
+            result[Path(path).name] = (workdir / path).read_bytes()
+        assert result == {p.name: p.read_bytes()
+                          for p in (GOLDEN / name).iterdir()}, name
 
 
 if __name__ == "__main__":

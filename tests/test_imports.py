@@ -5,16 +5,41 @@
 ``NamedTuple``s and slotted classes instead.  ``hashlib`` maps OpenSSL
 into the process, about 3.5 MB of peak RSS, so digests come from
 CPython's own SHA-256 module (``model.sha256_hex``).
+
+The benchmark also runs each command without a bytecode cache, so every
+module a command imports is compiled on every run.  The write path
+(``modelsync.repair`` and ``modelsync.pywrite``) is therefore imported only
+by the commands that write, when they run; the old import paths of its
+names forward to it.
 """
 
 from __future__ import annotations
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+V1_PAIR = ["fixtures/library_v1_drifted_model.puml",
+           "fixtures/library_v1_drifted_code.py"]
+# the moved public names, by the module they used to live in, with the
+# module that holds them now
+MOVED = {
+    "modelsync": {"Policy": "repair", "apply": "repair", "resolve": "repair",
+                  "CodeEdit": "pywrite", "apply_code_edits": "pywrite",
+                  "render_code_skeleton": "pywrite"},
+    "modelsync.correction": {"Policy": "repair", "apply": "repair",
+                             "resolve": "repair"},
+    "modelsync.pycode": {name: "pywrite" for name in (
+        "CodeEdit", "apply_code_edits", "block_delete_span", "body_indent",
+        "member_indent", "render_class_stub", "render_code_skeleton")},
+}
 
 
 def _loaded_after(statement: str) -> set[str]:
@@ -45,3 +70,76 @@ def test_cli_import_leaves_llm_unloaded():
     loaded = _loaded_after("import modelsync.cli")
     assert "modelsync.cli" in loaded
     assert "modelsync.llm" not in loaded
+
+
+def _loaded_by_command(argv: list[str], cwd: Path) -> set[str]:
+    """The modules a fresh ``python -m modelsync.cli`` process imports, as
+    ``-X importtime`` lists them.  The CLI module itself runs as
+    ``__main__``, so it is listed only when something imports it again."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "modelsync.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True)
+    assert done.returncode in (0, 1), done.stderr
+    return set(re.findall(r"^import time:\s*\d+\s*\|\s*\d+\s*\|\s*(\S+)$",
+                          done.stderr, re.MULTILINE))
+
+
+@pytest.mark.parametrize("command", ["check", "gen", "sync", "gen-code"])
+def test_only_writing_commands_load_the_write_path(tmp_path, command):
+    argv = {
+        "check": ["check", *V1_PAIR],
+        "gen": ["gen", "fixtures/library_problem.txt", "--transport",
+                "fixtures", "--fixtures-dir", "fixtures/llm",
+                "--out-dir", str(tmp_path / "gen")],
+        "sync": ["sync", *V1_PAIR, "--policy", "model-wins",
+                 "--out-dir", str(tmp_path / "out")],
+        "gen-code": ["gen-code", V1_PAIR[0]],
+    }[command]
+    loaded = _loaded_by_command(argv, ROOT)
+    assert {"modelsync.consistency", "modelsync.correction"} <= loaded
+    assert ("modelsync.repair" in loaded) is (command == "sync")
+    assert ("modelsync.pywrite" in loaded) is (command in ("sync",
+                                                           "gen-code"))
+    assert ("modelsync.llm" in loaded) is (command == "gen")
+    # an import of the CLI from the library would compile and run it twice
+    assert "modelsync.cli" not in loaded
+
+
+def test_package_import_leaves_the_write_path_unloaded():
+    loaded = _loaded_after("import modelsync")
+    assert "modelsync.correction" in loaded
+    assert not {"modelsync.repair", "modelsync.pywrite",
+                "modelsync.llm"} & loaded
+
+
+def test_moved_names_are_the_write_paths_own():
+    for module, names in MOVED.items():
+        owner = importlib.import_module(module)
+        for name, holder in names.items():
+            new = importlib.import_module(f"modelsync.{holder}")
+            assert getattr(owner, name) is getattr(new, name), \
+                f"{module}.{name}"
+    from modelsync import pywrite, repair
+    from modelsync.correction import apply, resolve
+    from modelsync.pycode import apply_code_edits, render_code_skeleton
+    assert apply is repair.apply and resolve is repair.resolve
+    assert apply_code_edits is pywrite.apply_code_edits
+    assert render_code_skeleton is pywrite.render_code_skeleton
+    # the splice that ``apply`` calls is the one the old path names
+    assert repair.apply_code_edits is apply_code_edits
+    star: dict[str, object] = {}
+    exec("from modelsync import *", star)
+    assert star["apply"] is repair.apply
+    assert star["render_code_skeleton"] is pywrite.render_code_skeleton
+
+
+@pytest.mark.parametrize("module", sorted(MOVED))
+def test_unknown_names_still_raise_attribute_error(module):
+    owner = importlib.import_module(module)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        owner.no_such_name
+    assert not hasattr(owner, "_offset")  # private names do not forward
+    with pytest.raises(ImportError):
+        exec(f"from {module} import no_such_name", {})
