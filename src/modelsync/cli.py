@@ -8,15 +8,14 @@ Exit codes:
   3  I/O or configuration error
   4  transport or extraction failure (gen)
 
-JSON reports follow REPORT_JSON_SCHEMA and are byte-identical for
-identical invocations.
+JSON reports follow REPORT_JSON_SCHEMA (``modelsync.report_schema``, loaded
+when first read) and are byte-identical for identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from pathlib import Path
 
@@ -29,149 +28,87 @@ from .model import ClassModel, make_type_table, sha256_hex
 from .plantuml import parse_plantuml, render_plantuml
 from .pycode import CodeDocument, parse_code
 
-REPORT_JSON_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["version", "inputs", "options", "findings"],
-    "additionalProperties": False,
-    "properties": {
-        "version": {"const": 1},
-        "inputs": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["path", "sha256"],
-                "additionalProperties": False,
-                "properties": {"path": {"type": "string"},
-                               "sha256": {"type": "string"}},
-            },
-        },
-        "options": {
-            "type": "object",
-            "required": ["nameMode", "renameThreshold",
-                         "inferCodeRelationships", "typeEquivalences"],
-            "additionalProperties": False,
-            "properties": {
-                "nameMode": {"enum": ["exact", "canonical"]},
-                "renameThreshold": {"type": "number"},
-                "inferCodeRelationships": {"type": "boolean"},
-                "typeEquivalences": {
-                    "type": "array",
-                    "items": {"type": "array",
-                              "items": {"type": "string"}},
-                },
-            },
-        },
-        "findings": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "kind", "severity", "modelLocation",
-                             "codeLocation", "detail", "suggestions"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string"},
-                    "kind": {"type": "string"},
-                    "severity": {"enum": ["error", "advisory"]},
-                    "modelLocation": {"$ref": "#/definitions/location"},
-                    "codeLocation": {"$ref": "#/definitions/location"},
-                    "detail": {"type": "string"},
-                    "suggestions": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["side", "editKind", "description"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "side": {"enum": ["model", "code"]},
-                                "editKind": {"type": "string"},
-                                "description": {"type": "string"},
-                            },
-                        },
-                    },
-                },
-            },
-        },
-    },
-    "definitions": {
-        "location": {
-            "oneOf": [
-                {"type": "null"},
-                {
-                    "type": "object",
-                    "required": ["class"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "class": {"type": "string"},
-                        "member": {"type": ["string", "null"]},
-                        "span": {
-                            "oneOf": [
-                                {"type": "null"},
-                                {
-                                    "type": "object",
-                                    "required": ["startLine", "startCol",
-                                                 "endLine", "endCol"],
-                                    "additionalProperties": False,
-                                    "properties": {
-                                        "startLine": {"type": "integer"},
-                                        "startCol": {"type": "integer"},
-                                        "endLine": {"type": "integer"},
-                                        "endCol": {"type": "integer"},
-                                    },
-                                },
-                            ]
-                        },
-                    },
-                },
-            ]
-        }
-    },
-}
+try:  # json's own C string escaper, without loading the json package
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 
-def _location_json(loc) -> dict | None:
+def __getattr__(name: str):
+    # only tests and tools read the schema, so no command compiles it
+    if name == "REPORT_JSON_SCHEMA":
+        from .report_schema import REPORT_JSON_SCHEMA
+        return REPORT_JSON_SCHEMA
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """``items``, each JSON text already, as an indented array whose
+    brackets sit ``pad`` deep."""
+    if not items:
+        return "[]"
+    sep = "\n" + pad + "  "
+    return "[" + sep + ("," + sep).join(items) + "\n" + pad + "]"
+
+
+def _location_json(loc) -> str:
+    # the value of a finding's key: its own keys sit eight spaces deep
     if loc is None:
-        return None
-    span = None
-    if loc.span is not None:
-        span = {"startLine": loc.span.start_line,
-                "startCol": loc.span.start_col,
-                "endLine": loc.span.end_line,
-                "endCol": loc.span.end_col}
-    return {"class": loc.class_name, "member": loc.member, "span": span}
+        return "null"
+    span = loc.span
+    if span is None:
+        span_text = "null"
+    else:
+        span_text = (f'{{\n          "startLine": {span.start_line!r},'
+                     f'\n          "startCol": {span.start_col!r},'
+                     f'\n          "endLine": {span.end_line!r},'
+                     f'\n          "endCol": {span.end_col!r}\n        }}')
+    member = "null" if loc.member is None else _quote(loc.member)
+    return (f'{{\n        "class": {_quote(loc.class_name)},'
+            f'\n        "member": {member},'
+            f'\n        "span": {span_text}\n      }}')
 
 
-def report_to_json(report: Report,
-                   suggestions: dict[str, CorrectionSet]) -> dict:
-    options = {
-        "nameMode": report.options.name_mode,
-        "renameThreshold": report.options.rename_threshold,
-        "inferCodeRelationships": report.options.infer_code_relationships,
-        "typeEquivalences": sorted(sorted(pair)
-                                   for pair in report.options.type_table),
-    }
-    findings = []
-    for f in report.findings:
-        s = suggestions.get(f.id)
-        findings.append({
-            "id": f.id,
-            "kind": f.kind.value,
-            "severity": f.severity,
-            "modelLocation": _location_json(f.model_loc),
-            "codeLocation": _location_json(f.code_loc),
-            "detail": f.detail,
-            "suggestions": [
-                {"side": alt.side, "editKind": alt.kind,
-                 "description": alt.description}
-                for alt in (s.alternatives if s else ())],
-        })
-    return {
-        "version": report.schema_version,
-        "inputs": [{"path": d.path, "sha256": d.sha256}
-                   for d in report.inputs],
-        "options": options,
-        "findings": findings,
-    }
+def _finding_json(f, s: CorrectionSet | None) -> str:
+    alternatives = [
+        f'{{\n          "side": {_quote(alt.side)},'
+        f'\n          "editKind": {_quote(alt.kind)},'
+        f'\n          "description": {_quote(alt.description)}\n        }}'
+        for alt in (s.alternatives if s else ())]
+    return (f'{{\n      "id": {_quote(f.id)},'
+            f'\n      "kind": {_quote(f.kind.value)},'
+            f'\n      "severity": {_quote(f.severity)},'
+            f'\n      "modelLocation": {_location_json(f.model_loc)},'
+            f'\n      "codeLocation": {_location_json(f.code_loc)},'
+            f'\n      "detail": {_quote(f.detail)},'
+            f'\n      "suggestions": {_json_array(alternatives, "      ")}'
+            f'\n    }}')
+
+
+def format_report_json(report: Report,
+                       suggestions: dict[str, CorrectionSet]) -> str:
+    """The version-1 JSON report, without a final newline: the text
+    ``json.dumps(report_dict, indent=2)`` writes for the report's dict
+    form, keys in schema order, ints and floats through ``repr``."""
+    opts = report.options
+    inputs = [f'{{\n      "path": {_quote(d.path)},'
+              f'\n      "sha256": {_quote(d.sha256)}\n    }}'
+              for d in report.inputs]
+    equivalences = [_json_array([_quote(name) for name in pair], "      ")
+                    for pair in sorted(sorted(pair)
+                                       for pair in opts.type_table)]
+    findings = [_finding_json(f, suggestions.get(f.id))
+                for f in report.findings]
+    infer = "true" if opts.infer_code_relationships else "false"
+    return (f'{{\n  "version": {report.schema_version!r},'
+            f'\n  "inputs": {_json_array(inputs, "  ")},'
+            f'\n  "options": {{'
+            f'\n    "nameMode": {_quote(opts.name_mode)},'
+            f'\n    "renameThreshold": {opts.rename_threshold!r},'
+            f'\n    "inferCodeRelationships": {infer},'
+            f'\n    "typeEquivalences": {_json_array(equivalences, "    ")}'
+            f'\n  }},'
+            f'\n  "findings": {_json_array(findings, "  ")}\n}}')
 
 
 def _span_ref(loc) -> str:
@@ -258,7 +195,7 @@ def _print_report(report: Report, sets: list[CorrectionSet],
                   as_json: bool) -> None:
     suggestions = {s.finding_id: s for s in sets}
     if as_json:
-        print(json.dumps(report_to_json(report, suggestions), indent=2))
+        print(format_report_json(report, suggestions))
     else:
         print(format_report_text(report, suggestions), end="")
 
@@ -363,24 +300,28 @@ def cmd_gen(args) -> int:
         transport = HttpTransport(cfg.llm_endpoint)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / "model.puml"
     code_path = out_dir / "code.py"
 
-    notes = sys.stderr if args.json else sys.stdout
+    model_text: str | None = None
+    code_text: str | None = None
     design: ClassModel | None = None
     code_doc: CodeDocument | None = None
     if args.what in ("model", "both"):
         generated = gen_model(requirements, transport, cfg.llm_model)
         model_text = render_plantuml(generated)
-        model_path.write_text(model_text, encoding="utf-8")
         design = parse_plantuml(model_text, artifact=str(model_path)).model
-        print(f"wrote {model_path}", file=notes)
     if args.what in ("code", "both"):
         code_text = gen_code(requirements, transport, cfg.llm_model)
-        code_path.write_text(code_text, encoding="utf-8")
         code_doc = parse_code(code_text, artifact=str(code_path))
-        print(f"wrote {code_path}", file=notes)
+
+    # written only once every answer has parsed: a failure writes nothing
+    notes = sys.stderr if args.json else sys.stdout
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, text in ((model_path, model_text), (code_path, code_text)):
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+            print(f"wrote {path}", file=notes)
 
     if args.what == "both":
         assert design is not None and code_doc is not None

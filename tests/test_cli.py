@@ -234,6 +234,26 @@ def test_gen_missing_fixture_exits_four(capsys, tmp_path, llm_fixtures_dir):
     assert "generation failed" in err
 
 
+def test_gen_writes_nothing_when_the_code_does_not_parse(
+        capsys, tmp_path, fixtures_dir, llm_fixtures_dir):
+    import shutil
+    broken_dir = tmp_path / "fixtures"
+    shutil.copytree(llm_fixtures_dir, broken_dir)
+    target = broken_dir / "gen_code.json"
+    data = json.loads(target.read_text(encoding="utf-8"))
+    # a class header with a base is outside the dialect
+    data["response"]["content"] = data["response"]["content"].replace(
+        "class Book:", "class Book(Base):", 1)
+    target.write_text(json.dumps(data), encoding="utf-8")
+    out_dir = tmp_path / "gen"
+    status, _, err = run(capsys, "gen", fixtures_dir / "library_problem.txt",
+                         "--what", "both", "--transport", "fixtures",
+                         "--fixtures-dir", broken_dir, "--out-dir", out_dir)
+    assert status == 4
+    assert "generated code does not parse" in err
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_gen_corrupted_fixture_exits_four(capsys, tmp_path, fixtures_dir,
                                           llm_fixtures_dir):
     import shutil

@@ -10,7 +10,10 @@ The benchmark also runs each command without a bytecode cache, so every
 module a command imports is compiled on every run.  The write path
 (``modelsync.repair`` and ``modelsync.pywrite``) is therefore imported only
 by the commands that write, when they run; the old import paths of its
-names forward to it.
+names forward to it.  ``check --json`` writes its report with its own
+writer, so neither ``check`` nor ``sync`` imports ``json``, and the report
+schema (``modelsync.report_schema``) is loaded only when
+``modelsync.cli.REPORT_JSON_SCHEMA`` is read.
 """
 
 from __future__ import annotations
@@ -143,3 +146,27 @@ def test_unknown_names_still_raise_attribute_error(module):
     assert not hasattr(owner, "_offset")  # private names do not forward
     with pytest.raises(ImportError):
         exec(f"from {module} import no_such_name", {})
+
+
+@pytest.mark.parametrize("command", ["check", "sync"])
+def test_check_and_sync_load_no_json(tmp_path, command):
+    argv = {"check": ["check", *V1_PAIR, "--json"],
+            "sync": ["sync", *V1_PAIR, "--policy", "model-wins",
+                     "--out-dir", str(tmp_path / "out")]}[command]
+    loaded = _loaded_by_command(argv, ROOT)
+    assert "modelsync.consistency" in loaded
+    assert not {"json", "json.decoder", "json.scanner", "json.encoder",
+                "modelsync.report_schema"} & loaded
+
+
+def test_report_schema_loads_when_read():
+    assert "modelsync.report_schema" not in _loaded_after(
+        "import modelsync.cli")
+    assert "modelsync.report_schema" in _loaded_after(
+        "from modelsync.cli import REPORT_JSON_SCHEMA")
+    from modelsync import cli, report_schema
+    from modelsync.cli import REPORT_JSON_SCHEMA
+    assert REPORT_JSON_SCHEMA is report_schema.REPORT_JSON_SCHEMA
+    assert REPORT_JSON_SCHEMA["properties"]["version"] == {"const": 1}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
