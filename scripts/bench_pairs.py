@@ -13,8 +13,8 @@ appended to ``--out`` with the side, workload, seed and pair added.  At the
 end every end-to-end metric is printed with each side's median and
 quartiles, the number of pairs the change won (ties count for neither
 side), and the gap between the medians beside the parent's quartile
-spread.  Which direction is better comes from ``BENCHMARK.json`` in the
-change checkout.
+spread.  The run length (``run_seconds``) and which direction is better
+come from ``BENCHMARK.json`` in the change checkout.
 """
 
 from __future__ import annotations
@@ -51,11 +51,6 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def lower_is_better(checkout: Path) -> dict[str, bool]:
-    spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
-
-
 def summarize(runs: list[dict], lower: dict[str, bool]) -> None:
     pairs: dict[int, dict[str, dict]] = {}
     for run in runs:
@@ -88,11 +83,12 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True,
                         help="JSON-lines file the runs are appended to")
     args = parser.parse_args()
 
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     checkouts = {"parent": args.parent, "change": args.change}
     runs = []
     for pair in range(1, args.pairs + 1):
@@ -100,7 +96,7 @@ def main() -> int:
         order = SIDES if pair % 2 else SIDES[::-1]
         for side in order:
             result = run_once(checkouts[side], args.workload, seed,
-                              args.seconds)
+                              spec["run_seconds"])
             run = {"side": side, "workload": args.workload, "seed": seed,
                    "pair": pair, **result}
             with args.out.open("a") as out:
@@ -109,7 +105,7 @@ def main() -> int:
             print(f"pair {pair} seed {seed} {side}: " + ", ".join(
                 f"{k} {v['value']:.4f}" for k, v in result["metrics"].items()),
                 flush=True)
-    summarize(runs, lower_is_better(args.change))
+    summarize(runs, lower)
     return 0
 
 

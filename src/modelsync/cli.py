@@ -42,47 +42,55 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _json_array(items: list[str], pad: str) -> str:
-    """``items``, each JSON text already, as an indented array whose
-    brackets sit ``pad`` deep."""
+def _object_layout(keys: tuple[str, ...], depth: int) -> str:
+    """A ``%`` template of the object ``json.dumps(..., indent=2)`` writes
+    with ``keys`` in this order and its braces ``depth`` levels deep; each
+    ``%s`` takes the JSON text of one value."""
+    pad = "  " * depth
+    fields = (",\n  " + pad).join(f'"{key}": %s' for key in keys)
+    return "{\n  " + pad + fields + "\n" + pad + "}"
+
+
+def _json_array(items: list[str], depth: int) -> str:
+    """``items``, each JSON text already, as the array ``indent=2`` writes
+    with its brackets ``depth`` levels deep."""
     if not items:
         return "[]"
-    sep = "\n" + pad + "  "
-    return "[" + sep + ("," + sep).join(items) + "\n" + pad + "]"
+    pad = "  " * depth
+    return "[\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "]"
+
+
+# the v1 report's objects, keys in schema order, at their depth in it
+_REPORT = _object_layout(("version", "inputs", "options", "findings"), 0)
+_INPUT = _object_layout(("path", "sha256"), 2)
+_OPTIONS = _object_layout(("nameMode", "renameThreshold",
+                           "inferCodeRelationships", "typeEquivalences"), 1)
+_FINDING = _object_layout(("id", "kind", "severity", "modelLocation",
+                           "codeLocation", "detail", "suggestions"), 2)
+_LOCATION = _object_layout(("class", "member", "span"), 3)
+_SPAN = _object_layout(("startLine", "startCol", "endLine", "endCol"), 4)
+_SUGGESTION = _object_layout(("side", "editKind", "description"), 4)
 
 
 def _location_json(loc) -> str:
-    # the value of a finding's key: its own keys sit eight spaces deep
     if loc is None:
         return "null"
     span = loc.span
-    if span is None:
-        span_text = "null"
-    else:
-        span_text = (f'{{\n          "startLine": {span.start_line!r},'
-                     f'\n          "startCol": {span.start_col!r},'
-                     f'\n          "endLine": {span.end_line!r},'
-                     f'\n          "endCol": {span.end_col!r}\n        }}')
-    member = "null" if loc.member is None else _quote(loc.member)
-    return (f'{{\n        "class": {_quote(loc.class_name)},'
-            f'\n        "member": {member},'
-            f'\n        "span": {span_text}\n      }}')
+    return _LOCATION % (
+        _quote(loc.class_name),
+        "null" if loc.member is None else _quote(loc.member),
+        "null" if span is None else _SPAN % (
+            span.start_line, span.start_col, span.end_line, span.end_col))
 
 
 def _finding_json(f, s: CorrectionSet | None) -> str:
-    alternatives = [
-        f'{{\n          "side": {_quote(alt.side)},'
-        f'\n          "editKind": {_quote(alt.kind)},'
-        f'\n          "description": {_quote(alt.description)}\n        }}'
-        for alt in (s.alternatives if s else ())]
-    return (f'{{\n      "id": {_quote(f.id)},'
-            f'\n      "kind": {_quote(f.kind.value)},'
-            f'\n      "severity": {_quote(f.severity)},'
-            f'\n      "modelLocation": {_location_json(f.model_loc)},'
-            f'\n      "codeLocation": {_location_json(f.code_loc)},'
-            f'\n      "detail": {_quote(f.detail)},'
-            f'\n      "suggestions": {_json_array(alternatives, "      ")}'
-            f'\n    }}')
+    alternatives = [_SUGGESTION % (_quote(alt.side), _quote(alt.kind),
+                                   _quote(alt.description))
+                    for alt in (s.alternatives if s else ())]
+    return _FINDING % (
+        _quote(f.id), _quote(f.kind.value), _quote(f.severity),
+        _location_json(f.model_loc), _location_json(f.code_loc),
+        _quote(f.detail), _json_array(alternatives, 3))
 
 
 def format_report_json(report: Report,
@@ -91,24 +99,19 @@ def format_report_json(report: Report,
     ``json.dumps(report_dict, indent=2)`` writes for the report's dict
     form, keys in schema order, ints and floats through ``repr``."""
     opts = report.options
-    inputs = [f'{{\n      "path": {_quote(d.path)},'
-              f'\n      "sha256": {_quote(d.sha256)}\n    }}'
+    inputs = [_INPUT % (_quote(d.path), _quote(d.sha256))
               for d in report.inputs]
-    equivalences = [_json_array([_quote(name) for name in pair], "      ")
+    equivalences = [_json_array([_quote(name) for name in pair], 3)
                     for pair in sorted(sorted(pair)
                                        for pair in opts.type_table)]
     findings = [_finding_json(f, suggestions.get(f.id))
                 for f in report.findings]
-    infer = "true" if opts.infer_code_relationships else "false"
-    return (f'{{\n  "version": {report.schema_version!r},'
-            f'\n  "inputs": {_json_array(inputs, "  ")},'
-            f'\n  "options": {{'
-            f'\n    "nameMode": {_quote(opts.name_mode)},'
-            f'\n    "renameThreshold": {opts.rename_threshold!r},'
-            f'\n    "inferCodeRelationships": {infer},'
-            f'\n    "typeEquivalences": {_json_array(equivalences, "    ")}'
-            f'\n  }},'
-            f'\n  "findings": {_json_array(findings, "  ")}\n}}')
+    options = _OPTIONS % (
+        _quote(opts.name_mode), repr(opts.rename_threshold),
+        "true" if opts.infer_code_relationships else "false",
+        _json_array(equivalences, 2))
+    return _REPORT % (repr(report.schema_version), _json_array(inputs, 1),
+                      options, _json_array(findings, 1))
 
 
 def _span_ref(loc) -> str:
@@ -299,7 +302,10 @@ def cmd_gen(args) -> int:
     else:
         transport = HttpTransport(cfg.llm_endpoint)
 
+    # made before any request, so a directory that cannot be made costs no
+    # completion
     out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / "model.puml"
     code_path = out_dir / "code.py"
 
@@ -317,7 +323,6 @@ def cmd_gen(args) -> int:
 
     # written only once every answer has parsed: a failure writes nothing
     notes = sys.stderr if args.json else sys.stdout
-    out_dir.mkdir(parents=True, exist_ok=True)
     for path, text in ((model_path, model_text), (code_path, code_text)):
         if text is not None:
             path.write_text(text, encoding="utf-8")

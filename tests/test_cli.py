@@ -254,6 +254,23 @@ def test_gen_writes_nothing_when_the_code_does_not_parse(
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+def test_gen_sends_no_request_when_out_dir_cannot_be_made(
+        capsys, monkeypatch, tmp_path, fixtures_dir, llm_fixtures_dir):
+    from modelsync import llm
+    sent = []
+    monkeypatch.setattr(llm.FixtureTransport, "send",
+                        lambda self, request: sent.append(request))
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    status, _, err = run(capsys, "gen", fixtures_dir / "library_problem.txt",
+                         "--what", "both", "--transport", "fixtures",
+                         "--fixtures-dir", llm_fixtures_dir,
+                         "--out-dir", blocker / "gen")
+    assert status == 3
+    assert "i/o error" in err
+    assert sent == []
+
+
 def test_gen_corrupted_fixture_exits_four(capsys, tmp_path, fixtures_dir,
                                           llm_fixtures_dir):
     import shutil
