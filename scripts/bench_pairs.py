@@ -51,29 +51,41 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(runs: list[dict], lower: dict[str, bool]) -> None:
+def compare(runs: list[dict], lower: dict[str, bool]) -> list[dict]:
+    """One row per metric of ``runs``: each side's quartiles, the pairs the
+    change won (ties count for neither side; ``lower`` says whether lower
+    is better, default yes), the gap between the medians and the parent's
+    quartile spread."""
     pairs: dict[int, dict[str, dict]] = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run
-    names = sorted({name for run in runs for name in run["metrics"]})
-    bad = [run for run in runs if not run["correct"] or run["failed"]]
-    print(f"{len(pairs)} pairs; runs incorrect or with failed commands: "
-          f"{len(bad)}")
-    for name in names:
+    rows = []
+    for name in sorted({name for run in runs for name in run["metrics"]}):
         values = {side: [p[side]["metrics"][name]["value"]
                          for p in pairs.values()] for side in SIDES}
         sign = 1 if lower.get(name, True) else -1
         won = sum(1 for p in pairs.values()
                   if sign * p["change"]["metrics"][name]["value"]
                   < sign * p["parent"]["metrics"][name]["value"])
-        unit = runs[0]["metrics"][name]["unit"]
         q = {side: quartiles(values[side]) for side in SIDES}
-        cells = [f"{side} {q[side][1]:.4f} ({q[side][0]:.4f}-"
-                 f"{q[side][2]:.4f})" for side in SIDES]
-        print(f"{name} [{unit}]: {'; '.join(cells)}; "
-              f"change won {won}/{len(pairs)}; median gap "
-              f"{abs(q['change'][1] - q['parent'][1]):.4f}, parent quartile "
-              f"spread {q['parent'][2] - q['parent'][0]:.4f}")
+        rows.append({"name": name, "unit": runs[0]["metrics"][name]["unit"],
+                     **q, "won": won, "pairs": len(pairs),
+                     "gap": abs(q["change"][1] - q["parent"][1]),
+                     "spread": q["parent"][2] - q["parent"][0]})
+    return rows
+
+
+def summarize(runs: list[dict], lower: dict[str, bool]) -> None:
+    bad = [run for run in runs if not run["correct"] or run["failed"]]
+    rows = compare(runs, lower)
+    print(f"{len({run['pair'] for run in runs})} pairs; runs incorrect or "
+          f"with failed commands: {len(bad)}")
+    for row in rows:
+        cells = [f"{side} {row[side][1]:.4f} ({row[side][0]:.4f}-"
+                 f"{row[side][2]:.4f})" for side in SIDES]
+        print(f"{row['name']} [{row['unit']}]: {'; '.join(cells)}; "
+              f"change won {row['won']}/{row['pairs']}; median gap "
+              f"{row['gap']:.4f}, parent quartile spread {row['spread']:.4f}")
 
 
 def main() -> int:

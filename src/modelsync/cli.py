@@ -452,5 +452,23 @@ def _run(argv: list[str] | None) -> int:
         return 1
 
 
+def console_main() -> int:
+    """Entry of the ``modelsync`` script and of ``python -m modelsync.cli``.
+
+    Runs :func:`main` on ``sys.argv`` and then freezes the collector, so
+    that at exit the interpreter's finalizing collections find nothing to
+    scan and the module-level cycles (classes, functions, module dicts) are
+    left to the operating system instead of being freed one object at a
+    time.  ``atexit`` hooks still run and stdout and stderr are still
+    flushed; every file a command writes is closed before it returns.  Only
+    a process that is about to exit may call this: :func:`main` itself
+    never freezes, so callers that run it in process keep their heap.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

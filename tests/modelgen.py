@@ -282,6 +282,8 @@ def mutate(rng: random.Random, base: ClassModel,
                         _missing_in("class", _other(side)), model)
 
     if operator == "remove-class":
+        if not model.classes:
+            return None
         cls = rng.choice(model.classes)
         model.classes.remove(cls)
         model.relationships = [r for r in model.relationships
@@ -290,6 +292,8 @@ def mutate(rng: random.Random, base: ClassModel,
                         model)
 
     if operator == "add-method":
+        if not model.classes:
+            return None
         cls = rng.choice(model.classes)
         cls.methods.append(Method(pool.member(), [], TypeRef.unknown()))
         return Mutation(operator, side,
@@ -306,6 +310,8 @@ def mutate(rng: random.Random, base: ClassModel,
                         model)
 
     if operator == "add-attribute":
+        if not model.classes:
+            return None
         cls = rng.choice(model.classes)
         # boolean keeps the new attribute's type visible on both sides
         cls.attributes.append(Attribute(pool.member(),

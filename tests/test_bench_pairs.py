@@ -1,0 +1,74 @@
+"""scripts/bench_pairs.py compares parent and change runs as its text says."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+PARENT = [1.0, 2.0, 3.0, 4.0, 5.0]
+CHANGE = [0.5, 2.0, 2.5, 3.5, 6.0]   # better, tied, better, better, worse
+
+
+def _runs(parent=PARENT, change=CHANGE, name="check_s"):
+    runs = []
+    for pair, values in enumerate(zip(parent, change), start=1):
+        for side, value in zip(("parent", "change"), values):
+            runs.append({"side": side, "pair": pair, "correct": True,
+                         "failed": 0,
+                         "metrics": {name: {"value": value, "unit": "s"}}})
+    return runs
+
+
+def test_wins_count_pairs_and_ties_count_for_neither_side(bench_pairs):
+    [row] = bench_pairs.compare(_runs(), {"check_s": True})
+    assert (row["name"], row["unit"], row["won"], row["pairs"]) == \
+        ("check_s", "s", 3, 5)
+
+
+def test_a_higher_is_better_metric_counts_its_wins_the_other_way(
+        bench_pairs):
+    [row] = bench_pairs.compare(_runs(name="ratio"), {"ratio": False})
+    assert row["won"] == 1
+
+
+def test_a_metric_missing_from_the_benchmark_counts_lower_as_better(
+        bench_pairs):
+    assert bench_pairs.compare(_runs(), {})[0]["won"] == 3
+
+
+def test_median_gap_and_parent_quartile_spread(bench_pairs):
+    [row] = bench_pairs.compare(_runs(), {"check_s": True})
+    # statistics.quantiles(n=4) of 1..5 is 1.5, 3.0, 4.5
+    assert row["parent"] == (1.5, 3.0, 4.5)
+    assert row["change"][1] == 2.5
+    assert row["gap"] == pytest.approx(0.5)
+    assert row["spread"] == pytest.approx(3.0)
+    # the gap is a distance: a slower change has a positive gap too
+    [slower] = bench_pairs.compare(_runs(CHANGE, PARENT), {"check_s": True})
+    assert slower["gap"] == pytest.approx(0.5)
+    assert slower["won"] == 1
+
+
+def test_summary_prints_each_metric_on_one_line(bench_pairs, capsys):
+    runs = _runs()
+    runs[0]["failed"] = 1
+    bench_pairs.summarize(runs, {"check_s": True})
+    assert capsys.readouterr().out.splitlines() == [
+        "5 pairs; runs incorrect or with failed commands: 1",
+        "check_s [s]: parent 3.0000 (1.5000-4.5000); change 2.5000 "
+        "(1.2500-4.7500); change won 3/5; median gap 0.5000, parent "
+        "quartile spread 3.0000",
+    ]

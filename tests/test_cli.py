@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -17,6 +21,7 @@ from modelsync.plantuml import parse_plantuml
 from modelsync.pycode import parse_code
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 @pytest.fixture()
 def pair(tmp_path, drifted_model_text, drifted_code_text):
@@ -843,6 +848,7 @@ def test_main_pauses_the_collector_and_restores_it(capsys, monkeypatch,
     monkeypatch.setattr(cli, "parse_plantuml", recording)
 
     was = gc.isenabled()
+    frozen = gc.get_freeze_count()
     (gc.enable if collecting else gc.disable)()
     try:
         if isinstance(outcome, int):
@@ -854,3 +860,69 @@ def test_main_pauses_the_collector_and_restores_it(capsys, monkeypatch,
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == ([] if case == "usage" else [False])
+    # only the console entry freezes; main() leaves the caller's heap alone
+    assert gc.get_freeze_count() == frozen
+
+
+def _help():
+    raise SystemExit(0)
+
+
+@pytest.mark.parametrize("ending", [lambda: 0, lambda: 4, _help, _boom],
+                         ids=["exit-0", "exit-4", "help", "uncaught"])
+def test_console_entry_freezes_the_collector_however_main_ends(monkeypatch,
+                                                               ending):
+    monkeypatch.setattr(cli, "main", ending)
+    try:
+        try:
+            cli.console_main()
+        except (SystemExit, RuntimeError):
+            pass
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+
+
+# Runs the module as ``python -m modelsync.cli`` does, with an atexit hook
+# that reports whether the heap was frozen when the interpreter began to
+# shut down.
+_ENTRY_WITH_PROBE = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0,"
+    " file=sys.stderr))\n"
+    "runpy.run_module('modelsync.cli', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("case", ["parse-error", "usage"])
+def test_a_fresh_process_exits_frozen_with_main_s_status_and_stderr(
+        capsys, pair, case):
+    model, code = pair
+    bad = model.parent / "bad.puml"
+    bad.write_text("@startuml\nclass A {\n  ???\n}\n@enduml\n",
+                   encoding="utf-8")
+    argv = {"parse-error": ["check", str(bad), str(code)],
+            "usage": ["check", str(model)]}[case]
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    in_process = capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-c", _ENTRY_WITH_PROBE, *argv],
+                          env=env, capture_output=True, text=True)
+    assert status == 2
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (status, in_process.out, in_process.err + "frozen: True\n")
+
+
+def test_the_console_script_is_the_function_main_runs_as_a_module():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    tree = ast.parse((SRC / "modelsync" / "cli.py").read_text())
+    [entry] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    [call] = [node for node in ast.walk(entry) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)]
+    assert project["project"]["scripts"]["modelsync"] == \
+        f"modelsync.cli:{call.func.id}"
+    assert call.func.id == "console_main"

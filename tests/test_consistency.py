@@ -347,3 +347,14 @@ def test_mutation_detection_all_operators():
             f"seed {seed} op {op} side {side}: got {errors[0].kind}"
         detected += 1
     assert detected >= 150
+
+
+def test_mutate_on_a_model_without_classes():
+    # mutations may be chained, and one may leave the model without classes
+    for op in OPERATORS:
+        for side in ("model", "code"):
+            mutation = mutate(random.Random(0), ClassModel(), op, side)
+            if op == "add-class":
+                assert len(mutation.mutated.classes) == 1
+            else:
+                assert mutation is None, (op, side)
