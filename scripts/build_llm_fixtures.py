@@ -2,55 +2,65 @@
 """Regenerate the recorded chat exchanges under fixtures/llm/.
 
 Each exchange pairs a prompt built from the bundled sample inputs with the
-recorded response text, keyed by the content hash of the full request.
-Run from the repository root after changing prompt templates or the sample
-inputs, then commit the refreshed fixtures.
+recorded response text in fixtures/responses/, keyed by the content hash of
+the full request.  Run from the repository root after changing prompt
+templates or the sample inputs, then commit the refreshed fixtures.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from modelsync.llm import (ChatResponse, PromptKind, make_request,
-                           record_exchange)
+from modelsync.llm import (ChatRequest, PromptKind, make_request,
+                           request_key)
 
 FIXTURES = ROOT / "fixtures"
 LLM_DIR = FIXTURES / "llm"
+RESPONSES = FIXTURES / "responses"
 
 
-def main() -> int:
+def exchanges() -> list[tuple[str, ChatRequest, Path]]:
+    """Each fixture's file name, its request and its response file."""
     problem = (FIXTURES / "library_problem.txt").read_text(encoding="utf-8")
     drift_model = (FIXTURES / "library_v1_drifted_model.puml").read_text(
         encoding="utf-8")
     drift_code = (FIXTURES / "library_v1_drifted_code.py").read_text(
         encoding="utf-8")
-
-    responses = FIXTURES / "responses"
-    exchanges = [
+    return [
         ("gen_model.json",
          make_request(PromptKind.GEN_CLASS_DIAGRAM, {"problem": problem}),
-         (responses / "model_response.txt").read_text(encoding="utf-8")),
+         RESPONSES / "model_response.txt"),
         ("gen_code.json",
          make_request(PromptKind.GEN_CODE, {"problem": problem}),
-         (responses / "code_response.txt").read_text(encoding="utf-8")),
+         RESPONSES / "code_response.txt"),
         ("sync_check.json",
          make_request(PromptKind.SYNC_CHECK,
                       {"model": drift_model, "code": drift_code}),
-         (responses / "sync_response.txt").read_text(encoding="utf-8")),
-        ("gen_model_and_code.json",
-         make_request(PromptKind.GEN_MODEL_AND_CODE, {"problem": problem}),
-         (responses / "combined_response.txt").read_text(encoding="utf-8")),
+         RESPONSES / "sync_response.txt"),
     ]
 
+
+def record_exchange(path: Path, request: ChatRequest, content: str) -> str:
+    """Write one replayable exchange file; returns its key, the request's
+    hash."""
+    key = request_key(request)
+    exchange = {"key": key, "request": request.to_json(),
+                "response": {"content": content}}
+    path.write_text(json.dumps(exchange, indent=2) + "\n", encoding="utf-8")
+    return key
+
+
+def main() -> int:
     LLM_DIR.mkdir(parents=True, exist_ok=True)
-    for filename, request, response_text in exchanges:
-        exchange = record_exchange(LLM_DIR / filename, request,
-                                   ChatResponse(response_text))
-        print(f"recorded {filename} key={exchange.key[:16]}...")
+    for filename, request, response_file in exchanges():
+        key = record_exchange(LLM_DIR / filename, request,
+                              response_file.read_text(encoding="utf-8"))
+        print(f"recorded {filename} key={key[:16]}...")
     return 0
 
 

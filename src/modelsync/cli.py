@@ -6,7 +6,8 @@ Exit codes:
   2  parse error in an input artifact, or in an output sync would write
      (message carries the location; sync then writes nothing)
   3  I/O or configuration error
-  4  transport or extraction failure (gen)
+  4  transport or extraction failure (gen), including a malformed
+     endpoint answer or fixture file
 
 JSON reports follow REPORT_JSON_SCHEMA (``modelsync.report_schema``, loaded
 when first read) and are byte-identical for identical invocations.
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -24,9 +27,9 @@ from .consistency import InputDescriptor, MatchOptions, Report, check
 from .correction import CorrectionSet, propose
 from .errors import (ConfigError, GenerationUnparsableError, ModelSyncError,
                      NoBlockFoundError, ParseError, TransportError)
-from .model import ClassModel, make_type_table, sha256_hex
+from .model import make_type_table, sha256_hex
 from .plantuml import parse_plantuml, render_plantuml
-from .pycode import CodeDocument, parse_code
+from .pycode import parse_code
 
 try:  # json's own C string escaper, without loading the json package
     from _json import encode_basestring_ascii as _quote
@@ -164,20 +167,58 @@ def _read_file(path: str) -> tuple[bytes, str]:
     return data, text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+def output_bytes(text: str, read: tuple[bytes, str]) -> bytes:
+    """The input's own bytes when ``text`` is its text, so line ends
+    survive; otherwise ``text`` in UTF-8, with ``\\n`` line ends and the
+    input's byte-order mark if it had one."""
+    data, read_text = read
+    if text == read_text:
+        return data
+    encoded = text.encode("utf-8")
+    return _BOM + encoded if data.startswith(_BOM) else encoded
+
+
+def write_atomically(outputs: list[tuple[str, bytes]]) -> None:
+    """Write each (path, data) through a temp file in the path's directory,
+    then move every temp file over its path with ``os.replace``.  A path
+    that is a symlink is written through; an existing file keeps its mode.
+    When a file cannot be staged, no path is written.
+    """
+    staged: list[tuple[str, str]] = []
+    try:
+        for path, data in outputs:
+            target = os.path.realpath(path)
+            Path(target).parent.mkdir(parents=True, exist_ok=True)
+            tmp = f"{target}.{os.getpid()}.tmp"
+            with open(tmp, "xb") as f:
+                staged.append((tmp, target))
+                f.write(data)
+            if os.path.exists(target):
+                os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        for tmp, target in staged:
+            os.replace(tmp, target)
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+
 def _descriptor(path: str, data: bytes) -> InputDescriptor:
     return InputDescriptor(path, sha256_hex(data))
 
 
 def _match_options(cfg: Config, args) -> MatchOptions:
-    name_mode = getattr(args, "name_mode", None) or cfg.name_mode
-    threshold = getattr(args, "rename_threshold", None)
+    threshold = args.rename_threshold
     if threshold is None:
         threshold = cfg.rename_threshold
     elif not 0.0 <= threshold <= 1.0:  # also rejects NaN
         raise ConfigError("--rename-threshold must be in [0, 1]")
-    infer = bool(getattr(args, "infer_relationships", False))
-    return MatchOptions(name_mode, threshold,
-                        make_type_table(cfg.type_equivalences), infer)
+    return MatchOptions(args.name_mode or cfg.name_mode, threshold,
+                        make_type_table(cfg.type_equivalences),
+                        args.infer_relationships)
 
 
 def _checked_pair(args, cfg: Config):
@@ -260,9 +301,8 @@ def cmd_sync(args) -> int:
         print("nothing written", file=sys.stderr)
         return 1
 
-    repair.write_atomically([
-        (model_out, repair.output_bytes(out_model, model_in)),
-        (code_out, repair.output_bytes(out_code, code_in))])
+    write_atomically([(model_out, output_bytes(out_model, model_in)),
+                      (code_out, output_bytes(out_code, code_in))])
     print(f"wrote {model_out}")
     print(f"wrote {code_out}")
     return 0
@@ -306,35 +346,28 @@ def cmd_gen(args) -> int:
     # completion
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = out_dir / "model.puml"
-    code_path = out_dir / "code.py"
 
-    model_text: str | None = None
-    code_text: str | None = None
-    design: ClassModel | None = None
-    code_doc: CodeDocument | None = None
+    outputs: list[tuple[str, bytes]] = []
     if args.what in ("model", "both"):
-        generated = gen_model(requirements, transport, cfg.llm_model)
-        model_text = render_plantuml(generated)
-        design = parse_plantuml(model_text, artifact=str(model_path)).model
+        model_path = str(out_dir / "model.puml")
+        model_text = render_plantuml(
+            gen_model(requirements, transport, cfg.llm_model))
+        design = parse_plantuml(model_text, artifact=model_path).model
+        outputs.append((model_path, model_text.encode("utf-8")))
     if args.what in ("code", "both"):
-        code_text = gen_code(requirements, transport, cfg.llm_model)
-        code_doc = parse_code(code_text, artifact=str(code_path))
+        code_path = str(out_dir / "code.py")
+        code_doc = gen_code(requirements, transport, cfg.llm_model, code_path)
+        outputs.append((code_path, code_doc.raw_text.encode("utf-8")))
 
     # written only once every answer has parsed: a failure writes nothing
+    write_atomically(outputs)
     notes = sys.stderr if args.json else sys.stdout
-    for path, text in ((model_path, model_text), (code_path, code_text)):
-        if text is not None:
-            path.write_text(text, encoding="utf-8")
-            print(f"wrote {path}", file=notes)
+    for path, _ in outputs:
+        print(f"wrote {path}", file=notes)
 
     if args.what == "both":
-        assert design is not None and code_doc is not None
         report = check(design, code_doc.model, opts,
-                       inputs=(_descriptor(str(model_path),
-                                           model_text.encode("utf-8")),
-                               _descriptor(str(code_path),
-                                           code_text.encode("utf-8"))))
+                       inputs=tuple(_descriptor(*out) for out in outputs))
         sets = propose(report, design, code_doc)
         _print_report(report, sets, args.json)
     return 0

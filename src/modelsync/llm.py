@@ -24,7 +24,7 @@ from .errors import (GenerationUnparsableError, MissingInputError,
                      NoBlockFoundError, ParseError, TransportError)
 from .model import ClassModel, sha256_hex
 from .plantuml import parse_plantuml
-from .pycode import parse_code
+from .pycode import CodeDocument, parse_code
 
 DEFAULT_MODEL_NAME = "gpt-4-0613"
 DEFAULT_TEMPERATURE = 0.0
@@ -35,7 +35,6 @@ HTTP_BACKOFF_S = 1.0  # before the first retry; doubles on each one
 
 
 class PromptKind(Enum):
-    GEN_MODEL_AND_CODE = "gen-model-and-code"
     GEN_CLASS_DIAGRAM = "gen-class-diagram"
     GEN_CODE = "gen-code"
     SYNC_CHECK = "sync-check"
@@ -48,12 +47,6 @@ _PROBLEM_TEMPLATE = """#Problem:
 For the above #problem, {instruction}"""
 
 _INSTRUCTIONS = {
-    PromptKind.GEN_MODEL_AND_CODE: (
-        "create the design model in PlantUML format and the code in Python "
-        "language in detail and present a method by using ChatGPT to ensure "
-        "bidirectional traceability between them. The traceability refers "
-        "to the situation where when the model is changed, the "
-        "corresponding code is changed in sync, and vice versa."),
     PromptKind.GEN_CLASS_DIAGRAM: (
         "create the class diagram in PlantUML format in detail."),
     PromptKind.GEN_CODE: (
@@ -103,54 +96,35 @@ class ChatRequest(NamedTuple):
                              for m in self.messages]}
 
 
-class ChatResponse(NamedTuple):
-    content: str
-
-
-class ChatExchange(NamedTuple):
-    key: str
-    request: ChatRequest
-    response: ChatResponse
-
-
 def make_request(kind: PromptKind, inputs: dict[str, str],
-                 model_name: str = DEFAULT_MODEL_NAME,
-                 temperature: float = DEFAULT_TEMPERATURE) -> ChatRequest:
+                 model_name: str = DEFAULT_MODEL_NAME) -> ChatRequest:
     prompt = build_prompt(kind, **inputs)
-    return ChatRequest(model_name, temperature,
+    return ChatRequest(model_name, DEFAULT_TEMPERATURE,
                        (ChatMessage("user", prompt),))
 
 
 def request_key(request: ChatRequest) -> str:
     """Content hash of the full request; the fixture lookup key."""
-    canonical = json.dumps(request.to_json(), sort_keys=True,
-                           separators=(",", ":"))
+    return _json_key(request.to_json())
+
+
+def _json_key(data) -> str:
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
     return sha256_hex(canonical.encode("utf-8"))
 
 
-def exchange_to_json(exchange: ChatExchange) -> dict:
-    return {"key": exchange.key,
-            "request": exchange.request.to_json(),
-            "response": {"content": exchange.response.content}}
-
-
-def exchange_from_json(data: dict) -> ChatExchange:
-    req = data["request"]
-    request = ChatRequest(
-        req["model"], req["temperature"],
-        tuple(ChatMessage(m["role"], m["content"])
-              for m in req["messages"]))
-    return ChatExchange(data["key"], request,
-                        ChatResponse(data["response"]["content"]))
-
-
-def record_exchange(path: Path, request: ChatRequest,
-                    response: ChatResponse) -> ChatExchange:
-    """Write one replayable exchange file keyed by the request hash."""
-    exchange = ChatExchange(request_key(request), request, response)
-    path.write_text(json.dumps(exchange_to_json(exchange), indent=2) + "\n",
-                    encoding="utf-8")
-    return exchange
+def _recorded_answer(data) -> tuple[str, str]:
+    """The key and answer text of one recorded exchange, ``{"key",
+    "request", "response": {"content"}}``; ValueError when ``data`` is not
+    one, or its key is not the hash of its request."""
+    key = data.get("key") if isinstance(data, dict) else None
+    if not isinstance(key, str) or key != _json_key(data.get("request")):
+        raise ValueError("not a JSON object whose 'key' hashes its 'request'")
+    response = data.get("response")
+    content = response.get("content") if isinstance(response, dict) else None
+    if not isinstance(content, str):
+        raise ValueError("'response.content' is missing or not a string")
+    return key, content
 
 
 class FixtureTransport:
@@ -158,61 +132,46 @@ class FixtureTransport:
 
     def __init__(self, fixtures_dir: str | Path):
         self.fixtures_dir = Path(fixtures_dir)
-        self._exchanges: dict[str, ChatExchange] = {}
+        self._answers: dict[str, str] = {}
         if not self.fixtures_dir.is_dir():
             raise TransportError(
                 f"fixtures directory {self.fixtures_dir} does not exist")
         for file in sorted(self.fixtures_dir.glob("*.json")):
             try:
-                exchange = exchange_from_json(
+                key, content = _recorded_answer(
                     json.loads(file.read_text(encoding="utf-8")))
-            except (KeyError, ValueError) as exc:
+            except ValueError as exc:
                 raise TransportError(f"bad fixture {file}: {exc}") from exc
-            self._exchanges[exchange.key] = exchange
+            self._answers[key] = content
 
-    def send(self, request: ChatRequest) -> ChatResponse:
+    def send(self, request: ChatRequest) -> str:
         key = request_key(request)
-        exchange = self._exchanges.get(key)
-        if exchange is None:
+        answer = self._answers.get(key)
+        if answer is None:
             raise TransportError(
                 f"no recorded exchange for request key {key}")
-        return exchange.response
+        return answer
 
 
-class _HttpResponse:
-    """The two members of an HTTP response that HttpTransport reads."""
+def _urllib_post(url: str, data: bytes, headers: dict[str, str],
+                 timeout: float) -> tuple[int, bytes]:
+    """POST ``data`` with the standard library; the status and the body.
 
-    def __init__(self, status_code: int, body: bytes = b""):
-        self.status_code = status_code
-        self._body = body
-
-    def json(self):
-        return json.loads(self._body)
-
-
-def _json_body(payload) -> bytes:
-    return json.dumps(payload).encode("utf-8")
-
-
-def _urllib_post(url: str, json=None, headers=None,
-                 timeout: float | None = None) -> _HttpResponse:
-    """POST a JSON payload with the standard library.
-
-    An HTTP error status comes back as a response carrying that status;
-    connection failures raise OSError (``URLError`` is one).
+    An HTTP error status comes back with an empty body; connection
+    failures raise OSError (``URLError`` is one).
     """
     import http.client
     import urllib.error
     import urllib.request
 
-    request = urllib.request.Request(url, data=_json_body(json),
-                                     headers=headers or {}, method="POST")
+    request = urllib.request.Request(url, data=data, headers=headers,
+                                     method="POST")
     try:
         with urllib.request.urlopen(request, timeout=timeout) as resp:
-            return _HttpResponse(resp.status, resp.read())
+            return resp.status, resp.read()
     except urllib.error.HTTPError as exc:
         exc.close()
-        return _HttpResponse(exc.code)
+        return exc.code, b""
     except http.client.HTTPException as exc:
         raise ConnectionError(f"malformed HTTP exchange: {exc!r}") from exc
 
@@ -223,7 +182,8 @@ class HttpTransport:
 
     The bearer token is read from the ``MODELSYNC_LLM_KEY`` environment
     variable unless given explicitly.  ``post`` and ``sleep`` are
-    injectable for tests.
+    injectable for tests; ``post(url, data, headers, timeout)`` returns
+    ``(status, body)``.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None,
@@ -234,35 +194,35 @@ class HttpTransport:
         self._post = post or _urllib_post
         self._sleep = sleep or time.sleep
 
-    def send(self, request: ChatRequest) -> ChatResponse:
+    def send(self, request: ChatRequest) -> str:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
+        data = json.dumps(request.to_json()).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(HTTP_ATTEMPTS):
             if attempt:
                 self._sleep(HTTP_BACKOFF_S * (2 ** (attempt - 1)))
             try:
-                resp = self._post(self.endpoint, json=request.to_json(),
-                                  headers=headers, timeout=HTTP_TIMEOUT_S)
+                status, body = self._post(self.endpoint, data, headers,
+                                          HTTP_TIMEOUT_S)
             except OSError as exc:  # TimeoutError and URLError included
                 last_error = exc
                 continue
-            status = getattr(resp, "status_code", 0)
             if status != 200:
                 last_error = TransportError(
                     f"endpoint returned HTTP {status}")
                 continue
-            return ChatResponse(_response_content(resp.json()))
+            try:
+                answer = json.loads(body)["choices"][0]["message"]["content"]
+            except (ValueError, LookupError, TypeError) as exc:
+                answer = exc
+            if isinstance(answer, str):
+                return answer
+            # a body that is no completion counts as a failed attempt
+            last_error = ValueError(f"malformed completion: {answer!r}")
         raise TransportError(
             f"request failed after {HTTP_ATTEMPTS} attempt(s): {last_error}")
-
-
-def _response_content(payload: dict) -> str:
-    choices = payload.get("choices")
-    if choices:
-        return choices[0].get("message", {}).get("content", "") or ""
-    return payload.get("content", "") or ""
 
 
 _FENCE_RE = re.compile(r"```(\w+)?[ \t]*\n(.*?)```", re.DOTALL)
@@ -275,9 +235,7 @@ def extract_block(response: str, tag: str) -> str:
 
     ``tag`` is ``plantuml`` or ``code``.  Surrounding prose is discarded.
     """
-    languages = _BLOCK_LANGUAGES.get(tag)
-    if languages is None:
-        raise ValueError(f"unknown block tag {tag!r}")
+    languages = _BLOCK_LANGUAGES[tag]
     for match in _FENCE_RE.finditer(response):
         if (match.group(1) or "").lower() in languages:
             return match.group(2)
@@ -289,33 +247,34 @@ def extract_block(response: str, tag: str) -> str:
     raise NoBlockFoundError(f"response contains no {tag} block")
 
 
-def gen_model(requirements: str, transport,
-              model_name: str = DEFAULT_MODEL_NAME) -> ClassModel:
-    """Requirements -> prompt -> transport -> extracted, parsed model."""
-    request = make_request(PromptKind.GEN_CLASS_DIAGRAM,
-                           {"problem": requirements}, model_name)
-    response = transport.send(request)
-    block = extract_block(response.content, "plantuml")
+def _generate(kind: PromptKind, tag: str, noun: str, parse,
+              requirements: str, transport, model_name: str, artifact: str):
+    """Requirements -> prompt -> transport -> the answer's ``tag`` block,
+    parsed once by ``parse`` under ``artifact``."""
+    request = make_request(kind, {"problem": requirements}, model_name)
+    block = extract_block(transport.send(request), tag)
     try:
-        return parse_plantuml(block, artifact="generated-model").model
+        return parse(block, artifact=artifact)
     except ParseError as exc:
         raise GenerationUnparsableError(
-            f"generated model does not parse: {exc}", block) from exc
+            f"generated {noun} does not parse: {exc}", block) from exc
+
+
+def gen_model(requirements: str, transport,
+              model_name: str = DEFAULT_MODEL_NAME) -> ClassModel:
+    """The class model generated for ``requirements``."""
+    return _generate(PromptKind.GEN_CLASS_DIAGRAM, "plantuml", "model",
+                     parse_plantuml, requirements, transport, model_name,
+                     "generated-model").model
 
 
 def gen_code(requirements: str, transport,
-             model_name: str = DEFAULT_MODEL_NAME) -> str:
-    """Requirements -> prompt -> transport -> extracted, validated code."""
-    request = make_request(PromptKind.GEN_CODE, {"problem": requirements},
-                           model_name)
-    response = transport.send(request)
-    block = extract_block(response.content, "code")
-    try:
-        parse_code(block, artifact="generated-code")
-    except ParseError as exc:
-        raise GenerationUnparsableError(
-            f"generated code does not parse: {exc}", block) from exc
-    return block
+             model_name: str = DEFAULT_MODEL_NAME,
+             artifact: str = "generated-code") -> CodeDocument:
+    """The code generated for ``requirements``, parsed under ``artifact``;
+    its ``raw_text`` is the answer's code block."""
+    return _generate(PromptKind.GEN_CODE, "code", "code", parse_code,
+                     requirements, transport, model_name, artifact)
 
 
 def llm_sync_suggest(model_text: str, code_text: str, transport,
@@ -324,4 +283,4 @@ def llm_sync_suggest(model_text: str, code_text: str, transport,
     request = make_request(PromptKind.SYNC_CHECK,
                            {"model": model_text, "code": code_text},
                            model_name)
-    return transport.send(request).content
+    return transport.send(request)

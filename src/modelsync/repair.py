@@ -1,4 +1,4 @@
-"""The write path: chosen corrections become patched text and written files.
+"""The write path: chosen corrections become patched, re-checked text.
 
 ``resolve`` picks one alternative per :class:`CorrectionSet` under a
 policy:
@@ -10,8 +10,9 @@ policy:
 ``apply`` then edits the model copy-on-write, to be re-rendered
 canonically, and compiles code edits down to span-based text patches
 (spliced by :mod:`.pywrite`), so method bodies and comments survive
-byte-for-byte.  The rest stages ``sync``'s outputs and writes them
-atomically.
+byte-for-byte.  The rest asks for corrections on the terminal, re-parses
+``sync``'s outputs and names the paths they go to; ``modelsync.cli`` writes
+them.
 
 Only ``sync`` imports this module, when it runs, so ``check`` and ``gen``
 never compile it; the old import paths (``modelsync.correction.apply``,
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import copy
 import os
-import shutil
 from enum import Enum
 from pathlib import Path
 
@@ -38,8 +38,6 @@ from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
 from .pycode import CodeDocument, scan_attr_line, scan_def_line
 from .pywrite import (CodeEdit, apply_code_edits, block_delete_span,
                       body_indent, member_indent, render_class_stub)
-
-_BOM = b"\xef\xbb\xbf"
 
 
 class Policy(Enum):
@@ -454,41 +452,6 @@ def reparse(parse, text: str, artifact: str):
                          f"nothing written)", artifact=exc.artifact,
                          line=exc.line, col=exc.col,
                          expected=exc.expected) from exc
-
-
-def output_bytes(text: str, read: tuple[bytes, str]) -> bytes:
-    """The input's own bytes when ``text`` is its text, so line ends
-    survive; otherwise ``text`` in UTF-8, with ``\\n`` line ends and the
-    input's byte-order mark if it had one."""
-    data, read_text = read
-    if text == read_text:
-        return data
-    encoded = text.encode("utf-8")
-    return _BOM + encoded if data.startswith(_BOM) else encoded
-
-
-def write_atomically(outputs: list[tuple[str, bytes]]) -> None:
-    """Write each (path, data) through a temp file in the path's directory,
-    then move every temp file over its path with ``os.replace``.  A path
-    that is a symlink is written through; an existing file keeps its mode.
-    """
-    staged: list[tuple[str, str]] = []
-    try:
-        for path, data in outputs:
-            target = os.path.realpath(path)
-            Path(target).parent.mkdir(parents=True, exist_ok=True)
-            tmp = f"{target}.{os.getpid()}.tmp"
-            with open(tmp, "xb") as f:
-                staged.append((tmp, target))
-                f.write(data)
-            if os.path.exists(target):
-                shutil.copymode(target, tmp)
-        for tmp, target in staged:
-            os.replace(tmp, target)
-    finally:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
 
 
 def output_paths(args) -> tuple[str, str]:

@@ -267,15 +267,3 @@ class ChatRequest:
     model: str = "gpt-4-0613"
     temperature: float = 0.0
     messages: tuple = ()
-
-
-@dataclass(frozen=True)
-class ChatResponse:
-    content: str
-
-
-@dataclass(frozen=True)
-class ChatExchange:
-    key: str
-    request: ChatRequest
-    response: ChatResponse

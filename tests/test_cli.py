@@ -295,6 +295,108 @@ def test_gen_corrupted_fixture_exits_four(capsys, tmp_path, fixtures_dir,
     assert "does not parse" in err
 
 
+def _drop(data: dict, *path: str) -> dict:
+    inner = data
+    for name in path[:-1]:
+        inner = inner[name]
+    del inner[path[-1]]
+    return data
+
+
+def _set(data: dict, value, *path: str) -> dict:
+    inner = data
+    for name in path[:-1]:
+        inner = inner[name]
+    inner[path[-1]] = value
+    return data
+
+
+# each turns the recorded gen_model.json exchange into a malformed one
+MALFORMED_FIXTURES = {
+    "not-json": lambda d: "{",
+    "not-an-object": lambda d: [],
+    "no-key": lambda d: _drop(d, "key"),
+    "key-not-a-string": lambda d: _set(d, 5, "key"),
+    "key-not-the-requests-hash": lambda d: _set(d, "0" * 64, "key"),
+    "request-changed": lambda d: _set(d, 5, "request", "messages"),
+    "no-request": lambda d: _drop(d, "request"),
+    "response-not-an-object": lambda d: _set(d, "text", "response"),
+    "no-content": lambda d: _drop(d, "response", "content"),
+    "content-not-a-string": lambda d: _set(d, ["x"], "response", "content"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FIXTURES))
+def test_gen_malformed_fixture_file_exits_four(capsys, tmp_path, fixtures_dir,
+                                               llm_fixtures_dir, name):
+    import shutil
+    bad_dir = tmp_path / "fixtures"
+    shutil.copytree(llm_fixtures_dir, bad_dir)
+    target = bad_dir / "gen_model.json"
+    data = MALFORMED_FIXTURES[name](
+        json.loads(target.read_text(encoding="utf-8")))
+    target.write_text(data if isinstance(data, str) else json.dumps(data),
+                      encoding="utf-8")
+    status, out, err = run(capsys, "gen", fixtures_dir / "library_problem.txt",
+                           "--transport", "fixtures", "--fixtures-dir",
+                           bad_dir, "--out-dir", tmp_path / "gen")
+    assert status == 4
+    assert out == ""
+    assert err.startswith(f"generation failed: bad fixture {target}: ")
+    assert not (tmp_path / "gen").exists()
+
+
+def test_gen_writes_all_or_nothing(capsys, tmp_path, fixtures_dir,
+                                   llm_fixtures_dir):
+    # code.py leads under a regular file, so staging it fails after the
+    # model has been staged
+    blocker = tmp_path / "a-file"
+    blocker.write_text("", encoding="utf-8")
+    out_dir = tmp_path / "gen"
+    out_dir.mkdir()
+    (out_dir / "code.py").symlink_to(blocker / "sub" / "code.py")
+    status, out, err = run(capsys, "gen", fixtures_dir / "library_problem.txt",
+                           "--what", "both", "--transport", "fixtures",
+                           "--fixtures-dir", llm_fixtures_dir,
+                           "--out-dir", out_dir)
+    assert status == 3
+    assert err.startswith("i/o error: ")
+    assert "wrote" not in out
+    # no model.puml and no staged temp file
+    assert [p.name for p in out_dir.iterdir()] == ["code.py"]
+
+
+def _count_calls(monkeypatch, name: str, modules) -> list[int]:
+    """Count calls of the parser ``name`` through each module's binding."""
+    calls = [0]
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("what, plantuml_parses, code_parses",
+                         [("model", 2, 0), ("code", 0, 1), ("both", 2, 1)])
+def test_gen_parses_each_answer_as_often_as_it_needs(
+        capsys, monkeypatch, tmp_path, fixtures_dir, llm_fixtures_dir, what,
+        plantuml_parses, code_parses):
+    from modelsync import llm
+    plantuml = _count_calls(monkeypatch, "parse_plantuml", [llm, cli])
+    code = _count_calls(monkeypatch, "parse_code", [llm, cli])
+    assert run(capsys, "gen", fixtures_dir / "library_problem.txt",
+               "--what", what, "--transport", "fixtures",
+               "--fixtures-dir", llm_fixtures_dir,
+               "--out-dir", tmp_path / "gen")[0] == 0
+    # the model answer, then the rendered text that is written
+    assert plantuml == [plantuml_parses]
+    # the code answer, once, under the path it is written to
+    assert code == [code_parses]
+
+
 def test_config_defaults():
     cfg = Config()
     assert cfg.name_mode == "canonical"

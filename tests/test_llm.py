@@ -1,29 +1,41 @@
 from __future__ import annotations
 
+import importlib.util
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
 from modelsync.errors import (GenerationUnparsableError, MissingInputError,
                               NoBlockFoundError, TransportError)
 from modelsync.llm import (HTTP_ATTEMPTS, HTTP_TIMEOUT_S, ChatRequest,
-                           ChatResponse, FixtureTransport, HttpTransport,
-                           PromptKind, build_prompt, extract_block,
-                           gen_code, gen_model, llm_sync_suggest,
-                           make_request, record_exchange, request_key)
+                           FixtureTransport, HttpTransport, PromptKind,
+                           build_prompt, extract_block, gen_code, gen_model,
+                           llm_sync_suggest, make_request, request_key)
 from modelsync.model import model_equal
 from modelsync.plantuml import parse_plantuml
-from modelsync.pycode import parse_code
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def fixture_script():
+    """scripts/build_llm_fixtures.py, loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "build_llm_fixtures", ROOT / "scripts" / "build_llm_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class StubTransport:
     def __init__(self, content: str):
         self.content = content
 
-    def send(self, request: ChatRequest) -> ChatResponse:
-        return ChatResponse(self.content)
+    def send(self, request: ChatRequest) -> str:
+        return self.content
 
 
 def test_build_prompt_class_diagram(problem_text):
@@ -107,7 +119,7 @@ def test_fixture_transport_replays(llm_fixtures_dir, problem_text):
     first = transport.send(request)
     second = transport.send(request)
     assert first == second
-    assert "@startuml" in first.content
+    assert "@startuml" in first
 
 
 def test_fixture_transport_misses_unknown_request(llm_fixtures_dir):
@@ -122,13 +134,29 @@ def test_fixture_transport_missing_dir(tmp_path):
         FixtureTransport(tmp_path / "nope")
 
 
-def test_record_exchange_round_trips(tmp_path):
+def test_record_exchange_round_trips(tmp_path, fixture_script):
     request = make_request(PromptKind.GEN_CODE, {"problem": "p"})
-    record_exchange(tmp_path / "x.json", request, ChatResponse("hi"))
+    key = fixture_script.record_exchange(tmp_path / "x.json", request, "hi")
     transport = FixtureTransport(tmp_path)
-    assert transport.send(request).content == "hi"
+    assert transport.send(request) == "hi"
     data = json.loads((tmp_path / "x.json").read_text())
-    assert data["key"] == request_key(request)
+    assert data["key"] == key == request_key(request)
+
+
+def test_recorded_fixtures_match_the_script(llm_fixtures_dir, fixture_script):
+    """Each committed exchange is the script's request, under its key, with
+    the text of its response file; nothing else is in either directory."""
+    exchanges = fixture_script.exchanges()
+    responses = fixture_script.RESPONSES
+    assert sorted(p.name for p in llm_fixtures_dir.iterdir()) == \
+        sorted(name for name, _, _ in exchanges)
+    assert sorted(responses.iterdir()) == \
+        sorted(response for _, _, response in exchanges)
+    for name, request, response in exchanges:
+        data = json.loads((llm_fixtures_dir / name).read_text("utf-8"))
+        assert data == {"key": request_key(request),
+                        "request": request.to_json(),
+                        "response": {"content": response.read_text("utf-8")}}
 
 
 def test_gen_model_from_fixtures(llm_fixtures_dir, problem_text,
@@ -141,9 +169,12 @@ def test_gen_model_from_fixtures(llm_fixtures_dir, problem_text,
 
 def test_gen_code_from_fixtures(llm_fixtures_dir, problem_text):
     transport = FixtureTransport(llm_fixtures_dir)
-    code = gen_code(problem_text, transport)
-    model = parse_code(code).model
-    assert len(model.classes) >= 3
+    doc = gen_code(problem_text, transport, artifact="out/code.py")
+    assert len(doc.model.classes) >= 3
+    assert doc.artifact == "out/code.py"
+    answer = transport.send(make_request(PromptKind.GEN_CODE,
+                                         {"problem": problem_text}))
+    assert doc.raw_text == extract_block(answer, "code")
 
 
 def test_gen_model_empty_response():
@@ -185,24 +216,10 @@ def test_llm_sync_suggest_replays(llm_fixtures_dir, drifted_model_text,
     assert "Choose either correction 2 or 3" in first
 
 
-def test_combined_generation_fixture_extracts_both(llm_fixtures_dir,
-                                                   problem_text,
-                                                   v1_model_text,
-                                                   v1_code_text):
-    transport = FixtureTransport(llm_fixtures_dir)
-    request = make_request(PromptKind.GEN_MODEL_AND_CODE,
-                           {"problem": problem_text})
-    response = transport.send(request)
-    model = parse_plantuml(extract_block(response.content, "plantuml")).model
-    assert model_equal(model, parse_plantuml(v1_model_text).model)
-    code_model = parse_code(extract_block(response.content, "code")).model
-    assert model_equal(code_model, parse_code(v1_code_text).model)
-
-
 def _failing_post(exc: Exception):
     calls = []
 
-    def post(url, json=None, headers=None, timeout=None):
+    def post(url, data, headers, timeout):
         calls.append(url)
         raise exc
     return post, calls
@@ -220,40 +237,26 @@ def test_http_transport_retries_then_fails():
 
 
 def test_http_transport_parses_completion_shape():
-    class Resp:
-        status_code = 200
-
-        @staticmethod
-        def json():
-            return {"choices": [{"message": {"content": "hello"}}]}
-
-    def post(url, json=None, headers=None, timeout=None):
+    def post(url, data, headers, timeout):
         assert timeout == HTTP_TIMEOUT_S
         assert headers["Authorization"] == "Bearer secret"
-        assert json["temperature"] == 0.0
-        return Resp()
+        assert json.loads(data)["temperature"] == 0.0
+        return 200, b'{"choices": [{"message": {"content": "hello"}}]}'
 
     transport = HttpTransport("https://example.invalid/chat",
                               api_key="secret", post=post,
                               sleep=lambda s: None)
     response = transport.send(make_request(PromptKind.GEN_CODE,
                                            {"problem": "p"}))
-    assert response.content == "hello"
+    assert response == "hello"
 
 
 def test_http_transport_non_200_retries():
-    class Resp:
-        status_code = 500
-
-        @staticmethod
-        def json():
-            return {}
-
     attempts = []
 
-    def post(url, **kwargs):
+    def post(url, data, headers, timeout):
         attempts.append(url)
-        return Resp()
+        return 500, b"{}"
 
     transport = HttpTransport("https://example.invalid/chat", api_key="k",
                               post=post, sleep=lambda s: None)
@@ -262,10 +265,33 @@ def test_http_transport_non_200_retries():
     assert len(attempts) == HTTP_ATTEMPTS
 
 
+@pytest.mark.parametrize("body", [
+    b"<html>busy</html>", b"\xff", b"[1,2]", b'{"choices": []}',
+    b'{"choices": [null]}', b'{"choices": [{"message": null}]}',
+    b'{"choices": [{"message": {}}]}',
+    b'{"choices": [{"message": {"content": null}}]}',
+    b'{"choices": [{"message": {"content": 5}}]}'])
+def test_http_transport_malformed_answer_is_a_failed_attempt(body):
+    attempts = []
+    naps = []
+
+    def post(url, data, headers, timeout):
+        attempts.append(url)
+        return 200, body
+
+    transport = HttpTransport("https://example.invalid/chat", api_key="k",
+                              post=post, sleep=naps.append)
+    with pytest.raises(TransportError, match="malformed completion"):
+        transport.send(make_request(PromptKind.GEN_CODE, {"problem": "p"}))
+    assert len(attempts) == HTTP_ATTEMPTS
+    assert naps == [1.0, 2.0]
+
+
 @pytest.fixture()
 def loopback_endpoint(monkeypatch):
-    """A chat endpoint on 127.0.0.1: answers 200 on /ok, 503 elsewhere,
-    and records each request's path, headers and JSON body."""
+    """A chat endpoint on 127.0.0.1: answers 200 on /ok, 200 with a body
+    that is not JSON on /garbled, 503 elsewhere, and records each request's
+    path, headers and JSON body."""
     for var in ("no_proxy", "NO_PROXY"):
         monkeypatch.setenv(var, "127.0.0.1")
     seen = []
@@ -274,8 +300,8 @@ def loopback_endpoint(monkeypatch):
         def do_POST(self):
             body = self.rfile.read(int(self.headers["Content-Length"]))
             seen.append((self.path, dict(self.headers), json.loads(body)))
-            status = 200 if self.path == "/ok" else 503
-            payload = json.dumps(
+            status = 200 if self.path in ("/ok", "/garbled") else 503
+            payload = b"<html>" if self.path == "/garbled" else json.dumps(
                 {"choices": [{"message": {"content": "hi"}}]}).encode()
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
@@ -302,7 +328,7 @@ def test_http_transport_default_post_round_trip(loopback_endpoint):
     base, seen = loopback_endpoint
     request = make_request(PromptKind.GEN_CODE, {"problem": "p"})
     transport = HttpTransport(base + "/ok", api_key="secret")
-    assert transport.send(request).content == "hi"
+    assert transport.send(request) == "hi"
     (path, headers, body), = seen
     assert headers["Authorization"] == "Bearer secret"
     assert body == request.to_json()
@@ -315,3 +341,22 @@ def test_http_transport_default_post_maps_http_errors(loopback_endpoint):
     with pytest.raises(TransportError, match="HTTP 503"):
         transport.send(make_request(PromptKind.GEN_CODE, {"problem": "p"}))
     assert len(seen) == HTTP_ATTEMPTS
+
+
+def test_gen_exits_four_on_a_garbled_answer(capsys, monkeypatch, tmp_path,
+                                            loopback_endpoint, fixtures_dir):
+    from modelsync.cli import main
+    base, seen = loopback_endpoint
+    monkeypatch.setattr("time.sleep", lambda s: None)
+    conf = tmp_path / "modelsync.conf"
+    conf.write_text(f"llm_endpoint = {base}/garbled\n", encoding="utf-8")
+    out_dir = tmp_path / "gen"
+    status = main(["gen", str(fixtures_dir / "library_problem.txt"),
+                   "--transport", "live", "--config", str(conf),
+                   "--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert status == 4
+    assert err.startswith("generation failed: request failed after 3 "
+                          "attempt(s): malformed completion: JSONDecodeError")
+    assert len(seen) == HTTP_ATTEMPTS
+    assert list(out_dir.iterdir()) == []
