@@ -53,6 +53,14 @@ def _cases() -> dict[str, tuple[list[str], list[str]]]:
          "--transport", "fixtures", "--fixtures-dir", "fixtures/llm",
          "--out-dir", "out/gen", "--json"],
         ["out/gen/model.puml", "out/gen/code.py"])
+    for model in ("library_v1_model.puml", "library_v2_merged_model.puml"):
+        cases[f"gen-code-{Path(model).stem}"] = (
+            ["gen-code", f"fixtures/{model}"], [])
+    cases["render-library_v1_drifted_model"] = (
+        ["render", "fixtures/library_v1_drifted_model.puml"], [])
+    for code in ("library_v1_drifted_code.py", "library_v2_code.py"):
+        cases[f"extract-{Path(code).stem}"] = (
+            ["extract", f"fixtures/{code}"], [])
     return cases
 
 
