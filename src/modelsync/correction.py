@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .consistency import Finding, FindingKind, Report
 from .errors import StaleReportError
 from .model import ClassDef, ClassModel, Method, Parameter, TypeRef
-from .pycode import CodeDocument, PY_TYPE_SPELLINGS
+from .pycode import CodeDocument, py_annotation
 
 # moved to the write path, which only writing commands import
 _IN_REPAIR = frozenset({"Policy", "apply", "resolve"})
@@ -214,6 +214,7 @@ def _build_set(f: Finding) -> CorrectionSet:
         m, c = f.model_member, f.code_member
         i = f.param_index
         assert i is not None
+        want = m.params[i].type
         alts = [
             _edit(f, "model", "change-type",
                   f"change parameter '{m.params[i].name}' of "
@@ -222,10 +223,9 @@ def _build_set(f: Finding) -> CorrectionSet:
                   new_type=c.params[i].type),
             _edit(f, "code", "change-type",
                   f"change parameter '{c.params[i].name}' of "
-                  f"'{c.name}' to "
-                  f"'{_py_spelling_text(m.params[i].type)}' in "
-                  f"the code",
-                  new_type=m.params[i].type),
+                  f"'{c.name}' to '{py_annotation(want) or want}' "
+                  f"in the code",
+                  new_type=want),
         ]
     elif kind is FindingKind.RETURN_TYPE_MISMATCH:
         m, c = f.model_member, f.code_member
@@ -236,7 +236,8 @@ def _build_set(f: Finding) -> CorrectionSet:
                   new_type=c.return_type),
             _edit(f, "code", "change-type",
                   f"change the return type of '{c.name}' to "
-                  f"'{_py_spelling_text(m.return_type)}' in the code",
+                  f"'{py_annotation(m.return_type) or m.return_type}' "
+                  f"in the code",
                   new_type=m.return_type),
         ]
     elif kind is FindingKind.ATTRIBUTE_TYPE_MISMATCH:
@@ -248,7 +249,7 @@ def _build_set(f: Finding) -> CorrectionSet:
                   new_type=c.type),
             _edit(f, "code", "change-type",
                   f"change attribute '{c.name}' to "
-                  f"'{_py_spelling_text(m.type)}' in the code",
+                  f"'{py_annotation(m.type) or m.type}' in the code",
                   new_type=m.type),
         ]
     else:  # pragma: no cover - advisory kinds are filtered by propose
@@ -258,14 +259,3 @@ def _build_set(f: Finding) -> CorrectionSet:
 
 def _params_text(params) -> str:
     return ", ".join(p.name for p in params)
-
-
-def _py_spelling_text(t: TypeRef) -> str:
-    return _py_spelling(t) or str(t)
-
-
-def _py_spelling(t: TypeRef) -> str | None:
-    """A type as a code annotation; None when it names nothing."""
-    if t.kind != "named":
-        return None
-    return PY_TYPE_SPELLINGS.get(t.name, t.name)

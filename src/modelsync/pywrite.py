@@ -1,5 +1,6 @@
 """Writing the code dialect: edits spliced into a document span-wise, and
-skeletons rendered from a model.
+model entities written as code, in the stubs ``sync`` inserts and the
+skeletons ``gen-code`` renders; each caller passes in how types are spelled.
 
 Only the commands that write (``sync`` and ``gen-code``) import this
 module, when they run; the old import paths (``modelsync.pycode.
@@ -8,7 +9,9 @@ apply_code_edits``, ...) still resolve to the names here.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import accumulate
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import OverlappingEditsError, SpanOutOfRangeError
@@ -104,55 +107,68 @@ def member_indent(doc: CodeDocument, cls: ClassDef) -> int:
     return 4
 
 
-def _annotation_spelling(t: TypeRef) -> str | None:
-    if t.kind == "named":
-        return t.name
-    return None
+# a model type as a stub annotates with it; None for no annotation
+Spelling = Callable[[TypeRef], "str | None"]
 
 
-def _param_text(p: Parameter) -> str:
-    spelled = _annotation_spelling(p.type)
-    return f"{p.name}: {spelled}" if spelled else p.name
-
-
-def _attr_rhs(attr: Attribute, param_types: dict[str, TypeRef]) -> str:
-    if attr.name in param_types and param_types[attr.name] == attr.type:
-        return attr.name
-    if attr.type.kind == "collection":
+def placeholder_rhs(t: TypeRef) -> str:
+    """A neutral expression of type ``t``, for a stub to assign."""
+    if t.kind == "collection":
         return "[]"
-    if attr.type.kind == "named" and attr.type.name in ("bool", "boolean"):
+    if t.name in ("bool", "boolean"):
         return "False"
     return "None"
 
 
-def render_class_stub(cls: ClassDef) -> list[str]:
+def params_text(params: list[Parameter], spell: Spelling) -> str:
+    """A def line's parameters: the receiver, then ``params``, each
+    annotated when its type is spelled."""
+    return ", ".join(["self"] + [f"{p.name}: {t}" if (t := spell(p.type))
+                                 else p.name for p in params])
+
+
+def attr_assignment(indent: str, attr: Attribute,
+                    params: list[Parameter] = ()) -> str:
+    """``self.x = ...`` for ``attr``, from the same-named parameter when
+    that has the attribute's type, otherwise from a placeholder."""
+    from_param = any(p.name == attr.name and p.type == attr.type
+                     for p in params)
+    rhs = attr.name if from_param else placeholder_rhs(attr.type)
+    return f"{indent}self.{attr.name} = {rhs}"
+
+
+def init_stub(indent: str, params: list[Parameter], attrs: list[Attribute],
+              spell: Spelling) -> list[str]:
+    """The lines of an ``__init__`` taking ``params`` that assigns each of
+    ``attrs``."""
+    body = indent + "    "
+    lines = [f"{indent}def __init__({params_text(params, spell)}):"]
+    lines += [attr_assignment(body, a, params) for a in attrs] or [
+        f"{body}pass"]
+    return lines
+
+
+def method_stub(indent: str, method: Method, spell: Spelling) -> list[str]:
+    """The lines of a method with a placeholder body."""
+    ret = spell(method.return_type)
+    suffix = f" -> {ret}" if ret else ""
+    return [f"{indent}def {method.name}"
+            f"({params_text(method.params, spell)}){suffix}:",
+            f"{indent}    pass"]
+
+
+def render_class_stub(cls: ClassDef, spell: Spelling) -> list[str]:
     """Skeleton lines for one class; bodies are placeholders only."""
     lines = [f"class {cls.name}:"]
     ctor = cls.constructor()
-    params: list[Parameter]
-    if ctor is not None:
-        params = ctor.params
-    else:
-        params = [Parameter(a.name, a.type) for a in cls.attributes
-                  if a.type.kind != "collection"]
     if ctor is not None or cls.attributes:
-        sig = ", ".join(["self"] + [_param_text(p) for p in params])
-        lines.append(f"    def __init__({sig}):")
-        if cls.attributes:
-            param_types = {p.name: p.type for p in params}
-            for a in cls.attributes:
-                lines.append(f"        self.{a.name} = "
-                             f"{_attr_rhs(a, param_types)}")
-        else:
-            lines.append("        pass")
+        params = (ctor.params if ctor is not None else
+                  [Parameter(a.name, a.type) for a in cls.attributes
+                   if a.type.kind != "collection"])
+        lines += init_stub("    ", params, cls.attributes, spell)
     for m in cls.methods:
-        if m.is_constructor:
-            continue
-        sig = ", ".join(["self"] + [_param_text(p) for p in m.params])
-        ret = _annotation_spelling(m.return_type)
-        suffix = f" -> {ret}" if ret else ""
-        lines.append(f"    def {m.name}({sig}){suffix}:")
-        lines.append("        pass")
+        if not m.is_constructor:
+            lines += method_stub("    ", m, spell)
     if len(lines) == 1:
         lines.append("    pass")
     return lines
@@ -167,9 +183,12 @@ def render_code_skeleton(model: ClassModel) -> str:
     """
     if not model.classes:
         return ""
+    # the model's own spellings, which the future import leaves unevaluated,
+    # so that the skeleton extracts to the same model
+    spell = attrgetter("name")
     out: list[str] = ["from __future__ import annotations", ""]
     for i, cls in enumerate(model.classes):
         if i:
             out.append("")
-        out.extend(render_class_stub(cls))
+        out.extend(render_class_stub(cls, spell))
     return "\n".join(out) + "\n"

@@ -30,14 +30,16 @@ from enum import Enum
 from pathlib import Path
 
 from .consistency import MISSING_KINDS
-from .correction import (CorrectionEdit, CorrectionSet, _py_spelling,
-                         _require_pair)
+from .correction import CorrectionEdit, CorrectionSet, _require_pair
 from .errors import DanglingParameterError, EditConflictError, ParseError
-from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
-                    SourceSpan, TypeRef, normalize_name)
-from .pycode import CodeDocument, scan_attr_line, scan_def_line
-from .pywrite import (CodeEdit, apply_code_edits, block_delete_span,
-                      body_indent, member_indent, render_class_stub)
+from .model import (Attribute, ClassDef, ClassModel, Method, SourceSpan,
+                    TypeRef, normalize_name)
+from .pycode import (CodeDocument, py_annotation, scan_attr_line,
+                     scan_def_line)
+from .pywrite import (CodeEdit, apply_code_edits, attr_assignment,
+                      block_delete_span, body_indent, init_stub,
+                      member_indent, method_stub, params_text,
+                      placeholder_rhs, render_class_stub)
 
 
 class Policy(Enum):
@@ -115,7 +117,10 @@ def apply(design: ClassModel, code_doc: CodeDocument,
         code_edits.extend(_compile_code_edit(
             code_doc, edit, ctorless_attrs, signature_types))
     for cls, attrs in ctorless_attrs.values():
-        code_edits.append(_ctor_insertion(code_doc, cls, attrs))
+        code_edits.append(_insertion(
+            code_doc, "insert-member", cls.span.start_line + 1,
+            init_stub(" " * member_indent(code_doc, cls), [], attrs,
+                      py_annotation)))
     for edit in class_adds:
         code_edits.extend(_compile_code_edit(
             code_doc, edit, ctorless_attrs, signature_types))
@@ -227,21 +232,11 @@ def _attr_layout(doc: CodeDocument, attr: Attribute):
     return layout, attr.span.start_line
 
 
-def _py_param_text(p: Parameter) -> str:
-    spelled = _py_spelling(p.type)
-    return f"{p.name}: {spelled}" if spelled else p.name
-
-
-def _placeholder_rhs(t: TypeRef) -> str:
-    if t.kind == "collection":
-        return "[]"
-    if t.kind == "named" and t.name in ("bool", "boolean"):
-        return "False"
-    return "None"
-
-
-def _insertion_span(artifact: str, line: int) -> SourceSpan:
-    return SourceSpan(artifact, line, 1, line, 1)
+def _insertion(doc: CodeDocument, kind: str, line: int,
+               lines: list[str]) -> CodeEdit:
+    """``lines`` inserted before line ``line``."""
+    return CodeEdit(kind, SourceSpan(doc.artifact, line, 1, line, 1),
+                    "\n".join(lines) + "\n")
 
 
 def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
@@ -254,10 +249,8 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
         assert edit.class_payload is not None
         last_line = max((c.span.end_line for c in doc.model.classes
                          if c.span is not None), default=len(doc.lines()))
-        stub = "\n".join(render_class_stub(edit.class_payload))
-        return [CodeEdit("insert-class",
-                         _insertion_span(artifact, last_line + 1),
-                         f"\n{stub}\n")]
+        return [_insertion(doc, "insert-class", last_line + 1, [
+            "", *render_class_stub(edit.class_payload, py_annotation)])]
 
     cls = edit.cls
     assert cls is not None and cls.span is not None
@@ -272,25 +265,13 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                 ctorless_attrs.setdefault(id(cls), (cls, []))[1].append(
                     member)
                 return []
-            indent = " " * body_indent(doc, ctor)
-            line = (f"{indent}self.{member.name} = "
-                    f"{_placeholder_rhs(member.type)}\n")
             assert ctor.span is not None
-            return [CodeEdit("insert-member",
-                             _insertion_span(artifact,
-                                             ctor.span.end_line + 1),
-                             line)]
-        indent = " " * member_indent(doc, cls)
-        sig = ", ".join(["self"] + [_py_param_text(p)
-                                    for p in member.params])
-        spelled = _py_spelling(member.return_type)
-        ret = f" -> {spelled}" if spelled else ""
-        name = "__init__" if member.is_constructor else member.name
-        stub = (f"{indent}def {name}({sig}){ret}:\n"
-                f"{indent}    pass\n")
-        return [CodeEdit("insert-member",
-                         _insertion_span(artifact, cls.span.end_line + 1),
-                         stub)]
+            return [_insertion(doc, "insert-member", ctor.span.end_line + 1,
+                               [attr_assignment(
+                                   " " * body_indent(doc, ctor), member)])]
+        return [_insertion(doc, "insert-member", cls.span.end_line + 1,
+                           method_stub(" " * member_indent(doc, cls),
+                                       member, py_annotation))]
 
     member = edit.member
     assert member is not None and member.span is not None
@@ -308,9 +289,8 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
     if edit.kind == "change-signature":
         layout, line_no = _def_layout(doc, member)
         types = signature_types[id(member)]
-        sig = ", ".join(["self"] + [
-            _py_param_text(p.replace(type=types[p.name]))
-            for p in (edit.new_params or ())])
+        sig = params_text([p.replace(type=types[p.name])
+                           for p in edit.new_params or ()], py_annotation)
         span = SourceSpan(artifact, line_no, layout.lparen + 2,
                           line_no, layout.rparen + 1)
         return [CodeEdit("set-annotation", span, sig)]
@@ -324,7 +304,7 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
             return [_param_type_edit(doc, member, edit.param_index,
                                      edit.new_type)]
         layout, line_no = _def_layout(doc, member)
-        spelled = _py_spelling(edit.new_type)
+        spelled = py_annotation(edit.new_type)
         if layout.ret is not None:
             span = SourceSpan(artifact, line_no, layout.ret_start + 1,
                               line_no, layout.ret_end + 1)
@@ -350,7 +330,7 @@ def _param_type_edit(doc: CodeDocument, method: Method, index: int,
                           line_no, pl.annot_end + 1)
     else:
         span = _after_col(doc.artifact, line_no, pl.name_end)
-    spelled = _py_spelling(new_type)
+    spelled = py_annotation(new_type)
     return CodeEdit("set-annotation", span, f": {spelled}" if spelled else "")
 
 
@@ -373,7 +353,7 @@ def _attr_type_edit(doc: CodeDocument, cls: ClassDef, attr: Attribute,
             return [_param_type_edit(doc, ctor, i, new_type)]
     span = SourceSpan(doc.artifact, line_no, layout.rhs_start + 1,
                       line_no, layout.rhs_end + 1)
-    return [CodeEdit("set-annotation", span, _placeholder_rhs(new_type))]
+    return [CodeEdit("set-annotation", span, placeholder_rhs(new_type))]
 
 
 def _require_kept_sources(doc: CodeDocument, edit: CorrectionEdit,
@@ -404,19 +384,6 @@ def _require_kept_sources(doc: CodeDocument, edit: CorrectionEdit,
                 f"from parameter '{layout.rhs}', which the new signature "
                 f"of '{ctor.name}' drops")
 
-
-def _ctor_insertion(doc: CodeDocument, cls: ClassDef,
-                    attrs: list[Attribute]) -> CodeEdit:
-    artifact = doc.artifact
-    indent = " " * member_indent(doc, cls)
-    body = " " * (member_indent(doc, cls) + 4)
-    lines = [f"{indent}def __init__(self):"]
-    lines += [f"{body}self.{a.name} = {_placeholder_rhs(a.type)}"
-              for a in attrs]
-    assert cls.span is not None
-    return CodeEdit("insert-member",
-                    _insertion_span(artifact, cls.span.start_line + 1),
-                    "\n".join(lines) + "\n")
 
 
 # --- sync's outputs --------------------------------------------------------

@@ -629,6 +629,49 @@ def test_sync_edits_commented_attribute_lines_bytewise(capsys, tmp_path):
     assert run(capsys, "check", out_dir / "m.puml", out_dir / "c.py")[0] == 0
 
 
+STUB_SPELLING_MODEL = """@startuml
+class A {
+  +name: String
+  +A(name: String)
+  +isOk(): boolean
+}
+
+class B {
+  +flag: boolean
+  +go(x: String): boolean
+}
+@enduml
+"""
+STUB_SPELLING_CODE = """class B:
+    def __init__(self, flag: bool):
+        self.flag = flag
+"""
+
+
+def test_sync_spells_model_types_as_python_in_every_stub(capsys, tmp_path):
+    # a method stub in an existing class and an added class's stub spell
+    # String and boolean alike, so the written file runs
+    model = tmp_path / "m.puml"
+    code = tmp_path / "c.py"
+    model.write_text(STUB_SPELLING_MODEL, encoding="utf-8")
+    code.write_text(STUB_SPELLING_CODE, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    status, _, err = run(capsys, "sync", model, code, "--policy",
+                         "model-wins", "--out-dir", out_dir)
+    assert status == 0, err
+    written = (out_dir / "c.py").read_text(encoding="utf-8")
+    assert written == STUB_SPELLING_CODE + (
+        "    def go(self, x: str) -> bool:\n"
+        "        pass\n"
+        "\n"
+        "class A:\n"
+        "    def __init__(self, name: str):\n"
+        "        self.name = name\n"
+        "    def isOk(self) -> bool:\n"
+        "        pass\n")
+    exec(compile(written, "c.py", "exec"), {})
+
+
 def _parse_counts(monkeypatch) -> dict[str, int]:
     from modelsync import cli
     calls = {"model": 0, "code": 0}
