@@ -124,6 +124,7 @@ def apply(design: ClassModel, code_doc: CodeDocument,
     for edit in class_adds:
         code_edits.extend(_compile_code_edit(
             code_doc, edit, ctorless_attrs, signature_types))
+    code_edits[:0] = _final_newline(code_doc, code_edits)
 
     patched = (apply_code_edits(code_doc, code_edits)
                if code_edits else code_doc.raw_text)
@@ -237,6 +238,21 @@ def _insertion(doc: CodeDocument, kind: str, line: int,
     """``lines`` inserted before line ``line``."""
     return CodeEdit(kind, SourceSpan(doc.artifact, line, 1, line, 1),
                     "\n".join(lines) + "\n")
+
+
+def _final_newline(doc: CodeDocument, edits: list[CodeEdit]
+                   ) -> list[CodeEdit]:
+    """The newline a text whose last line has none needs before the
+    insertions after that line, so that they start on a line of their own;
+    none when that line is deleted."""
+    end = len(doc.lines()) + 1
+    if (doc.raw_text[-1:] in ("", "\n")
+            or not any(e.kind.startswith("insert")
+                       and e.span.start_line == end for e in edits)
+            or any(e.kind == "delete-span" and e.span.end_line == end
+                   for e in edits)):
+        return []
+    return [_insertion(doc, "insert-member", end, [""])]
 
 
 def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,

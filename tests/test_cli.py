@@ -672,6 +672,25 @@ def test_sync_spells_model_types_as_python_in_every_stub(capsys, tmp_path):
     exec(compile(written, "c.py", "exec"), {})
 
 
+def test_sync_inserts_after_a_last_line_without_newline_on_a_new_line(
+        capsys, tmp_path):
+    model = tmp_path / "m.puml"
+    code = tmp_path / "c.py"
+    model.write_text("@startuml\nclass A {\n  +f()\n  +g()\n}\n\nclass B {\n"
+                     "}\n@enduml\n", encoding="utf-8")
+    code.write_text("class A:\n    def f(self):\n        return 1",
+                    encoding="utf-8")
+    out_dir = tmp_path / "out"
+    status, _, err = run(capsys, "sync", model, code, "--policy",
+                         "model-wins", "--out-dir", out_dir)
+    assert status == 0, err
+    assert (out_dir / "c.py").read_text(encoding="utf-8") == (
+        "class A:\n    def f(self):\n        return 1\n"
+        "    def g(self):\n        pass\n"
+        "\n"
+        "class B:\n    pass\n")
+
+
 def _parse_counts(monkeypatch) -> dict[str, int]:
     from modelsync import cli
     calls = {"model": 0, "code": 0}
