@@ -124,6 +124,9 @@ def apply(design: ClassModel, code_doc: CodeDocument,
     for edit in class_adds:
         code_edits.extend(_compile_code_edit(
             code_doc, edit, ctorless_attrs, signature_types))
+    # ahead of the insertions they share a point with: a constructor's
+    # pass goes before a member stub appended after it
+    code_edits[:0] = _emptied_body_fills(code_doc, chosen, code_edits)
     code_edits[:0] = _final_newline(code_doc, code_edits)
 
     patched = (apply_code_edits(code_doc, code_edits)
@@ -400,6 +403,43 @@ def _require_kept_sources(doc: CodeDocument, edit: CorrectionEdit,
                 f"from parameter '{layout.rhs}', which the new signature "
                 f"of '{ctor.name}' drops")
 
+
+
+def _emptied_body_fills(doc: CodeDocument, chosen: list[CorrectionEdit],
+                        edits: list[CodeEdit]) -> list[CodeEdit]:
+    """A ``pass`` for each class or constructor body whose statements the
+    deletions all remove and into which no member is added."""
+    deleted = {n for e in edits if e.kind == "delete-span"
+               for n in range(e.span.start_line, e.span.end_line)}
+    if not deleted:
+        return []
+    filled = set()
+    for e in chosen:
+        if e.side == "code" and e.kind == "add-member":
+            ctor = e.cls.constructor()
+            into_ctor = (isinstance(e.member_payload, Attribute)
+                         and ctor is not None)
+            filled.add(id(ctor) if into_ctor else id(e.cls))
+    lines = doc.lines()
+    fills: list[CodeEdit] = []
+    for cls in doc.model.classes:
+        for block in (cls, cls.constructor()):
+            if (block is None or id(block) in filled
+                    or block.span.start_line in deleted):
+                continue
+            body = range(block.span.start_line + 1, block.span.end_line + 1)
+            # a kept line that is neither blank nor a comment is a statement
+            if deleted.isdisjoint(body) or any(
+                    n not in deleted
+                    and lines[n - 1].lstrip()[:1] not in ("", "#")
+                    for n in body):
+                continue
+            indent = (member_indent(doc, cls) if block is cls
+                      else body_indent(doc, block))
+            fills.append(_insertion(doc, "insert-member",
+                                    block.span.end_line + 1,
+                                    [" " * indent + "pass"]))
+    return fills
 
 
 # --- sync's outputs --------------------------------------------------------

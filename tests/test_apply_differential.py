@@ -100,6 +100,8 @@ def _check_pair(model_text: str, code_text: str, monkeypatch) -> None:
         assert code_doc.model == parse_code(code_text).model, policy
         assert new_model == ref_model, policy
         assert new_code == ref_code, policy
+        # the written code is Python: no edit leaves a body empty
+        compile(new_code, "<sync output>", "exec")
         # only the classes that model edits touch are copied
         model_edits = [e for e in chosen if e.side == "model"]
         touched = {id(e.cls) for e in model_edits

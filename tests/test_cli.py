@@ -691,6 +691,47 @@ def test_sync_inserts_after_a_last_line_without_newline_on_a_new_line(
         "class B:\n    pass\n")
 
 
+def test_sync_fills_the_constructor_it_empties_in_the_bundled_pair(
+        capsys, tmp_path, fixtures_dir):
+    out_dir = tmp_path / "out"
+    status, _, err = run(capsys, "sync",
+                         fixtures_dir / "library_v2_model.puml",
+                         fixtures_dir / "library_v1_drifted_code.py",
+                         "--policy", "model-wins", "--out-dir", out_dir)
+    assert status == 0, err
+    written = (out_dir / "library_v1_drifted_code.py").read_text(
+        encoding="utf-8")
+    ast.parse(written)
+    assert ("class UserCard:\n    def __init__(self, userID:int):\n"
+            "        pass\n\n    def getUserInfo(self):\n") in written
+
+
+@pytest.mark.parametrize("model_text, code_text, synced", [
+    # the class's only method goes
+    ("class A {\n  +f()\n}\n\nclass B {\n}\n",
+     "class A:\n    def f(self):\n        pass\n\n"
+     "class B:\n    def g(self):\n        return 1\n",
+     "class A:\n    def f(self):\n        pass\n\nclass B:\n    pass\n"),
+    # the constructor's only assignment goes, and a stub follows it
+    ("class A {\n  +A(x: int)\n  +g()\n}\n",
+     "class A:\n    def __init__(self, x: int):\n        self.x = x",
+     "class A:\n    def __init__(self, x: int):\n        pass\n"
+     "    def g(self):\n        pass\n"),
+], ids=["class", "constructor"])
+def test_sync_writes_pass_into_a_body_it_empties(capsys, tmp_path,
+                                                 model_text, code_text,
+                                                 synced):
+    model = tmp_path / "m.puml"
+    code = tmp_path / "c.py"
+    model.write_text(f"@startuml\n{model_text}@enduml\n", encoding="utf-8")
+    code.write_text(code_text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    status, _, err = run(capsys, "sync", model, code, "--policy",
+                         "model-wins", "--out-dir", out_dir)
+    assert status == 0, err
+    assert (out_dir / "c.py").read_text(encoding="utf-8") == synced
+
+
 def _parse_counts(monkeypatch) -> dict[str, int]:
     from modelsync import cli
     calls = {"model": 0, "code": 0}
