@@ -4,7 +4,8 @@ Exit codes:
   0  success / no error findings
   1  error findings (check), or synchronization did not converge (sync)
   2  parse error in an input artifact, or in an output sync would write
-     (message carries the location; sync then writes nothing)
+     (message carries the location; sync then writes nothing), or empty
+     requirements (gen)
   3  I/O or configuration error
   4  transport or extraction failure (gen), including a malformed
      endpoint answer or fixture file
@@ -337,6 +338,9 @@ def cmd_gen(args) -> int:
     cfg = load_config(args.config)
     opts = _match_options(cfg, args)
     requirements = _read_file(args.requirements)[1]
+    if not requirements.strip():
+        raise ParseError("the requirements are empty",
+                         artifact=args.requirements)
     if args.transport == "fixtures":
         transport = FixtureTransport(args.fixtures_dir or cfg.fixtures_dir)
     else:

@@ -276,6 +276,26 @@ def test_gen_sends_no_request_when_out_dir_cannot_be_made(
     assert sent == []
 
 
+@pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
+def test_gen_rejects_empty_requirements_before_any_request(
+        capsys, monkeypatch, tmp_path, llm_fixtures_dir, text):
+    from modelsync import llm
+    sent = []
+    monkeypatch.setattr(llm.FixtureTransport, "send",
+                        lambda self, request: sent.append(request))
+    req = tmp_path / "req.txt"
+    req.write_text(text, encoding="utf-8")
+    out_dir = tmp_path / "gen"
+    status, out, err = run(capsys, "gen", req, "--transport", "fixtures",
+                           "--fixtures-dir", llm_fixtures_dir,
+                           "--out-dir", out_dir)
+    assert status == 2
+    assert err == f"parse error: {req}: the requirements are empty\n"
+    assert out == ""
+    assert sent == []
+    assert not out_dir.exists()
+
+
 def test_gen_corrupted_fixture_exits_four(capsys, tmp_path, fixtures_dir,
                                           llm_fixtures_dir):
     import shutil
