@@ -57,6 +57,7 @@ def py_annotation(t: TypeRef) -> str | None:
     """A model type as a Python annotation; None when it names no type."""
     return PY_TYPE_SPELLINGS.get(t.name, t.name)
 
+
 # moved to the writing side, which only writing commands import
 _IN_PYWRITE = frozenset({"CodeEdit", "apply_code_edits", "block_delete_span",
                          "body_indent", "member_indent", "render_class_stub",

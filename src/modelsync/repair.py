@@ -124,8 +124,9 @@ def apply(design: ClassModel, code_doc: CodeDocument,
     for edit in class_adds:
         code_edits.extend(_compile_code_edit(
             code_doc, edit, ctorless_attrs, signature_types))
-    # ahead of the insertions they share a point with: a constructor's
-    # pass goes before a member stub appended after it
+    # both go ahead of the insertions they share a point with: a
+    # constructor's pass before a stub appended after it, and a missing
+    # final newline before all else appended to the text
     code_edits[:0] = _emptied_body_fills(code_doc, chosen, code_edits)
     code_edits[:0] = _final_newline(code_doc, code_edits)
 
