@@ -97,16 +97,11 @@ def apply(design: ClassModel, code_doc: CodeDocument,
         id(e.member): {p.name: p.type for p in e.new_params or ()}
         for e in chosen if e.side == "code" and e.kind == "change-signature"}
 
-    # compile class insertions last: they share their insertion point with
-    # member stubs appended to the final class, and must come after them;
     # compile signatures after the retypes they take in
-    class_adds: list[CorrectionEdit] = []
     signatures: list[CorrectionEdit] = []
     for edit in chosen:
         if edit.side == "model":
             _apply_model_edit(new_model, memo, edit)
-        elif edit.kind == "add-class":
-            class_adds.append(edit)
         elif edit.kind == "change-signature":
             signatures.append(edit)
         else:
@@ -121,14 +116,11 @@ def apply(design: ClassModel, code_doc: CodeDocument,
             code_doc, "insert-member", cls.span.start_line + 1,
             init_stub(" " * member_indent(code_doc, cls), [], attrs,
                       py_annotation)))
-    for edit in class_adds:
-        code_edits.extend(_compile_code_edit(
-            code_doc, edit, ctorless_attrs, signature_types))
-    # both go ahead of the insertions they share a point with: a
-    # constructor's pass before a stub appended after it, and a missing
-    # final newline before all else appended to the text
-    code_edits[:0] = _emptied_body_fills(code_doc, chosen, code_edits)
-    code_edits[:0] = _final_newline(code_doc, code_edits)
+    code_edits += _emptied_body_fills(code_doc, code_edits)
+    code_edits += _final_newline(code_doc, code_edits)
+    # insertions at one point keep their listed order in the splice: the
+    # innermost block closes first
+    code_edits.sort(key=lambda e: _DEPTH.get(e.kind, 0))
 
     patched = (apply_code_edits(code_doc, code_edits)
                if code_edits else code_doc.raw_text)
@@ -237,6 +229,13 @@ def _attr_layout(doc: CodeDocument, attr: Attribute):
     return layout, attr.span.start_line
 
 
+# the block each kind of insertion goes into, innermost first: the
+# newline ending a last line that has none, a line of a constructor's
+# body, a member of a class, a class
+_DEPTH = {"insert-newline": 0, "insert-body": 1, "insert-member": 2,
+          "insert-class": 3}
+
+
 def _insertion(doc: CodeDocument, kind: str, line: int,
                lines: list[str]) -> CodeEdit:
     """``lines`` inserted before line ``line``."""
@@ -256,7 +255,40 @@ def _final_newline(doc: CodeDocument, edits: list[CodeEdit]
             or any(e.kind == "delete-span" and e.span.end_line == end
                    for e in edits)):
         return []
-    return [_insertion(doc, "insert-member", end, [""])]
+    return [_insertion(doc, "insert-newline", end, [""])]
+
+
+def _emptied_body_fills(doc: CodeDocument, edits: list[CodeEdit]
+                        ) -> list[CodeEdit]:
+    """A ``pass`` for each class or constructor body whose statements the
+    deletions all remove and into which no line is inserted: a member into
+    a class, a body line into a constructor."""
+    deleted = {n for e in edits if e.kind == "delete-span"
+               for n in range(e.span.start_line, e.span.end_line)}
+    if not deleted:
+        return []
+    lines = doc.lines()
+    fills: list[CodeEdit] = []
+    for cls in doc.model.classes:
+        for block, kind in ((cls, "insert-member"),
+                            (cls.constructor(), "insert-body")):
+            if block is None or block.span.start_line in deleted:
+                continue
+            start, end = block.span.start_line, block.span.end_line
+            body = range(start + 1, end + 1)
+            # a kept line that is neither blank nor a comment is a statement
+            if (deleted.isdisjoint(body)
+                    or any(n not in deleted
+                           and lines[n - 1].lstrip()[:1] not in ("", "#")
+                           for n in body)
+                    or any(e.kind == kind and start < e.span.start_line
+                           <= end + 1 for e in edits)):
+                continue
+            indent = (member_indent(doc, cls) if block is cls
+                      else body_indent(doc, block))
+            fills.append(_insertion(doc, kind, end + 1,
+                                    [" " * indent + "pass"]))
+    return fills
 
 
 def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
@@ -286,7 +318,7 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                     member)
                 return []
             assert ctor.span is not None
-            return [_insertion(doc, "insert-member", ctor.span.end_line + 1,
+            return [_insertion(doc, "insert-body", ctor.span.end_line + 1,
                                [attr_assignment(
                                    " " * body_indent(doc, ctor), member)])]
         return [_insertion(doc, "insert-member", cls.span.end_line + 1,
@@ -403,44 +435,6 @@ def _require_kept_sources(doc: CodeDocument, edit: CorrectionEdit,
                 f"{doc.artifact}:{line_no}: 'self.{attr.name}' is assigned "
                 f"from parameter '{layout.rhs}', which the new signature "
                 f"of '{ctor.name}' drops")
-
-
-
-def _emptied_body_fills(doc: CodeDocument, chosen: list[CorrectionEdit],
-                        edits: list[CodeEdit]) -> list[CodeEdit]:
-    """A ``pass`` for each class or constructor body whose statements the
-    deletions all remove and into which no member is added."""
-    deleted = {n for e in edits if e.kind == "delete-span"
-               for n in range(e.span.start_line, e.span.end_line)}
-    if not deleted:
-        return []
-    filled = set()
-    for e in chosen:
-        if e.side == "code" and e.kind == "add-member":
-            ctor = e.cls.constructor()
-            into_ctor = (isinstance(e.member_payload, Attribute)
-                         and ctor is not None)
-            filled.add(id(ctor) if into_ctor else id(e.cls))
-    lines = doc.lines()
-    fills: list[CodeEdit] = []
-    for cls in doc.model.classes:
-        for block in (cls, cls.constructor()):
-            if (block is None or id(block) in filled
-                    or block.span.start_line in deleted):
-                continue
-            body = range(block.span.start_line + 1, block.span.end_line + 1)
-            # a kept line that is neither blank nor a comment is a statement
-            if deleted.isdisjoint(body) or any(
-                    n not in deleted
-                    and lines[n - 1].lstrip()[:1] not in ("", "#")
-                    for n in body):
-                continue
-            indent = (member_indent(doc, cls) if block is cls
-                      else body_indent(doc, block))
-            fills.append(_insertion(doc, "insert-member",
-                                    block.span.end_line + 1,
-                                    [" " * indent + "pass"]))
-    return fills
 
 
 # --- sync's outputs --------------------------------------------------------
