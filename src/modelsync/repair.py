@@ -10,9 +10,13 @@ policy:
 ``apply`` then edits the model copy-on-write, to be re-rendered
 canonically, and compiles code edits down to span-based text patches
 (spliced by :mod:`.pywrite`), so method bodies and comments survive
-byte-for-byte.  The rest asks for corrections on the terminal, re-parses
-``sync``'s outputs and names the paths they go to; ``modelsync.cli`` writes
-them.
+byte-for-byte.  Insertions that share a line go innermost block first: a
+line added to a constructor that ends its class before the stubs appended
+to that class, and those before an added class.  When an edit may annotate
+with a name Python does not define, ``from __future__ import annotations``
+goes in before the first line that is not a comment.  The rest asks for
+corrections on the terminal, re-parses ``sync``'s outputs and names the
+paths they go to; ``modelsync.cli`` writes them.
 
 Only ``sync`` imports this module, when it runs, so ``check`` and ``gen``
 never compile it; the old import paths (``modelsync.correction.apply``,
@@ -24,6 +28,7 @@ raised the peak RSS of a small ``sync`` by about 0.7 MB.
 
 from __future__ import annotations
 
+import builtins
 import copy
 import os
 from enum import Enum
@@ -117,9 +122,10 @@ def apply(design: ClassModel, code_doc: CodeDocument,
             init_stub(" " * member_indent(code_doc, cls), [], attrs,
                       py_annotation)))
     code_edits += _emptied_body_fills(code_doc, code_edits)
+    code_edits += _future_import(code_doc, chosen)
     code_edits += _final_newline(code_doc, code_edits)
-    # insertions at one point keep their listed order in the splice: the
-    # innermost block closes first
+    # the splice keeps the listed order of insertions at one point, so
+    # this closes the innermost block first
     code_edits.sort(key=lambda e: _DEPTH.get(e.kind, 0))
 
     patched = (apply_code_edits(code_doc, code_edits)
@@ -230,10 +236,10 @@ def _attr_layout(doc: CodeDocument, attr: Attribute):
 
 
 # the block each kind of insertion goes into, innermost first: the
-# newline ending a last line that has none, a line of a constructor's
-# body, a member of a class, a class
-_DEPTH = {"insert-newline": 0, "insert-body": 1, "insert-member": 2,
-          "insert-class": 3}
+# newline ending a last line that has none, the module's head, a line of a
+# constructor's body, a member of a class, a class
+_DEPTH = {"insert-newline": 0, "insert-future": 1, "insert-body": 2,
+          "insert-member": 3, "insert-class": 4}
 
 
 def _insertion(doc: CodeDocument, kind: str, line: int,
@@ -256,6 +262,43 @@ def _final_newline(doc: CodeDocument, edits: list[CodeEdit]
                    for e in edits)):
         return []
     return [_insertion(doc, "insert-newline", end, [""])]
+
+
+def _annotated_types(edit: CorrectionEdit) -> list[TypeRef]:
+    """The types a code edit may write as annotations."""
+    if edit.kind == "change-type":
+        return [edit.new_type]
+    if edit.kind == "change-signature":
+        return [p.type for p in edit.new_params or ()]
+    if edit.kind == "add-class":
+        cls = edit.class_payload
+        # a stub without a constructor takes the attributes as parameters
+        types = [] if cls.constructor() else [a.type for a in cls.attributes]
+        methods = cls.methods
+    elif edit.kind == "add-member" and isinstance(edit.member_payload, Method):
+        types, methods = [], [edit.member_payload]
+    else:
+        return []
+    return types + [t for m in methods
+                    for t in (m.return_type, *(p.type for p in m.params))]
+
+
+def _future_import(doc: CodeDocument, chosen: list[CorrectionEdit]
+                   ) -> list[CodeEdit]:
+    """The import that leaves annotations unevaluated, before the first line
+    that is not a comment, when a code edit may annotate with a name Python
+    does not define and the text lacks it."""
+    names = {py_annotation(t) for e in chosen if e.side == "code"
+             for t in _annotated_types(e) if t.kind == "named"}
+    lines = doc.lines()
+    if names.issubset(vars(builtins)) or any(
+            line.startswith("from __future__ import")
+            and "annotations" in line for line in lines):
+        return []
+    first = next((n for n, line in enumerate(lines, 1)
+                  if not line.startswith("#")), len(lines) + 1)
+    return [_insertion(doc, "insert-future", first,
+                       ["from __future__ import annotations"])]
 
 
 def _emptied_body_fills(doc: CodeDocument, edits: list[CodeEdit]

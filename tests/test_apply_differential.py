@@ -5,6 +5,7 @@ of the one-pass code splice against the per-edit one, both kept in
 
 from __future__ import annotations
 
+import ast
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from modelsync import repair
 from modelsync.consistency import check
 from modelsync.correction import Policy, apply, propose, resolve
 from modelsync.errors import ModelSyncError
-from modelsync.model import ClassModel, SourceSpan
+from modelsync.model import Attribute, ClassModel, SourceSpan
 from modelsync.plantuml import parse_plantuml, render_plantuml
 from modelsync.pycode import (CodeDocument, CodeEdit, apply_code_edits,
                               parse_code, render_code_skeleton)
@@ -102,6 +103,19 @@ def _check_pair(model_text: str, code_text: str, monkeypatch) -> None:
         assert new_code == ref_code, policy
         # the written code is Python: no edit leaves a body empty
         compile(new_code, "<sync output>", "exec")
+        # an added attribute lands in its own class's constructor
+        written = {c.name: {a.name for a in c.attributes}
+                   for c in parse_code(new_code).model.classes}
+        for e in chosen:
+            if (e.side, e.kind) == ("code", "add-member") and isinstance(
+                    e.member_payload, Attribute):
+                assert e.member_payload.name in written[e.cls.name], policy
+        # the imports and classes run: no annotation names an undefined
+        # type (the rest of a module may call what the edits remove)
+        tree = ast.parse(new_code)
+        tree.body = [n for n in tree.body if isinstance(
+            n, (ast.Import, ast.ImportFrom, ast.ClassDef))]
+        exec(compile(tree, "<sync output>", "exec"), {})
         # only the classes that model edits touch are copied
         model_edits = [e for e in chosen if e.side == "model"]
         touched = {id(e.cls) for e in model_edits

@@ -726,6 +726,63 @@ def test_sync_fills_the_constructor_it_empties_in_the_bundled_pair(
             "        pass\n\n    def getUserInfo(self):\n") in written
 
 
+def _sync_model_wins(capsys, tmp_path, model_text: str,
+                     code_text: str) -> str:
+    """The code that ``sync --policy model-wins`` writes for the pair."""
+    model = tmp_path / "m.puml"
+    code = tmp_path / "c.py"
+    model.write_text(f"@startuml\n{model_text}@enduml\n", encoding="utf-8")
+    code.write_text(code_text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    status, _, err = run(capsys, "sync", model, code, "--policy",
+                         "model-wins", "--out-dir", out_dir)
+    assert status == 0, err
+    return (out_dir / "c.py").read_text(encoding="utf-8")
+
+
+def test_sync_closes_the_innermost_block_first_at_one_point(capsys,
+                                                            tmp_path):
+    # the missing final newline, an attribute for the constructor, a stub
+    # for its class and a class stub all go in after the last line
+    written = _sync_model_wins(
+        capsys, tmp_path,
+        "class A {\n  +n: int\n  +m: int\n  +A(n: int)\n  +go(): B\n}\n\n"
+        "class B {\n}\n",
+        "class A:\n    def __init__(self, n: int):\n        self.n = n")
+    assert written == (
+        "from __future__ import annotations\n"
+        "class A:\n    def __init__(self, n: int):\n        self.n = n\n"
+        "        self.m = None\n"
+        "    def go(self) -> B:\n        pass\n"
+        "\n"
+        "class B:\n    pass\n")
+    exec(compile(written, "c.py", "exec"), {})
+
+
+def test_sync_adds_the_future_import_after_a_shebang(capsys, tmp_path):
+    # the stub's __init__ takes its attribute, annotated with a type the
+    # code never defines
+    written = _sync_model_wins(
+        capsys, tmp_path,
+        "class A {\n  +f()\n}\n\nclass B {\n  -c: Amount\n}\n",
+        "#!/usr/bin/env python3\nclass A:\n    def f(self):\n"
+        "        pass\n")
+    assert written.splitlines()[:3] == [
+        "#!/usr/bin/env python3", "from __future__ import annotations",
+        "class A:"]
+    assert "    def __init__(self, c: Amount):\n" in written
+    exec(compile(written, "c.py", "exec"), {})
+
+
+def test_sync_adds_no_second_future_import(capsys, tmp_path):
+    code_text = ("from __future__ import annotations\n\n"
+                 "class A:\n    def f(self):\n        pass\n")
+    written = _sync_model_wins(
+        capsys, tmp_path,
+        "class A {\n  +f()\n  +g(): Later\n}\n", code_text)
+    assert written == code_text + "    def g(self) -> Later:\n        pass\n"
+
+
 @pytest.mark.parametrize("model_text, code_text, synced", [
     # the class's only method goes
     ("class A {\n  +f()\n}\n\nclass B {\n}\n",
@@ -741,15 +798,8 @@ def test_sync_fills_the_constructor_it_empties_in_the_bundled_pair(
 def test_sync_writes_pass_into_a_body_it_empties(capsys, tmp_path,
                                                  model_text, code_text,
                                                  synced):
-    model = tmp_path / "m.puml"
-    code = tmp_path / "c.py"
-    model.write_text(f"@startuml\n{model_text}@enduml\n", encoding="utf-8")
-    code.write_text(code_text, encoding="utf-8")
-    out_dir = tmp_path / "out"
-    status, _, err = run(capsys, "sync", model, code, "--policy",
-                         "model-wins", "--out-dir", out_dir)
-    assert status == 0, err
-    assert (out_dir / "c.py").read_text(encoding="utf-8") == synced
+    assert _sync_model_wins(capsys, tmp_path, model_text,
+                            code_text) == synced
 
 
 def _parse_counts(monkeypatch) -> dict[str, int]:
