@@ -301,39 +301,6 @@ def _future_import(doc: CodeDocument, chosen: list[CorrectionEdit]
                        ["from __future__ import annotations"])]
 
 
-def _emptied_body_fills(doc: CodeDocument, edits: list[CodeEdit]
-                        ) -> list[CodeEdit]:
-    """A ``pass`` for each class or constructor body whose statements the
-    deletions all remove and into which no line is inserted: a member into
-    a class, a body line into a constructor."""
-    deleted = {n for e in edits if e.kind == "delete-span"
-               for n in range(e.span.start_line, e.span.end_line)}
-    if not deleted:
-        return []
-    lines = doc.lines()
-    fills: list[CodeEdit] = []
-    for cls in doc.model.classes:
-        for block, kind in ((cls, "insert-member"),
-                            (cls.constructor(), "insert-body")):
-            if block is None or block.span.start_line in deleted:
-                continue
-            start, end = block.span.start_line, block.span.end_line
-            body = range(start + 1, end + 1)
-            # a kept line that is neither blank nor a comment is a statement
-            if (deleted.isdisjoint(body)
-                    or any(n not in deleted
-                           and lines[n - 1].lstrip()[:1] not in ("", "#")
-                           for n in body)
-                    or any(e.kind == kind and start < e.span.start_line
-                           <= end + 1 for e in edits)):
-                continue
-            indent = (member_indent(doc, cls) if block is cls
-                      else body_indent(doc, block))
-            fills.append(_insertion(doc, kind, end + 1,
-                                    [" " * indent + "pass"]))
-    return fills
-
-
 def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                        ctorless_attrs: dict[int, tuple[ClassDef,
                                                        list[Attribute]]],
@@ -478,6 +445,39 @@ def _require_kept_sources(doc: CodeDocument, edit: CorrectionEdit,
                 f"{doc.artifact}:{line_no}: 'self.{attr.name}' is assigned "
                 f"from parameter '{layout.rhs}', which the new signature "
                 f"of '{ctor.name}' drops")
+
+
+def _emptied_body_fills(doc: CodeDocument, edits: list[CodeEdit]
+                        ) -> list[CodeEdit]:
+    """A ``pass`` for each class or constructor body whose statements the
+    deletions all remove and into which no line is inserted: a member into
+    a class, a body line into a constructor."""
+    deleted = {n for e in edits if e.kind == "delete-span"
+               for n in range(e.span.start_line, e.span.end_line)}
+    if not deleted:
+        return []
+    lines = doc.lines()
+    fills: list[CodeEdit] = []
+    for cls in doc.model.classes:
+        for block, kind in ((cls, "insert-member"),
+                            (cls.constructor(), "insert-body")):
+            if block is None or block.span.start_line in deleted:
+                continue
+            start, end = block.span.start_line, block.span.end_line
+            body = range(start + 1, end + 1)
+            # a kept line that is neither blank nor a comment is a statement
+            if (deleted.isdisjoint(body)
+                    or any(n not in deleted
+                           and lines[n - 1].lstrip()[:1] not in ("", "#")
+                           for n in body)
+                    or any(e.kind == kind and start < e.span.start_line
+                           <= end + 1 for e in edits)):
+                continue
+            indent = (member_indent(doc, cls) if block is cls
+                      else body_indent(doc, block))
+            fills.append(_insertion(doc, kind, end + 1,
+                                    [" " * indent + "pass"]))
+    return fills
 
 
 # --- sync's outputs --------------------------------------------------------
