@@ -14,9 +14,10 @@ byte-for-byte.  Insertions that share a line go innermost block first: a
 line added to a constructor that ends its class before the stubs appended
 to that class, and those before an added class.  When an edit may annotate
 with a name Python does not define, ``from __future__ import annotations``
-goes in before the first line that is not a comment.  The rest asks for
-corrections on the terminal, re-parses ``sync``'s outputs and names the
-paths they go to; ``modelsync.cli`` writes them.
+goes in before the first future import, else before the first line that is
+not a comment.  The rest asks for corrections on the terminal, re-parses
+``sync``'s outputs and names the paths they go to; ``modelsync.cli``
+writes them.
 
 Only ``sync`` imports this module, when it runs, so ``check`` and ``gen``
 never compile it; the old import paths (``modelsync.correction.apply``,
@@ -285,18 +286,25 @@ def _annotated_types(edit: CorrectionEdit) -> list[TypeRef]:
 
 def _future_import(doc: CodeDocument, chosen: list[CorrectionEdit]
                    ) -> list[CodeEdit]:
-    """The import that leaves annotations unevaluated, before the first line
-    that is not a comment, when a code edit may annotate with a name Python
-    does not define and the text lacks it."""
+    """The import that leaves annotations unevaluated, when a code edit may
+    annotate with a name Python does not define and the text lacks it:
+    before the text's first future import, which may follow a docstring,
+    else before its first line that is not a comment."""
     names = {py_annotation(t) for e in chosen if e.side == "code"
              for t in _annotated_types(e) if t.kind == "named"}
-    lines = doc.lines()
-    if names.issubset(vars(builtins)) or any(
-            line.startswith("from __future__ import")
-            and "annotations" in line for line in lines):
+    if names.issubset(vars(builtins)):
         return []
-    first = next((n for n, line in enumerate(lines, 1)
-                  if not line.startswith("#")), len(lines) + 1)
+    lines = doc.lines()
+    # future imports come before every class
+    head = min((c.span.start_line for c in doc.model.classes),
+               default=len(lines))
+    future = [n for n, line in enumerate(lines[:head], 1)
+              if line.startswith("from __future__ import")]
+    if any("annotations" in lines[n - 1] for n in future):
+        return []
+    first = future[0] if future else next(
+        (n for n, line in enumerate(lines, 1) if not line.startswith("#")),
+        len(lines) + 1)
     return [_insertion(doc, "insert-future", first,
                        ["from __future__ import annotations"])]
 

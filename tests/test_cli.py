@@ -759,17 +759,23 @@ def test_sync_closes_the_innermost_block_first_at_one_point(capsys,
     exec(compile(written, "c.py", "exec"), {})
 
 
-def test_sync_adds_the_future_import_after_a_shebang(capsys, tmp_path):
+@pytest.mark.parametrize("head, synced_head", [
+    ("#!/usr/bin/env python3\n",
+     "#!/usr/bin/env python3\nfrom __future__ import annotations\n"),
+    # a future import must come first after the docstring
+    ('"""Library."""\nfrom __future__ import division\n',
+     '"""Library."""\nfrom __future__ import annotations\n'
+     "from __future__ import division\n"),
+], ids=["shebang", "docstring-and-future-import"])
+def test_sync_adds_the_future_import_after_the_module_head(
+        capsys, tmp_path, head, synced_head):
     # the stub's __init__ takes its attribute, annotated with a type the
     # code never defines
     written = _sync_model_wins(
         capsys, tmp_path,
         "class A {\n  +f()\n}\n\nclass B {\n  -c: Amount\n}\n",
-        "#!/usr/bin/env python3\nclass A:\n    def f(self):\n"
-        "        pass\n")
-    assert written.splitlines()[:3] == [
-        "#!/usr/bin/env python3", "from __future__ import annotations",
-        "class A:"]
+        head + "class A:\n    def f(self):\n        pass\n")
+    assert written.startswith(synced_head + "class A:\n")
     assert "    def __init__(self, c: Amount):\n" in written
     exec(compile(written, "c.py", "exec"), {})
 
