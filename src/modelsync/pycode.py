@@ -19,10 +19,18 @@ assigned constructor parameter wins, ``True``/``False`` literals mean
 ``boolean``, a list display means an untyped collection, anything else is
 unknown.  ``__init__`` becomes a constructor named after its class.
 
-The scanners locate each piece of a ``def`` or ``self.x = ...`` line, so
-that edits (see :mod:`.repair` and :mod:`.pywrite`, which also renders
-skeletons) can be textual and span-based, and method bodies and comments
-survive patching byte-for-byte.
+Reading builds the model's records straight from one regular-expression
+match per declaration: :func:`read_plain_def` for a plain ``def`` header
+(``NAME[: TYPE]`` parameters only, no bracket, quote or default among
+them), one match of ``self.x = expr`` per constructor line.  A header with
+a bracket, a quote or a default falls back to :func:`scan_def_line`.
+
+The scanners locate each piece of a ``def`` or ``self.x = ...`` line as a
+layout of character extents, so that edits (see :mod:`.repair` and
+:mod:`.pywrite`, which also renders skeletons) can be textual and
+span-based, and method bodies and comments survive patching
+byte-for-byte.  Only :mod:`.repair` builds layouts of plain lines, and only
+for the lines it edits.
 """
 
 from __future__ import annotations
@@ -44,8 +52,19 @@ _SCAN_RE = re.compile(r"""[()\[\]{},=]|"[^"]*"|'[^']*'|["']""")
 _PARAM_RE = re.compile(r"\s*(\w+)\s*(:\s*(.*\S)?)?\s*$")
 # after the ')': an optional '-> TYPE' (no colon in it), then ':' and an
 # optional comment
-_TAIL_RE = re.compile(
-    r"\s*(?:(->)\s*([^:\s](?:[^:]*[^:\s])?)\s*)?:\s*(?:#.*)?$")
+_TAIL = r"\s*(?:(->)\s*([^:\s](?:[^:]*[^:\s])?)\s*)?:\s*(?:#.*)?$"
+_TAIL_RE = re.compile(_TAIL)
+# a plain def header from its 'def': 'self', then parameters 'NAME[: TYPE]'
+# whose annotations hold no bracket, quote, separator or '=' and end in no
+# blank, then the tail as above; each piece matches in one way only, so a
+# failed match backtracks in linear time
+_PLAIN_DEF_RE = re.compile(
+    r"def\s+(\w+)\s*\(\s*self\s*((?:,\s*\w+\s*(?::\s*"
+    r"[^\s()\[\]{},='\"](?:[^()\[\]{},='\"]*[^\s()\[\]{},='\"])?"
+    r")?\s*)*)\)" + _TAIL)
+# a parameter of a list that _PLAIN_DEF_RE matched: the name, then ':' and
+# the annotation up to the next separator
+_PLAIN_PARAM_RE = re.compile(r"(\w+)\s*(?::\s*([^,]*[^,\s]))?")
 _ATTR_RE = re.compile(r"(\s*)self\.(\w+)\s*=\s*(.*\S)\s*$")
 _IDENT_RE = re.compile(r"^\w+$")
 
@@ -208,6 +227,24 @@ def scan_attr_line(line: str) -> AttrLayout | None:
                       rhs, rhs_start, rhs_start + len(rhs))
 
 
+def read_plain_def(line: str, pos: int = 0
+                   ) -> tuple[str, str | None, list[tuple]] | None:
+    """The method name, return type and parameters after ``self`` of a
+    plain ``def`` header whose ``def`` starts at ``pos``, each parameter as
+    (name, annotation, name start, name end); None for any other line.
+
+    A plain header has only ``NAME[: TYPE]`` parameters, with no bracket,
+    quote or ``=`` among them; where it is one, :func:`scan_def_line` finds
+    the same pieces, and the parser reads it without building a layout.
+    """
+    m = _PLAIN_DEF_RE.match(line, pos)
+    if m is None:
+        return None
+    return m[1], m[4], [(p[1], p[2], p.start(1), p.end(1))
+                        for p in _PLAIN_PARAM_RE.finditer(
+                            line, m.start(2), m.end(2))]
+
+
 def _strip_fence(text: str) -> str:
     if "```python" not in text:
         return text
@@ -242,10 +279,11 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
     # one TypeRef per annotation spelling; None spells the unknown type
     types: dict[str | None, TypeRef] = {None: TypeRef.unknown()}
     cur_class: _OpenClass | None = None
-    # the open def: its header, first and last line, and for __init__ the
-    # first assignment to each attribute, as (rhs text, line span)
-    header: DefLayout | None = None
-    def_line = def_last = 0
+    # the open def: its header as read_plain_def gives it, its indent, its
+    # first and last line, and for __init__ the first assignment to each
+    # attribute, as (rhs text, line span)
+    header: tuple[str, str | None, list[tuple]] | None = None
+    def_indent = def_line = def_last = 0
     assignments: dict[str, tuple[str, SourceSpan]] | None = None
 
     def close_class() -> None:
@@ -264,14 +302,14 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
         indent = len(line) - len(body)
 
         if header is not None:
-            if indent > header.indent:
+            if indent > def_indent:
                 def_last = line_no
                 if assignments is not None:
-                    attr = scan_attr_line(line)
-                    if attr is not None and attr.name not in assignments:
-                        assignments[attr.name] = (attr.rhs, SourceSpan(
-                            artifact, line_no, attr.start + 1, line_no,
-                            attr.end + 1))
+                    am = _ATTR_RE.match(line, indent)
+                    if am is not None and am[2] not in assignments:
+                        assignments[am[2]] = (am[3], SourceSpan(
+                            artifact, line_no, indent + 1, line_no,
+                            am.end(3) + 1))
                 continue
             _add_method(cur_class, header, def_line, def_last, assignments,
                         artifact, lines, types)
@@ -279,14 +317,12 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
 
         if cur_class is not None:
             if indent:
-                header = scan_def_line(line)
+                header = (read_plain_def(line, indent)
+                          or _layout_header(line, artifact, line_no))
                 if header is not None:
-                    if not header.params or header.params[0].name != "self":
-                        raise ParseError(
-                            f"method {header.name!r} lacks a self receiver",
-                            artifact=artifact, line=line_no, expected="self")
+                    def_indent = indent
                     def_line = def_last = line_no
-                    assignments = {} if header.name == "__init__" else None
+                    assignments = {} if header[0] == "__init__" else None
                     continue
                 stripped = body.rstrip()
                 if stripped == "pass":
@@ -331,19 +367,35 @@ def _new_type(types: dict[str | None, TypeRef], spelling: str) -> TypeRef:
     return t
 
 
-def _add_method(cur_class: _OpenClass, header: DefLayout, line_no: int,
+def _layout_header(line: str, artifact: str, line_no: int
+                   ) -> tuple[str, str | None, list[tuple]] | None:
+    """A header that is not plain, as :func:`read_plain_def` gives one, from
+    its layout; None when the line is no ``def`` header."""
+    layout = scan_def_line(line)
+    if layout is None:
+        return None
+    if not layout.params or layout.params[0].name != "self":
+        raise ParseError(f"method {layout.name!r} lacks a self receiver",
+                         artifact=artifact, line=line_no, expected="self")
+    return layout.name, layout.ret, [
+        (p.name, p.annotation, p.name_start, p.name_end)
+        for p in layout.params[1:]]
+
+
+def _add_method(cur_class: _OpenClass,
+                header: tuple[str, str | None, list[tuple]], line_no: int,
                 last: int,
                 assignments: dict[str, tuple[str, SourceSpan]] | None,
                 artifact: str, lines: list[str],
                 types: dict[str | None, TypeRef]) -> None:
+    header_name, ret, header_params = header
     params = [Parameter(
-        p.name, types.get(p.annotation) or _new_type(types, p.annotation),
-        SourceSpan(artifact, line_no, p.name_start + 1, line_no,
-                   p.name_end + 1))
-        for p in header.params[1:]]
+        name, types.get(annotation) or _new_type(types, annotation),
+        SourceSpan(artifact, line_no, start + 1, line_no, end + 1))
+        for name, annotation, start, end in header_params]
     cls = cur_class.cls
     is_ctor = assignments is not None
-    name = cls.name if is_ctor else header.name
+    name = cls.name if is_ctor else header_name
     key = (normalize_name(name), len(params))
     if key in cur_class.member_keys:
         raise DuplicateMemberError(f"duplicate method {name!r}/{len(params)}",
@@ -357,7 +409,7 @@ def _add_method(cur_class: _OpenClass, header: DefLayout, line_no: int,
     cur_class.member_keys.add(key)
     cur_class.last_line = last
     cls.methods.append(Method(
-        name, params, types.get(header.ret) or _new_type(types, header.ret),
+        name, params, types.get(ret) or _new_type(types, ret),
         Visibility.UNKNOWN, is_ctor,
         SourceSpan(artifact, line_no, 1, last, len(lines[last - 1]) + 1)))
 
@@ -372,7 +424,8 @@ def _finish_attributes(cur_class: _OpenClass,
         if key in seen:
             continue
         seen.add(key)
-        atype = _infer_attr_type(rhs, ctor_types, types)
+        # the right-hand side up to any '#'
+        atype = _infer_attr_type(rhs.split("#")[0], ctor_types, types)
         cur_class.cls.attributes.append(
             Attribute(name, atype, Visibility.UNKNOWN, line_span))
 

@@ -14,10 +14,10 @@ byte-for-byte.  Insertions that share a line go innermost block first: a
 line added to a constructor that ends its class before the stubs appended
 to that class, and those before an added class.  When an edit may annotate
 with a name Python does not define, ``from __future__ import annotations``
-goes in before the first future import, else before the first line that is
-not a comment.  The rest asks for corrections on the terminal, re-parses
-``sync``'s outputs and names the paths they go to; ``modelsync.cli``
-writes them.
+goes in before the first future import, else after a module docstring,
+else before the first line that is not a comment.  The rest asks for
+corrections on the terminal, re-parses ``sync``'s outputs and names the
+paths they go to; ``modelsync.cli`` writes them.
 
 Only ``sync`` imports this module, when it runs, so ``check`` and ``gen``
 never compile it; the old import paths (``modelsync.correction.apply``,
@@ -32,6 +32,7 @@ from __future__ import annotations
 import builtins
 import copy
 import os
+import re
 from enum import Enum
 from pathlib import Path
 
@@ -289,7 +290,8 @@ def _future_import(doc: CodeDocument, chosen: list[CorrectionEdit]
     """The import that leaves annotations unevaluated, when a code edit may
     annotate with a name Python does not define and the text lacks it:
     before the text's first future import, which may follow a docstring,
-    else before its first line that is not a comment."""
+    else after a module docstring, else before its first line that is not
+    a comment."""
     names = {py_annotation(t) for e in chosen if e.side == "code"
              for t in _annotated_types(e) if t.kind == "named"}
     if names.issubset(vars(builtins)):
@@ -305,8 +307,36 @@ def _future_import(doc: CodeDocument, chosen: list[CorrectionEdit]
     first = future[0] if future else next(
         (n for n, line in enumerate(lines, 1) if not line.startswith("#")),
         len(lines) + 1)
+    if not future:
+        first = _after_docstring(doc, first)
     return [_insertion(doc, "insert-future", first,
                        ["from __future__ import annotations"])]
+
+
+# a string literal alone on its line or lines, up to an optional comment
+# (compiled on first use, by re's cache: few syncs need it)
+_DOCSTRING = r'''
+    [rRuU]?
+    (?: """ (?: [^"\\] | \\[\s\S] | "(?!"") )* """
+      | \'\'\' (?: [^'\\] | \\[\s\S] | '(?!'') )* \'\'\'
+      | " (?: [^"\\\n] | \\[\s\S] )* "
+      | ' (?: [^'\\\n] | \\[\s\S] )* ' )
+    [ \t]* (?: \#.* )? $'''
+
+
+def _after_docstring(doc: CodeDocument, line: int) -> int:
+    """The line after the module docstring when the first statement at or
+    after ``line`` is one, else ``line``: a statement above the docstring
+    would make it a plain expression."""
+    lines = doc.lines()
+    start = line
+    while start <= len(lines) and lines[start - 1].strip()[:1] in ("", "#"):
+        start += 1
+    offset = sum(len(text) + 1 for text in lines[:start - 1])
+    m = re.compile(_DOCSTRING, re.M | re.X).match(doc.raw_text, offset)
+    if m is None:
+        return line
+    return start + doc.raw_text.count("\n", offset, m.end()) + 1
 
 
 def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,

@@ -139,34 +139,53 @@ def make_code_model(rng: random.Random) -> ClassModel:
     pool = NamePool(rng)
     model = ClassModel(origin="synthetic")
     for _ in range(rng.randint(1, 5)):
-        cls = ClassDef(pool.cls())
-        ctor_params: list[Parameter] = []
-        for _ in range(rng.randint(0, 4)):
-            name = pool.member()
-            roll = rng.random()
-            if roll < 0.4:
-                atype = _named(rng)
-                ctor_params.append(Parameter(name, atype))
-            elif roll < 0.55:
-                atype = TypeRef.named("boolean")
-            elif roll < 0.75:
-                atype = TypeRef.collection(TypeRef.unknown())
-            else:
-                atype = TypeRef.unknown()
-                ctor_params.append(Parameter(name, TypeRef.unknown()))
-            cls.attributes.append(Attribute(name, atype))
-        if cls.attributes or rng.random() < 0.3:
-            for _ in range(rng.randint(0, 2)):  # extra non-attribute params
-                ctor_params.append(Parameter(
-                    pool.member(),
-                    _named(rng) if rng.random() < 0.5 else TypeRef.unknown()))
-            cls.methods.append(Method(cls.name, ctor_params,
-                                      TypeRef.unknown(),
-                                      is_constructor=True))
-        for _ in range(rng.randint(0, 4)):
-            cls.methods.append(_method(rng, pool, plantuml_space=False))
-        model.classes.append(cls)
+        model.classes.append(_code_class(rng, pool, pool.cls(), None))
     return model
+
+
+def make_large_code_model(rng: random.Random, classes: int,
+                          methods: int) -> ClassModel:
+    """``classes`` classes as :func:`make_code_model` draws them, each with
+    ``methods`` methods besides its constructor.  Each class draws its
+    members from a pool of its own, and its name ends in its index, so the
+    names stay distinct at any size."""
+    model = ClassModel(origin="synthetic")
+    for i in range(classes):
+        pool = NamePool(rng)
+        model.classes.append(_code_class(rng, pool, f"{pool.cls()}{i}",
+                                         methods))
+    return model
+
+
+def _code_class(rng: random.Random, pool: NamePool, class_name: str,
+                methods: int | None) -> ClassDef:
+    """One class of :func:`make_code_model`; ``methods`` None draws 0-4."""
+    cls = ClassDef(class_name)
+    ctor_params: list[Parameter] = []
+    for _ in range(rng.randint(0, 4)):
+        name = pool.member()
+        roll = rng.random()
+        if roll < 0.4:
+            atype = _named(rng)
+            ctor_params.append(Parameter(name, atype))
+        elif roll < 0.55:
+            atype = TypeRef.named("boolean")
+        elif roll < 0.75:
+            atype = TypeRef.collection(TypeRef.unknown())
+        else:
+            atype = TypeRef.unknown()
+            ctor_params.append(Parameter(name, TypeRef.unknown()))
+        cls.attributes.append(Attribute(name, atype))
+    if cls.attributes or rng.random() < 0.3:
+        for _ in range(rng.randint(0, 2)):  # extra non-attribute params
+            ctor_params.append(Parameter(
+                pool.member(),
+                _named(rng) if rng.random() < 0.5 else TypeRef.unknown()))
+        cls.methods.append(Method(cls.name, ctor_params, TypeRef.unknown(),
+                                  is_constructor=True))
+    for _ in range(rng.randint(0, 4) if methods is None else methods):
+        cls.methods.append(_method(rng, pool, plantuml_space=False))
+    return cls
 
 
 def shuffled_copy(rng: random.Random, model: ClassModel) -> ClassModel:

@@ -780,6 +780,36 @@ def test_sync_adds_the_future_import_after_the_module_head(
     exec(compile(written, "c.py", "exec"), {})
 
 
+@pytest.mark.parametrize("head, doc", [
+    ('"""Library."""\n\n', "Library."),
+    ('"""Library.\n\nLends books.\n"""\n', "Library.\n\nLends books.\n"),
+    ("#!/usr/bin/env python3\n\n'''Library.'''  # the docstring\n",
+     "Library."),
+], ids=["one-line", "three-line", "after-comment-and-blank"])
+def test_sync_adds_the_future_import_below_a_docstring(capsys, tmp_path,
+                                                       head, doc):
+    written = _sync_model_wins(
+        capsys, tmp_path, "class A {\n  +f()\n  +g(): Later\n}\n",
+        head + "class A:\n    def f(self):\n        pass\n")
+    assert written.startswith(
+        head.rstrip("\n") + "\nfrom __future__ import annotations\n")
+    namespace: dict = {}
+    exec(compile(written, "c.py", "exec"), namespace)
+    assert namespace["__doc__"] == doc
+
+
+def test_sync_adds_the_future_import_above_a_string_expression(capsys,
+                                                               tmp_path):
+    # a string that more code follows on its line is no docstring
+    code_text = '"a" + "b"\n\nclass A:\n    def f(self):\n        pass\n'
+    written = _sync_model_wins(
+        capsys, tmp_path, "class A {\n  +f()\n  +g(): Later\n}\n",
+        code_text)
+    assert written.startswith("from __future__ import annotations\n"
+                              + code_text)
+    exec(compile(written, "c.py", "exec"), {})
+
+
 def test_sync_adds_no_second_future_import(capsys, tmp_path):
     code_text = ("from __future__ import annotations\n\n"
                  "class A:\n    def f(self):\n        pass\n")

@@ -13,7 +13,9 @@ from __future__ import annotations
 import dataclasses
 import random
 import re
+import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from modelsync.errors import ParseError
@@ -23,7 +25,8 @@ from modelsync.pycode import parse_code, render_code_skeleton, scan_attr_line
 import parse_reference
 from conftest import FIXTURES
 from helpers import reference_accepts_non_python
-from modelgen import make_code_model, make_plantuml_model
+from modelgen import (make_code_model, make_large_code_model,
+                      make_plantuml_model)
 
 # a top-level class header the reference skipped and the parser rejects
 _BASE_CLASS_HEADER = re.compile(r"class\s(?!\s*\w+\s*:\s*(?:#.*)?$)")
@@ -82,6 +85,74 @@ def test_parsers_match_reference_on_generated_models():
             _same_code_parse(text)
         for text in (model, model_2):
             _same_plantuml_parse(text)
+
+
+def test_code_parser_matches_reference_on_a_large_document():
+    # the parser reads each plain header thousands of times per file
+    model = make_large_code_model(random.Random(16), classes=150,
+                                  methods=12)
+    text = render_code_skeleton(model)
+    assert len({c.name for c in model.classes}) == 150
+    assert text.count("    def ") >= 150 * 12
+    assert _outcome(parse_code, text) == \
+        _outcome(parse_reference.parse_code, text)
+
+
+# blanks that str.lstrip() and the regular expressions' \s both take
+_blank = st.sampled_from([" ", "\t", "\x0c", "\xa0", "\u3000"])
+_blanks = st.text(alphabet=_blank, max_size=3)
+_indent = st.text(alphabet=_blank, min_size=1, max_size=3)
+
+
+@st.composite
+def _unicode_spaced_class(draw) -> str:
+    """A class whose indentation, header spacing and attribute lines are
+    drawn from Unicode blanks."""
+    def s() -> str:
+        return draw(_blanks)
+
+    def_indent = draw(_indent)
+    body = def_indent + draw(_indent)
+    return (f"class{draw(_indent)}A{s()}:{s()}\n"
+            f"{def_indent}def{draw(_indent)}__init__{s()}({s()}self{s()},"
+            f"{s()}x{s()}:{s()}int{s()},{s()}y{s()}){s()}->{s()}None{s()}:"
+            f"{s()}\n"
+            f"{body}self.x{s()}={s()}x{s()}\n"
+            f"{body}self.y{s()}={s()}True{s()}#{s()}flag\n"
+            f"{def_indent}def{draw(_indent)}go{s()}({s()}self{s()},{s()}n"
+            f"{s()}:{s()}Amount{s()}){s()}:{s()}\n"
+            f"{body}pass{s()}\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unicode_spaced_class())
+def test_code_parser_matches_reference_on_unicode_blanks(text):
+    assert _outcome(parse_code, text) == \
+        _outcome(parse_reference.parse_code, text)
+
+
+_PARAMS = ", ".join(f"p{i}: T{i % 7}" if i % 3 else f"p{i}"
+                    for i in range(4000))
+
+
+@pytest.mark.parametrize("header", [
+    f"def f(self, {_PARAMS}) -> Result:",
+    f"def f(self, x: {'a ' * 17_000}\"):",
+    f"def f(self, x: {'a' * 33_000}'):",
+    f"def f(self, {_PARAMS}, (",
+    f"def f(self, {_PARAMS}) -> {'R ' * 17_000}(",
+], ids=["many-parameters", "spaced-annotation-then-quote",
+        "annotation-then-quote", "unclosed-parenthesis",
+        "return-type-without-colon"])
+def test_code_parser_matches_reference_on_long_headers(header):
+    assert len(header) >= 32 * 1024
+    text = f"class A:\n    {header}\n        pass\n"
+    started = time.perf_counter()
+    outcome = _outcome(parse_code, text)
+    elapsed = time.perf_counter() - started
+    assert outcome == _outcome(parse_reference.parse_code, text)
+    # a match that backtracked super-linearly would take far longer
+    assert elapsed < 0.5
 
 
 _junk_text = st.text(alphabet="ab_ \t,:=()[]{}'\"#->+@}{", max_size=12)

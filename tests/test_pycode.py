@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,12 +11,14 @@ from modelsync.errors import (DuplicateClassError, DuplicateMemberError,
                               SpanOutOfRangeError)
 from modelsync.model import SourceSpan, model_equal
 from modelsync.plantuml import parse_plantuml
+from modelsync import pycode
 from modelsync.pycode import (CodeEdit, apply_code_edits, parse_code,
-                              render_code_skeleton, scan_def_line)
+                              read_plain_def, render_code_skeleton,
+                              scan_def_line)
 
 import defline_reference
 from conftest import FIXTURES
-from modelgen import make_code_model
+from modelgen import make_code_model, make_plantuml_model
 from helpers import class_named, reference_accepts_non_python
 
 
@@ -239,6 +242,54 @@ def test_scan_def_line_matches_reference(line):
     expected = (None if reference_accepts_non_python(line)
                 else defline_reference.scan_def_line(line))
     assert scan_def_line(line) == expected
+
+
+def _read_like_scan(line: str) -> bool:
+    """Whether the plain matcher accepts ``line``.  Where it does, it must
+    find the pieces that scan_def_line finds; where it does not,
+    parse_code must ask scan_def_line, and only then."""
+    body = line.lstrip()
+    indent = len(line) - len(body)
+    plain = read_plain_def(line, indent)
+    if plain is not None:
+        layout = scan_def_line(line)
+        assert layout is not None and layout.indent == indent
+        assert layout.params[0].name == "self"
+        assert plain == (layout.name, layout.ret, [
+            (p.name, p.annotation, p.name_start, p.name_end)
+            for p in layout.params[1:]])
+    with mock.patch.object(pycode, "scan_def_line",
+                           wraps=scan_def_line) as scan:
+        try:
+            parse_code(f"class A:\n    {body}\n")
+        except ParseError:
+            pass
+    assert scan.called == (plain is None)
+    return plain is not None
+
+
+def test_plain_def_reading_matches_scan_on_fixtures_and_renderings():
+    lines = [line for path in sorted(FIXTURES.rglob("*"))
+             if path.suffix in (".py", ".txt")
+             for line in path.read_text(encoding="utf-8").splitlines()
+             if "def " in line]
+    for seed in range(400):
+        rng = random.Random(seed)
+        for model in (make_code_model(rng), make_plantuml_model(rng)):
+            lines += [line for line in
+                      render_code_skeleton(model).splitlines()
+                      if line.lstrip().startswith("def ")]
+    assert sum(_read_like_scan(line) for line in lines) > 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_header, _noise))
+@example("    def f( self , a : int , b:List ) ->  str  :  # it's")
+@example("    def f(self, a: x y, b: p:q#r) -> a b:")
+@example("    def f(self, a b):")
+@example("    def f(selfish):")
+def test_plain_def_reading_matches_scan(line):
+    _read_like_scan(line)
 
 
 @pytest.mark.parametrize("header", ["def f(self) -> ::",
