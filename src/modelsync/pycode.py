@@ -227,7 +227,7 @@ def scan_attr_line(line: str) -> AttrLayout | None:
                       rhs, rhs_start, rhs_start + len(rhs))
 
 
-def read_plain_def(line: str, pos: int = 0
+def read_plain_def(line: str, pos: int
                    ) -> tuple[str, str | None, list[tuple]] | None:
     """The method name, return type and parameters after ``self`` of a
     plain ``def`` header whose ``def`` starts at ``pos``, each parameter as

@@ -9,6 +9,7 @@ apply_code_edits``, ...) still resolve to the names here.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Callable
 from itertools import accumulate
 from operator import attrgetter
@@ -105,6 +106,32 @@ def member_indent(doc: CodeDocument, cls: ClassDef) -> int:
             line = doc.lines()[m.span.start_line - 1]
             return len(line) - len(line.lstrip())
     return 4
+
+
+# a string literal alone on its line or lines, up to an optional comment
+# (compiled on first use, by re's cache: few syncs need it)
+_DOCSTRING = r'''
+    [rRuU]?
+    (?: """ (?: [^"\\] | \\[\s\S] | "(?!"") )* """
+      | \'\'\' (?: [^'\\] | \\[\s\S] | '(?!'') )* \'\'\'
+      | " (?: [^"\\\n] | \\[\s\S] )* "
+      | ' (?: [^'\\\n] | \\[\s\S] )* ' )
+    [ \t]* (?: \#.* )? $'''
+
+
+def after_docstring(doc: CodeDocument, line: int) -> int:
+    """The line after the module docstring when the first statement at or
+    after ``line`` is one, else ``line``: a statement above the docstring
+    would make it a plain expression."""
+    lines = doc.lines()
+    start = line
+    while start <= len(lines) and lines[start - 1].strip()[:1] in ("", "#"):
+        start += 1
+    offset = sum(len(text) + 1 for text in lines[:start - 1])
+    m = re.compile(_DOCSTRING, re.M | re.X).match(doc.raw_text, offset)
+    if m is None:
+        return line
+    return start + doc.raw_text.count("\n", offset, m.end()) + 1
 
 
 # a model type as a stub annotates with it; None for no annotation

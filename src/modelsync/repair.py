@@ -32,7 +32,6 @@ from __future__ import annotations
 import builtins
 import copy
 import os
-import re
 from enum import Enum
 from pathlib import Path
 
@@ -43,9 +42,9 @@ from .model import (Attribute, ClassDef, ClassModel, Method, SourceSpan,
                     TypeRef, normalize_name)
 from .pycode import (CodeDocument, py_annotation, scan_attr_line,
                      scan_def_line)
-from .pywrite import (CodeEdit, apply_code_edits, attr_assignment,
-                      block_delete_span, body_indent, init_stub,
-                      member_indent, method_stub, params_text,
+from .pywrite import (CodeEdit, after_docstring, apply_code_edits,
+                      attr_assignment, block_delete_span, body_indent,
+                      init_stub, member_indent, method_stub, params_text,
                       placeholder_rhs, render_class_stub)
 
 
@@ -304,39 +303,11 @@ def _future_import(doc: CodeDocument, chosen: list[CorrectionEdit]
               if line.startswith("from __future__ import")]
     if any("annotations" in lines[n - 1] for n in future):
         return []
-    first = future[0] if future else next(
+    first = future[0] if future else after_docstring(doc, next(
         (n for n, line in enumerate(lines, 1) if not line.startswith("#")),
-        len(lines) + 1)
-    if not future:
-        first = _after_docstring(doc, first)
+        len(lines) + 1))
     return [_insertion(doc, "insert-future", first,
                        ["from __future__ import annotations"])]
-
-
-# a string literal alone on its line or lines, up to an optional comment
-# (compiled on first use, by re's cache: few syncs need it)
-_DOCSTRING = r'''
-    [rRuU]?
-    (?: """ (?: [^"\\] | \\[\s\S] | "(?!"") )* """
-      | \'\'\' (?: [^'\\] | \\[\s\S] | '(?!'') )* \'\'\'
-      | " (?: [^"\\\n] | \\[\s\S] )* "
-      | ' (?: [^'\\\n] | \\[\s\S] )* ' )
-    [ \t]* (?: \#.* )? $'''
-
-
-def _after_docstring(doc: CodeDocument, line: int) -> int:
-    """The line after the module docstring when the first statement at or
-    after ``line`` is one, else ``line``: a statement above the docstring
-    would make it a plain expression."""
-    lines = doc.lines()
-    start = line
-    while start <= len(lines) and lines[start - 1].strip()[:1] in ("", "#"):
-        start += 1
-    offset = sum(len(text) + 1 for text in lines[:start - 1])
-    m = re.compile(_DOCSTRING, re.M | re.X).match(doc.raw_text, offset)
-    if m is None:
-        return line
-    return start + doc.raw_text.count("\n", offset, m.end()) + 1
 
 
 def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
