@@ -49,23 +49,24 @@ _DEF_START_RE = re.compile(r"(\s*)def\s+(\w+)\s*\(")
 # running to the next copy of its own character (alone when none follows)
 _SCAN_RE = re.compile(r"""[()\[\]{},=]|"[^"]*"|'[^']*'|["']""")
 # a parameter up to its default: the name, then ':' and the annotation
-_PARAM_RE = re.compile(r"\s*(\w+)\s*(:\s*(.*\S)?)?\s*$")
+_PARAM_RE = re.compile(r"\s*(\w+)(?:\s*(:\s*(\S(?:.*\S)?)?))?\s*$")
 # after the ')': an optional '-> TYPE' (no colon in it), then ':' and an
 # optional comment
 _TAIL = r"\s*(?:(->)\s*([^:\s](?:[^:]*[^:\s])?)\s*)?:\s*(?:#.*)?$"
 _TAIL_RE = re.compile(_TAIL)
 # a plain def header from its 'def': 'self', then parameters 'NAME[: TYPE]'
 # whose annotations hold no bracket, quote, separator or '=' and end in no
-# blank, then the tail as above; each piece matches in one way only, so a
-# failed match backtracks in linear time
+# blank, then the tail as above; each piece matches in one way only (a
+# name's trailing blanks go to the blanks after the parameter, never to
+# the annotation's group), so a failed match backtracks in linear time
 _PLAIN_DEF_RE = re.compile(
-    r"def\s+(\w+)\s*\(\s*self\s*((?:,\s*\w+\s*(?::\s*"
+    r"def\s+(\w+)\s*\(\s*self\s*((?:,\s*\w+(?:\s*:\s*"
     r"[^\s()\[\]{},='\"](?:[^()\[\]{},='\"]*[^\s()\[\]{},='\"])?"
     r")?\s*)*)\)" + _TAIL)
 # a parameter of a list that _PLAIN_DEF_RE matched: the name, then ':' and
 # the annotation up to the next separator
 _PLAIN_PARAM_RE = re.compile(r"(\w+)\s*(?::\s*([^,]*[^,\s]))?")
-_ATTR_RE = re.compile(r"(\s*)self\.(\w+)\s*=\s*(.*\S)\s*$")
+_ATTR_RE = re.compile(r"(\s*)self\.(\w+)\s*=\s*(\S(?:.*\S)?)\s*$")
 _IDENT_RE = re.compile(r"^\w+$")
 
 # Spelling used when a model-side type must appear in a code annotation.

@@ -119,18 +119,32 @@ _DOCSTRING = r'''
     [ \t]* (?: \#.* )? $'''
 
 
-def after_docstring(doc: CodeDocument, line: int) -> int:
-    """The line after the module docstring when the first statement at or
-    after ``line`` is one, else ``line``: a statement above the docstring
-    would make it a plain expression."""
+def future_import_line(doc: CodeDocument) -> int | None:
+    """The line ``from __future__ import annotations`` goes in before;
+    None when the text has that import already.  Future imports come
+    before every class and after any module docstring: the import goes
+    before the text's first future import, else after a module docstring,
+    else before the first line that is not a comment."""
     lines = doc.lines()
-    start = line
+    head = min((c.span.start_line for c in doc.model.classes),
+               default=len(lines))
+    future = [n for n, line in enumerate(lines[:head], 1)
+              if line.startswith("from __future__ import")]
+    if any("annotations" in lines[n - 1] for n in future):
+        return None
+    if future:
+        return future[0]
+    first = next((n for n, line in enumerate(lines, 1)
+                  if not line.startswith("#")), len(lines) + 1)
+    # the first statement, which may be a docstring: a statement above it
+    # would make it a plain expression
+    start = first
     while start <= len(lines) and lines[start - 1].strip()[:1] in ("", "#"):
         start += 1
     offset = sum(len(text) + 1 for text in lines[:start - 1])
     m = re.compile(_DOCSTRING, re.M | re.X).match(doc.raw_text, offset)
     if m is None:
-        return line
+        return first
     return start + doc.raw_text.count("\n", offset, m.end()) + 1
 
 

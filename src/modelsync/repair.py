@@ -42,8 +42,8 @@ from .model import (Attribute, ClassDef, ClassModel, Method, SourceSpan,
                     TypeRef, normalize_name)
 from .pycode import (CodeDocument, py_annotation, scan_attr_line,
                      scan_def_line)
-from .pywrite import (CodeEdit, after_docstring, apply_code_edits,
-                      attr_assignment, block_delete_span, body_indent,
+from .pywrite import (CodeEdit, apply_code_edits, attr_assignment,
+                      block_delete_span, body_indent, future_import_line,
                       init_stub, member_indent, method_stub, params_text,
                       placeholder_rhs, render_class_stub)
 
@@ -287,26 +287,16 @@ def _annotated_types(edit: CorrectionEdit) -> list[TypeRef]:
 def _future_import(doc: CodeDocument, chosen: list[CorrectionEdit]
                    ) -> list[CodeEdit]:
     """The import that leaves annotations unevaluated, when a code edit may
-    annotate with a name Python does not define and the text lacks it:
-    before the text's first future import, which may follow a docstring,
-    else after a module docstring, else before its first line that is not
-    a comment."""
+    annotate with a name Python does not define and the text lacks it, at
+    the line :func:`.pywrite.future_import_line` picks."""
     names = {py_annotation(t) for e in chosen if e.side == "code"
              for t in _annotated_types(e) if t.kind == "named"}
     if names.issubset(vars(builtins)):
         return []
-    lines = doc.lines()
-    # future imports come before every class
-    head = min((c.span.start_line for c in doc.model.classes),
-               default=len(lines))
-    future = [n for n, line in enumerate(lines[:head], 1)
-              if line.startswith("from __future__ import")]
-    if any("annotations" in lines[n - 1] for n in future):
+    line = future_import_line(doc)
+    if line is None:
         return []
-    first = future[0] if future else after_docstring(doc, next(
-        (n for n, line in enumerate(lines, 1) if not line.startswith("#")),
-        len(lines) + 1))
-    return [_insertion(doc, "insert-future", first,
+    return [_insertion(doc, "insert-future", line,
                        ["from __future__ import annotations"])]
 
 

@@ -141,9 +141,13 @@ _PARAMS = ", ".join(f"p{i}: T{i % 7}" if i % 3 else f"p{i}"
     f"def f(self, x: {'a' * 33_000}'):",
     f"def f(self, {_PARAMS}, (",
     f"def f(self, {_PARAMS}) -> {'R ' * 17_000}(",
+    f"def f(self, {'p , ' * 8200}z=1):",
+    f"def f(self, {'p  , ' * 7000}z=1):",
+    f"def f(self, a{' ' * 33_000}b):",
 ], ids=["many-parameters", "spaced-annotation-then-quote",
         "annotation-then-quote", "unclosed-parenthesis",
-        "return-type-without-colon"])
+        "return-type-without-colon", "blank-before-each-comma",
+        "two-blanks-before-each-comma", "blanks-between-two-names"])
 def test_code_parser_matches_reference_on_long_headers(header):
     assert len(header) >= 32 * 1024
     text = f"class A:\n    {header}\n        pass\n"
@@ -152,6 +156,17 @@ def test_code_parser_matches_reference_on_long_headers(header):
     elapsed = time.perf_counter() - started
     assert outcome == _outcome(parse_reference.parse_code, text)
     # a match that backtracked super-linearly would take far longer
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("rhs", [" " * 33_000, f"x{' ' * 33_000}#"],
+                         ids=["no-right-hand-side", "blanks-then-comment"])
+def test_code_parser_matches_reference_on_long_attribute_lines(rhs):
+    text = f"class A:\n    def __init__(self):\n        self.x ={rhs}\n"
+    started = time.perf_counter()
+    outcome = _outcome(parse_code, text)
+    elapsed = time.perf_counter() - started
+    assert outcome == _outcome(parse_reference.parse_code, text)
     assert elapsed < 0.5
 
 
