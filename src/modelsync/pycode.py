@@ -45,15 +45,16 @@ from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
 _CLASS_RE = re.compile(r"class\s+(\w+)\s*:\s*(?:#.*)?$")
 _CLASS_KEYWORD_RE = re.compile(r"class\s")
 _DEF_START_RE = re.compile(r"(\s*)def\s+(\w+)\s*\(")
-# what the bracket scanner stops at: a bracket, a separator, or a quote
-# running to the next copy of its own character (alone when none follows)
-_SCAN_RE = re.compile(r"""[()\[\]{},=]|"[^"]*"|'[^']*'|["']""")
+# The bracket scanner's patterns are compiled on first use, by re's cache:
+# parsing code whose headers are all plain needs none of them.
+# what the scanner stops at: a bracket, a separator, or a quote running to
+# the next copy of its own character (alone when none follows)
+_SCAN = r"""[()\[\]{},=]|"[^"]*"|'[^']*'|["']"""
 # a parameter up to its default: the name, then ':' and the annotation
-_PARAM_RE = re.compile(r"\s*(\w+)(?:\s*(:\s*(\S(?:.*\S)?)?))?\s*$")
+_PARAM = r"\s*(\w+)(?:\s*(:\s*(\S(?:.*\S)?)?))?\s*$"
 # after the ')': an optional '-> TYPE' (no colon in it), then ':' and an
 # optional comment
 _TAIL = r"\s*(?:(->)\s*([^:\s](?:[^:]*[^:\s])?)\s*)?:\s*(?:#.*)?$"
-_TAIL_RE = re.compile(_TAIL)
 # a plain def header from its 'def': 'self', then parameters 'NAME[: TYPE]'
 # whose annotations hold no bracket, quote, separator or '=' and end in no
 # blank, then the tail as above; each piece matches in one way only (a
@@ -166,14 +167,14 @@ def scan_def_line(line: str) -> DefLayout | None:
     depth = 1
     start = m.end()
     eq = -1       # the piece's first top-level '='
-    for token in _SCAN_RE.finditer(line, start):
+    for token in re.compile(_SCAN).finditer(line, start):
         i = token.start()
         ch = line[i]
         if depth == 1 and ch in ",)]}":  # a piece ends
             if ch != "," and not params and not line[start:i].strip():
                 break  # no parameters at all
             # the name and annotation end where the default begins
-            pm = _PARAM_RE.match(line, start, eq if eq >= 0 else i)
+            pm = re.compile(_PARAM).match(line, start, eq if eq >= 0 else i)
             if not pm:
                 return None  # no name, or stray text before : or =
             name, colon, annotation = pm.groups()
@@ -205,7 +206,7 @@ def scan_def_line(line: str) -> DefLayout | None:
     else:
         return None
 
-    tail = _TAIL_RE.match(line, i + 1)
+    tail = re.compile(_TAIL).match(line, i + 1)
     if not tail:
         return None
     if tail.group(1):

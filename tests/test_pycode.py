@@ -288,6 +288,7 @@ def test_plain_def_reading_matches_scan_on_fixtures_and_renderings():
 @example("    def f(self, a: x y, b: p:q#r) -> a b:")
 @example("    def f(self, a b):")
 @example("    def f(selfish):")
+@example("    def f(self, a  ,\tb  : int  ,  c  ) :")
 def test_plain_def_reading_matches_scan(line):
     _read_like_scan(line)
 
