@@ -78,19 +78,15 @@ def snake_to_camel(name: str) -> str:
     return head + "".join(p[:1].upper() + p[1:] for p in rest)
 
 
-def _camelized_member(member):
-    clone = copy.deepcopy(member)
-    clone.name = snake_to_camel(clone.name)
-    return clone
-
-
-def _camelized_class(cls: ClassDef) -> ClassDef:
-    clone = copy.deepcopy(cls)
-    for a in clone.attributes:
-        a.name = snake_to_camel(a.name)
-    for m in clone.methods:
-        if not m.is_constructor:
-            m.name = snake_to_camel(m.name)
+def _camelized(entity):
+    """A copy of a member, or of a class with its members, named in
+    camelCase; a class keeps its own name and its constructor's."""
+    clone = copy.deepcopy(entity)
+    members = ([clone] if not isinstance(clone, ClassDef) else
+               clone.attributes
+               + [m for m in clone.methods if not m.is_constructor])
+    for member in members:
+        member.name = snake_to_camel(member.name)
     return clone
 
 
@@ -122,140 +118,116 @@ def _require_pair(design: ClassModel, code_doc: CodeDocument,
                    else "code document"))
 
 
-def _edit(f: Finding, side: str, kind: str, description: str,
-          **payload) -> CorrectionEdit:
-    """An edit on ``side`` targeting that side's matched class and member."""
+_WHERE = {"model": "the design model", "code": "the code"}
+_OTHER = {"model": "code", "code": "model"}
+# the side that lacks the entity, for each finding kind that says one side
+# lacks it
+_LACKING = {
+    FindingKind.MISSING_CLASS_IN_CODE: "code",
+    FindingKind.MISSING_CLASS_IN_MODEL: "model",
+    FindingKind.MISSING_METHOD_IN_CODE: "code",
+    FindingKind.MISSING_METHOD_IN_MODEL: "model",
+    FindingKind.MISSING_ATTRIBUTE_IN_CODE: "code",
+    FindingKind.MISSING_ATTRIBUTE_IN_MODEL: "model",
+}
+# the edit that makes each side say what the other says, for the other
+# error kinds
+_TAKE_OTHER = {
+    FindingKind.PROBABLE_RENAME: "rename",
+    FindingKind.CONSTRUCTOR_ARITY_MISMATCH: "change-signature",
+    FindingKind.PARAM_TYPE_MISMATCH: "change-type",
+    FindingKind.RETURN_TYPE_MISMATCH: "change-type",
+    FindingKind.ATTRIBUTE_TYPE_MISMATCH: "change-type",
+}
+# the CorrectionEdit field that holds each edit kind's payload
+_PAYLOAD_FIELD = {"add-class": "class_payload", "add-member": "member_payload",
+                  "rename": "new_name", "change-signature": "new_params",
+                  "change-type": "new_type"}
+
+
+def _targets(f: Finding, side: str) -> tuple:
+    """The class and member ``f`` matched on ``side``."""
     if side == "model":
-        return CorrectionEdit(side, kind, description, f.model_class,
-                              f.model_member, param_index=f.param_index,
-                              **payload)
-    return CorrectionEdit(side, kind, description, f.code_class,
-                          f.code_member, param_index=f.param_index,
-                          **payload)
+        return f.model_class, f.model_member
+    return f.code_class, f.code_member
+
+
+def _edit(f: Finding, side: str, kind: str, payload=None) -> CorrectionEdit:
+    """An edit on ``side`` targeting that side's matched class and member."""
+    cls, member = _targets(f, side)
+    fields = {_PAYLOAD_FIELD[kind]: payload} if kind in _PAYLOAD_FIELD else {}
+    return CorrectionEdit(
+        side, kind, _describe(side, kind, cls, member, f.param_index, payload),
+        cls, member, param_index=f.param_index, **fields)
+
+
+def _what(member) -> str:
+    return "method" if isinstance(member, Method) else "attribute"
+
+
+def _describe(side: str, kind: str, cls: ClassDef | None, member,
+              param_index: int | None, payload) -> str:
+    """The sentence that says what an edit of ``kind`` on ``side`` does."""
+    where = _WHERE[side]
+    stub = " as a stub" if side == "code" else ""
+    if kind == "add-class":
+        return f"add class '{payload.name}' to {where}{stub}"
+    if kind == "remove-class":
+        return f"remove class '{cls.name}' from {where}"
+    if kind == "add-member":
+        return (f"add {_what(payload)} '{payload.name}' to class "
+                f"'{cls.name}' in {where}{stub}")
+    if kind == "remove-member":
+        return (f"remove {_what(member)} '{member.name}' from class "
+                f"'{cls.name}' in {where}")
+    if kind == "rename":
+        return (f"rename {_what(member)} '{member.name}' to '{payload}' "
+                f"in {where}")
+    if kind == "change-signature":
+        return (f"make '{member.name}' in {where} take "
+                f"({', '.join(p.name for p in payload)}) as in "
+                f"{_WHERE[_OTHER[side]]}")
+    # change-type: of a parameter, a return type or an attribute
+    if param_index is not None:
+        subject = (f"parameter '{member.params[param_index].name}' of "
+                   f"'{member.name}'")
+    elif isinstance(member, Method):
+        subject = f"the return type of '{member.name}'"
+    else:
+        subject = f"attribute '{member.name}'"
+    if side == "code":  # the type as the code spells it
+        payload = py_annotation(payload) or payload
+    return f"change {subject} to '{payload}' in {where}"
 
 
 def _build_set(f: Finding) -> CorrectionSet:
-    kind = f.kind
-    alts: list[CorrectionEdit]
-    if kind is FindingKind.MISSING_CLASS_IN_CODE:
-        cls = f.model_class
-        assert cls is not None
-        alts = [
-            _edit(f, "code", "add-class",
-                  f"add class '{cls.name}' to the code as a stub",
-                  class_payload=cls),
-            _edit(f, "model", "remove-class",
-                  f"remove class '{cls.name}' from the design model"),
-        ]
-    elif kind is FindingKind.MISSING_CLASS_IN_MODEL:
-        cls = f.code_class
-        assert cls is not None
-        alts = [
-            _edit(f, "model", "add-class",
-                  f"add class '{cls.name}' to the design model",
-                  class_payload=_camelized_class(cls)),
-            _edit(f, "code", "remove-class",
-                  f"remove class '{cls.name}' from the code"),
-        ]
-    elif kind in (FindingKind.MISSING_METHOD_IN_CODE,
-                  FindingKind.MISSING_ATTRIBUTE_IN_CODE):
-        member = f.model_member
-        what = ("method" if kind is FindingKind.MISSING_METHOD_IN_CODE
-                else "attribute")
-        alts = [
-            _edit(f, "code", "add-member",
-                  f"add {what} '{member.name}' to class "
-                  f"'{f.code_class.name}' in the code as a stub",
-                  member_payload=member),
-            _edit(f, "model", "remove-member",
-                  f"remove {what} '{member.name}' from class "
-                  f"'{f.model_class.name}' in the design model"),
-        ]
-    elif kind in (FindingKind.MISSING_METHOD_IN_MODEL,
-                  FindingKind.MISSING_ATTRIBUTE_IN_MODEL):
-        member = f.code_member
-        what = ("method" if kind is FindingKind.MISSING_METHOD_IN_MODEL
-                else "attribute")
-        renamed = _camelized_member(member)
-        alts = [
-            _edit(f, "model", "add-member",
-                  f"add {what} '{renamed.name}' to class "
-                  f"'{f.model_class.name}' in the design model",
-                  member_payload=renamed),
-            _edit(f, "code", "remove-member",
-                  f"remove {what} '{member.name}' from class "
-                  f"'{f.code_class.name}' in the code"),
-        ]
-    elif kind is FindingKind.PROBABLE_RENAME:
-        m, c = f.model_member, f.code_member
-        what = "method" if isinstance(m, Method) else "attribute"
-        alts = [
-            _edit(f, "model", "rename",
-                  f"rename {what} '{m.name}' to "
-                  f"'{snake_to_camel(c.name)}' in the design model",
-                  new_name=snake_to_camel(c.name)),
-            _edit(f, "code", "rename",
-                  f"rename {what} '{c.name}' to '{m.name}' in the code",
-                  new_name=m.name),
-        ]
-    elif kind is FindingKind.CONSTRUCTOR_ARITY_MISMATCH:
-        m, c = f.model_member, f.code_member
-        alts = [
-            _edit(f, "model", "change-signature",
-                  f"make '{m.name}' in the design model take "
-                  f"({_params_text(c.params)}) as in the code",
-                  new_params=tuple(copy.deepcopy(c.params))),
-            _edit(f, "code", "change-signature",
-                  f"make '{c.name}' in the code take "
-                  f"({_params_text(m.params)}) as in the design model",
-                  new_params=tuple(copy.deepcopy(m.params))),
-        ]
-    elif kind is FindingKind.PARAM_TYPE_MISMATCH:
-        m, c = f.model_member, f.code_member
-        i = f.param_index
-        assert i is not None
-        want = m.params[i].type
-        alts = [
-            _edit(f, "model", "change-type",
-                  f"change parameter '{m.params[i].name}' of "
-                  f"'{m.name}' to '{c.params[i].type}' in the "
-                  f"design model",
-                  new_type=c.params[i].type),
-            _edit(f, "code", "change-type",
-                  f"change parameter '{c.params[i].name}' of "
-                  f"'{c.name}' to '{py_annotation(want) or want}' "
-                  f"in the code",
-                  new_type=want),
-        ]
-    elif kind is FindingKind.RETURN_TYPE_MISMATCH:
-        m, c = f.model_member, f.code_member
-        alts = [
-            _edit(f, "model", "change-type",
-                  f"change the return type of '{m.name}' to "
-                  f"'{c.return_type}' in the design model",
-                  new_type=c.return_type),
-            _edit(f, "code", "change-type",
-                  f"change the return type of '{c.name}' to "
-                  f"'{py_annotation(m.return_type) or m.return_type}' "
-                  f"in the code",
-                  new_type=m.return_type),
-        ]
-    elif kind is FindingKind.ATTRIBUTE_TYPE_MISMATCH:
-        m, c = f.model_member, f.code_member
-        alts = [
-            _edit(f, "model", "change-type",
-                  f"change attribute '{m.name}' to '{c.type}' "
-                  f"in the design model",
-                  new_type=c.type),
-            _edit(f, "code", "change-type",
-                  f"change attribute '{c.name}' to "
-                  f"'{py_annotation(m.type) or m.type}' in the code",
-                  new_type=m.type),
-        ]
-    else:  # pragma: no cover - advisory kinds are filtered by propose
-        raise ValueError(f"no corrections for {kind}")
-    return CorrectionSet(f.id, kind, f.detail, tuple(alts))
+    lacking = _LACKING.get(f.kind)
+    if lacking is not None:
+        # add the entity where it is missing, or remove it where it is
+        has = _OTHER[lacking]
+        cls, member = _targets(f, has)
+        entity = cls if member is None else member
+        if lacking == "model":
+            entity = _camelized(entity)
+        what = "class" if member is None else "member"
+        alts = (_edit(f, lacking, f"add-{what}", entity),
+                _edit(f, has, f"remove-{what}"))
+    else:
+        # make each side say what the other says
+        kind = _TAKE_OTHER[f.kind]
+        alts = tuple(_edit(f, side, kind, _payload(kind, side, f))
+                     for side in ("model", "code"))
+    return CorrectionSet(f.id, f.kind, f.detail, alts)
 
 
-def _params_text(params) -> str:
-    return ", ".join(p.name for p in params)
+def _payload(kind: str, side: str, f: Finding):
+    """What a rename, signature or type edit on ``side`` takes from the
+    member that ``f`` matched on the other side."""
+    other = _targets(f, _OTHER[side])[1]
+    if kind == "rename":
+        return snake_to_camel(other.name) if side == "model" else other.name
+    if kind == "change-signature":
+        return tuple(copy.deepcopy(other.params))
+    if f.param_index is not None:
+        return other.params[f.param_index].type
+    return other.return_type if isinstance(other, Method) else other.type

@@ -5,8 +5,8 @@ extractor alike, and is the unit the consistency checker diffs.  Everything
 here is a plain value type; nothing mutates its inputs.
 
 Equality (:func:`model_equal`) is layout-insensitive: members are compared
-after sorting by (canonical name, arity), and spans, origin and visibility
-are ignored.  Rendering, by contrast, preserves declaration order.
+after sorting by (canonical name, arity), and spans and visibility are
+ignored.  Rendering, by contrast, preserves declaration order.
 """
 
 from __future__ import annotations
@@ -174,13 +174,11 @@ _UNKNOWN = TypeRef("unknown")
 
 
 class Parameter(Record):
-    __slots__ = ("name", "type", "span")
+    __slots__ = ("name", "type")
 
-    def __init__(self, name: str, type: TypeRef = _UNKNOWN,
-                 span: SourceSpan | None = None) -> None:
+    def __init__(self, name: str, type: TypeRef = _UNKNOWN) -> None:
         self.name = name
         self.type = type
-        self.span = span
 
 
 class Method(Record):
@@ -250,20 +248,14 @@ class Relationship(Record):
 
 
 class ClassModel(Record):
-    """Classes plus relationships, in declaration order.
+    """Classes plus relationships, in declaration order."""
 
-    ``origin`` records which artifact kind produced the model:
-    ``model-artifact``, ``code-artifact`` or ``synthetic``.
-    """
-
-    __slots__ = ("classes", "relationships", "origin")
+    __slots__ = ("classes", "relationships")
 
     def __init__(self, classes: list[ClassDef] | None = None,
-                 relationships: list[Relationship] | None = None,
-                 origin: str = "synthetic") -> None:
+                 relationships: list[Relationship] | None = None) -> None:
         self.classes = [] if classes is None else classes
         self.relationships = [] if relationships is None else relationships
-        self.origin = origin
 
 
 def normalize_name(raw: str, mode: str = "canonical") -> str:
@@ -365,7 +357,7 @@ def _model_proj(model: ClassModel) -> tuple:
 def model_equal(a: ClassModel, b: ClassModel) -> bool:
     """Layout-insensitive equality.
 
-    Spans, origin and visibility are ignored; classes and members are
+    Spans and visibility are ignored; classes and members are
     compared as canonically sorted sets; everything else is exact.
     """
     return _model_proj(a) == _model_proj(b)

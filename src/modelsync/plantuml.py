@@ -33,8 +33,11 @@ _MEMBER_RE = re.compile(
     r"([+\-#])\s*(\w+)\s*(?:\((.*)\)\s*)?(?::\s*(.+))?$")
 _RELATION_RE = re.compile(
     r'^(\w+)\s*(?:"([^"]*)"\s*)?--\s*(?:"([^"]*)"\s*)?(\w+)\s*(?::(.*))?$')
-# one comma-separated piece of a parameter list: NAME[: TYPE]
-_PARAM_RE = re.compile(r"\s*(\w+)\s*(?::\s*(\S(?:.*\S)?))?\s*$")
+# one comma-separated piece of a parameter list: NAME[: TYPE]; the blanks
+# after the name are read inside the annotation's group, so no blank run
+# splits between two adjacent blank patterns and a failed match backtracks
+# in linear time
+_PARAM_RE = re.compile(r"\s*(\w+)(?:\s*:\s*(\S(?:.*\S)?))?\s*$")
 _TYPE_NAME_RE = re.compile(r"\w+")
 
 _VIS_MARKERS = {"+": Visibility.PUBLIC, "-": Visibility.PRIVATE,
@@ -68,8 +71,7 @@ def _new_type(types: dict[str | None, TypeRef], text: str, artifact: str,
 
 
 def _parse_params(text: str, types: dict[str | None, TypeRef],
-                  artifact: str, line_no: int,
-                  span: SourceSpan) -> list[Parameter]:
+                  artifact: str, line_no: int) -> list[Parameter]:
     if not text or text.isspace():
         return []
     params: list[Parameter] = []
@@ -81,7 +83,7 @@ def _parse_params(text: str, types: dict[str | None, TypeRef],
                              expected="name[: TYPE]")
         name, type_text = m.groups()
         params.append(Parameter(name, types.get(type_text) or _new_type(
-            types, type_text, artifact, line_no), span))
+            types, type_text, artifact, line_no)))
     return params
 
 
@@ -132,7 +134,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
     lines = text.split("\n")
     first, last = _find_region(lines, artifact)
 
-    model = ClassModel(origin="model-artifact")
+    model = ClassModel()
     seen_classes: dict[str, int] = {}
     # one TypeRef per type spelling; None spells the unknown type
     types: dict[str | None, TypeRef] = {None: TypeRef.unknown()}
@@ -140,6 +142,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
     cur_start = 0
     member_keys: set[tuple[str, int]] = set()
     attr_keys: set[str] = set()
+    arrow_lines: list[int] = []  # the line of each relationship
 
     for line_no, line in enumerate(lines[first:last + 1], first + 1):
         stripped = line.strip()
@@ -164,6 +167,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
             rel = _parse_relationship(stripped)
             if rel is not None:
                 model.relationships.append(rel)
+                arrow_lines.append(line_no)
                 continue
             raise ParseError(f"unrecognized line {stripped!r}",
                              artifact=artifact, line=line_no, col=1,
@@ -197,7 +201,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
             cur.attributes.append(
                 Attribute(name, member_type, _VIS_MARKERS[vis], span))
             continue
-        params = _parse_params(params_text, types, artifact, line_no, span)
+        params = _parse_params(params_text, types, artifact, line_no)
         arity = len(params)
         key = (normalize_name(name), arity)
         if key in member_keys:
@@ -217,7 +221,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
         raise ParseError(f"class {cur.name!r} is never closed",
                          artifact=artifact, line=cur_start, expected="}")
 
-    _check_relationship_endpoints(model, artifact)
+    _check_relationship_endpoints(model, arrow_lines, artifact)
     return PlantUmlDocument(model)
 
 
@@ -238,14 +242,16 @@ def _parse_relationship(stripped: str) -> Relationship | None:
     return Relationship(left, right, lmult, rmult, label, directed)
 
 
-def _check_relationship_endpoints(model: ClassModel, artifact: str) -> None:
+def _check_relationship_endpoints(model: ClassModel, arrow_lines: list[int],
+                                  artifact: str) -> None:
     names = {normalize_name(c.name) for c in model.classes}
-    for rel in model.relationships:
+    for rel, line_no in zip(model.relationships, arrow_lines):
         for end in (rel.left, rel.right):
             if normalize_name(end) not in names:
                 raise ParseError(
                     f"relationship endpoint {end!r} names no class",
-                    artifact=artifact, expected="declared class name")
+                    artifact=artifact, line=line_no,
+                    expected="declared class name")
 
 
 def _render_type(t: TypeRef) -> str | None:

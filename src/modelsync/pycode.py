@@ -233,7 +233,7 @@ def read_plain_def(line: str, pos: int
                    ) -> tuple[str, str | None, list[tuple]] | None:
     """The method name, return type and parameters after ``self`` of a
     plain ``def`` header whose ``def`` starts at ``pos``, each parameter as
-    (name, annotation, name start, name end); None for any other line.
+    (name, annotation), with '' for no annotation; None for any other line.
 
     A plain header has only ``NAME[: TYPE]`` parameters, with no bracket,
     quote or ``=`` among them; where it is one, :func:`scan_def_line` finds
@@ -242,9 +242,7 @@ def read_plain_def(line: str, pos: int
     m = _PLAIN_DEF_RE.match(line, pos)
     if m is None:
         return None
-    return m[1], m[4], [(p[1], p[2], p.start(1), p.end(1))
-                        for p in _PLAIN_PARAM_RE.finditer(
-                            line, m.start(2), m.end(2))]
+    return m[1], m[4], _PLAIN_PARAM_RE.findall(line, m.start(2), m.end(2))
 
 
 def _strip_fence(text: str) -> str:
@@ -275,11 +273,13 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
     """Parse dialect text into a :class:`CodeDocument`."""
     content = _strip_fence(text)
     lines = content.split("\n")
-    model = ClassModel(origin="code-artifact")
+    model = ClassModel()
     doc = CodeDocument(model, content, artifact, lines)
     seen_classes: set[str] = set()
-    # one TypeRef per annotation spelling; None spells the unknown type
-    types: dict[str | None, TypeRef] = {None: TypeRef.unknown()}
+    # one TypeRef per annotation spelling; None, or '' from a plain header,
+    # spells the unknown type
+    unknown = TypeRef.unknown()
+    types: dict[str | None, TypeRef] = {None: unknown, "": unknown}
     cur_class: _OpenClass | None = None
     # the open def: its header as read_plain_def gives it, its indent, its
     # first and last line, and for __init__ the first assignment to each
@@ -379,9 +379,8 @@ def _layout_header(line: str, artifact: str, line_no: int
     if not layout.params or layout.params[0].name != "self":
         raise ParseError(f"method {layout.name!r} lacks a self receiver",
                          artifact=artifact, line=line_no, expected="self")
-    return layout.name, layout.ret, [
-        (p.name, p.annotation, p.name_start, p.name_end)
-        for p in layout.params[1:]]
+    return layout.name, layout.ret, [(p.name, p.annotation)
+                                     for p in layout.params[1:]]
 
 
 def _add_method(cur_class: _OpenClass,
@@ -391,10 +390,9 @@ def _add_method(cur_class: _OpenClass,
                 artifact: str, lines: list[str],
                 types: dict[str | None, TypeRef]) -> None:
     header_name, ret, header_params = header
-    params = [Parameter(
-        name, types.get(annotation) or _new_type(types, annotation),
-        SourceSpan(artifact, line_no, start + 1, line_no, end + 1))
-        for name, annotation, start, end in header_params]
+    params = [Parameter(name, types.get(annotation)
+                        or _new_type(types, annotation))
+              for name, annotation in header_params]
     cls = cur_class.cls
     is_ctor = assignments is not None
     name = cls.name if is_ctor else header_name

@@ -87,8 +87,7 @@ def apply(design: ClassModel, code_doc: CodeDocument,
     patched span-wise so untouched bytes survive verbatim.
     """
     _require_pair(design, code_doc, chosen)
-    new_model = ClassModel(list(design.classes), list(design.relationships),
-                           design.origin)
+    new_model = ClassModel(list(design.classes), list(design.relationships))
     # the copy of each edited design object, by the id of the original
     memo: dict[int, object] = {}
     code_edits: list[CodeEdit] = []

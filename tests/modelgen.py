@@ -94,7 +94,7 @@ def _method(rng: random.Random, pool: NamePool, *,
 def make_plantuml_model(rng: random.Random) -> ClassModel:
     """A random model over everything the diagram subset can spell."""
     pool = NamePool(rng)
-    model = ClassModel(origin="synthetic")
+    model = ClassModel()
     for _ in range(rng.randint(1, 5)):
         cls = ClassDef(pool.cls())
         for _ in range(rng.randint(0, 4)):
@@ -137,7 +137,7 @@ def make_code_model(rng: random.Random) -> ClassModel:
     attributes are boolean literals, list displays, or untyped.
     """
     pool = NamePool(rng)
-    model = ClassModel(origin="synthetic")
+    model = ClassModel()
     for _ in range(rng.randint(1, 5)):
         model.classes.append(_code_class(rng, pool, pool.cls(), None))
     return model
@@ -149,7 +149,7 @@ def make_large_code_model(rng: random.Random, classes: int,
     ``methods`` methods besides its constructor.  Each class draws its
     members from a pool of its own, and its name ends in its index, so the
     names stay distinct at any size."""
-    model = ClassModel(origin="synthetic")
+    model = ClassModel()
     for i in range(classes):
         pool = NamePool(rng)
         model.classes.append(_code_class(rng, pool, f"{pool.cls()}{i}",

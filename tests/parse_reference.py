@@ -88,7 +88,7 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
     """Parse dialect text into a :class:`CodeDocument`."""
     content = _strip_fence(text)
     lines = content.split("\n")
-    model = ClassModel(origin="code-artifact")
+    model = ClassModel()
     doc = CodeDocument(model, content, artifact, lines)
     seen_classes: set[str] = set()
     cur_class: _OpenClass | None = None
@@ -198,9 +198,7 @@ def _finish_method(cur_class: _OpenClass, cur_def: _OpenDef,
     for p in layout.params[1:]:
         ptype = TypeRef.named(p.annotation) if p.annotation \
             else TypeRef.unknown()
-        span = SourceSpan(artifact, cur_def.line_no, p.name_start + 1,
-                          cur_def.line_no, p.name_end + 1)
-        params.append(Parameter(p.name, ptype, span))
+        params.append(Parameter(p.name, ptype))
     ret = TypeRef.named(layout.ret) if layout.ret else TypeRef.unknown()
     name = cur_class.cls.name if cur_def.is_ctor else layout.name
     last = max(cur_def.last_line, cur_def.line_no)
@@ -268,8 +266,8 @@ def _parse_type(text: str, artifact: str, line_no: int) -> TypeRef:
     return TypeRef.named(t)
 
 
-def _parse_params(text: str, artifact: str, line_no: int,
-                  span: SourceSpan) -> list[Parameter]:
+def _parse_params(text: str, artifact: str,
+                  line_no: int) -> list[Parameter]:
     text = text.strip()
     if not text:
         return []
@@ -283,7 +281,7 @@ def _parse_params(text: str, artifact: str, line_no: int,
         name, type_text = m.groups()
         ptype = (_parse_type(type_text, artifact, line_no)
                  if type_text else TypeRef.unknown())
-        params.append(Parameter(name, ptype, span))
+        params.append(Parameter(name, ptype))
     return params
 
 
@@ -340,7 +338,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
     lines = text.split("\n")
     first, last = _find_region(lines, artifact)
 
-    model = ClassModel(origin="model-artifact")
+    model = ClassModel()
     seen_classes: dict[str, int] = {}
     cur: ClassDef | None = None
     cur_start = 0
@@ -426,7 +424,7 @@ def _parse_member(stripped: str, cls: ClassDef, artifact: str, line_no: int,
                if ret_text else TypeRef.unknown())
         return Method(
             name,
-            _parse_params(params_text, artifact, line_no, span),
+            _parse_params(params_text, artifact, line_no),
             ret,
             _VIS_MARKERS[vis],
             is_constructor=(name == cls.name),

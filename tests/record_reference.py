@@ -63,7 +63,6 @@ class TypeRef:
 class Parameter:
     name: str
     type: TypeRef = field(default_factory=TypeRef.unknown)
-    span: SourceSpan | None = None
 
 
 @dataclass(slots=True)
@@ -106,7 +105,6 @@ class Relationship:
 class ClassModel:
     classes: list = field(default_factory=list)
     relationships: list = field(default_factory=list)
-    origin: str = "synthetic"
 
 
 # --- consistency.py --------------------------------------------------------

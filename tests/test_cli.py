@@ -81,6 +81,18 @@ def test_check_parse_error_exits_two(capsys, tmp_path, pair):
     assert "bad.puml" in err and ":3" in err
 
 
+def test_check_names_the_line_of_an_undeclared_endpoint(capsys, tmp_path,
+                                                       pair):
+    _, code = pair
+    bad = tmp_path / "bad.puml"
+    bad.write_text("@startuml\nclass A {\n}\n\nA -- B\n@enduml\n",
+                   encoding="utf-8")
+    status, out, err = run(capsys, "check", bad, code)
+    assert status == 2 and out == ""
+    assert err == (f"parse error: {bad}:5: relationship endpoint 'B' "
+                   "names no class\n")
+
+
 def test_check_json_validates_against_schema(capsys, pair):
     model, code = pair
     status, out, _ = run(capsys, "check", model, code, "--json")

@@ -171,8 +171,7 @@ def test_unknown_types_never_flagged():
                                                   TypeRef.named("String"))],
                                   [Method("go", [Parameter("p")])])])
     code = ClassModel([ClassDef("A", [Attribute("x")],
-                                [Method("go", [Parameter("p")])])],
-                      origin="code-artifact")
+                                [Method("go", [Parameter("p")])])])
     assert check(design, code).error_findings() == ()
 
 

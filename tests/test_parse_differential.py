@@ -3,9 +3,11 @@
 ``parse_reference.py`` keeps the parsers as they were before the scanner
 and member-line rework.  On every input both must give equal documents
 (field-wise record ``==``, spans included) or raise the same
-``ParseError`` class at the same line with the same message.  Two
+``ParseError`` class at the same line with the same message.  Three
 exemptions are named below: inputs the reference skipped or modelled
-although they are not Python, which the parser now rejects.
+although they are not Python, which the parser now rejects, and an
+undeclared relationship endpoint, which the reference rejected at no line
+and the parser rejects at its arrow's line.
 """
 
 from __future__ import annotations
@@ -57,8 +59,16 @@ def _same_code_parse(text: str) -> None:
 
 
 def _same_plantuml_parse(text: str) -> None:
-    assert _outcome(parse_plantuml, text) == \
-        _outcome(parse_reference.parse_plantuml, text)
+    outcome = _outcome(parse_plantuml, text)
+    reference = _outcome(parse_reference.parse_plantuml, text)
+    if outcome != reference:
+        # an undeclared relationship endpoint: rejected now at the arrow's
+        # line, at no line by the reference
+        error, line, message = outcome
+        assert error is ParseError and "--" in text.split("\n")[line - 1]
+        assert "relationship endpoint" in message
+        assert reference == (error, 0,
+                             message.replace(f"model:{line}:", "model:", 1))
 
 
 def _renderings(seed: int) -> list[str]:
@@ -167,6 +177,37 @@ def test_code_parser_matches_reference_on_long_attribute_lines(rhs):
     outcome = _outcome(parse_code, text)
     elapsed = time.perf_counter() - started
     assert outcome == _outcome(parse_reference.parse_code, text)
+    assert elapsed < 0.5
+
+
+_BLANKS = " " * 33_000
+
+
+@pytest.mark.parametrize("member, error", [
+    (f"+f(a{_BLANKS}b): void", f"invalid parameter 'a{_BLANKS}b'"),
+    (f"+f(a{_BLANKS}:{_BLANKS}): void", f"invalid parameter 'a{_BLANKS}:'"),
+    (f"+f(a: int{_BLANKS}b): void", f"invalid type 'int{_BLANKS}b'"),
+    (f"+f(a{_BLANKS}:{_BLANKS}int{_BLANKS}): void", None),
+    (f"+f({_BLANKS}a{_BLANKS}, b): void", None),
+], ids=["blanks-between-two-names", "blanks-around-a-missing-type",
+        "blanks-inside-an-annotation", "blanks-around-an-annotation",
+        "blanks-around-a-name"])
+def test_plantuml_parser_matches_reference_on_long_blank_runs(member, error):
+    def text(blanks: str) -> str:
+        return ("@startuml\nclass A {\n  "
+                + member.replace(_BLANKS, blanks) + "\n}\n@enduml\n")
+    short = text(" " * 200)
+    assert _outcome(parse_plantuml, short) == \
+        _outcome(parse_reference.parse_plantuml, short)
+    started = time.perf_counter()
+    outcome = _outcome(parse_plantuml, text(_BLANKS))
+    elapsed = time.perf_counter() - started
+    if error is None:
+        assert outcome == _outcome(parse_reference.parse_plantuml,
+                                   text(_BLANKS))
+    else:
+        # the reference backtracks quadratically on these, for seconds
+        assert outcome == (ParseError, 3, f"model:3:1: {error}")
     assert elapsed < 0.5
 
 

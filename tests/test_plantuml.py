@@ -149,8 +149,10 @@ def test_collection_types_round_trip():
 
 
 def test_relationship_endpoint_validation():
-    with pytest.raises(ParseError):
-        parse_plantuml("@startuml\nclass A {\n}\nA -- Ghost\n@enduml")
+    with pytest.raises(ParseError) as err:
+        parse_plantuml("@startuml\nclass A {\n}\nA -- A\n\nGhost -- A\n"
+                       "@enduml")
+    assert err.value.line == 6  # the arrow that names no class
 
 
 def test_multiple_regions_rejected():

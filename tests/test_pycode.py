@@ -256,8 +256,7 @@ def _read_like_scan(line: str) -> bool:
         assert layout is not None and layout.indent == indent
         assert layout.params[0].name == "self"
         assert plain == (layout.name, layout.ret, [
-            (p.name, p.annotation, p.name_start, p.name_end)
-            for p in layout.params[1:]])
+            (p.name, p.annotation or "") for p in layout.params[1:]])
     with mock.patch.object(pycode, "scan_def_line",
                            wraps=scan_def_line) as scan:
         try:

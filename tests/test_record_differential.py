@@ -45,7 +45,7 @@ _type = st.sampled_from([
     TypeRef.unknown(), TypeRef.void(), TypeRef.named("int"),
     TypeRef.named("str"), TypeRef.collection(TypeRef.named("int"))])
 _visibility = st.sampled_from(Visibility)
-_param = st.builds(Parameter, _text, _type, _opt_span)
+_param = st.builds(Parameter, _text, _type)
 _method = st.builds(Method, _text, st.lists(_param, max_size=2), _type,
                     _visibility, st.booleans(), _opt_span)
 _attribute = st.builds(Attribute, _text, _type, _visibility, _opt_span)
@@ -55,7 +55,7 @@ _class = st.builds(ClassDef, _text, st.lists(_attribute, max_size=2),
 _relationship = st.builds(Relationship, _text, _text, _opt_text, _opt_text,
                           _opt_text, st.booleans())
 _model = st.builds(ClassModel, st.lists(_class, max_size=2),
-                   st.lists(_relationship, max_size=1), _text)
+                   st.lists(_relationship, max_size=1))
 _location = st.builds(Location, _text, _opt_text, _opt_span)
 _opt_location = st.none() | _location
 _kind = st.sampled_from(FindingKind)
@@ -82,7 +82,7 @@ RECORDS = [
      [st.sampled_from(["named", "collection", "unknown", "void"]),
       st.sampled_from([None, "", "int", "str"]),
       st.sampled_from([None, TypeRef.named("int"), TypeRef.void()])]),
-    (Parameter, ref.Parameter, [_text, _type, _opt_span]),
+    (Parameter, ref.Parameter, [_text, _type]),
     (Method, ref.Method,
      [_text, st.lists(_param, max_size=2), _type, _visibility, st.booleans(),
       _opt_span]),
@@ -93,8 +93,7 @@ RECORDS = [
     (Relationship, ref.Relationship,
      [_text, _text, _opt_text, _opt_text, _opt_text, st.booleans()]),
     (ClassModel, ref.ClassModel,
-     [st.lists(_class, max_size=2), st.lists(_relationship, max_size=2),
-      _text]),
+     [st.lists(_class, max_size=2), st.lists(_relationship, max_size=2)]),
     (MatchOptions, ref.MatchOptions,
      [_text, st.floats(allow_nan=True), st.just(frozenset()) |
       st.just(frozenset({frozenset({"a", "b"})})), st.booleans()]),
