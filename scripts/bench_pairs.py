@@ -13,25 +13,40 @@ appended to ``--out`` with the side, workload, seed and pair added.  At the
 end every end-to-end metric is printed with each side's median and
 quartiles, the number of pairs the change won (ties count for neither
 side), and the gap between the medians beside the parent's quartile
-spread.  The run length (``run_seconds``) and which direction is better
-come from ``BENCHMARK.json`` in the change checkout.
+spread.  Each run record also keeps, under ``max_rss_mb``, the ``max rss``
+that ``perfbench/run.py`` prints for each command, and the summary ends
+with their medians per side, so a memory change shows which command sets
+``peak_rss_mb``.  The run length (``run_seconds``) and which direction is
+better come from ``BENCHMARK.json`` in the change checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# a per-command line of perfbench/run.py, e.g.
+# "check: median 0.24 s wall, ...; max rss 20.3 MB"
+COMMAND_RSS = re.compile(r"^(\S+): median .*; max rss ([0-9.]+) MB$",
+                         re.MULTILINE)
+
+
+def command_rss(stdout: str) -> dict[str, float]:
+    """The ``max rss`` of each command in ``perfbench/run.py``'s output,
+    in MB, by command label."""
+    return {label: float(mb) for label, mb in COMMAND_RSS.findall(stdout)}
 
 
 def run_once(checkout: Path, workload: str, seed: int,
              seconds: float) -> dict:
-    """One benchmark run in ``checkout``; its final JSON line."""
+    """One benchmark run in ``checkout``: its final JSON line, with the
+    ``max rss`` of each command added as ``max_rss_mb``."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -41,7 +56,7 @@ def run_once(checkout: Path, workload: str, seed: int,
         sys.stderr.write(done.stderr)
         raise SystemExit(f"benchmark failed in {checkout} "
                          f"(exit {done.returncode})")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "max_rss_mb": command_rss(done.stdout)}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -75,6 +90,17 @@ def compare(runs: list[dict], lower: dict[str, bool]) -> list[dict]:
     return rows
 
 
+def rss_medians(runs: list[dict]) -> dict[str, dict[str, float]]:
+    """The median ``max rss`` of each command on each side, in MB; runs
+    recorded without ``max_rss_mb`` count for no command."""
+    values: dict[str, dict[str, list[float]]] = {}
+    for run in runs:
+        for label, mb in run.get("max_rss_mb", {}).items():
+            values.setdefault(label, {}).setdefault(run["side"], []).append(mb)
+    return {label: {side: statistics.median(v) for side, v in sides.items()}
+            for label, sides in sorted(values.items())}
+
+
 def summarize(runs: list[dict], lower: dict[str, bool]) -> None:
     bad = [run for run in runs if not run["correct"] or run["failed"]]
     rows = compare(runs, lower)
@@ -86,6 +112,10 @@ def summarize(runs: list[dict], lower: dict[str, bool]) -> None:
         print(f"{row['name']} [{row['unit']}]: {'; '.join(cells)}; "
               f"change won {row['won']}/{row['pairs']}; median gap "
               f"{row['gap']:.4f}, parent quartile spread {row['spread']:.4f}")
+    for label, medians in rss_medians(runs).items():
+        cells = [f"{side} {medians[side]:.2f}" for side in SIDES
+                 if side in medians]
+        print(f"max rss of {label} [MB], median: {'; '.join(cells)}")
 
 
 def main() -> int:

@@ -28,7 +28,7 @@ from .consistency import InputDescriptor, MatchOptions, Report, check
 from .correction import CorrectionSet, propose
 from .errors import (ConfigError, GenerationUnparsableError, ModelSyncError,
                      NoBlockFoundError, ParseError, TransportError)
-from .model import make_type_table, sha256_hex
+from .model import ClassModel, make_type_table, sha256_hex
 from .plantuml import parse_plantuml, render_plantuml
 from .pycode import parse_code
 
@@ -247,53 +247,42 @@ def _print_report(report: Report, sets: list[CorrectionSet],
 
 def cmd_check(args) -> int:
     cfg = load_config(args.config)
-    _, _, design, code_doc, report = _checked_pair(args, cfg)
+    # the read inputs are left out, so their bytes, hashed already, die
+    # before the corrections and the report are made
+    design, code_doc, report = _checked_pair(args, cfg)[2:]
     sets = propose(report, design, code_doc)
     _print_report(report, sets, args.json)
     return 1 if report.error_findings() else 0
 
 
 def cmd_sync(args) -> int:
+    """Repair the pair in three phases, one function each, so that only
+    one analysis is alive at a time: :func:`_sync_choice` parses, checks
+    and picks the corrections; :func:`_sync_outputs` applies them; this
+    function re-parses what changed, re-checks and writes.  When a phase
+    returns, its locals are freed by reference counting alone (``main``
+    pauses the collector), which holds because the records are acyclic.
+    So the report, the unchosen alternatives, the input code document and
+    a rewritten side's input text, bytes and model are gone before any
+    output is parsed.
+    """
     # looked up here, when the command runs: ``check`` never compiles the
     # write path, and a wrapper put on ``repair.apply`` is the one called
     from . import repair
 
     model_out, code_out = repair.output_paths(args)
-    cfg = load_config(args.config)
-    model_in, code_in, design, code_doc, report = _checked_pair(args, cfg)
-    model_text, code_text = model_in[1], code_in[1]
-    sets = propose(report, design, code_doc)
-
-    policy_name = args.policy or cfg.policy
-    if policy_name == "ask":
-        chosen = repair.ask(sets)
-    else:
-        chosen = repair.resolve(sets, repair.Policy(policy_name),
-                                cfg.preferred_side)
-
-    out_model, out_code = model_text, code_text
-    if chosen:
-        new_model, out_code = repair.apply(design, code_doc, chosen)
-        if any(e.side == "model" for e in chosen):
-            out_model = render_plantuml(new_model)
+    lines, options, (model_data, model_now), (code_data, code_now) = \
+        _sync_outputs(args, load_config(args.config), repair)
 
     # verify in memory before anything is written; a side whose bytes did
-    # not change is re-checked as already parsed
-    re_design = (design if out_model == model_text
-                 else repair.reparse(parse_plantuml, out_model,
-                                     model_out).model)
-    re_code = (code_doc.model if out_code == code_text
-               else repair.reparse(parse_code, out_code, code_out).model)
-    remaining = check(re_design, re_code, report.options).error_findings()
+    # not change comes as the model already parsed from it
+    re_design = (repair.reparse(parse_plantuml, model_now, model_out).model
+                 if isinstance(model_now, str) else model_now)
+    re_code = (repair.reparse(parse_code, code_now, code_out).model
+               if isinstance(code_now, str) else code_now)
+    remaining = check(re_design, re_code, options).error_findings()
 
-    if chosen:
-        print(f"applied {len(chosen)} correction(s):")
-        for edit in chosen:
-            print(f"  - [{edit.side}] {edit.description}")
-    elif report.error_findings():
-        print("no correction chosen; artifacts unchanged")
-    else:
-        print("already synchronized; artifacts unchanged")
+    print("\n".join(lines))
     if remaining:
         print(f"synchronization did not converge: "
               f"{len(remaining)} finding(s) remain", file=sys.stderr)
@@ -302,11 +291,57 @@ def cmd_sync(args) -> int:
         print("nothing written", file=sys.stderr)
         return 1
 
-    write_atomically([(model_out, output_bytes(out_model, model_in)),
-                      (code_out, output_bytes(out_code, code_in))])
+    write_atomically([(model_out, model_data), (code_out, code_data)])
     print(f"wrote {model_out}")
     print(f"wrote {code_out}")
     return 0
+
+
+def _sync_choice(args, cfg: Config, repair):
+    """The first phase of ``sync``: the read inputs, their parse, the
+    chosen edits, the lines that report them and the match options.  The
+    report and the alternatives not chosen die when this returns."""
+    model_in, code_in, design, code_doc, report = _checked_pair(args, cfg)
+    sets = propose(report, design, code_doc)
+    policy_name = args.policy or cfg.policy
+    if policy_name == "ask":
+        chosen = repair.ask(sets)
+    else:
+        chosen = repair.resolve(sets, repair.Policy(policy_name),
+                                cfg.preferred_side)
+
+    if chosen:
+        lines = [f"applied {len(chosen)} correction(s):"]
+        lines += [f"  - [{edit.side}] {edit.description}" for edit in chosen]
+    elif report.error_findings():
+        lines = ["no correction chosen; artifacts unchanged"]
+    else:
+        lines = ["already synchronized; artifacts unchanged"]
+    return model_in, code_in, design, code_doc, chosen, lines, report.options
+
+
+def _sync_outputs(args, cfg: Config, repair):
+    """The second phase of ``sync``: the report lines, the match options
+    and, for the model and the code, the bytes to write with either the
+    text to re-parse (the side changed) or the model parsed from it (the
+    side did not change).  The input code document, the design and the
+    input of a rewritten side die when this returns."""
+    model_in, code_in, design, code_doc, chosen, lines, options = \
+        _sync_choice(args, cfg, repair)
+    out_model, out_code = model_in[1], code_in[1]
+    if chosen:
+        new_model, out_code = repair.apply(design, code_doc, chosen)
+        if any(e.side == "model" for e in chosen):
+            out_model = render_plantuml(new_model)
+    return (lines, options, _sync_side(out_model, model_in, design),
+            _sync_side(out_code, code_in, code_doc.model))
+
+
+def _sync_side(text: str, read: tuple[bytes, str], model: ClassModel):
+    """What ``sync`` keeps of one side for its last phase: the bytes to
+    write, and ``text`` to re-parse when it differs from the input's text,
+    else ``model``, parsed from that input."""
+    return output_bytes(text, read), model if text == read[1] else text
 
 
 def cmd_render(args) -> int:

@@ -8,11 +8,11 @@ Supported inside one ``@startuml``/``@enduml`` region (or a single
 * methods ``VIS name(p[: TYPE], ...)[: TYPE]``
 * binary associations ``A ["m"] -- ["m"] B [: label [>]]``
 
-Types are identifiers, optionally suffixed ``[]`` for collections; a bare
-``void`` names the void type.  A member whose name equals its class name is
-a constructor.  Absent types mean "unknown" and are never flagged by the
-checker.  Anything else inside the region is a syntax error carrying the
-1-based line number.
+Types are identifiers, optionally suffixed ``[]`` for collections (at most
+``MAX_COLLECTION_DEPTH`` deep); a bare ``void`` names the void type.  A
+member whose name equals its class name is a constructor.  Absent types
+mean "unknown" and are never flagged by the checker.  Anything else inside
+the region is a syntax error carrying the 1-based line number.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ _RELATION_RE = re.compile(
 # in linear time
 _PARAM_RE = re.compile(r"\s*(\w+)(?:\s*:\s*(\S(?:.*\S)?))?\s*$")
 _TYPE_NAME_RE = re.compile(r"\w+")
+# the most ``[]`` suffixes one type may carry
+MAX_COLLECTION_DEPTH = 32
 
 _VIS_MARKERS = {"+": Visibility.PUBLIC, "-": Visibility.PRIVATE,
                 "#": Visibility.PROTECTED}
@@ -52,15 +54,28 @@ class PlantUmlDocument(NamedTuple):
 
 def _parse_type(text: str, artifact: str, line_no: int) -> TypeRef:
     t = text.strip()
-    if t.endswith("[]"):
-        return TypeRef.collection(_parse_type(t[:-2], artifact, line_no))
+    depth = 0
+    while t.endswith("[]"):
+        t = t[:-2].strip()
+        depth += 1
+    # what reads a TypeRef (str, rendering, comparison) recurses once per
+    # level, so a deeper nesting is refused here, at its line
+    if depth > MAX_COLLECTION_DEPTH:
+        raise ParseError(f"type {t!r} is nested in {depth} collections, "
+                         f"more than {MAX_COLLECTION_DEPTH}",
+                         artifact=artifact, line=line_no, col=1,
+                         expected=f"at most {MAX_COLLECTION_DEPTH} []")
     if t == "void":
-        return TypeRef.void()
-    if not _TYPE_NAME_RE.fullmatch(t):
-        raise ParseError(f"invalid type {text.strip()!r}",
+        parsed = TypeRef.void()
+    elif _TYPE_NAME_RE.fullmatch(t):
+        parsed = TypeRef.named(t)
+    else:
+        raise ParseError(f"invalid type {t!r}",
                          artifact=artifact, line=line_no, col=1,
                          expected="type name")
-    return TypeRef.named(t)
+    for _ in range(depth):
+        parsed = TypeRef.collection(parsed)
+    return parsed
 
 
 def _new_type(types: dict[str | None, TypeRef], text: str, artifact: str,

@@ -72,3 +72,36 @@ def test_summary_prints_each_metric_on_one_line(bench_pairs, capsys):
         "(1.2500-4.7500); change won 3/5; median gap 0.5000, parent "
         "quartile spread 3.0000",
     ]
+
+
+RUN_STDOUT = """\
+python 3.11.7 at /usr/bin/python3; 2 cpus
+rounds: 12; reference process median 0.0210 s
+check: median 0.2410 s wall, 0.2048 s scaled, over 12 runs; p8 0.2600 s \
+wall (10 of 12 runs beyond); max rss 20.3 MB
+sync_model_wins: median 0.2891 s wall, 0.2477 s scaled, over 12 runs; \
+tail needs at least 11 runs; max rss 22.3 MB
+gen: median 0.1467 s wall, 0.1289 s scaled, over 12 runs; tail needs at \
+least 11 runs; max rss 15.8 MB
+setup: median 0.2100 s wall over 3
+{"correct": true, "attempted": 36, "failed": 0, "metrics": {}}
+"""
+
+
+def test_command_rss_reads_each_command_line(bench_pairs):
+    assert bench_pairs.command_rss(RUN_STDOUT) == {
+        "check": 20.3, "sync_model_wins": 22.3, "gen": 15.8}
+    assert bench_pairs.command_rss("setup: median 0.2 s wall over 3\n") == {}
+
+
+def test_summary_ends_with_each_command_s_median_rss_per_side(
+        bench_pairs, capsys):
+    runs = _runs()
+    for run, check in zip(runs, [20.0, 19.0, 21.0, 18.0, 22.0, 17.0,
+                                 20.5, 18.5, 20.0, 19.5]):
+        run["max_rss_mb"] = {"check": check, "gen": 15.5}
+    bench_pairs.summarize(runs, {"check_s": True})
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "max rss of check [MB], median: parent 20.50; change 18.50",
+        "max rss of gen [MB], median: parent 15.50; change 15.50",
+    ]

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
@@ -79,6 +80,18 @@ def test_check_parse_error_exits_two(capsys, tmp_path, pair):
     status, _, err = run(capsys, "check", bad, code)
     assert status == 2
     assert "bad.puml" in err and ":3" in err
+
+
+def test_check_rejects_a_deeply_nested_type_at_its_line(capsys, tmp_path,
+                                                       pair):
+    # each [] used to cost a frame: a RecursionError traceback, exit 1
+    _, code = pair
+    bad = tmp_path / "bad.puml"
+    bad.write_text("@startuml\nclass A {\n  +x: int" + "[]" * 2000
+                   + "\n}\n@enduml\n", encoding="utf-8")
+    status, _, err = run(capsys, "check", bad, code)
+    assert status == 2
+    assert f"{bad}:3" in err and "nested in 2000 collections" in err
 
 
 def test_check_names_the_line_of_an_undeclared_endpoint(capsys, tmp_path,
@@ -880,6 +893,41 @@ def test_sync_reparses_only_the_rewritten_side(capsys, monkeypatch, tmp_path,
                          "--out-dir", tmp_path / "out")
     assert status == 0, err
     assert calls == parses
+
+
+@pytest.mark.parametrize("policy", ["model-wins", "code-wins"])
+def test_sync_releases_the_first_analysis_before_it_reparses(
+        capsys, monkeypatch, tmp_path, fixtures_dir, policy):
+    # when the rewritten side is re-parsed, only the unchanged side's
+    # model is left of the first pass
+    from modelsync import repair
+    from modelsync.consistency import Finding
+    from modelsync.correction import CorrectionSet
+    from modelsync.model import ClassModel
+    from modelsync.pycode import CodeDocument
+
+    def live() -> dict[str, int]:
+        counts = Counter(type(obj) for obj in gc.get_objects())
+        return {kind.__name__: counts[kind] for kind in
+                (Finding, CorrectionSet, CodeDocument, ClassModel)}
+
+    seen = []
+    original = repair.reparse
+
+    def reparse(*args, **kwargs):
+        seen.append(live())
+        return original(*args, **kwargs)
+    monkeypatch.setattr(repair, "reparse", reparse)
+    gc.collect()
+    before = live()
+    status, _, err = run(capsys, "sync",
+                         fixtures_dir / "library_v1_drifted_model.puml",
+                         fixtures_dir / "library_v1_drifted_code.py",
+                         "--policy", policy, "--out-dir", tmp_path / "out")
+    assert status == 0, err
+    assert [{kind: n - before[kind] for kind, n in counts.items()}
+            for counts in seen] == [{"Finding": 0, "CorrectionSet": 0,
+                                     "CodeDocument": 0, "ClassModel": 1}]
 
 
 UNPARSABLE_AFTER_SYNC_MODEL = """@startuml

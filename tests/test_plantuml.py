@@ -7,7 +7,8 @@ import pytest
 from modelsync.errors import (DuplicateClassError, MissingRegionError,
                               ParseError)
 from modelsync.model import model_equal
-from modelsync.plantuml import parse_plantuml, render_plantuml
+from modelsync.plantuml import (MAX_COLLECTION_DEPTH, parse_plantuml,
+                                render_plantuml)
 
 from modelgen import make_plantuml_model
 from helpers import class_named
@@ -61,6 +62,28 @@ def test_v2_model_contents(v2_model_text):
 def test_unparsed_return_type_is_unknown(v2_model_text):
     lib = class_named(parse_plantuml(v2_model_text).model, "Library")
     assert all(m.return_type.kind == "unknown" for m in lib.methods)
+
+
+def test_collection_nesting_is_read_up_to_its_limit():
+    text = ("@startuml\nclass A {\n  +x: int" + "[]" * MAX_COLLECTION_DEPTH
+            + "\n}\n@enduml\n")
+    model = parse_plantuml(text).model
+    t = model.classes[0].attributes[0].type
+    for _ in range(MAX_COLLECTION_DEPTH):
+        assert t.kind == "collection"
+        t = t.element
+    assert t.name == "int"
+    assert render_plantuml(model) == text
+
+
+@pytest.mark.parametrize("depth", [MAX_COLLECTION_DEPTH + 1, 2000])
+def test_collection_nesting_past_its_limit_rejected_at_its_line(depth):
+    text = ("@startuml\nclass A {\n  +ok: int\n  +f(x: int"
+            + "[]" * depth + "): void\n}\n@enduml\n")
+    with pytest.raises(ParseError) as err:
+        parse_plantuml(text, artifact="m.puml")
+    assert err.value.line == 4
+    assert f"nested in {depth} collections" in str(err.value)
 
 
 def test_missing_region():
