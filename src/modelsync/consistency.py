@@ -1,12 +1,14 @@
 """Deterministic structural diff between a design model and a code model.
 
-Classes are paired by canonical name; within paired classes, constructors
-pair with constructors, methods pair by canonical name, attributes by
-canonical name.  Leftover members on opposite sides whose canonical names
-sit within a relative Levenshtein distance threshold (and whose arity
-matches, for methods) become rename candidates; a rename candidate
-suppresses the pair of missing-member findings it replaces.  The distance
-behind a candidate is bounded: for names whose longer one has ``n``
+Classes are paired by canonical name.  Within a class pair, ``match_models``
+links each model member to the code member that realizes it: constructor
+to constructor, then methods and attributes by canonical name.  Leftover
+members on opposite sides whose canonical names sit within a relative
+Levenshtein distance threshold (and whose arity matches, for methods) are
+linked as renames; a rename link carries its distance, and suppresses the
+pair of missing-member findings it replaces.  Every member is linked or
+left over on its side, except a constructor the other side lacks.  The
+distance behind a rename is bounded: for names whose longer one has ``n``
 characters, :func:`levenshtein` runs with ``limit = floor(threshold * n) + 1``
 and gives up as soon as the distance provably exceeds that limit (length
 gap first, then a diagonal band whose row minimum passes it; Ukkonen 1985).
@@ -19,6 +21,9 @@ sentinel at each end, and a distance of at most ``limit`` leaves at least
 which that bound is not positive are visited through length buckets, so
 the filter never loses a pair the test would accept.
 
+``check`` reads the links with one rule: a rename link is a finding, and
+so is every way a link's two members disagree (arity, parameter, return or
+attribute type); each leftover member is a missing-member finding.
 Unknown types never produce findings, so unannotated code cannot drown a
 report in false positives.  The same principle extends to unpaired
 attributes: an attribute whose type carries no named evidence (a bare
@@ -59,13 +64,6 @@ class FindingKind(Enum):
     RELATIONSHIP_MISSING_IN_CODE = "RelationshipMissingInCode"
     RELATIONSHIP_MISSING_IN_MODEL = "RelationshipMissingInModel"
 
-
-MISSING_KINDS = {
-    FindingKind.MISSING_CLASS_IN_CODE, FindingKind.MISSING_CLASS_IN_MODEL,
-    FindingKind.MISSING_METHOD_IN_CODE, FindingKind.MISSING_METHOD_IN_MODEL,
-    FindingKind.MISSING_ATTRIBUTE_IN_CODE,
-    FindingKind.MISSING_ATTRIBUTE_IN_MODEL,
-}
 
 _ADVISORY_KINDS = {FindingKind.RELATIONSHIP_MISSING_IN_CODE,
                    FindingKind.RELATIONSHIP_MISSING_IN_MODEL}
@@ -196,52 +194,32 @@ def levenshtein(a: str, b: str, limit: int | None = None) -> int:
 
 
 class MemberPair(NamedTuple):
+    """A link from a model member to the code member that realizes it.
+    A rename link's names are ``distance`` edits apart and the longer one
+    has ``longest`` characters; a link by name has 0 for both."""
     model: object  # Method | Attribute
     code: object
-
-
-class RenamePair(NamedTuple):
-    model: object
-    code: object
-    distance: int
-    longest: int
+    distance: int = 0
+    longest: int = 0
 
 
 class ClassMatch(Record):
-    __slots__ = ("model_class", "code_class", "constructor_pair",
-                 "method_pairs", "attribute_pairs", "method_renames",
-                 "attribute_renames", "model_only_methods",
-                 "code_only_methods", "model_only_attributes",
-                 "code_only_attributes")
+    """A class pair's links (constructor, then by name: methods, then
+    attributes; then renames: methods, then attributes) and the members
+    each side has left over."""
+
+    __slots__ = ("model_class", "code_class", "links", "model_only",
+                 "code_only")
 
     def __init__(self, model_class: ClassDef, code_class: ClassDef,
-                 constructor_pair: MemberPair | None = None,
-                 method_pairs: list[MemberPair] | None = None,
-                 attribute_pairs: list[MemberPair] | None = None,
-                 method_renames: list[RenamePair] | None = None,
-                 attribute_renames: list[RenamePair] | None = None,
-                 model_only_methods: list[Method] | None = None,
-                 code_only_methods: list[Method] | None = None,
-                 model_only_attributes: list[Attribute] | None = None,
-                 code_only_attributes: list[Attribute] | None = None
-                 ) -> None:
+                 links: list[MemberPair] | None = None,
+                 model_only: list | None = None,  # Method | Attribute
+                 code_only: list | None = None) -> None:
         self.model_class = model_class
         self.code_class = code_class
-        self.constructor_pair = constructor_pair
-        self.method_pairs = [] if method_pairs is None else method_pairs
-        self.attribute_pairs = ([] if attribute_pairs is None
-                                else attribute_pairs)
-        self.method_renames = [] if method_renames is None else method_renames
-        self.attribute_renames = ([] if attribute_renames is None
-                                  else attribute_renames)
-        self.model_only_methods = ([] if model_only_methods is None
-                                   else model_only_methods)
-        self.code_only_methods = ([] if code_only_methods is None
-                                  else code_only_methods)
-        self.model_only_attributes = ([] if model_only_attributes is None
-                                      else model_only_attributes)
-        self.code_only_attributes = ([] if code_only_attributes is None
-                                     else code_only_attributes)
+        self.links = [] if links is None else links
+        self.model_only = [] if model_only is None else model_only
+        self.code_only = [] if code_only is None else code_only
 
 
 class MatchResult(Record):
@@ -282,26 +260,20 @@ def match_models(design: ClassModel, code: ClassModel,
 
 
 def _match_class(mc: ClassDef, cc: ClassDef, opts: MatchOptions) -> ClassMatch:
-    match = ClassMatch(mc, cc)
-
+    links: list[MemberPair] = []
     m_ctor, c_ctor = mc.constructor(), cc.constructor()
     if m_ctor is not None and c_ctor is not None:
-        match.constructor_pair = MemberPair(m_ctor, c_ctor)
-
-    m_methods = [m for m in mc.methods if not m.is_constructor]
-    c_methods = [m for m in cc.methods if not m.is_constructor]
-    m_left, c_left = _pair_by_name(m_methods, c_methods, opts,
-                                   match.method_pairs)
-    (match.method_renames, match.model_only_methods,
-     match.code_only_methods) = _pair_renames(m_left, c_left, opts,
-                                              require_arity=True)
-
-    a_left, b_left = _pair_by_name(mc.attributes, cc.attributes, opts,
-                                   match.attribute_pairs)
-    (match.attribute_renames, match.model_only_attributes,
-     match.code_only_attributes) = _pair_renames(a_left, b_left, opts,
+        links.append(MemberPair(m_ctor, c_ctor))
+    m_left, c_left = _pair_by_name(
+        [m for m in mc.methods if not m.is_constructor],
+        [m for m in cc.methods if not m.is_constructor], opts, links)
+    a_left, b_left = _pair_by_name(mc.attributes, cc.attributes, opts, links)
+    method_renames, m_only, c_only = _pair_renames(m_left, c_left, opts,
+                                                   require_arity=True)
+    attr_renames, a_only, b_only = _pair_renames(a_left, b_left, opts,
                                                  require_arity=False)
-    return match
+    return ClassMatch(mc, cc, links + method_renames + attr_renames,
+                      m_only + a_only, c_only + b_only)
 
 
 def _pair_by_name(model_members, code_members, opts: MatchOptions,
@@ -359,8 +331,8 @@ def _count_filter(scale: float, widest: int):
 
 
 def _pair_renames(model_left, code_left, opts: MatchOptions, *,
-                  require_arity: bool) -> tuple[list[RenamePair], list, list]:
-    """Rename pairs, then the model-only and code-only leftovers."""
+                  require_arity: bool) -> tuple[list[MemberPair], list, list]:
+    """Rename links, then the model-only and code-only leftovers."""
     threshold = opts.rename_threshold
     # a negative or NaN threshold admits no distance
     if not (model_left and code_left and threshold >= 0):
@@ -403,7 +375,7 @@ def _pair_renames(model_left, code_left, opts: MatchOptions, *,
             if dist / longest <= threshold:
                 candidates.append((dist / longest, m.name, code_left[j].name,
                                    i, j, dist, longest))
-    renames: list[RenamePair] = []
+    renames: list[MemberPair] = []
     used_m: set[int] = set()
     used_c: set[int] = set()
     # (i, j) breaks ties in model order, then code order
@@ -412,7 +384,7 @@ def _pair_renames(model_left, code_left, opts: MatchOptions, *,
             continue
         used_m.add(i)
         used_c.add(j)
-        renames.append(RenamePair(model_left[i], code_left[j], dist,
+        renames.append(MemberPair(model_left[i], code_left[j], dist,
                                   longest))
     return (renames,
             [m for i, m in enumerate(model_left) if i not in used_m],
@@ -476,124 +448,92 @@ def check(design: ClassModel, code: ClassModel,
 def _class_findings(out: list[Finding], cm: ClassMatch,
                     opts: MatchOptions) -> None:
     mc, cc = cm.model_class, cm.code_class
-
-    if cm.constructor_pair is not None:
-        _signature_findings(out, cm, cm.constructor_pair, opts)
-    for pair in cm.method_pairs:
-        _signature_findings(out, cm, pair, opts)
-    for rename in cm.method_renames:
-        _rename_finding(out, cm, rename, "method")
-        _paired_type_findings(out, cm, rename.model, rename.code, opts)
-    for rename in cm.attribute_renames:
-        _rename_finding(out, cm, rename, "attribute")
-        _attr_type_findings(out, cm, rename.model, rename.code, opts)
-    for pair in cm.attribute_pairs:
-        _attr_type_findings(out, cm, pair.model, pair.code, opts)
-
-    for m in cm.model_only_methods:
-        _emit(out, FindingKind.MISSING_METHOD_IN_CODE, _loc(mc, m),
-              Location(cc.name),
-              f"method '{m.name}' of class '{mc.name}' is declared in the "
-              f"design model but missing from the code",
-              mc, cc, model_member=m)
-    for m in cm.code_only_methods:
-        _emit(out, FindingKind.MISSING_METHOD_IN_MODEL, Location(mc.name),
-              _loc(cc, m),
-              f"method '{m.name}' of class '{cc.name}' is defined in the "
-              f"code but missing from the design model",
-              mc, cc, code_member=m)
-    for a in cm.model_only_attributes:
-        if not _has_named_evidence(a.type):
+    for link in cm.links:
+        _link_findings(out, mc, cc, link, opts)
+    for m in cm.model_only:
+        attr = isinstance(m, Attribute)
+        if attr and not _has_named_evidence(m.type):
             continue
-        _emit(out, FindingKind.MISSING_ATTRIBUTE_IN_CODE, _loc(mc, a),
-              Location(cc.name),
-              f"attribute '{a.name}' of class '{mc.name}' is declared in "
+        _emit(out, FindingKind.MISSING_ATTRIBUTE_IN_CODE if attr
+              else FindingKind.MISSING_METHOD_IN_CODE,
+              _loc(mc, m), Location(cc.name),
+              f"{_what(m)} '{m.name}' of class '{mc.name}' is declared in "
               f"the design model but missing from the code",
-              mc, cc, model_member=a)
-    for a in cm.code_only_attributes:
-        if not _has_named_evidence(a.type):
+              mc, cc, model_member=m)
+    for c in cm.code_only:
+        attr = isinstance(c, Attribute)
+        if attr and not _has_named_evidence(c.type):
             continue
-        _emit(out, FindingKind.MISSING_ATTRIBUTE_IN_MODEL, Location(mc.name),
-              _loc(cc, a),
-              f"attribute '{a.name}' of class '{cc.name}' is assigned in "
-              f"the code but missing from the design model",
-              mc, cc, code_member=a)
+        _emit(out, FindingKind.MISSING_ATTRIBUTE_IN_MODEL if attr
+              else FindingKind.MISSING_METHOD_IN_MODEL,
+              Location(mc.name), _loc(cc, c),
+              f"{_what(c)} '{c.name}' of class '{cc.name}' is "
+              f"{'assigned' if attr else 'defined'} in the code but missing "
+              f"from the design model",
+              mc, cc, code_member=c)
+
+
+def _what(member) -> str:
+    return "attribute" if isinstance(member, Attribute) else "method"
 
 
 def _has_named_evidence(t: TypeRef) -> bool:
     """True when a type pins down a name somewhere (named or named[])."""
     if t.kind == "named":
         return True
-    if t.kind == "collection" and t.element is not None:
+    if t.kind == "collection":
         return _has_named_evidence(t.element)
     return False
 
 
-def _rename_finding(out: list[Finding], cm: ClassMatch,
-                    rename: RenamePair, what: str) -> None:
-    _emit(out, FindingKind.PROBABLE_RENAME,
-          _loc(cm.model_class, rename.model),
-          _loc(cm.code_class, rename.code),
-          f"{what} '{rename.model.name}' in the design model likely "
-          f"corresponds to '{rename.code.name}' in the code "
-          f"(edit distance {rename.distance}/{rename.longest})",
-          cm.model_class, cm.code_class, rename.model, rename.code)
+def _link_findings(out: list[Finding], mc: ClassDef, cc: ClassDef,
+                   link: MemberPair, opts: MatchOptions) -> None:
+    """A rename link's finding, then each way the two members disagree:
+    arity (then nothing else), parameter and return types, or the
+    attribute's type."""
+    model, code = link.model, link.code
+    table = opts.type_table
+    if link.distance:
+        _emit_link(out, mc, cc, link, FindingKind.PROBABLE_RENAME,
+                   f"{_what(model)} '{model.name}' in the design model "
+                   f"likely corresponds to '{code.name}' in the code "
+                   f"(edit distance {link.distance}/{link.longest})")
+    if isinstance(model, Attribute):
+        if not type_equivalent(model.type, code.type, table):
+            _emit_link(out, mc, cc, link, FindingKind.ATTRIBUTE_TYPE_MISMATCH,
+                       f"attribute '{model.name}' of class '{mc.name}' is "
+                       f"'{model.type}' in the design model but "
+                       f"'{code.type}' in the code")
+    elif model.arity != code.arity:
+        what = ("constructor of" if model.is_constructor
+                else f"method '{model.name}' of")
+        _emit_link(out, mc, cc, link, FindingKind.CONSTRUCTOR_ARITY_MISMATCH,
+                   f"{what} class '{mc.name}' takes {model.arity} "
+                   f"parameter(s) in the design model but {code.arity} in "
+                   f"the code")
+    else:
+        what = ("constructor" if model.is_constructor
+                else f"method '{model.name}'")
+        for i, (mp, cp) in enumerate(zip(model.params, code.params)):
+            if not type_equivalent(mp.type, cp.type, table):
+                _emit_link(out, mc, cc, link, FindingKind.PARAM_TYPE_MISMATCH,
+                           f"{what} parameter '{mp.name}' of class "
+                           f"'{mc.name}' is '{mp.type}' in the design model "
+                           f"but '{cp.type}' in the code (position {i + 1})",
+                           i)
+        if not type_equivalent(model.return_type, code.return_type, table):
+            _emit_link(out, mc, cc, link, FindingKind.RETURN_TYPE_MISMATCH,
+                       f"method '{model.name}' of class '{mc.name}' returns "
+                       f"'{model.return_type}' in the design model but "
+                       f"'{code.return_type}' in the code")
 
 
-def _signature_findings(out: list[Finding], cm: ClassMatch,
-                        pair: MemberPair, opts: MatchOptions) -> None:
-    model_m: Method = pair.model
-    code_m: Method = pair.code
-    if model_m.arity != code_m.arity:
-        what = ("constructor of" if model_m.is_constructor
-                else f"method '{model_m.name}' of")
-        _emit(out, FindingKind.CONSTRUCTOR_ARITY_MISMATCH,
-              _loc(cm.model_class, model_m), _loc(cm.code_class, code_m),
-              f"{what} class '{cm.model_class.name}' takes "
-              f"{model_m.arity} parameter(s) in the design model but "
-              f"{code_m.arity} in the code",
-              cm.model_class, cm.code_class, model_m, code_m)
-        return
-    _paired_type_findings(out, cm, model_m, code_m, opts)
-
-
-def _paired_type_findings(out: list[Finding], cm: ClassMatch,
-                          model_m: Method, code_m: Method,
-                          opts: MatchOptions) -> None:
-    if model_m.arity != code_m.arity:
-        return
-    for i, (mp, cp) in enumerate(zip(model_m.params, code_m.params)):
-        if not type_equivalent(mp.type, cp.type, opts.type_table):
-            what = ("constructor" if model_m.is_constructor
-                    else f"method '{model_m.name}'")
-            _emit(out, FindingKind.PARAM_TYPE_MISMATCH,
-                  _loc(cm.model_class, model_m), _loc(cm.code_class, code_m),
-                  f"{what} parameter '{mp.name}' of class "
-                  f"'{cm.model_class.name}' is '{mp.type}' in the design "
-                  f"model but '{cp.type}' in the code (position {i + 1})",
-                  cm.model_class, cm.code_class, model_m, code_m,
-                  param_index=i)
-    if not type_equivalent(model_m.return_type, code_m.return_type,
-                           opts.type_table):
-        _emit(out, FindingKind.RETURN_TYPE_MISMATCH,
-              _loc(cm.model_class, model_m), _loc(cm.code_class, code_m),
-              f"method '{model_m.name}' of class '{cm.model_class.name}' "
-              f"returns '{model_m.return_type}' in the design model but "
-              f"'{code_m.return_type}' in the code",
-              cm.model_class, cm.code_class, model_m, code_m)
-
-
-def _attr_type_findings(out: list[Finding], cm: ClassMatch,
-                        model_a: Attribute, code_a: Attribute,
-                        opts: MatchOptions) -> None:
-    if type_equivalent(model_a.type, code_a.type, opts.type_table):
-        return
-    _emit(out, FindingKind.ATTRIBUTE_TYPE_MISMATCH,
-          _loc(cm.model_class, model_a), _loc(cm.code_class, code_a),
-          f"attribute '{model_a.name}' of class '{cm.model_class.name}' is "
-          f"'{model_a.type}' in the design model but '{code_a.type}' in "
-          f"the code",
-          cm.model_class, cm.code_class, model_a, code_a)
+def _emit_link(out: list[Finding], mc: ClassDef, cc: ClassDef,
+               link: MemberPair, kind: FindingKind, detail: str,
+               param_index: int | None = None) -> None:
+    """Append a finding located at both members of ``link``."""
+    _emit(out, kind, _loc(mc, link.model), _loc(cc, link.code), detail, mc,
+          cc, link.model, link.code, param_index=param_index)
 
 
 def _code_reference_pairs(code: ClassModel,
@@ -606,7 +546,7 @@ def _code_reference_pairs(code: ClassModel,
         if t.kind == "named":
             return class_keys.get(normalize_name(t.name or "",
                                                  opts.name_mode))
-        if t.kind == "collection" and t.element is not None:
+        if t.kind == "collection":
             return referenced(t.element)
         return None
 

@@ -276,11 +276,3 @@ def gen_code(requirements: str, transport,
     return _generate(PromptKind.GEN_CODE, "code", "code", parse_code,
                      requirements, transport, model_name, artifact)
 
-
-def llm_sync_suggest(model_text: str, code_text: str, transport,
-                     model_name: str = DEFAULT_MODEL_NAME) -> str:
-    """Raw advisory text for a pair; never parsed into edits."""
-    request = make_request(PromptKind.SYNC_CHECK,
-                           {"model": model_text, "code": code_text},
-                           model_name)
-    return transport.send(request)

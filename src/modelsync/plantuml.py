@@ -276,7 +276,7 @@ def _render_type(t: TypeRef) -> str | None:
     if t.kind == "void":
         return "void"
     if t.kind == "collection":
-        inner = _render_type(t.element) if t.element else None
+        inner = _render_type(t.element)
         return f"{inner}[]" if inner else None
     return None
 

@@ -35,7 +35,6 @@ import os
 from enum import Enum
 from pathlib import Path
 
-from .consistency import MISSING_KINDS
 from .correction import CorrectionEdit, CorrectionSet, _require_pair
 from .errors import DanglingParameterError, EditConflictError, ParseError
 from .model import (Attribute, ClassDef, ClassModel, Method, SourceSpan,
@@ -63,11 +62,10 @@ def resolve(sets: list[CorrectionSet], policy: Policy,
             pick = s.side("code")
         elif policy is Policy.CODE_WINS:
             pick = s.side("model")
-        else:  # union
-            if s.finding_kind in MISSING_KINDS:
-                pick = next((a for a in s.alternatives
-                             if a.kind.startswith("add-")), None)
-            else:
+        else:  # union: add what one side lacks, else follow preferred_side
+            pick = next((a for a in s.alternatives
+                         if a.kind.startswith("add-")), None)
+            if pick is None:
                 pick = s.side("code" if preferred_side == "model"
                               else "model")
         if pick is not None:

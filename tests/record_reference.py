@@ -161,29 +161,17 @@ class Report:
 class MemberPair:
     model: object
     code: object
-
-
-@dataclass
-class RenamePair:
-    model: object
-    code: object
-    distance: int
-    longest: int
+    distance: int = 0
+    longest: int = 0
 
 
 @dataclass
 class ClassMatch:
     model_class: ClassDef
     code_class: ClassDef
-    constructor_pair: MemberPair | None = None
-    method_pairs: list = field(default_factory=list)
-    attribute_pairs: list = field(default_factory=list)
-    method_renames: list = field(default_factory=list)
-    attribute_renames: list = field(default_factory=list)
-    model_only_methods: list = field(default_factory=list)
-    code_only_methods: list = field(default_factory=list)
-    model_only_attributes: list = field(default_factory=list)
-    code_only_attributes: list = field(default_factory=list)
+    links: list = field(default_factory=list)
+    model_only: list = field(default_factory=list)
+    code_only: list = field(default_factory=list)
 
 
 @dataclass

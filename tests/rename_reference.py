@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import math
 
-from modelsync.consistency import MatchOptions, RenamePair, levenshtein
+from modelsync.consistency import MatchOptions, MemberPair, levenshtein
 from modelsync.model import normalize_name
 
 
 def reference_pair_renames(model_left, code_left, opts: MatchOptions, *,
                            require_arity: bool):
-    """Rename pairs, then the model-only and code-only leftovers."""
+    """Rename links, then the model-only and code-only leftovers."""
     threshold = opts.rename_threshold
     candidates: list[tuple[float, str, str, int, int, object, object]] = []
     if threshold >= 0:  # a negative or NaN threshold admits no distance
@@ -31,7 +31,7 @@ def reference_pair_renames(model_left, code_left, opts: MatchOptions, *,
                 if dist / longest <= threshold:
                     candidates.append((dist / longest, m.name, c.name,
                                        dist, longest, m, c))
-    renames: list[RenamePair] = []
+    renames: list[MemberPair] = []
     used_m: set[int] = set()
     used_c: set[int] = set()
     for rel, mn, cn, dist, longest, m, c in sorted(
@@ -40,6 +40,6 @@ def reference_pair_renames(model_left, code_left, opts: MatchOptions, *,
             continue
         used_m.add(id(m))
         used_c.add(id(c))
-        renames.append(RenamePair(m, c, dist, longest))
+        renames.append(MemberPair(m, c, dist, longest))
     return (renames, [m for m in model_left if id(m) not in used_m],
             [c for c in code_left if id(c) not in used_c])

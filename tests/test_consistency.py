@@ -8,11 +8,12 @@ from modelsync import consistency
 from modelsync.consistency import (FindingKind, MatchOptions, check,
                                    levenshtein, match_models)
 from modelsync.model import (Attribute, ClassDef, ClassModel, Method,
-                             Parameter, TypeRef)
+                             Parameter, TypeRef, normalize_name)
 from modelsync.plantuml import parse_plantuml, render_plantuml
 from modelsync.pycode import parse_code, render_code_skeleton
 
-from modelgen import OPERATORS, drifted_names, make_code_model, mutate
+from modelgen import (OPERATORS, drifted_names, make_code_model,
+                      make_plantuml_model, mutate)
 from helpers import relative_distance
 
 
@@ -109,8 +110,10 @@ def test_v1_pair_matches_members(v1_model_text, v1_code_text):
     assert not result.model_only_classes and not result.code_only_classes
     user = next(m for m in result.class_matches
                 if m.model_class.name == "User")
-    assert user.constructor_pair is not None
-    assert not user.model_only_methods and not user.code_only_methods
+    ctor = user.links[0]
+    assert ctor.model.is_constructor and ctor.code.is_constructor
+    assert not any(isinstance(m, Method)
+                   for m in user.model_only + user.code_only)
 
 
 def test_v1_pair_known_arity_quirk(v1_model_text, v1_code_text):
@@ -130,10 +133,9 @@ def test_drifted_pair_rename_candidate(drifted_model_text, drifted_code_text):
     result = match_models(design, code)
     user = next(m for m in result.class_matches
                 if m.model_class.name == "User")
-    assert [(r.model.name, r.code.name) for r in user.method_renames] == \
-        [("getNamae", "getName")]
-    assert [(r.model.name, r.code.name) for r in user.attribute_renames] == \
-        [("namae", "name")]
+    # renames come last: methods, then attributes
+    assert [(r.model.name, r.code.name) for r in user.links
+            if r.distance] == [("getNamae", "getName"), ("namae", "name")]
 
 
 def test_drifted_pair_findings(drifted_model_text, drifted_code_text):
@@ -346,6 +348,82 @@ def test_mutation_detection_all_operators():
             f"seed {seed} op {op} side {side}: got {errors[0].kind}"
         detected += 1
     assert detected >= 150
+
+
+def _without_constructors(model: ClassModel) -> ClassModel:
+    return ClassModel([ClassDef(c.name, c.attributes,
+                                [m for m in c.methods if not m.is_constructor])
+                       for c in model.classes])
+
+
+def _assert_links_partition(cm, opts: MatchOptions) -> None:
+    """Each member of a class pair is linked or left over exactly once; a
+    constructor is linked when both sides have one and otherwise placed
+    nowhere."""
+    ctors = (cm.model_class.constructor(), cm.code_class.constructor())
+    linked_ctors = None not in ctors
+    for side, cls, only in (("model", cm.model_class, cm.model_only),
+                            ("code", cm.code_class, cm.code_only)):
+        placed = [getattr(link, side) for link in cm.links] + only
+        want = [m for m in cls.attributes + cls.methods
+                if not getattr(m, "is_constructor", False)]
+        if linked_ctors:
+            want.append(cls.constructor())
+        assert sorted(map(id, placed)) == sorted(map(id, want)), side
+        assert not any(getattr(m, "is_constructor", False) for m in only)
+    if linked_ctors:
+        first = cm.links[0]
+        assert first.model is ctors[0] and first.code is ctors[1]
+    ranks = []
+    for k, link in enumerate(cm.links):
+        model, code = link.model, link.code
+        assert type(model) is type(code)
+        if isinstance(model, Method):
+            assert model.is_constructor == code.is_constructor
+            assert model.is_constructor == (linked_ctors and k == 0)
+        a = normalize_name(model.name, opts.name_mode)
+        b = normalize_name(code.name, opts.name_mode)
+        if link.distance == 0:
+            assert a == b and link.longest == 0
+        else:
+            assert link.longest == max(len(a), len(b))
+            assert link.distance == levenshtein(a, b)
+            assert 0 < link.distance / link.longest <= opts.rename_threshold
+        ranks.append((link.distance > 0, isinstance(model, Attribute)))
+    # by name (methods, then attributes), then renames (likewise)
+    assert ranks == sorted(ranks)
+
+
+def test_links_partition_each_class_pair():
+    # 48 seeds give each generator, operator and mutated side once
+    linked = renamed = constructors = 0
+    for seed in range(96):
+        rng = random.Random(seed)
+        make = (make_code_model, make_plantuml_model)[seed % 2]
+        op = OPERATORS[seed // 2 % len(OPERATORS)]
+        side = ("model", "code")[seed // 24 % 2]
+        base = make(rng)
+        drifted = drifted_names(rng, base)
+        pairs = [(base, drifted), (base, _without_constructors(drifted))]
+        mutation = mutate(rng, base, op, side)
+        if mutation is not None:
+            pairs.append((mutation.mutated, base) if side == "model"
+                         else (base, mutation.mutated))
+        for mode in ("canonical", "exact"):
+            for threshold in (0.3, 0.6):
+                opts = MatchOptions(name_mode=mode,
+                                    rename_threshold=threshold)
+                for design, code in pairs:
+                    for cm in match_models(design, code, opts).class_matches:
+                        _assert_links_partition(cm, opts)
+                        linked += len(cm.links)
+                        renamed += sum(link.distance > 0
+                                       for link in cm.links)
+                        constructors += sum(
+                            getattr(link.model, "is_constructor", False)
+                            for link in cm.links)
+    assert renamed > 1000 and constructors > 500 and linked > 5000, \
+        (renamed, constructors, linked)
 
 
 def test_mutate_on_a_model_without_classes():

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from modelsync import llm
 from modelsync.errors import (GenerationUnparsableError, MissingInputError,
                               NoBlockFoundError, TransportError)
 from modelsync.llm import (HTTP_ATTEMPTS, HTTP_TIMEOUT_S, ChatRequest,
                            FixtureTransport, HttpTransport, PromptKind,
                            build_prompt, extract_block, gen_code, gen_model,
-                           llm_sync_suggest, make_request, request_key)
+                           make_request, request_key)
 from modelsync.model import model_equal
 from modelsync.plantuml import parse_plantuml
 
@@ -205,15 +206,19 @@ def test_generated_model_survives_rendering(llm_fixtures_dir, problem_text):
 
 
 def test_llm_sync_suggest_replays(llm_fixtures_dir, drifted_model_text,
-                                  drifted_code_text):
+                                  drifted_code_text, monkeypatch):
     transport = FixtureTransport(llm_fixtures_dir)
-    first = llm_sync_suggest(drifted_model_text, drifted_code_text,
-                             transport)
-    second = llm_sync_suggest(drifted_model_text, drifted_code_text,
-                              transport)
+    inputs = {"model": drifted_model_text, "code": drifted_code_text}
+    first = transport.send(make_request(PromptKind.SYNC_CHECK, inputs))
+    second = transport.send(make_request(PromptKind.SYNC_CHECK, inputs))
     assert first == second
     assert "Proposed corrections:" in first
     assert "Choose either correction 2 or 3" in first
+    # the key hashes the whole prompt, so a drifted template misses it
+    monkeypatch.setattr(llm, "_SYNC_CHECK_TEMPLATE",
+                        llm._SYNC_CHECK_TEMPLATE + " ")
+    with pytest.raises(TransportError, match="no recorded exchange"):
+        transport.send(make_request(PromptKind.SYNC_CHECK, inputs))
 
 
 def _failing_post(exc: Exception):

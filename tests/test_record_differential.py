@@ -21,8 +21,7 @@ from hypothesis import given, settings, strategies as st
 from modelsync.config import Config
 from modelsync.consistency import (ClassMatch, Finding, FindingKind,
                                    InputDescriptor, Location, MatchOptions,
-                                   MatchResult, MemberPair, RenamePair,
-                                   Report)
+                                   MatchResult, MemberPair, Report)
 from modelsync.correction import CorrectionEdit, CorrectionSet
 from modelsync.llm import ChatMessage, ChatRequest
 from modelsync.model import (Attribute, ClassDef, ClassModel, Method,
@@ -65,8 +64,7 @@ _finding = st.builds(Finding, _text, _kind, _text, _opt_location,
                      st.none() | _member, _opt_int)
 _options = st.builds(MatchOptions, _text, st.floats(allow_nan=True),
                      st.just(frozenset()), st.booleans())
-_member_pair = st.builds(MemberPair, _member, _member)
-_rename_pair = st.builds(RenamePair, _member, _member, _ints, _ints)
+_member_pair = st.builds(MemberPair, _member, _member, _ints, _ints)
 _edit = st.builds(CorrectionEdit, _text, _text, _text, st.none() | _class,
                   st.none() | _member, _opt_text, st.none() | _type,
                   _opt_int, st.none() | st.tuples(_param),
@@ -106,13 +104,10 @@ RECORDS = [
     (Report, ref.Report,
      [_ints, st.tuples(st.builds(InputDescriptor, _text, _text)), _options,
       st.lists(_finding, max_size=2).map(tuple)]),
-    (MemberPair, ref.MemberPair, [_member, _member]),
-    (RenamePair, ref.RenamePair, [_member, _member, _ints, _ints]),
+    (MemberPair, ref.MemberPair, [_member, _member, _ints, _ints]),
     (ClassMatch, ref.ClassMatch,
-     [_class, _class, st.none() | _member_pair]
-     + [st.lists(_member_pair, max_size=1)] * 2
-     + [st.lists(_rename_pair, max_size=1)] * 2
-     + [st.lists(_member, max_size=1)] * 4),
+     [_class, _class, st.lists(_member_pair, max_size=2)]
+     + [st.lists(_member, max_size=1)] * 2),
     (MatchResult, ref.MatchResult,
      [st.lists(st.builds(ClassMatch, _class, _class), max_size=1),
       st.lists(_class, max_size=1), st.lists(_class, max_size=1)]),
@@ -175,7 +170,7 @@ def _assert_same(new, old, names) -> None:
 
 
 def test_every_record_has_a_reference():
-    assert len({new for new, _, _ in RECORDS}) == len(RECORDS) == 25
+    assert len({new for new, _, _ in RECORDS}) == len(RECORDS) == 24
     for new, old, strategies in RECORDS:
         fields = dataclasses.fields(old)
         assert _field_names(new) == tuple(f.name for f in fields)
