@@ -18,6 +18,10 @@ that ``perfbench/run.py`` prints for each command, and the summary ends
 with their medians per side, so a memory change shows which command sets
 ``peak_rss_mb``.  The run length (``run_seconds``) and which direction is
 better come from ``BENCHMARK.json`` in the change checkout.
+
+The two checkouts' resolved paths must be equally long: the length of the
+path a program is run from moves its peak RSS by about 0.2 MB on its own,
+so the script exits with a message before any run when they differ.
 """
 
 from __future__ import annotations
@@ -41,6 +45,18 @@ def command_rss(stdout: str) -> dict[str, float]:
     """The ``max rss`` of each command in ``perfbench/run.py``'s output,
     in MB, by command label."""
     return {label: float(mb) for label, mb in COMMAND_RSS.findall(stdout)}
+
+
+def checkouts(parent: Path, change: Path) -> dict[str, Path]:
+    """Each side's checkout, resolved; exits when the two paths differ in
+    length."""
+    paths = {"parent": parent.resolve(), "change": change.resolve()}
+    if len(str(paths["parent"])) != len(str(paths["change"])):
+        raise SystemExit(
+            f"checkout paths differ in length: {paths['parent']} and "
+            f"{paths['change']}; that alone moves peak_rss_mb by about "
+            "0.2 MB, so use paths of equal length")
+    return paths
 
 
 def run_once(checkout: Path, workload: str, seed: int,
@@ -129,15 +145,15 @@ def main() -> int:
                         help="JSON-lines file the runs are appended to")
     args = parser.parse_args()
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    sides = checkouts(args.parent, args.change)
+    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
-    checkouts = {"parent": args.parent, "change": args.change}
     runs = []
     for pair in range(1, args.pairs + 1):
         seed = args.first_seed + pair - 1
         order = SIDES if pair % 2 else SIDES[::-1]
         for side in order:
-            result = run_once(checkouts[side], args.workload, seed,
+            result = run_once(sides[side], args.workload, seed,
                               spec["run_seconds"])
             run = {"side": side, "workload": args.workload, "seed": seed,
                    "pair": pair, **result}

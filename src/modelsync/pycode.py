@@ -68,7 +68,6 @@ _PLAIN_DEF_RE = re.compile(
 # the annotation up to the next separator
 _PLAIN_PARAM_RE = re.compile(r"(\w+)\s*(?::\s*([^,]*[^,\s]))?")
 _ATTR_RE = re.compile(r"(\s*)self\.(\w+)\s*=\s*(\S(?:.*\S)?)\s*$")
-_IDENT_RE = re.compile(r"^\w+$")
 
 # Spelling used when a model-side type must appear in a code annotation.
 PY_TYPE_SPELLINGS = {"String": "str", "boolean": "bool"}
@@ -93,22 +92,36 @@ def __getattr__(name: str):
 
 
 class CodeDocument(Record):
-    """A parsed code artifact: its model, the verbatim text, that text split
-    once into lines, and the artifact name its spans carry.  Equality and
-    ``repr`` leave the lines out."""
+    """A parsed code artifact: its model, the verbatim text, the artifact
+    name its spans carry, and the text's line-offset table once
+    :meth:`lines` has built it.  Equality and ``repr`` leave the table
+    out."""
 
-    __slots__ = ("model", "raw_text", "artifact", "text_lines")
+    __slots__ = ("model", "raw_text", "artifact", "line_starts")
     _compared = __slots__[:3]
 
     def __init__(self, model: ClassModel, raw_text: str, artifact: str,
-                 text_lines: list[str]) -> None:
+                 line_starts=None) -> None:
         self.model = model
         self.raw_text = raw_text
         self.artifact = artifact
-        self.text_lines = text_lines
+        self.line_starts = line_starts
 
-    def lines(self) -> list[str]:
-        return self.text_lines
+    def lines(self):
+        """The offset in ``raw_text`` at which each line starts, then one
+        past the text's end, built on the first call; only the writing side
+        asks for lines, so ``check`` never builds it."""
+        if self.line_starts is None:
+            from array import array
+            self.line_starts = starts = array("L", [0])
+            starts.extend(map(re.Match.end, re.finditer("\n", self.raw_text)))
+            starts.append(len(self.raw_text) + 1)
+        return self.line_starts
+
+    def line(self, n: int) -> str:
+        """Line ``n``, counted from 1, without its newline."""
+        starts = self.line_starts or self.lines()
+        return self.raw_text[starts[n - 1]:starts[n] - 1]
 
 
 class ParamLayout(NamedTuple):
@@ -274,7 +287,7 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
     content = _strip_fence(text)
     lines = content.split("\n")
     model = ClassModel()
-    doc = CodeDocument(model, content, artifact, lines)
+    doc = CodeDocument(model, content, artifact)
     seen_classes: set[str] = set()
     # one TypeRef per annotation spelling; None, or '' from a plain header,
     # spells the unknown type
@@ -437,6 +450,5 @@ def _infer_attr_type(rhs: str, ctor_types: dict[str, TypeRef],
         return types.get("boolean") or _new_type(types, "boolean")
     if rhs == "[]":
         return TypeRef.collection(types[None])
-    if _IDENT_RE.match(rhs) and rhs in ctor_types:
-        return ctor_types[rhs]
-    return types[None]
+    # a parameter's name is a word, so only a word can name one
+    return ctor_types.get(rhs, types[None])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from itertools import accumulate
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -29,14 +28,16 @@ class CodeEdit(NamedTuple):
     payload: str = ""
 
 
-def _offset(text: str, starts: list[int], line: int, col: int) -> int:
-    if line == len(starts) + 1 and col == 1:
-        return len(text)  # insertion at end of final, newline-terminated line
-    if not 1 <= line <= len(starts):
+def _offset(starts, line: int, col: int) -> int:
+    """The text offset of a span position, by the document's line table."""
+    if line == len(starts) and col == 1:
+        # insertion at end of final, newline-terminated line
+        return starts[-1] - 1
+    if not 1 <= line < len(starts):
         raise SpanOutOfRangeError(f"line {line} outside text")
     off = starts[line - 1] + col - 1
-    line_end = starts[line] if line < len(starts) else len(text)
-    if off > line_end:
+    # up to the start of the next line, or to the end of the last line
+    if off > min(starts[line], starts[-1] - 1):
         raise SpanOutOfRangeError(f"column {col} outside line {line}")
     return off
 
@@ -44,14 +45,12 @@ def _offset(text: str, starts: list[int], line: int, col: int) -> int:
 def apply_code_edits(doc: CodeDocument, edits: list[CodeEdit]) -> str:
     """Apply edits span-wise; untouched bytes are preserved verbatim."""
     text = doc.raw_text
-    # the offset of each line; the last line has no newline after it
-    starts = list(accumulate((len(line) + 1 for line in doc.lines()[:-1]),
-                             initial=0))
+    starts = doc.lines()
     resolved: list[tuple[int, int, str, int]] = []
     seen: set[tuple[int, int, str, str]] = set()
     for seq, edit in enumerate(edits):
-        s = _offset(text, starts, edit.span.start_line, edit.span.start_col)
-        e = _offset(text, starts, edit.span.end_line, edit.span.end_col)
+        s = _offset(starts, edit.span.start_line, edit.span.start_col)
+        e = _offset(starts, edit.span.end_line, edit.span.end_col)
         if e < s:
             raise SpanOutOfRangeError("edit span end precedes start")
         payload = "" if edit.kind == "delete-span" else edit.payload
@@ -89,11 +88,10 @@ def block_delete_span(span: SourceSpan) -> SourceSpan:
 def body_indent(doc: CodeDocument, method: Method) -> int:
     """Indent of a method's body lines (falls back to def indent + 4)."""
     assert method.span is not None
-    lines = doc.lines()
-    def_line = lines[method.span.start_line - 1]
+    def_line = doc.line(method.span.start_line)
     def_indent = len(def_line) - len(def_line.lstrip())
-    for i in range(method.span.start_line, method.span.end_line):
-        line = lines[i]
+    for n in range(method.span.start_line + 1, method.span.end_line + 1):
+        line = doc.line(n)
         if line.strip():
             return len(line) - len(line.lstrip())
     return def_indent + 4
@@ -103,7 +101,7 @@ def member_indent(doc: CodeDocument, cls: ClassDef) -> int:
     """Indent used by a class's members (falls back to 4)."""
     for m in cls.methods:
         if m.span is not None:
-            line = doc.lines()[m.span.start_line - 1]
+            line = doc.line(m.span.start_line)
             return len(line) - len(line.lstrip())
     return 4
 
@@ -125,23 +123,23 @@ def future_import_line(doc: CodeDocument) -> int | None:
     before every class and after any module docstring: the import goes
     before the text's first future import, else after a module docstring,
     else before the first line that is not a comment."""
-    lines = doc.lines()
-    head = min((c.span.start_line for c in doc.model.classes),
-               default=len(lines))
-    future = [n for n, line in enumerate(lines[:head], 1)
-              if line.startswith("from __future__ import")]
-    if any("annotations" in lines[n - 1] for n in future):
+    starts = doc.lines()
+    count = len(starts) - 1
+    head = min((c.span.start_line for c in doc.model.classes), default=count)
+    future = [n for n in range(1, head + 1)
+              if doc.line(n).startswith("from __future__ import")]
+    if any("annotations" in doc.line(n) for n in future):
         return None
     if future:
         return future[0]
-    first = next((n for n, line in enumerate(lines, 1)
-                  if not line.startswith("#")), len(lines) + 1)
+    first = next((n for n in range(1, count + 1)
+                  if not doc.line(n).startswith("#")), count + 1)
     # the first statement, which may be a docstring: a statement above it
     # would make it a plain expression
     start = first
-    while start <= len(lines) and lines[start - 1].strip()[:1] in ("", "#"):
+    while start <= count and doc.line(start).strip()[:1] in ("", "#"):
         start += 1
-    offset = sum(len(text) + 1 for text in lines[:start - 1])
+    offset = starts[start - 1]
     m = re.compile(_DOCSTRING, re.M | re.X).match(doc.raw_text, offset)
     if m is None:
         return first

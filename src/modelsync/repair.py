@@ -217,8 +217,7 @@ def _apply_model_edit(model: ClassModel, memo: dict[int, object],
 
 def _def_layout(doc: CodeDocument, method: Method):
     assert method.span is not None
-    line = doc.lines()[method.span.start_line - 1]
-    layout = scan_def_line(line)
+    layout = scan_def_line(doc.line(method.span.start_line))
     if layout is None:
         raise EditConflictError(
             f"cannot re-scan def line for {method.name!r}")
@@ -228,7 +227,7 @@ def _def_layout(doc: CodeDocument, method: Method):
 def _attr_layout(doc: CodeDocument, attr: Attribute):
     # the parser matched this very line, so the scan cannot miss
     assert attr.span is not None
-    layout = scan_attr_line(doc.lines()[attr.span.start_line - 1])
+    layout = scan_attr_line(doc.line(attr.span.start_line))
     assert layout is not None
     return layout, attr.span.start_line
 
@@ -252,10 +251,11 @@ def _final_newline(doc: CodeDocument, edits: list[CodeEdit]
     """The newline a text whose last line has none needs before the
     insertions after that line, so that they start on a line of their own;
     none when that line is deleted."""
-    end = len(doc.lines()) + 1
-    if (doc.raw_text[-1:] in ("", "\n")
-            or not any(e.kind.startswith("insert")
-                       and e.span.start_line == end for e in edits)
+    if not edits or doc.raw_text[-1:] in ("", "\n"):
+        return []
+    end = len(doc.lines())  # the line after the last
+    if (not any(e.kind.startswith("insert") and e.span.start_line == end
+                for e in edits)
             or any(e.kind == "delete-span" and e.span.end_line == end
                    for e in edits)):
         return []
@@ -306,7 +306,7 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
     if edit.kind == "add-class":
         assert edit.class_payload is not None
         last_line = max((c.span.end_line for c in doc.model.classes
-                         if c.span is not None), default=len(doc.lines()))
+                         if c.span is not None), default=len(doc.lines()) - 1)
         return [_insertion(doc, "insert-class", last_line + 1, [
             "", *render_class_stub(edit.class_payload, py_annotation)])]
 
@@ -452,7 +452,6 @@ def _emptied_body_fills(doc: CodeDocument, edits: list[CodeEdit]
                for n in range(e.span.start_line, e.span.end_line)}
     if not deleted:
         return []
-    lines = doc.lines()
     fills: list[CodeEdit] = []
     for cls in doc.model.classes:
         for block, kind in ((cls, "insert-member"),
@@ -464,7 +463,7 @@ def _emptied_body_fills(doc: CodeDocument, edits: list[CodeEdit]
             # a kept line that is neither blank nor a comment is a statement
             if (deleted.isdisjoint(body)
                     or any(n not in deleted
-                           and lines[n - 1].lstrip()[:1] not in ("", "#")
+                           and doc.line(n).lstrip()[:1] not in ("", "#")
                            for n in body)
                     or any(e.kind == kind and start < e.span.start_line
                            <= end + 1 for e in edits)):

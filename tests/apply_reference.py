@@ -12,7 +12,6 @@ from itertools import accumulate
 from modelsync.errors import OverlappingEditsError, SpanOutOfRangeError
 from modelsync.model import Attribute, ClassModel, normalize_name
 from modelsync.pycode import CodeDocument, CodeEdit
-from modelsync.pywrite import _offset
 
 
 def reference_model(design: ClassModel, chosen) -> ClassModel:
@@ -69,11 +68,24 @@ def _apply_model_edit(model, memo, edit) -> None:
     raise ValueError(f"unknown model edit kind {edit.kind!r}")
 
 
+def _offset(text: str, starts: list[int], line: int, col: int) -> int:
+    if line == len(starts) + 1 and col == 1:
+        return len(text)  # insertion at end of final, newline-terminated line
+    if not 1 <= line <= len(starts):
+        raise SpanOutOfRangeError(f"line {line} outside text")
+    off = starts[line - 1] + col - 1
+    line_end = starts[line] if line < len(starts) else len(text)
+    if off > line_end:
+        raise SpanOutOfRangeError(f"column {col} outside line {line}")
+    return off
+
+
 def reference_apply_code_edits(doc: CodeDocument,
                                edits: list[CodeEdit]) -> str:
     """Apply edits span-wise, rebuilding the text once per edit."""
     text = doc.raw_text
-    starts = list(accumulate((len(line) + 1 for line in doc.lines()[:-1]),
+    starts = list(accumulate((len(line) + 1
+                              for line in doc.raw_text.split("\n")[:-1]),
                              initial=0))
     resolved: list[tuple[int, int, str, int]] = []
     seen: set[tuple[int, int, str, str]] = set()

@@ -89,7 +89,7 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
     content = _strip_fence(text)
     lines = content.split("\n")
     model = ClassModel()
-    doc = CodeDocument(model, content, artifact, lines)
+    doc = CodeDocument(model, content, artifact)
     seen_classes: set[str] = set()
     cur_class: _OpenClass | None = None
     cur_def: _OpenDef | None = None

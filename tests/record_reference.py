@@ -195,7 +195,7 @@ class CodeDocument:
     model: ClassModel
     raw_text: str
     artifact: str
-    text_lines: list = field(repr=False, compare=False)
+    line_starts: object = field(default=None, repr=False, compare=False)
 
 
 @dataclass(slots=True)

@@ -185,7 +185,7 @@ def test_apply_code_edits_matches_reference_splice():
                              "        pass"])
                  for _ in range(rng.randint(1, 6))] + [""]
         text = "\n".join(lines)
-        doc = CodeDocument(ClassModel(), text, "t.py", lines)
+        doc = CodeDocument(ClassModel(), text, "t.py")
         edits = _random_edits(rng, lines)
         outcome = _outcome(apply_code_edits, doc, edits)
         assert outcome == _outcome(reference_apply_code_edits, doc, edits)

@@ -105,3 +105,41 @@ def test_summary_ends_with_each_command_s_median_rss_per_side(
         "max rss of check [MB], median: parent 20.50; change 18.50",
         "max rss of gen [MB], median: parent 15.50; change 15.50",
     ]
+
+
+def test_checkouts_resolve_paths_of_equal_length(bench_pairs, tmp_path,
+                                                 monkeypatch):
+    for name in ("par", "chg", "change"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path)
+    root = tmp_path.resolve()
+    assert bench_pairs.checkouts(Path("par"), Path("./chg")) == {
+        "parent": root / "par", "change": root / "chg"}
+
+
+def test_checkouts_of_unequal_path_length_exit_with_a_message(
+        bench_pairs, tmp_path, monkeypatch):
+    for name in ("par", "change"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.checkouts(Path("par"), Path("change"))
+    root = tmp_path.resolve()
+    assert str(exit_.value) == (
+        f"checkout paths differ in length: {root / 'par'} and "
+        f"{root / 'change'}; that alone moves peak_rss_mb by about 0.2 MB, "
+        "so use paths of equal length")
+
+
+def test_unequal_checkout_paths_stop_the_script_before_any_run(
+        bench_pairs, tmp_path, monkeypatch):
+    for name in ("par", "change"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", pytest.fail)
+    monkeypatch.setattr("sys.argv", [
+        "bench_pairs.py", "par", "change", "--workload", "fixtures",
+        "--first-seed", "1", "--out", "runs.json"])
+    with pytest.raises(SystemExit, match="differ in length"):
+        bench_pairs.main()
+    assert not (tmp_path / "runs.json").exists()

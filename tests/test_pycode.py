@@ -9,14 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 from modelsync.errors import (DuplicateClassError, DuplicateMemberError,
                               OverlappingEditsError, ParseError,
                               SpanOutOfRangeError)
-from modelsync.model import SourceSpan, model_equal
+from modelsync.model import ClassModel, SourceSpan, model_equal
 from modelsync.plantuml import parse_plantuml
 from modelsync import pycode
-from modelsync.pycode import (CodeEdit, apply_code_edits, parse_code,
-                              read_plain_def, render_code_skeleton,
-                              scan_def_line)
+from modelsync.pycode import (CodeDocument, CodeEdit, apply_code_edits,
+                              parse_code, read_plain_def,
+                              render_code_skeleton, scan_def_line)
 
 import defline_reference
+from apply_reference import reference_apply_code_edits
 from conftest import FIXTURES
 from modelgen import make_code_model, make_plantuml_model
 from helpers import class_named, reference_accepts_non_python
@@ -366,10 +367,103 @@ def test_patched_code_reparses(v1_code_text):
     user = class_named(doc.model, "User")
     method = next(m for m in user.methods if m.name == "getName")
     line = method.span.start_line
-    text = doc.lines()[line - 1]
+    text = doc.line(line)
     col = text.index("getName") + 1
     edit = CodeEdit("rename-identifier",
                     _span(line, col, col + len("getName")), "getNamae")
     patched = apply_code_edits(doc, [edit])
     renamed = class_named(parse_code(patched).model, "User")
     assert any(m.name == "getNamae" for m in renamed.methods)
+
+
+# --- the line-offset table -------------------------------------------------
+
+def _assert_lines_read_through_table(doc: CodeDocument) -> None:
+    lines = doc.raw_text.split("\n")
+    assert len(doc.lines()) - 1 == len(lines)
+    assert [doc.line(n) for n in range(1, len(lines) + 1)] == lines
+
+
+def _assert_no_lines_kept(doc: CodeDocument) -> None:
+    assert doc.line_starts is None
+    assert not any(isinstance(getattr(doc, name), list)
+                   for name in doc.__slots__)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n", "\n\n\n", "  \n\t\n   ", "class A:\n    pass",
+    "class A:\n    pass\n", "```python\nclass A:\n    pass\n```\n",
+    "```python\n\n```", "# only\n\n# comments"])
+def test_lines_read_through_the_table_match_a_split(text):
+    doc = parse_code(text)
+    _assert_no_lines_kept(doc)
+    _assert_lines_read_through_table(doc)
+
+
+def test_lines_of_generated_code_read_through_the_table():
+    for seed in range(60):
+        rng = random.Random(seed)
+        text = render_code_skeleton(make_code_model(rng))
+        for variant in (text, text.rstrip("\n"), "\n\n" + text,
+                        f"Here:\n```python\n{text}```\nDone."):
+            doc = parse_code(variant)
+            _assert_no_lines_kept(doc)
+            _assert_lines_read_through_table(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab \t\n\r#\x85", max_size=40))
+def test_lines_of_any_text_read_through_the_table(text):
+    _assert_lines_read_through_table(CodeDocument(ClassModel(), text, "t"))
+
+
+@pytest.mark.parametrize("text", ["", "\n", "ab", "ab\n", "a\n\nbc",
+                                  "a\nbc\n\n"])
+def test_every_span_position_resolves_as_the_reference_splice_does(text):
+    # each line and column around the text, as a start and as an end
+    doc = CodeDocument(ClassModel(), text, "t.py")
+    count = text.count("\n") + 1
+    positions = [(line, col) for line in range(1, count + 3)
+                 for col in range(1, len(text) + 4)]
+    for position in positions:
+        for start, end in ((position, position), ((1, 1), position),
+                           (position, (count, 1))):
+            if end < start:
+                continue
+            edit = CodeEdit("set-annotation",
+                            SourceSpan("t.py", *start, *end), "x")
+            outcomes = []
+            for splice in (apply_code_edits, reference_apply_code_edits):
+                try:
+                    outcomes.append(splice(doc, [edit]))
+                except SpanOutOfRangeError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], edit
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["check", "--json"],
+    ["sync", "--policy", "model-wins"], ["sync", "--policy", "code-wins"]])
+def test_only_sync_s_input_builds_a_line_table(
+        command, capsys, monkeypatch, tmp_path, fixtures_dir):
+    # check and sync's re-parse of its outputs read no line
+    from modelsync import cli
+
+    docs: list[CodeDocument] = []
+
+    def parse(*args, **kwargs):
+        docs.append(parse_code(*args, **kwargs))
+        return docs[-1]
+    monkeypatch.setattr(cli, "parse_code", parse)
+    argv = [*command, str(fixtures_dir / "library_v1_drifted_model.puml"),
+            str(fixtures_dir / "library_v1_drifted_code.py")]
+    if command[0] == "sync":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert cli.main(argv) in (0, 1), capsys.readouterr().err
+    # model-wins rewrites the code and parses the result again; code-wins
+    # leaves the code as it was read
+    rewritten = "model-wins" in command
+    assert len(docs) == 1 + rewritten
+    assert (docs[0].line_starts is not None) == rewritten
+    for doc in docs[rewritten:]:
+        _assert_no_lines_kept(doc)

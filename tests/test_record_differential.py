@@ -113,7 +113,7 @@ RECORDS = [
       st.lists(_class, max_size=1), st.lists(_class, max_size=1)]),
     (CodeEdit, ref.CodeEdit, [_text, _span, _text]),
     (CodeDocument, ref.CodeDocument,
-     [_model, _text, _text, st.lists(_text, max_size=2)]),
+     [_model, _text, _text, st.none() | st.lists(_ints, max_size=2)]),
     (PlantUmlDocument, ref.PlantUmlDocument, [_model]),
     (Config, ref.Config,
      [_text, st.floats(allow_nan=True),
@@ -248,6 +248,7 @@ def test_excluded_fields_leave_equality_and_repr_alone():
     assert "ClassDef" not in repr(matched)
 
     model = ClassModel()
-    doc = CodeDocument(model, "x\n", "code", ["x", ""])
-    assert doc == CodeDocument(model, "x\n", "code", [])
-    assert "text_lines" not in repr(doc)
+    doc = CodeDocument(model, "x\n", "code")
+    doc.lines()
+    assert doc == CodeDocument(model, "x\n", "code")
+    assert "line_starts" not in repr(doc)
