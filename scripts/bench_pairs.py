@@ -13,21 +13,28 @@ appended to ``--out`` with the side, workload, seed and pair added.  At the
 end every end-to-end metric is printed with each side's median and
 quartiles, the number of pairs the change won (ties count for neither
 side), and the gap between the medians beside the parent's quartile
-spread.  Each run record also keeps, under ``max_rss_mb``, the ``max rss``
-that ``perfbench/run.py`` prints for each command, and the summary ends
-with their medians per side, so a memory change shows which command sets
+spread.  Beside them it prints the median of the per-pair ratios
+change/parent and a bootstrap 95% interval of that median (the pairs
+resampled with replacement, from a fixed seed); when the interval holds
+1.0, the line says that no change is detectable at that number of pairs.
+Each run record also keeps, under ``max_rss_mb``, the ``max rss`` that
+``perfbench/run.py`` prints for each command, and the summary ends with
+their medians per side, so a memory change shows which command sets
 ``peak_rss_mb``.  The run length (``run_seconds``) and which direction is
 better come from ``BENCHMARK.json`` in the change checkout.
 
-The two checkouts' resolved paths must be equally long: the length of the
-path a program is run from moves its peak RSS by about 0.2 MB on its own,
-so the script exits with a message before any run when they differ.
+The script exits with a message before any run when the two checkouts'
+resolved paths differ in length, since the length of the path a program is
+run from moves its peak RSS by about 0.2 MB on its own, or when either
+holds a ``__pycache__`` under ``src/``, since a side that reads cached
+bytecode skips the compiling that ``perfbench/run.py`` times.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import re
 import statistics
 import subprocess
@@ -39,6 +46,9 @@ SIDES = ("parent", "change")
 # "check: median 0.24 s wall, ...; max rss 20.3 MB"
 COMMAND_RSS = re.compile(r"^(\S+): median .*; max rss ([0-9.]+) MB$",
                          re.MULTILINE)
+# resamples of the pairs behind each ratio interval, and their seed
+BOOTSTRAP_DRAWS = 2000
+BOOTSTRAP_SEED = 0
 
 
 def command_rss(stdout: str) -> dict[str, float]:
@@ -49,13 +59,20 @@ def command_rss(stdout: str) -> dict[str, float]:
 
 def checkouts(parent: Path, change: Path) -> dict[str, Path]:
     """Each side's checkout, resolved; exits when the two paths differ in
-    length."""
+    length or either holds bytecode caches under ``src/``."""
     paths = {"parent": parent.resolve(), "change": change.resolve()}
     if len(str(paths["parent"])) != len(str(paths["change"])):
         raise SystemExit(
             f"checkout paths differ in length: {paths['parent']} and "
             f"{paths['change']}; that alone moves peak_rss_mb by about "
             "0.2 MB, so use paths of equal length")
+    for side, path in paths.items():
+        caches = sorted((path / "src").rglob("__pycache__"))
+        if caches:
+            raise SystemExit(
+                f"the {side} checkout holds bytecode caches ({caches[0]}); "
+                "a side that reads them skips compiling and runs faster, "
+                "so remove every __pycache__ under src/")
     return paths
 
 
@@ -82,11 +99,23 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def ratio_interval(ratios: list[float]) -> tuple[float, float, float]:
+    """The median of ``ratios`` and a seeded bootstrap 95% interval of it:
+    the 2.5th and 97.5th percentiles of the medians of ``BOOTSTRAP_DRAWS``
+    resamples of ``ratios`` drawn with replacement."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP_DRAWS))
+    return (statistics.median(ratios), medians[BOOTSTRAP_DRAWS // 40],
+            medians[BOOTSTRAP_DRAWS - 1 - BOOTSTRAP_DRAWS // 40])
+
+
 def compare(runs: list[dict], lower: dict[str, bool]) -> list[dict]:
     """One row per metric of ``runs``: each side's quartiles, the pairs the
     change won (ties count for neither side; ``lower`` says whether lower
-    is better, default yes), the gap between the medians and the parent's
-    quartile spread."""
+    is better, default yes), the gap between the medians, the parent's
+    quartile spread, and the median change/parent ratio with its interval
+    (:func:`ratio_interval`)."""
     pairs: dict[int, dict[str, dict]] = {}
     for run in runs:
         pairs.setdefault(run["pair"], {})[run["side"]] = run
@@ -99,10 +128,13 @@ def compare(runs: list[dict], lower: dict[str, bool]) -> list[dict]:
                   if sign * p["change"]["metrics"][name]["value"]
                   < sign * p["parent"]["metrics"][name]["value"])
         q = {side: quartiles(values[side]) for side in SIDES}
+        ratios = [change / parent for parent, change
+                  in zip(values["parent"], values["change"])]
         rows.append({"name": name, "unit": runs[0]["metrics"][name]["unit"],
                      **q, "won": won, "pairs": len(pairs),
                      "gap": abs(q["change"][1] - q["parent"][1]),
-                     "spread": q["parent"][2] - q["parent"][0]})
+                     "spread": q["parent"][2] - q["parent"][0],
+                     "ratio": ratio_interval(ratios)})
     return rows
 
 
@@ -127,11 +159,21 @@ def summarize(runs: list[dict], lower: dict[str, bool]) -> None:
                  f"{row[side][2]:.4f})" for side in SIDES]
         print(f"{row['name']} [{row['unit']}]: {'; '.join(cells)}; "
               f"change won {row['won']}/{row['pairs']}; median gap "
-              f"{row['gap']:.4f}, parent quartile spread {row['spread']:.4f}")
+              f"{row['gap']:.4f}, parent quartile spread {row['spread']:.4f}"
+              f"{_ratio_text(row)}")
     for label, medians in rss_medians(runs).items():
         cells = [f"{side} {medians[side]:.2f}" for side in SIDES
                  if side in medians]
         print(f"max rss of {label} [MB], median: {'; '.join(cells)}")
+
+
+def _ratio_text(row: dict) -> str:
+    median, low, high = row["ratio"]
+    text = (f"; change/parent median {median:.4f}, 95% interval "
+            f"{low:.4f}-{high:.4f}")
+    if low <= 1.0 <= high:
+        text += f": no change detectable at {row['pairs']} pairs"
+    return text
 
 
 def main() -> int:

@@ -23,7 +23,8 @@ import stat
 import sys
 from pathlib import Path
 
-from .config import POLICIES, Config, load_config
+from .config import (NAME_MODES, POLICIES, Config, checked_threshold,
+                     load_config)
 from .consistency import InputDescriptor, MatchOptions, Report, check
 from .correction import CorrectionSet, propose
 from .errors import (ConfigError, GenerationUnparsableError, ModelSyncError,
@@ -215,8 +216,8 @@ def _match_options(cfg: Config, args) -> MatchOptions:
     threshold = args.rename_threshold
     if threshold is None:
         threshold = cfg.rename_threshold
-    elif not 0.0 <= threshold <= 1.0:  # also rejects NaN
-        raise ConfigError("--rename-threshold must be in [0, 1]")
+    else:
+        checked_threshold(threshold, "--rename-threshold")
     return MatchOptions(args.name_mode or cfg.name_mode, threshold,
                         make_type_table(cfg.type_equivalences),
                         args.infer_relationships)
@@ -418,7 +419,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_match_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--name-mode", choices=("exact", "canonical"),
+    parser.add_argument("--name-mode", choices=NAME_MODES,
                         default=None, help="identifier matching mode")
     parser.add_argument("--rename-threshold", type=float, default=None,
                         help="relative edit-distance bound for renames")

@@ -5,23 +5,43 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
+from .consistency import MatchOptions
 from .errors import ConfigError
 
 DEFAULT_CONFIG_PATH = "modelsync.conf"
 
 # sync policies: the config key and the --policy flag take the same names
 POLICIES = ("model-wins", "code-wins", "union", "ask")
+# identifier matching modes: the config key and the --name-mode flag
+NAME_MODES = ("exact", "canonical")
 
 
 class Config(NamedTuple):
-    name_mode: str = "canonical"
-    rename_threshold: float = 0.3
+    name_mode: str = MatchOptions().name_mode
+    rename_threshold: float = MatchOptions().rename_threshold
     type_equivalences: tuple[tuple[str, str], ...] = ()
     policy: str = "union"
     preferred_side: str = "model"
     fixtures_dir: str = "fixtures/llm"
     llm_endpoint: str = "https://api.openai.com/v1/chat/completions"
     llm_model: str = "gpt-4-0613"
+
+
+# the keys that take one of a few names, and the names each takes
+_CHOICES = {"name_mode": NAME_MODES, "policy": POLICIES,
+            "preferred_side": ("model", "code")}
+
+
+def checked_threshold(value: str | float, name: str) -> float:
+    """``value`` as a number in [0, 1], which NaN is not; a ConfigError
+    naming ``name`` otherwise."""
+    try:
+        number = float(value)
+    except ValueError:
+        raise ConfigError(f"{name} must be a number") from None
+    if not 0.0 <= number <= 1.0:
+        raise ConfigError(f"{name} must be in [0, 1]")
+    return number
 
 
 def _parse_type_equivalences(value: str) -> tuple[tuple[str, str], ...]:
@@ -68,33 +88,13 @@ def load_config(path: str | Path | None = None) -> Config:
 
 
 def _apply_key(cfg: Config, key: str, value: str, where: str) -> Config:
-    if key == "name_mode":
-        if value not in ("exact", "canonical"):
-            raise ConfigError(f"{where}: name_mode must be exact|canonical")
-        return cfg._replace(name_mode=value)
+    if key not in Config._fields:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigError(
+            f"{where}: {key} must be one of {', '.join(_CHOICES[key])}")
     if key == "rename_threshold":
-        try:
-            threshold = float(value)
-        except ValueError:
-            raise ConfigError(f"{where}: rename_threshold must be a number")
-        if not 0.0 <= threshold <= 1.0:
-            raise ConfigError(f"{where}: rename_threshold must be in [0, 1]")
-        return cfg._replace(rename_threshold=threshold)
-    if key == "type_equivalences":
-        return cfg._replace(type_equivalences=_parse_type_equivalences(value))
-    if key == "policy":
-        if value not in POLICIES:
-            raise ConfigError(
-                f"{where}: policy must be one of {', '.join(POLICIES)}")
-        return cfg._replace(policy=value)
-    if key == "preferred_side":
-        if value not in ("model", "code"):
-            raise ConfigError(f"{where}: preferred_side must be model|code")
-        return cfg._replace(preferred_side=value)
-    if key == "fixtures_dir":
-        return cfg._replace(fixtures_dir=value)
-    if key == "llm_endpoint":
-        return cfg._replace(llm_endpoint=value)
-    if key == "llm_model":
-        return cfg._replace(llm_model=value)
-    raise ConfigError(f"{where}: unknown key {key!r}")
+        value = checked_threshold(value, f"{where}: {key}")
+    elif key == "type_equivalences":
+        value = _parse_type_equivalences(value)
+    return cfg._replace(**{key: value})

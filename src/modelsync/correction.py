@@ -16,9 +16,9 @@ from __future__ import annotations
 import copy
 from typing import NamedTuple
 
-from .consistency import Finding, FindingKind, Report
+from .consistency import Finding, FindingKind, Report, _what
 from .errors import StaleReportError
-from .model import ClassDef, ClassModel, Method, Parameter, TypeRef
+from .model import ClassDef, ClassModel, Method
 from .pycode import CodeDocument, py_annotation
 
 # moved to the write path, which only writing commands import
@@ -33,15 +33,17 @@ def __getattr__(name: str):
 
 
 class CorrectionEdit(NamedTuple):
-    """One abstract edit on one side; payload fields depend on ``kind``:
-    add-class, add-member, rename, change-type, change-signature,
-    remove-class or remove-member.
+    """One abstract edit on one side, of one ``kind``: add-class,
+    add-member, rename, change-type, change-signature, remove-class or
+    remove-member.
 
     ``cls`` and ``member`` are the objects the finding matched on this
     side: the edited class (None for add-class) and the edited member
-    (None for class edits and add-member).  A change-type edit retypes an
-    attribute member, or a method's parameter ``param_index``, or its
-    return type when ``param_index`` is None.
+    (None for class edits and add-member).  ``payload`` is what the edit
+    writes: the added ClassDef or member, the new name, the new TypeRef,
+    or the new tuple of Parameters; None for removals.  A change-type edit
+    retypes an attribute member, or a method's parameter ``param_index``,
+    or its return type when ``param_index`` is None.
     """
 
     side: str            # "model" | "code"
@@ -49,12 +51,8 @@ class CorrectionEdit(NamedTuple):
     description: str
     cls: ClassDef | None = None
     member: object | None = None         # Method | Attribute
-    new_name: str | None = None          # rename
-    new_type: TypeRef | None = None      # change-type
     param_index: int | None = None       # change-type of a parameter
-    new_params: tuple[Parameter, ...] | None = None   # change-signature
-    class_payload: ClassDef | None = None             # add-class
-    member_payload: object | None = None              # add-member
+    payload: object | None = None
 
 
 class CorrectionSet(NamedTuple):
@@ -139,10 +137,6 @@ _TAKE_OTHER = {
     FindingKind.RETURN_TYPE_MISMATCH: "change-type",
     FindingKind.ATTRIBUTE_TYPE_MISMATCH: "change-type",
 }
-# the CorrectionEdit field that holds each edit kind's payload
-_PAYLOAD_FIELD = {"add-class": "class_payload", "add-member": "member_payload",
-                  "rename": "new_name", "change-signature": "new_params",
-                  "change-type": "new_type"}
 
 
 def _targets(f: Finding, side: str) -> tuple:
@@ -155,14 +149,9 @@ def _targets(f: Finding, side: str) -> tuple:
 def _edit(f: Finding, side: str, kind: str, payload=None) -> CorrectionEdit:
     """An edit on ``side`` targeting that side's matched class and member."""
     cls, member = _targets(f, side)
-    fields = {_PAYLOAD_FIELD[kind]: payload} if kind in _PAYLOAD_FIELD else {}
     return CorrectionEdit(
         side, kind, _describe(side, kind, cls, member, f.param_index, payload),
-        cls, member, param_index=f.param_index, **fields)
-
-
-def _what(member) -> str:
-    return "method" if isinstance(member, Method) else "attribute"
+        cls, member, f.param_index, payload)
 
 
 def _describe(side: str, kind: str, cls: ClassDef | None, member,

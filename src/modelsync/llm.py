@@ -20,13 +20,14 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
+from .config import Config
 from .errors import (GenerationUnparsableError, MissingInputError,
                      NoBlockFoundError, ParseError, TransportError)
 from .model import ClassModel, sha256_hex
 from .plantuml import parse_plantuml
 from .pycode import CodeDocument, parse_code
 
-DEFAULT_MODEL_NAME = "gpt-4-0613"
+DEFAULT_MODEL_NAME = Config().llm_model
 DEFAULT_TEMPERATURE = 0.0
 API_KEY_ENV_VAR = "MODELSYNC_LLM_KEY"
 HTTP_TIMEOUT_S = 30.0

@@ -274,13 +274,13 @@ def normalize_name(raw: str, mode: str = "canonical") -> str:
     raise ValueError(f"unknown name mode {mode!r}")
 
 
+# How Python spells the UML-style type names it spells differently
+UML_TO_PY = {"String": "str", "boolean": "bool"}
+
 # Name pairs treated as the same type across the UML-style and code-style
 # spellings.  Extensible via configuration.
-DEFAULT_TYPE_EQUIVALENCES: frozenset[frozenset[str]] = frozenset({
-    frozenset({"String", "str"}),
-    frozenset({"boolean", "bool"}),
-    frozenset({"int"}),
-})
+DEFAULT_TYPE_EQUIVALENCES: frozenset[frozenset[str]] = frozenset(
+    {frozenset(pair) for pair in UML_TO_PY.items()} | {frozenset({"int"})})
 
 TypeTable = frozenset[frozenset[str]]
 

@@ -242,7 +242,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
 
 def _parse_relationship(stripped: str) -> Relationship | None:
     m = _RELATION_RE.match(stripped)
-    if not m or "--" not in stripped:
+    if not m:
         return None
     left, lmult, rmult, right, label_part = m.groups()
     label: str | None = None

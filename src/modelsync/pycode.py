@@ -39,8 +39,9 @@ import re
 from typing import NamedTuple
 
 from .errors import DuplicateClassError, DuplicateMemberError, ParseError
-from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
-                    Record, SourceSpan, TypeRef, Visibility, normalize_name)
+from .model import (UML_TO_PY, Attribute, ClassDef, ClassModel, Method,
+                    Parameter, Record, SourceSpan, TypeRef, Visibility,
+                    normalize_name)
 
 _CLASS_RE = re.compile(r"class\s+(\w+)\s*:\s*(?:#.*)?$")
 _CLASS_KEYWORD_RE = re.compile(r"class\s")
@@ -69,13 +70,9 @@ _PLAIN_DEF_RE = re.compile(
 _PLAIN_PARAM_RE = re.compile(r"(\w+)\s*(?::\s*([^,]*[^,\s]))?")
 _ATTR_RE = re.compile(r"(\s*)self\.(\w+)\s*=\s*(\S(?:.*\S)?)\s*$")
 
-# Spelling used when a model-side type must appear in a code annotation.
-PY_TYPE_SPELLINGS = {"String": "str", "boolean": "bool"}
-
-
 def py_annotation(t: TypeRef) -> str | None:
     """A model type as a Python annotation; None when it names no type."""
-    return PY_TYPE_SPELLINGS.get(t.name, t.name)
+    return UML_TO_PY.get(t.name, t.name)
 
 
 # moved to the writing side, which only writing commands import

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .errors import OverlappingEditsError, SpanOutOfRangeError
 from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
                     SourceSpan, TypeRef)
-from .pycode import CodeDocument
+from .pycode import CodeDocument, py_annotation
 
 
 class CodeEdit(NamedTuple):
@@ -36,8 +36,8 @@ def _offset(starts, line: int, col: int) -> int:
     if not 1 <= line < len(starts):
         raise SpanOutOfRangeError(f"line {line} outside text")
     off = starts[line - 1] + col - 1
-    # up to the start of the next line, or to the end of the last line
-    if off > min(starts[line], starts[-1] - 1):
+    # up to the line's newline, or to the end of the last line
+    if off >= starts[line]:
         raise SpanOutOfRangeError(f"column {col} outside line {line}")
     return off
 
@@ -154,7 +154,7 @@ def placeholder_rhs(t: TypeRef) -> str:
     """A neutral expression of type ``t``, for a stub to assign."""
     if t.kind == "collection":
         return "[]"
-    if t.name in ("bool", "boolean"):
+    if py_annotation(t) == "bool":
         return "False"
     return "None"
 

@@ -97,7 +97,7 @@ def apply(design: ClassModel, code_doc: CodeDocument,
     # is folded into that signature when it keeps the parameter's name: the
     # parameter types it writes, by name, for each re-signed method
     signature_types: dict[int, dict[str, TypeRef]] = {
-        id(e.member): {p.name: p.type for p in e.new_params or ()}
+        id(e.member): {p.name: p.type for p in e.payload}
         for e in chosen if e.side == "code" and e.kind == "change-signature"}
 
     # compile signatures after the retypes they take in
@@ -172,8 +172,7 @@ def _members_like(cls: ClassDef, member) -> list:
 def _apply_model_edit(model: ClassModel, memo: dict[int, object],
                       edit: CorrectionEdit) -> None:
     if edit.kind == "add-class":
-        assert edit.class_payload is not None
-        model.classes.append(copy.deepcopy(edit.class_payload))
+        model.classes.append(copy.deepcopy(edit.payload))
         return
     if edit.kind == "remove-class":
         cls = memo.get(id(edit.cls), edit.cls)
@@ -185,7 +184,7 @@ def _apply_model_edit(model: ClassModel, memo: dict[int, object],
         return
     cls = _own(model.classes, memo, edit.cls, _copy_class)
     if edit.kind == "add-member":
-        payload = copy.deepcopy(edit.member_payload)
+        payload = copy.deepcopy(edit.payload)
         _members_like(cls, payload).append(payload)
         return
     members = _members_like(cls, edit.member)
@@ -195,41 +194,36 @@ def _apply_model_edit(model: ClassModel, memo: dict[int, object],
 
     member = _own(members, memo, edit.member, _copy_member)
     if edit.kind == "rename":
-        member.name = edit.new_name
+        member.name = edit.payload
         return
     if edit.kind == "change-signature":
-        member.params = list(copy.deepcopy(edit.new_params or ()))
+        member.params = list(copy.deepcopy(edit.payload))
         return
     if edit.kind == "change-type":
-        assert edit.new_type is not None
         if isinstance(member, Attribute):
-            member.type = edit.new_type
+            member.type = edit.payload
         elif edit.param_index is None:
-            member.return_type = edit.new_type
+            member.return_type = edit.payload
         else:
             member.params[edit.param_index] = member.params[
-                edit.param_index].replace(type=edit.new_type)
+                edit.param_index].replace(type=edit.payload)
         return
     raise EditConflictError(f"unknown model edit kind {edit.kind!r}")
 
 
 # --- code-side edits -------------------------------------------------------
 
-def _def_layout(doc: CodeDocument, method: Method):
-    assert method.span is not None
-    layout = scan_def_line(doc.line(method.span.start_line))
+def _layout(doc: CodeDocument, member):
+    """The layout of a method's def line or of an attribute's
+    ``self.x = ...`` line, and the line's number."""
+    assert member.span is not None
+    line_no = member.span.start_line
+    scan = scan_attr_line if isinstance(member, Attribute) else scan_def_line
+    layout = scan(doc.line(line_no))
     if layout is None:
         raise EditConflictError(
-            f"cannot re-scan def line for {method.name!r}")
-    return layout, method.span.start_line
-
-
-def _attr_layout(doc: CodeDocument, attr: Attribute):
-    # the parser matched this very line, so the scan cannot miss
-    assert attr.span is not None
-    layout = scan_attr_line(doc.line(attr.span.start_line))
-    assert layout is not None
-    return layout, attr.span.start_line
+            f"cannot re-scan the line declaring {member.name!r}")
+    return layout, line_no
 
 
 # the block each kind of insertion goes into, innermost first: the
@@ -242,8 +236,7 @@ _DEPTH = {"insert-newline": 0, "insert-future": 1, "insert-body": 2,
 def _insertion(doc: CodeDocument, kind: str, line: int,
                lines: list[str]) -> CodeEdit:
     """``lines`` inserted before line ``line``."""
-    return CodeEdit(kind, SourceSpan(doc.artifact, line, 1, line, 1),
-                    "\n".join(lines) + "\n")
+    return _on_line(doc, kind, line, 0, 0, "\n".join(lines) + "\n")
 
 
 def _final_newline(doc: CodeDocument, edits: list[CodeEdit]
@@ -265,16 +258,16 @@ def _final_newline(doc: CodeDocument, edits: list[CodeEdit]
 def _annotated_types(edit: CorrectionEdit) -> list[TypeRef]:
     """The types a code edit may write as annotations."""
     if edit.kind == "change-type":
-        return [edit.new_type]
+        return [edit.payload]
     if edit.kind == "change-signature":
-        return [p.type for p in edit.new_params or ()]
+        return [p.type for p in edit.payload]
     if edit.kind == "add-class":
-        cls = edit.class_payload
+        cls = edit.payload
         # a stub without a constructor takes the attributes as parameters
         types = [] if cls.constructor() else [a.type for a in cls.attributes]
         methods = cls.methods
-    elif edit.kind == "add-member" and isinstance(edit.member_payload, Method):
-        types, methods = [], [edit.member_payload]
+    elif edit.kind == "add-member" and isinstance(edit.payload, Method):
+        types, methods = [], [edit.payload]
     else:
         return []
     return types + [t for m in methods
@@ -302,13 +295,11 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                                                        list[Attribute]]],
                        signature_types: dict[int, dict[str, TypeRef]]
                        ) -> list[CodeEdit]:
-    artifact = doc.artifact
     if edit.kind == "add-class":
-        assert edit.class_payload is not None
         last_line = max((c.span.end_line for c in doc.model.classes
                          if c.span is not None), default=len(doc.lines()) - 1)
         return [_insertion(doc, "insert-class", last_line + 1, [
-            "", *render_class_stub(edit.class_payload, py_annotation)])]
+            "", *render_class_stub(edit.payload, py_annotation)])]
 
     cls = edit.cls
     assert cls is not None and cls.span is not None
@@ -316,7 +307,7 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
         return [CodeEdit("delete-span", block_delete_span(cls.span))]
 
     if edit.kind == "add-member":
-        member = edit.member_payload
+        member = edit.payload
         if isinstance(member, Attribute):
             ctor = cls.constructor()
             if ctor is None:
@@ -337,66 +328,62 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
         return [CodeEdit("delete-span", block_delete_span(member.span))]
 
     if edit.kind == "rename":
-        layout, line_no = (_attr_layout(doc, member)
-                           if isinstance(member, Attribute)
-                           else _def_layout(doc, member))
-        span = SourceSpan(artifact, line_no, layout.name_start + 1,
-                          line_no, layout.name_end + 1)
-        return [CodeEdit("rename-identifier", span, edit.new_name or "")]
+        layout, line_no = _layout(doc, member)
+        return [_on_line(doc, "rename-identifier", line_no, layout.name_start,
+                         layout.name_end, edit.payload)]
 
     if edit.kind == "change-signature":
-        layout, line_no = _def_layout(doc, member)
+        layout, line_no = _layout(doc, member)
         types = signature_types[id(member)]
         sig = params_text([p.replace(type=types[p.name])
-                           for p in edit.new_params or ()], py_annotation)
-        span = SourceSpan(artifact, line_no, layout.lparen + 2,
-                          line_no, layout.rparen + 1)
-        return [CodeEdit("set-annotation", span, sig)]
+                           for p in edit.payload], py_annotation)
+        return [_on_line(doc, "set-annotation", line_no, layout.lparen + 1,
+                         layout.rparen, sig)]
 
     if edit.kind == "change-type":
-        assert edit.new_type is not None
         if isinstance(member, Attribute):
-            return _attr_type_edit(doc, cls, member, edit.new_type,
+            return _attr_type_edit(doc, cls, member, edit.payload,
                                    signature_types)
         if edit.param_index is not None:
             return [_param_type_edit(doc, member, edit.param_index,
-                                     edit.new_type)]
-        layout, line_no = _def_layout(doc, member)
-        spelled = py_annotation(edit.new_type)
+                                     edit.payload)]
+        layout, line_no = _layout(doc, member)
+        spelled = py_annotation(edit.payload)
         if layout.ret is not None:
-            span = SourceSpan(artifact, line_no, layout.ret_start + 1,
-                              line_no, layout.ret_end + 1)
-            payload = f"-> {spelled}" if spelled else ""
-        else:
-            span = _after_col(artifact, line_no, layout.rparen + 1)
-            payload = f" -> {spelled}" if spelled else ""
-        return [CodeEdit("set-annotation", span, payload)]
+            start, end, arrow = layout.ret_start, layout.ret_end, "->"
+        else:  # right after the ')'
+            start = end = layout.rparen + 1
+            arrow = " ->"
+        return [_on_line(doc, "set-annotation", line_no, start, end,
+                         f"{arrow} {spelled}" if spelled else "")]
 
     raise EditConflictError(f"unknown code edit kind {edit.kind!r}")
 
 
-def _after_col(artifact: str, line: int, col0: int) -> SourceSpan:
-    return SourceSpan(artifact, line, col0 + 1, line, col0 + 1)
+def _on_line(doc: CodeDocument, kind: str, line: int, start: int, end: int,
+             payload: str) -> CodeEdit:
+    """An edit of columns ``start`` to ``end`` (from 0, end excluded) of
+    line ``line``."""
+    return CodeEdit(kind, SourceSpan(doc.artifact, line, start + 1, line,
+                                     end + 1), payload)
 
 
 def _param_type_edit(doc: CodeDocument, method: Method, index: int,
-                     new_type: TypeRef) -> CodeEdit:
-    layout, line_no = _def_layout(doc, method)
+                     wanted: TypeRef) -> CodeEdit:
+    layout, line_no = _layout(doc, method)
     pl = layout.params[index + 1]  # params[0] is the receiver
-    if pl.annotation is not None:
-        span = SourceSpan(doc.artifact, line_no, pl.annot_start + 1,
-                          line_no, pl.annot_end + 1)
-    else:
-        span = _after_col(doc.artifact, line_no, pl.name_end)
-    spelled = py_annotation(new_type)
-    return CodeEdit("set-annotation", span, f": {spelled}" if spelled else "")
+    spelled = py_annotation(wanted)
+    start, end = ((pl.annot_start, pl.annot_end) if pl.annotation is not None
+                  else (pl.name_end, pl.name_end))
+    return _on_line(doc, "set-annotation", line_no, start, end,
+                    f": {spelled}" if spelled else "")
 
 
 def _attr_type_edit(doc: CodeDocument, cls: ClassDef, attr: Attribute,
-                    new_type: TypeRef,
+                    wanted: TypeRef,
                     signature_types: dict[int, dict[str, TypeRef]]
                     ) -> list[CodeEdit]:
-    layout, line_no = _attr_layout(doc, attr)
+    layout, line_no = _layout(doc, attr)
     ctor = cls.constructor()
     assert ctor is not None  # code attributes are assigned in __init__
     for i, p in enumerate(ctor.params):
@@ -406,12 +393,11 @@ def _attr_type_edit(doc: CodeDocument, cls: ClassDef, attr: Attribute,
             # signature when that keeps it
             types = signature_types.get(id(ctor))
             if types is not None and p.name in types:
-                types[p.name] = new_type
+                types[p.name] = wanted
                 return []
-            return [_param_type_edit(doc, ctor, i, new_type)]
-    span = SourceSpan(doc.artifact, line_no, layout.rhs_start + 1,
-                      line_no, layout.rhs_end + 1)
-    return [CodeEdit("set-annotation", span, placeholder_rhs(new_type))]
+            return [_param_type_edit(doc, ctor, i, wanted)]
+    return [_on_line(doc, "set-annotation", line_no, layout.rhs_start,
+                     layout.rhs_end, placeholder_rhs(wanted))]
 
 
 def _require_kept_sources(doc: CodeDocument, edit: CorrectionEdit,
@@ -429,13 +415,13 @@ def _require_kept_sources(doc: CodeDocument, edit: CorrectionEdit,
     if not ctor.is_constructor:
         return
     dropped = ({p.name for p in ctor.params if p.type.kind != "unknown"}
-               - {p.name for p in edit.new_params or ()})
+               - {p.name for p in edit.payload})
     for attr in edit.cls.attributes:
         if (id(attr) in removed or attr.span is None
                 or not ctor.span.start_line < attr.span.start_line
                 <= ctor.span.end_line):
             continue
-        layout, line_no = _attr_layout(doc, attr)
+        layout, line_no = _layout(doc, attr)
         if layout.rhs in dropped:
             raise DanglingParameterError(
                 f"{doc.artifact}:{line_no}: 'self.{attr.name}' is assigned "

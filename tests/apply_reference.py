@@ -26,7 +26,7 @@ def reference_model(design: ClassModel, chosen) -> ClassModel:
 
 def _apply_model_edit(model, memo, edit) -> None:
     if edit.kind == "add-class":
-        model.classes.append(copy.deepcopy(edit.class_payload))
+        model.classes.append(copy.deepcopy(edit.payload))
         return
     cls = memo[id(edit.cls)]
     if edit.kind == "remove-class":
@@ -37,7 +37,7 @@ def _apply_model_edit(model, memo, edit) -> None:
             if key not in (normalize_name(r.left), normalize_name(r.right))]
         return
     if edit.kind == "add-member":
-        member = copy.deepcopy(edit.member_payload)
+        member = copy.deepcopy(edit.payload)
         if isinstance(member, Attribute):
             cls.attributes.append(member)
         else:
@@ -52,18 +52,18 @@ def _apply_model_edit(model, memo, edit) -> None:
             cls.methods.remove(member)
         return
     if edit.kind == "rename":
-        member.name = edit.new_name
+        member.name = edit.payload
         return
     if edit.kind == "change-signature":
-        member.params = list(copy.deepcopy(edit.new_params or ()))
+        member.params = list(copy.deepcopy(edit.payload))
         return
     if edit.kind == "change-type":
         if isinstance(member, Attribute):
-            member.type = edit.new_type
+            member.type = edit.payload
         elif edit.param_index is None:
-            member.return_type = edit.new_type
+            member.return_type = edit.payload
         else:
-            member.params[edit.param_index].type = edit.new_type
+            member.params[edit.param_index].type = edit.payload
         return
     raise ValueError(f"unknown model edit kind {edit.kind!r}")
 
@@ -74,7 +74,7 @@ def _offset(text: str, starts: list[int], line: int, col: int) -> int:
     if not 1 <= line <= len(starts):
         raise SpanOutOfRangeError(f"line {line} outside text")
     off = starts[line - 1] + col - 1
-    line_end = starts[line] if line < len(starts) else len(text)
+    line_end = starts[line] - 1 if line < len(starts) else len(text)
     if off > line_end:
         raise SpanOutOfRangeError(f"column {col} outside line {line}")
     return off

@@ -39,15 +39,15 @@ def _camelized_class(cls: ClassDef) -> ClassDef:
 
 
 def _edit(f: Finding, side: str, kind: str, description: str,
-          **payload) -> CorrectionEdit:
+          payload=None) -> CorrectionEdit:
     """An edit on ``side`` targeting that side's matched class and member."""
     if side == "model":
         return CorrectionEdit(side, kind, description, f.model_class,
                               f.model_member, param_index=f.param_index,
-                              **payload)
+                              payload=payload)
     return CorrectionEdit(side, kind, description, f.code_class,
                           f.code_member, param_index=f.param_index,
-                          **payload)
+                          payload=payload)
 
 
 def _build_set(f: Finding) -> CorrectionSet:
@@ -59,7 +59,7 @@ def _build_set(f: Finding) -> CorrectionSet:
         alts = [
             _edit(f, "code", "add-class",
                   f"add class '{cls.name}' to the code as a stub",
-                  class_payload=cls),
+                  payload=cls),
             _edit(f, "model", "remove-class",
                   f"remove class '{cls.name}' from the design model"),
         ]
@@ -69,7 +69,7 @@ def _build_set(f: Finding) -> CorrectionSet:
         alts = [
             _edit(f, "model", "add-class",
                   f"add class '{cls.name}' to the design model",
-                  class_payload=_camelized_class(cls)),
+                  payload=_camelized_class(cls)),
             _edit(f, "code", "remove-class",
                   f"remove class '{cls.name}' from the code"),
         ]
@@ -82,7 +82,7 @@ def _build_set(f: Finding) -> CorrectionSet:
             _edit(f, "code", "add-member",
                   f"add {what} '{member.name}' to class "
                   f"'{f.code_class.name}' in the code as a stub",
-                  member_payload=member),
+                  payload=member),
             _edit(f, "model", "remove-member",
                   f"remove {what} '{member.name}' from class "
                   f"'{f.model_class.name}' in the design model"),
@@ -97,7 +97,7 @@ def _build_set(f: Finding) -> CorrectionSet:
             _edit(f, "model", "add-member",
                   f"add {what} '{renamed.name}' to class "
                   f"'{f.model_class.name}' in the design model",
-                  member_payload=renamed),
+                  payload=renamed),
             _edit(f, "code", "remove-member",
                   f"remove {what} '{member.name}' from class "
                   f"'{f.code_class.name}' in the code"),
@@ -109,10 +109,10 @@ def _build_set(f: Finding) -> CorrectionSet:
             _edit(f, "model", "rename",
                   f"rename {what} '{m.name}' to "
                   f"'{snake_to_camel(c.name)}' in the design model",
-                  new_name=snake_to_camel(c.name)),
+                  payload=snake_to_camel(c.name)),
             _edit(f, "code", "rename",
                   f"rename {what} '{c.name}' to '{m.name}' in the code",
-                  new_name=m.name),
+                  payload=m.name),
         ]
     elif kind is FindingKind.CONSTRUCTOR_ARITY_MISMATCH:
         m, c = f.model_member, f.code_member
@@ -120,11 +120,11 @@ def _build_set(f: Finding) -> CorrectionSet:
             _edit(f, "model", "change-signature",
                   f"make '{m.name}' in the design model take "
                   f"({_params_text(c.params)}) as in the code",
-                  new_params=tuple(copy.deepcopy(c.params))),
+                  payload=tuple(copy.deepcopy(c.params))),
             _edit(f, "code", "change-signature",
                   f"make '{c.name}' in the code take "
                   f"({_params_text(m.params)}) as in the design model",
-                  new_params=tuple(copy.deepcopy(m.params))),
+                  payload=tuple(copy.deepcopy(m.params))),
         ]
     elif kind is FindingKind.PARAM_TYPE_MISMATCH:
         m, c = f.model_member, f.code_member
@@ -136,12 +136,12 @@ def _build_set(f: Finding) -> CorrectionSet:
                   f"change parameter '{m.params[i].name}' of "
                   f"'{m.name}' to '{c.params[i].type}' in the "
                   f"design model",
-                  new_type=c.params[i].type),
+                  payload=c.params[i].type),
             _edit(f, "code", "change-type",
                   f"change parameter '{c.params[i].name}' of "
                   f"'{c.name}' to '{py_annotation(want) or want}' "
                   f"in the code",
-                  new_type=want),
+                  payload=want),
         ]
     elif kind is FindingKind.RETURN_TYPE_MISMATCH:
         m, c = f.model_member, f.code_member
@@ -149,12 +149,12 @@ def _build_set(f: Finding) -> CorrectionSet:
             _edit(f, "model", "change-type",
                   f"change the return type of '{m.name}' to "
                   f"'{c.return_type}' in the design model",
-                  new_type=c.return_type),
+                  payload=c.return_type),
             _edit(f, "code", "change-type",
                   f"change the return type of '{c.name}' to "
                   f"'{py_annotation(m.return_type) or m.return_type}' "
                   f"in the code",
-                  new_type=m.return_type),
+                  payload=m.return_type),
         ]
     elif kind is FindingKind.ATTRIBUTE_TYPE_MISMATCH:
         m, c = f.model_member, f.code_member
@@ -162,11 +162,11 @@ def _build_set(f: Finding) -> CorrectionSet:
             _edit(f, "model", "change-type",
                   f"change attribute '{m.name}' to '{c.type}' "
                   f"in the design model",
-                  new_type=c.type),
+                  payload=c.type),
             _edit(f, "code", "change-type",
                   f"change attribute '{c.name}' to "
                   f"'{py_annotation(m.type) or m.type}' in the code",
-                  new_type=m.type),
+                  payload=m.type),
         ]
     else:  # pragma: no cover - advisory kinds are filtered by propose
         raise ValueError(f"no corrections for {kind}")

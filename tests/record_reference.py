@@ -224,12 +224,8 @@ class CorrectionEdit:
     description: str
     cls: ClassDef | None = None
     member: object | None = None
-    new_name: str | None = None
-    new_type: TypeRef | None = None
     param_index: int | None = None
-    new_params: tuple | None = None
-    class_payload: ClassDef | None = None
-    member_payload: object | None = None
+    payload: object | None = None
 
 
 @dataclass(frozen=True)

@@ -108,8 +108,8 @@ def _check_pair(model_text: str, code_text: str, monkeypatch) -> None:
                    for c in parse_code(new_code).model.classes}
         for e in chosen:
             if (e.side, e.kind) == ("code", "add-member") and isinstance(
-                    e.member_payload, Attribute):
-                assert e.member_payload.name in written[e.cls.name], policy
+                    e.payload, Attribute):
+                assert e.payload.name in written[e.cls.name], policy
         # the imports and classes run: no annotation names an undefined
         # type (the rest of a module may call what the edits remove)
         tree = ast.parse(new_code)

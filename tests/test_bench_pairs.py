@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -70,8 +71,39 @@ def test_summary_prints_each_metric_on_one_line(bench_pairs, capsys):
         "5 pairs; runs incorrect or with failed commands: 1",
         "check_s [s]: parent 3.0000 (1.5000-4.5000); change 2.5000 "
         "(1.2500-4.7500); change won 3/5; median gap 0.5000, parent "
-        "quartile spread 3.0000",
+        "quartile spread 3.0000; change/parent median 0.8750, 95% interval "
+        "0.5000-1.2000: no change detectable at 5 pairs",
     ]
+
+
+def _noisy(shift: float, noise: float, pairs: int = 10) -> list[dict]:
+    rng = random.Random(7)
+    parent = [1.0 + rng.gauss(0, noise) for _ in range(pairs)]
+    change = [shift * (1.0 + rng.gauss(0, noise)) for _ in range(pairs)]
+    return _runs(parent, change)
+
+
+def test_identical_sides_report_no_change(bench_pairs, capsys):
+    [row] = bench_pairs.compare(_runs(PARENT, PARENT), {"check_s": True})
+    assert row["ratio"] == (1.0, 1.0, 1.0)
+    bench_pairs.summarize(_runs(PARENT, PARENT), {"check_s": True})
+    assert capsys.readouterr().out.splitlines()[1].endswith(
+        "; change/parent median 1.0000, 95% interval 1.0000-1.0000: "
+        "no change detectable at 5 pairs")
+
+
+def test_a_5_percent_shift_under_1_percent_noise_shows_at_10_pairs(
+        bench_pairs, capsys):
+    runs = _noisy(1.05, 0.01)
+    [row] = bench_pairs.compare(runs, {"check_s": True})
+    median, low, high = row["ratio"]
+    assert 1.0 < low <= median <= high
+    assert median == pytest.approx(1.05, abs=0.01)
+    bench_pairs.summarize(runs, {"check_s": True})
+    assert "no change detectable" not in capsys.readouterr().out
+    # the same noise with no shift is not read as a change
+    [row] = bench_pairs.compare(_noisy(1.0, 0.01), {"check_s": True})
+    assert row["ratio"][1] <= 1.0 <= row["ratio"][2]
 
 
 RUN_STDOUT = """\
@@ -129,6 +161,28 @@ def test_checkouts_of_unequal_path_length_exit_with_a_message(
         f"checkout paths differ in length: {root / 'par'} and "
         f"{root / 'change'}; that alone moves peak_rss_mb by about 0.2 MB, "
         "so use paths of equal length")
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_checkout_holding_bytecode_caches_stops_the_script_before_any_run(
+        bench_pairs, tmp_path, monkeypatch, side):
+    for name in ("par", "chg"):
+        (tmp_path / name / "src" / "pkg").mkdir(parents=True)
+    cache = tmp_path / {"parent": "par", "change": "chg"}[side] / "src" / \
+        "pkg" / "__pycache__"
+    cache.mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", pytest.fail)
+    monkeypatch.setattr("sys.argv", [
+        "bench_pairs.py", "par", "chg", "--workload", "fixtures",
+        "--first-seed", "1", "--out", "runs.json"])
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main()
+    assert str(exit_.value) == (
+        f"the {side} checkout holds bytecode caches ({cache.resolve()}); a "
+        "side that reads them skips compiling and runs faster, so remove "
+        "every __pycache__ under src/")
+    assert not (tmp_path / "runs.json").exists()
 
 
 def test_unequal_checkout_paths_stop_the_script_before_any_run(

@@ -495,6 +495,41 @@ def test_cli_config_not_utf8_exits_three(capsys, tmp_path, pair):
     assert err == f"config error: {conf}: not valid UTF-8 at byte 12\n"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("shiny = yes", "unknown key 'shiny'"),
+    ("name_mode = shiny", "name_mode must be one of exact, canonical"),
+    ("policy = shiny",
+     "policy must be one of model-wins, code-wins, union, ask"),
+    ("preferred_side = shiny", "preferred_side must be one of model, code"),
+    ("rename_threshold = abc", "rename_threshold must be a number"),
+    ("rename_threshold = nan", "rename_threshold must be in [0, 1]"),
+    ("rename_threshold = 1.5", "rename_threshold must be in [0, 1]"),
+])
+def test_cli_config_refusal_names_its_line_and_exits_three(
+        capsys, tmp_path, pair, line, message):
+    model, code = pair
+    conf = tmp_path / "c.conf"
+    conf.write_text(f"# first\n{line}\n", encoding="utf-8")
+    status, out, err = run(capsys, "check", model, code, "--config", conf)
+    assert (status, out) == (3, "")
+    assert err == f"config error: {conf}:2: {message}\n"
+
+
+def test_config_applies_a_valid_value_of_every_key(tmp_path):
+    path = tmp_path / "modelsync.conf"
+    path.write_text("name_mode = exact\nrename_threshold = 0.75\n"
+                    "type_equivalences = Integer:int\npolicy = code-wins\n"
+                    "preferred_side = code\nfixtures_dir = other/llm\n"
+                    "llm_endpoint = http://localhost:1/v1\n"
+                    "llm_model = other-model\n", encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg == Config("exact", 0.75, (("Integer", "int"),), "code-wins",
+                         "code", "other/llm", "http://localhost:1/v1",
+                         "other-model")
+    # no field kept its default, so every key was applied
+    assert all(value != default for value, default in zip(cfg, Config()))
+
+
 def test_cli_threshold_flag_overrides(capsys, tmp_path, v1_model_text):
     model = tmp_path / "m.puml"
     code = tmp_path / "c.py"

@@ -26,8 +26,7 @@ def _shape(correction_set):
     return (correction_set.finding_id, correction_set.finding_kind,
             correction_set.detail,
             [(a.side, a.kind, a.description, id(a.cls), id(a.member),
-              a.new_name, a.new_type, a.param_index, a.new_params,
-              a.class_payload, a.member_payload)
+              a.param_index, a.payload)
              for a in correction_set.alternatives])
 
 

@@ -353,6 +353,20 @@ def test_apply_edits_span_out_of_range():
         apply_code_edits(doc, [CodeEdit("delete-span", _span(99, 1, 2))])
 
 
+def test_apply_edits_refuse_a_column_past_a_line_s_newline():
+    # the column after a line's end is its newline; one more is refused on
+    # every line, not read as the next line's first column
+    doc = parse_code("class A:\n    pass\n")
+    for line, text in ((1, "class A:"), (2, "    pass")):
+        end = CodeEdit("set-annotation", _span(line, len(text) + 1,
+                                               len(text) + 1), "x")
+        assert apply_code_edits(doc, [end]).count("x") == 1
+        past = CodeEdit("set-annotation", _span(line, len(text) + 2,
+                                                len(text) + 2), "x")
+        with pytest.raises(SpanOutOfRangeError):
+            apply_code_edits(doc, [past])
+
+
 def test_apply_edits_disjoint_order_independent():
     code = ("class A:\n    def f(self, x):\n        pass\n"
             "    def g(self, y):\n        pass\n")

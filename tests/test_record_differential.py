@@ -65,10 +65,10 @@ _finding = st.builds(Finding, _text, _kind, _text, _opt_location,
 _options = st.builds(MatchOptions, _text, st.floats(allow_nan=True),
                      st.just(frozenset()), st.booleans())
 _member_pair = st.builds(MemberPair, _member, _member, _ints, _ints)
+_payload = (st.none() | _text | _type | st.tuples(_param) | _class
+            | _member)
 _edit = st.builds(CorrectionEdit, _text, _text, _text, st.none() | _class,
-                  st.none() | _member, _opt_text, st.none() | _type,
-                  _opt_int, st.none() | st.tuples(_param),
-                  st.none() | _class, st.none() | _member)
+                  st.none() | _member, _opt_int, _payload)
 _message = st.builds(ChatMessage, _text, _text)
 
 # (record, its reference, one strategy per field in order)
@@ -121,9 +121,7 @@ RECORDS = [
       _text]),
     (CorrectionEdit, ref.CorrectionEdit,
      [_text, _text, _text, st.none() | _class, st.none() | _member,
-      _opt_text, st.none() | _type, _opt_int,
-      st.none() | st.tuples(_param), st.none() | _class,
-      st.none() | _member]),
+      _opt_int, _payload]),
     (CorrectionSet, ref.CorrectionSet,
      [_text, _kind, _text, st.tuples(_edit)]),
     (ChatMessage, ref.ChatMessage, [_text, _text]),
