@@ -44,7 +44,8 @@ def checked_threshold(value: str | float, name: str) -> float:
     return number
 
 
-def _parse_type_equivalences(value: str) -> tuple[tuple[str, str], ...]:
+def _parse_type_equivalences(value: str,
+                             where: str) -> tuple[tuple[str, str], ...]:
     pairs = []
     for chunk in value.split(","):
         chunk = chunk.strip()
@@ -52,10 +53,11 @@ def _parse_type_equivalences(value: str) -> tuple[tuple[str, str], ...]:
             continue
         if ":" not in chunk:
             raise ConfigError(
-                f"type equivalence {chunk!r} is not of the form a:b")
+                f"{where}: type equivalence {chunk!r} is not of the form a:b")
         a, b = (part.strip() for part in chunk.split(":", 1))
         if not a or not b:
-            raise ConfigError(f"type equivalence {chunk!r} has empty names")
+            raise ConfigError(
+                f"{where}: type equivalence {chunk!r} has empty names")
         pairs.append((a, b))
     return tuple(pairs)
 
@@ -75,6 +77,7 @@ def load_config(path: str | Path | None = None) -> Config:
         raise ConfigError(f"{config_path}: not valid UTF-8 at byte "
                           f"{exc.start}") from None
     cfg = Config()
+    set_at: dict[str, int] = {}  # the line that set each key
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -83,7 +86,12 @@ def load_config(path: str | Path | None = None) -> Config:
             raise ConfigError(
                 f"{config_path}:{line_no}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        cfg = _apply_key(cfg, key, value, f"{config_path}:{line_no}")
+        where = f"{config_path}:{line_no}"
+        if key in set_at:
+            raise ConfigError(
+                f"{where}: key {key!r} already set at line {set_at[key]}")
+        set_at[key] = line_no
+        cfg = _apply_key(cfg, key, value, where)
     return cfg
 
 
@@ -96,5 +104,5 @@ def _apply_key(cfg: Config, key: str, value: str, where: str) -> Config:
     if key == "rename_threshold":
         value = checked_threshold(value, f"{where}: {key}")
     elif key == "type_equivalences":
-        value = _parse_type_equivalences(value)
+        value = _parse_type_equivalences(value, where)
     return cfg._replace(**{key: value})

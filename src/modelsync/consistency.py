@@ -40,13 +40,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from typing import NamedTuple
 
 from .model import (Attribute, ClassDef, ClassModel, Method, Record,
                     SourceSpan, TypeRef, TypeTable, DEFAULT_TYPE_EQUIVALENCES,
-                    normalize_name, sha256_hex, type_equivalent)
+                    sha256_hex, type_equivalent)
 
 
 class FindingKind(Enum):
@@ -203,6 +203,10 @@ class MemberPair(NamedTuple):
     longest: int = 0
 
 
+# a link by name, built without the Python-level ``MemberPair.__new__``
+_name_link = partial(tuple.__new__, MemberPair)
+
+
 class ClassMatch(Record):
     """A class pair's links (constructor, then by name: methods, then
     attributes; then renames: methods, then attributes) and the members
@@ -239,13 +243,14 @@ def match_models(design: ClassModel, code: ClassModel,
                  opts: MatchOptions | None = None) -> MatchResult:
     """Pair the two sides; see the module docstring for the policy."""
     opts = opts or MatchOptions()
+    key_of = _name_key(opts.name_mode)
     result = MatchResult()
-    code_by_key = {normalize_name(c.name, opts.name_mode): c
-                   for c in code.classes}
+    code_keys = [key_of(c.name) for c in code.classes]
+    code_by_key = dict(zip(code_keys, code.classes))
     paired_code: set[str] = set()
 
     for mc in design.classes:
-        key = normalize_name(mc.name, opts.name_mode)
+        key = key_of(mc.name)
         cc = code_by_key.get(key)
         if cc is None:
             result.model_only_classes.append(mc)
@@ -253,20 +258,39 @@ def match_models(design: ClassModel, code: ClassModel,
         paired_code.add(key)
         result.class_matches.append(_match_class(mc, cc, opts))
 
-    for cc in code.classes:
-        if normalize_name(cc.name, opts.name_mode) not in paired_code:
-            result.code_only_classes.append(cc)
+    result.code_only_classes = [cc for key, cc in zip(code_keys, code.classes)
+                                if key not in paired_code]
     return result
 
 
+def _name_key(mode: str):
+    """The function that gives a name its key under ``mode``, as
+    :func:`normalize_name` does."""
+    if mode == "canonical":
+        return _canonical
+    if mode == "exact":
+        return str
+    raise ValueError(f"unknown name mode {mode!r}")
+
+
+def _canonical(name: str) -> str:
+    return name.replace("_", "").lower()
+
+
+def _split_constructor(methods: list[Method]) -> tuple[Method | None, list]:
+    """A class's first constructor, if any, and its other methods."""
+    rest = [m for m in methods if not m.is_constructor]
+    if len(rest) == len(methods):
+        return None, rest
+    return next(m for m in methods if m.is_constructor), rest
+
+
 def _match_class(mc: ClassDef, cc: ClassDef, opts: MatchOptions) -> ClassMatch:
-    links: list[MemberPair] = []
-    m_ctor, c_ctor = mc.constructor(), cc.constructor()
-    if m_ctor is not None and c_ctor is not None:
-        links.append(MemberPair(m_ctor, c_ctor))
-    m_left, c_left = _pair_by_name(
-        [m for m in mc.methods if not m.is_constructor],
-        [m for m in cc.methods if not m.is_constructor], opts, links)
+    m_ctor, m_methods = _split_constructor(mc.methods)
+    c_ctor, c_methods = _split_constructor(cc.methods)
+    links = ([MemberPair(m_ctor, c_ctor)]
+             if m_ctor is not None and c_ctor is not None else [])
+    m_left, c_left = _pair_by_name(m_methods, c_methods, opts, links)
     a_left, b_left = _pair_by_name(mc.attributes, cc.attributes, opts, links)
     method_renames, m_only, c_only = _pair_renames(m_left, c_left, opts,
                                                    require_arity=True)
@@ -278,28 +302,29 @@ def _match_class(mc: ClassDef, cc: ClassDef, opts: MatchOptions) -> ClassMatch:
 
 def _pair_by_name(model_members, code_members, opts: MatchOptions,
                   out_pairs: list[MemberPair]):
-    """Pair by canonical name; same-name groups pair equal arity first."""
+    """Pair by canonical name; a name with several candidates pairs equal
+    arity first."""
+    key_of = _name_key(opts.name_mode)
     c_groups: dict[str, list] = {}
-    for m in code_members:
-        c_groups.setdefault(normalize_name(m.name, opts.name_mode),
-                            []).append(m)
+    for c in code_members:
+        c_groups.setdefault(key_of(c.name), []).append(c)
 
-    model_left, code_left = [], []
+    model_left = []
     for m in model_members:
-        key = normalize_name(m.name, opts.name_mode)
-        candidates = c_groups.get(key, [])
+        candidates = c_groups.get(key_of(m.name))
         if not candidates:
             model_left.append(m)
             continue
-        same_arity = [c for c in candidates
-                      if isinstance(c, Attribute) or
-                      (isinstance(m, Method) and c.arity == m.arity)]
-        chosen = same_arity[0] if same_arity else candidates[0]
-        candidates.remove(chosen)
-        out_pairs.append(MemberPair(m, chosen))
-    for rest in c_groups.values():
-        code_left.extend(rest)
-    return model_left, code_left
+        if len(candidates) == 1:
+            chosen = candidates.pop()
+        else:
+            # a model attribute (arity -1) takes the first attribute
+            arity = len(m.params) if isinstance(m, Method) else -1
+            chosen = next((c for c in candidates if isinstance(c, Attribute)
+                           or len(c.params) == arity), candidates[0])
+            candidates.remove(chosen)
+        out_pairs.append(_name_link((m, chosen, 0, 0)))
+    return model_left, [c for rest in c_groups.values() for c in rest]
 
 
 def _bigrams(name: str) -> list[str]:
@@ -337,8 +362,9 @@ def _pair_renames(model_left, code_left, opts: MatchOptions, *,
     # a negative or NaN threshold admits no distance
     if not (model_left and code_left and threshold >= 0):
         return [], model_left, code_left
-    model_keys = [normalize_name(m.name, opts.name_mode) for m in model_left]
-    code_keys = [normalize_name(c.name, opts.name_mode) for c in code_left]
+    key_of = _name_key(opts.name_mode)
+    model_keys = [key_of(m.name) for m in model_left]
+    code_keys = [key_of(c.name) for c in code_left]
     # per arity: bigram key -> code positions, and name length -> positions
     postings: dict[int, dict[str, list[int]]] = {}
     lengths: dict[int, dict[int, list[int]]] = {}
@@ -435,8 +461,9 @@ def check(design: ClassModel, code: ClassModel,
               f"class '{cls.name}' is defined in the code but missing "
               f"from the design model", code_class=cls)
 
+    same_type = _SameType(opts.type_table)
     for cm in matched.class_matches:
-        _class_findings(out, cm, opts)
+        _class_findings(out, cm, same_type)
 
     if opts.infer_code_relationships:
         _relationship_findings(out, design, code, opts)
@@ -445,11 +472,22 @@ def check(design: ClassModel, code: ClassModel,
     return Report(1, tuple(inputs), opts, tuple(out))
 
 
+class _SameType(dict):
+    """``type_equivalent`` under one type table, remembered for each
+    (model type, code type) pair it has been asked about: ``same[a, b]``."""
+
+    def __init__(self, table: TypeTable) -> None:
+        self.table = table
+
+    def __missing__(self, pair: tuple[TypeRef, TypeRef]) -> bool:
+        same = self[pair] = type_equivalent(*pair, self.table)
+        return same
+
+
 def _class_findings(out: list[Finding], cm: ClassMatch,
-                    opts: MatchOptions) -> None:
+                    same_type: _SameType) -> None:
     mc, cc = cm.model_class, cm.code_class
-    for link in cm.links:
-        _link_findings(out, mc, cc, link, opts)
+    _link_findings(out, mc, cc, cm.links, same_type)
     for m in cm.model_only:
         attr = isinstance(m, Attribute)
         if attr and not _has_named_evidence(m.type):
@@ -487,45 +525,50 @@ def _has_named_evidence(t: TypeRef) -> bool:
 
 
 def _link_findings(out: list[Finding], mc: ClassDef, cc: ClassDef,
-                   link: MemberPair, opts: MatchOptions) -> None:
-    """A rename link's finding, then each way the two members disagree:
-    arity (then nothing else), parameter and return types, or the
-    attribute's type."""
-    model, code = link.model, link.code
-    table = opts.type_table
-    if link.distance:
-        _emit_link(out, mc, cc, link, FindingKind.PROBABLE_RENAME,
-                   f"{_what(model)} '{model.name}' in the design model "
-                   f"likely corresponds to '{code.name}' in the code "
-                   f"(edit distance {link.distance}/{link.longest})")
-    if isinstance(model, Attribute):
-        if not type_equivalent(model.type, code.type, table):
-            _emit_link(out, mc, cc, link, FindingKind.ATTRIBUTE_TYPE_MISMATCH,
-                       f"attribute '{model.name}' of class '{mc.name}' is "
-                       f"'{model.type}' in the design model but "
-                       f"'{code.type}' in the code")
-    elif model.arity != code.arity:
-        what = ("constructor of" if model.is_constructor
-                else f"method '{model.name}' of")
-        _emit_link(out, mc, cc, link, FindingKind.CONSTRUCTOR_ARITY_MISMATCH,
-                   f"{what} class '{mc.name}' takes {model.arity} "
-                   f"parameter(s) in the design model but {code.arity} in "
-                   f"the code")
-    else:
-        what = ("constructor" if model.is_constructor
-                else f"method '{model.name}'")
+                   links: list[MemberPair], same_type: _SameType) -> None:
+    """For each link: a rename link's finding, then each way the two
+    members disagree: arity (then nothing else), parameter and return
+    types, or the attribute's type."""
+    for link in links:
+        model, code = link.model, link.code
+        if link.distance:
+            _emit_link(out, mc, cc, link, FindingKind.PROBABLE_RENAME,
+                       f"{_what(model)} '{model.name}' in the design model "
+                       f"likely corresponds to '{code.name}' in the code "
+                       f"(edit distance {link.distance}/{link.longest})")
+        if isinstance(model, Attribute):
+            if not same_type[model.type, code.type]:
+                _emit_link(
+                    out, mc, cc, link, FindingKind.ATTRIBUTE_TYPE_MISMATCH,
+                    f"attribute '{model.name}' of class '{mc.name}' is "
+                    f"'{model.type}' in the design model but "
+                    f"'{code.type}' in the code")
+            continue
+        if len(model.params) != len(code.params):
+            _emit_link(
+                out, mc, cc, link, FindingKind.CONSTRUCTOR_ARITY_MISMATCH,
+                f"{_subject(model)} of class '{mc.name}' takes "
+                f"{len(model.params)} parameter(s) in the design model but "
+                f"{len(code.params)} in the code")
+            continue
         for i, (mp, cp) in enumerate(zip(model.params, code.params)):
-            if not type_equivalent(mp.type, cp.type, table):
-                _emit_link(out, mc, cc, link, FindingKind.PARAM_TYPE_MISMATCH,
-                           f"{what} parameter '{mp.name}' of class "
-                           f"'{mc.name}' is '{mp.type}' in the design model "
-                           f"but '{cp.type}' in the code (position {i + 1})",
-                           i)
-        if not type_equivalent(model.return_type, code.return_type, table):
-            _emit_link(out, mc, cc, link, FindingKind.RETURN_TYPE_MISMATCH,
-                       f"method '{model.name}' of class '{mc.name}' returns "
-                       f"'{model.return_type}' in the design model but "
-                       f"'{code.return_type}' in the code")
+            if not same_type[mp.type, cp.type]:
+                _emit_link(
+                    out, mc, cc, link, FindingKind.PARAM_TYPE_MISMATCH,
+                    f"{_subject(model)} parameter '{mp.name}' of class "
+                    f"'{mc.name}' is '{mp.type}' in the design model but "
+                    f"'{cp.type}' in the code (position {i + 1})", i)
+        if not same_type[model.return_type, code.return_type]:
+            _emit_link(
+                out, mc, cc, link, FindingKind.RETURN_TYPE_MISMATCH,
+                f"method '{model.name}' of class '{mc.name}' returns "
+                f"'{model.return_type}' in the design model but "
+                f"'{code.return_type}' in the code")
+
+
+def _subject(method: Method) -> str:
+    return ("constructor" if method.is_constructor
+            else f"method '{method.name}'")
 
 
 def _emit_link(out: list[Finding], mc: ClassDef, cc: ClassDef,
@@ -539,13 +582,12 @@ def _emit_link(out: list[Finding], mc: ClassDef, cc: ClassDef,
 def _code_reference_pairs(code: ClassModel,
                           opts: MatchOptions) -> set[frozenset[str]]:
     """Unordered class pairs evidenced by typed attributes or ctor params."""
-    class_keys = {normalize_name(c.name, opts.name_mode): c.name
-                  for c in code.classes}
+    key_of = _name_key(opts.name_mode)
+    class_keys = {key_of(c.name): c.name for c in code.classes}
 
     def referenced(t: TypeRef) -> str | None:
         if t.kind == "named":
-            return class_keys.get(normalize_name(t.name or "",
-                                                 opts.name_mode))
+            return class_keys.get(key_of(t.name))
         if t.kind == "collection":
             return referenced(t.element)
         return None
@@ -558,29 +600,26 @@ def _code_reference_pairs(code: ClassModel,
             sources.extend(p.type for p in ctor.params)
         for t in sources:
             target = referenced(t)
-            if target and normalize_name(target, opts.name_mode) != \
-                    normalize_name(cls.name, opts.name_mode):
-                pairs.add(frozenset((normalize_name(cls.name, opts.name_mode),
-                                     normalize_name(target, opts.name_mode))))
+            if target and key_of(target) != key_of(cls.name):
+                pairs.add(frozenset((key_of(cls.name), key_of(target))))
     return pairs
 
 
 def _relationship_findings(out: list[Finding], design: ClassModel,
                            code: ClassModel, opts: MatchOptions) -> None:
     evidence = _code_reference_pairs(code, opts)
+    key_of = _name_key(opts.name_mode)
     model_pairs: set[frozenset[str]] = set()
     for rel in design.relationships:
-        key = frozenset((normalize_name(rel.left, opts.name_mode),
-                         normalize_name(rel.right, opts.name_mode)))
-        model_pairs.add(key)
-        if key not in evidence:
+        pair = frozenset((key_of(rel.left), key_of(rel.right)))
+        model_pairs.add(pair)
+        if pair not in evidence:
             label = f" '{rel.label}'" if rel.label else ""
             _emit(out, FindingKind.RELATIONSHIP_MISSING_IN_CODE,
                   Location(rel.left, f"--{rel.right}"), None,
                   f"relationship{label} between '{rel.left}' and "
                   f"'{rel.right}' has no code-side evidence")
-    canonical_to_name = {normalize_name(c.name, opts.name_mode): c.name
-                         for c in code.classes}
+    canonical_to_name = {key_of(c.name): c.name for c in code.classes}
     for pair in sorted(evidence, key=sorted):
         if pair not in model_pairs:
             left, right = sorted(canonical_to_name.get(k, k) for k in pair)
@@ -591,12 +630,10 @@ def _relationship_findings(out: list[Finding], design: ClassModel,
 
 
 def _finding_sort_key(f: Finding) -> tuple:
-    locs = [loc for loc in (f.model_loc, f.code_loc) if loc is not None]
-    cls_name = next((loc.class_name for loc in locs if loc.class_name), "")
-    member = next((loc.member for loc in locs if loc.member), "")
-    if member.startswith("--"):
-        member_key = member
-    else:
-        member_key = normalize_name(member) if member else ""
-    cls_key = normalize_name(cls_name) if cls_name else ""
-    return (cls_key, member_key, _KIND_ORDER[f.kind], f.detail)
+    cls_name = member = ""
+    for loc in (f.model_loc, f.code_loc):
+        if loc is not None:
+            cls_name = cls_name or loc.class_name
+            member = member or loc.member or ""
+    member_key = member if member.startswith("--") else _canonical(member)
+    return (_canonical(cls_name), member_key, _KIND_ORDER[f.kind], f.detail)

@@ -13,12 +13,11 @@ them.
 
 from __future__ import annotations
 
-import copy
 from typing import NamedTuple
 
 from .consistency import Finding, FindingKind, Report, _what
 from .errors import StaleReportError
-from .model import ClassDef, ClassModel, Method
+from .model import ClassDef, ClassModel, Method, Parameter
 from .pycode import CodeDocument, py_annotation
 
 # moved to the write path, which only writing commands import
@@ -79,13 +78,23 @@ def snake_to_camel(name: str) -> str:
 def _camelized(entity):
     """A copy of a member, or of a class with its members, named in
     camelCase; a class keeps its own name and its constructor's."""
-    clone = copy.deepcopy(entity)
-    members = ([clone] if not isinstance(clone, ClassDef) else
-               clone.attributes
-               + [m for m in clone.methods if not m.is_constructor])
-    for member in members:
-        member.name = snake_to_camel(member.name)
-    return clone
+    if isinstance(entity, ClassDef):
+        return entity.replace(
+            attributes=[_camelized(a) for a in entity.attributes],
+            methods=[_copied(m, m.name) if m.is_constructor
+                     else _camelized(m) for m in entity.methods])
+    return _copied(entity, snake_to_camel(entity.name))
+
+
+def _copied(member, name: str):
+    """A copy of ``member`` named ``name``, with parameters of its own."""
+    if isinstance(member, Method):
+        return member.replace(name=name, params=_copied_params(member.params))
+    return member.replace(name=name)
+
+
+def _copied_params(params: list[Parameter]) -> list[Parameter]:
+    return [Parameter(p.name, p.type) for p in params]
 
 
 def propose(report: Report, design: ClassModel,
@@ -216,7 +225,7 @@ def _payload(kind: str, side: str, f: Finding):
     if kind == "rename":
         return snake_to_camel(other.name) if side == "model" else other.name
     if kind == "change-signature":
-        return tuple(copy.deepcopy(other.params))
+        return tuple(_copied_params(other.params))
     if f.param_index is not None:
         return other.params[f.param_index].type
     return other.return_type if isinstance(other, Method) else other.type

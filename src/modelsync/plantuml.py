@@ -102,34 +102,36 @@ def _parse_params(text: str, types: dict[str | None, TypeRef],
     return params
 
 
-def _find_region(lines: list[str], artifact: str) -> tuple[int, int]:
-    """Locate the diagram body; returns (first, last) 0-based line indexes."""
-    fence_starts = [i for i, ln in enumerate(lines) if "```plantuml" in ln
-                    and ln.strip().startswith("```plantuml")]
+def _find_region(text: str, lines: list[str],
+                 artifact: str) -> tuple[int, int]:
+    """Locate the diagram body in ``text``, split into ``lines``; returns
+    (first, last) 0-based line indexes."""
+    fence_starts = [i for i in _lines_holding(text, "```plantuml")
+                    if lines[i].strip().startswith("```plantuml")]
     if len(fence_starts) > 1:
         raise ParseError("multiple ```plantuml blocks",
                          artifact=artifact, line=fence_starts[1] + 1,
                          expected="a single fenced block")
     if fence_starts:
         start = fence_starts[0] + 1
-        for j in range(start, len(lines)):
-            if lines[j].strip() == "```":
-                inner = _inner_startuml(lines, start, j, artifact)
+        for j in _lines_holding(text, "```"):
+            if j >= start and lines[j].strip() == "```":
+                inner = _inner_startuml(text, lines, start, j, artifact)
                 return inner if inner else (start, j - 1)
         raise ParseError("unterminated ```plantuml block",
                          artifact=artifact, line=fence_starts[0] + 1,
                          expected="```")
-    inner = _inner_startuml(lines, 0, len(lines), artifact)
+    inner = _inner_startuml(text, lines, 0, len(lines), artifact)
     if inner is None:
         raise MissingRegionError("no @startuml region or ```plantuml block",
                                  artifact=artifact, expected="@startuml")
     return inner
 
 
-def _inner_startuml(lines: list[str], lo: int, hi: int,
+def _inner_startuml(text: str, lines: list[str], lo: int, hi: int,
                     artifact: str) -> tuple[int, int] | None:
-    starts = [i for i in range(lo, hi)
-              if "@startuml" in lines[i] and lines[i].strip() == "@startuml"]
+    starts = [i for i in _lines_holding(text, "@startuml")
+              if lo <= i < hi and lines[i].strip() == "@startuml"]
     if not starts:
         return None
     if len(starts) > 1:
@@ -137,17 +139,31 @@ def _inner_startuml(lines: list[str], lo: int, hi: int,
                          artifact=artifact, line=starts[1] + 1,
                          expected="a single region")
     start = starts[0]
-    for j in range(start + 1, hi):
-        if lines[j].strip() == "@enduml":
+    for j in _lines_holding(text, "@enduml"):
+        if start < j < hi and lines[j].strip() == "@enduml":
             return (start + 1, j - 1)
     raise ParseError("@startuml without matching @enduml",
                      artifact=artifact, line=start + 1, expected="@enduml")
 
 
+def _lines_holding(text: str, marker: str):
+    """The 0-based index of each line of ``text`` that holds ``marker``, in
+    order, found by searching the text instead of walking its lines."""
+    line = end = 0
+    pos = text.find(marker)
+    while pos >= 0:
+        line += text.count("\n", end, pos)
+        yield line
+        end = text.find("\n", pos)
+        if end < 0:
+            return
+        pos = text.find(marker, end)
+
+
 def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
     """Parse the subset grammar into a :class:`PlantUmlDocument`."""
     lines = text.split("\n")
-    first, last = _find_region(lines, artifact)
+    first, last = _find_region(text, lines, artifact)
 
     model = ClassModel()
     seen_classes: dict[str, int] = {}

@@ -504,6 +504,10 @@ def test_cli_config_not_utf8_exits_three(capsys, tmp_path, pair):
     ("rename_threshold = abc", "rename_threshold must be a number"),
     ("rename_threshold = nan", "rename_threshold must be in [0, 1]"),
     ("rename_threshold = 1.5", "rename_threshold must be in [0, 1]"),
+    ("type_equivalences = Integer",
+     "type equivalence 'Integer' is not of the form a:b"),
+    ("type_equivalences = Text:str, :int",
+     "type equivalence ':int' has empty names"),
 ])
 def test_cli_config_refusal_names_its_line_and_exits_three(
         capsys, tmp_path, pair, line, message):
@@ -513,6 +517,18 @@ def test_cli_config_refusal_names_its_line_and_exits_three(
     status, out, err = run(capsys, "check", model, code, "--config", conf)
     assert (status, out) == (3, "")
     assert err == f"config error: {conf}:2: {message}\n"
+
+
+def test_cli_config_refuses_a_repeated_key_at_its_second_line(
+        capsys, tmp_path, pair):
+    model, code = pair
+    conf = tmp_path / "c.conf"
+    conf.write_text("policy = model-wins\n# again\npolicy = code-wins\n",
+                    encoding="utf-8")
+    status, out, err = run(capsys, "check", model, code, "--config", conf)
+    assert (status, out) == (3, "")
+    assert err == (f"config error: {conf}:3: key 'policy' already set at "
+                   f"line 1\n")
 
 
 def test_config_applies_a_valid_value_of_every_key(tmp_path):

@@ -1,7 +1,9 @@
 """``correction.propose`` against the hand-written ``_build_set`` it
 replaced, kept in ``tests/correction_reference.py``: set by set and
 alternative by alternative, the side, kind, description, targets and
-payload must be equal."""
+payload must be equal.  A payload copied from the other side (a camelCase
+member or class, or a new parameter list) must share no parameter list and
+no ``Parameter`` with the entity it was copied from."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import random
 
 from modelsync.consistency import FindingKind, check
 from modelsync.correction import propose
+from modelsync.model import ClassDef, Method
 from modelsync.plantuml import parse_plantuml, render_plantuml
 from modelsync.pycode import parse_code
 from modelsync.pywrite import render_code_skeleton
@@ -39,7 +42,31 @@ def _assert_same(model_text: str, code_text: str) -> set[FindingKind]:
     want = [correction_reference._build_set(f) for f in report.findings
             if f.severity == "error"]
     assert [_shape(s) for s in got] == [_shape(s) for s in want]
+    findings = {f.id: f for f in report.findings}
+    for correction_set in got:
+        f = findings[correction_set.finding_id]
+        for alt in correction_set.alternatives:
+            if alt.side == "model" and alt.kind.startswith("add-"):
+                _assert_unshared(alt.payload, f.code_member or f.code_class)
+            elif alt.kind == "change-signature":
+                _assert_unshared(alt.payload, f.code_member
+                                 if alt.side == "model" else f.model_member)
     return {s.finding_kind for s in got}
+
+
+def _parameter_objects(entity) -> set[int]:
+    """The ids of every parameter list and ``Parameter`` in a class, a
+    member or a tuple of parameters."""
+    if isinstance(entity, tuple):
+        return {id(p) for p in entity}
+    methods = entity.methods if isinstance(entity, ClassDef) else [entity]
+    return {id(obj) for m in methods if isinstance(m, Method)
+            for obj in (m.params, *m.params)}
+
+
+def _assert_unshared(payload, source) -> None:
+    assert payload is not source
+    assert not _parameter_objects(payload) & _parameter_objects(source)
 
 
 def test_propose_matches_reference_on_golden_pairs():

@@ -13,7 +13,9 @@ by the commands that write, when they run; the old import paths of its
 names forward to it.  ``check --json`` writes its report with its own
 writer, so neither ``check`` nor ``sync`` imports ``json``, and the report
 schema (``modelsync.report_schema``) is loaded only when
-``modelsync.cli.REPORT_JSON_SCHEMA`` is read.
+``modelsync.cli.REPORT_JSON_SCHEMA`` is read.  ``propose`` copies members
+through the records rather than ``copy.deepcopy``, so only the write path
+(``sync``, through ``modelsync.repair``) loads ``copy``.
 """
 
 from __future__ import annotations
@@ -157,6 +159,19 @@ def test_check_and_sync_load_no_json(tmp_path, command):
     assert "modelsync.consistency" in loaded
     assert not {"json", "json.decoder", "json.scanner", "json.encoder",
                 "modelsync.report_schema"} & loaded
+
+
+@pytest.mark.parametrize("command", ["check", "gen", "sync"])
+def test_only_the_write_path_loads_copy(tmp_path, command):
+    argv = {"check": ["check", *V1_PAIR, "--json"],
+            "gen": ["gen", "fixtures/library_problem.txt", "--transport",
+                    "fixtures", "--fixtures-dir", "fixtures/llm",
+                    "--out-dir", str(tmp_path / "gen")],
+            "sync": ["sync", *V1_PAIR, "--policy", "model-wins",
+                     "--out-dir", str(tmp_path / "out")]}[command]
+    loaded = _loaded_by_command(argv, ROOT)
+    assert "modelsync.correction" in loaded
+    assert ("copy" in loaded) is (command == "sync")
 
 
 def test_report_schema_loads_when_read():

@@ -18,7 +18,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modelsync.errors import ParseError
 from modelsync.plantuml import parse_plantuml, render_plantuml
@@ -271,3 +271,29 @@ def test_scan_attr_line_matches_reference(line):
         assert layout is None
     else:
         assert layout == dataclasses.astuple(reference)
+
+
+# lines around the region markers: the markers alone, beside other text or
+# twice on one line, and a small diagram body
+_region_line = st.builds(
+    lambda before, text, after: before + text + after, _blanks,
+    st.sampled_from(["@startuml", "@enduml", "```plantuml", "```",
+                     "```plantuml x", "x @startuml", "@enduml @enduml",
+                     "``````", "class A {", "+x: int", "}", "class B {",
+                     "A -- B", "", "note"]),
+    _blanks)
+_FENCED = "```plantuml\n@startuml\nclass A {\n}\n@enduml\n```\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_region_line, max_size=12),
+       st.sampled_from(["\n", "\r\n"]))
+@example(["text", "```plantuml", "class A {", "}", "```", "more"], "\n")
+@example([_FENCED, _FENCED], "\n")
+@example(["@startuml", "class A {", "}", "@enduml", "@startuml", "@enduml"],
+         "\n")
+@example(["\u3000@startuml\xa0", "class A {", "}", "\t@enduml\x0c"], "\n")
+@example(["@startuml", "class A {", "}"], "\n")
+@example(["```plantuml", "@startuml", "}", "```", "@enduml"], "\r\n")
+def test_plantuml_region_matches_reference(lines, newline):
+    _same_plantuml_parse(newline.join(lines))
