@@ -29,7 +29,7 @@ from .consistency import InputDescriptor, MatchOptions, Report, check
 from .correction import CorrectionSet, propose
 from .errors import (ConfigError, GenerationUnparsableError, ModelSyncError,
                      NoBlockFoundError, ParseError, TransportError)
-from .model import ClassModel, make_type_table, sha256_hex
+from .model import make_type_table, sha256_hex
 from .plantuml import parse_plantuml, render_plantuml
 from .pycode import parse_code
 
@@ -172,17 +172,6 @@ def _read_file(path: str) -> tuple[bytes, str]:
 _BOM = b"\xef\xbb\xbf"
 
 
-def output_bytes(text: str, read: tuple[bytes, str]) -> bytes:
-    """The input's own bytes when ``text`` is its text, so line ends
-    survive; otherwise ``text`` in UTF-8, with ``\\n`` line ends and the
-    input's byte-order mark if it had one."""
-    data, read_text = read
-    if text == read_text:
-        return data
-    encoded = text.encode("utf-8")
-    return _BOM + encoded if data.startswith(_BOM) else encoded
-
-
 def write_atomically(outputs: list[tuple[str, bytes]]) -> None:
     """Write each (path, data) through a temp file in the path's directory,
     then move every temp file over its path with ``os.replace``.  A path
@@ -257,30 +246,70 @@ def cmd_check(args) -> int:
 
 
 def cmd_sync(args) -> int:
-    """Repair the pair in three phases, one function each, so that only
-    one analysis is alive at a time: :func:`_sync_choice` parses, checks
-    and picks the corrections; :func:`_sync_outputs` applies them; this
-    function re-parses what changed, re-checks and writes.  When a phase
-    returns, its locals are freed by reference counting alone (``main``
-    pauses the collector), which holds because the records are acyclic.
-    So the report, the unchosen alternatives, the input code document and
-    a rewritten side's input text, bytes and model are gone before any
-    output is parsed.
+    """Repair the pair and write it once the result re-checks clean.
+
+    The stages run in order, and each one's data is deleted after its last
+    use, so that only one analysis is alive at a time: the report and the
+    alternatives not chosen go once the choice is made; the input texts,
+    the design and the input code document go before the rewritten sides
+    are encoded, and only the model of a side left unchanged is kept for
+    the re-check.  Reference counting alone frees them (``main`` pauses
+    the collector), which holds because the records are acyclic.
     """
     # looked up here, when the command runs: ``check`` never compiles the
     # write path, and a wrapper put on ``repair.apply`` is the one called
     from . import repair
 
     model_out, code_out = repair.output_paths(args)
-    lines, options, (model_data, model_now), (code_data, code_now) = \
-        _sync_outputs(args, load_config(args.config), repair)
+    cfg = load_config(args.config)
+    (model_data, model_text), (code_data, code_text), design, code_doc, \
+        report = _checked_pair(args, cfg)
 
-    # verify in memory before anything is written; a side whose bytes did
-    # not change comes as the model already parsed from it
-    re_design = (repair.reparse(parse_plantuml, model_now, model_out).model
-                 if isinstance(model_now, str) else model_now)
-    re_code = (repair.reparse(parse_code, code_now, code_out).model
-               if isinstance(code_now, str) else code_now)
+    sets = propose(report, design, code_doc)
+    policy_name = args.policy or cfg.policy
+    if policy_name == "ask":
+        chosen = repair.ask(sets)
+    else:
+        chosen = repair.resolve(sets, repair.Policy(policy_name),
+                                cfg.preferred_side)
+    if chosen:
+        lines = [f"applied {len(chosen)} correction(s):"]
+        lines += [f"  - [{edit.side}] {edit.description}" for edit in chosen]
+    elif report.error_findings():
+        lines = ["no correction chosen; artifacts unchanged"]
+    else:
+        lines = ["already synchronized; artifacts unchanged"]
+    options = report.options
+    del sets, report
+
+    model_now, code_now = model_text, code_text
+    if chosen:
+        new_model, code_now = repair.apply(design, code_doc, chosen)
+        if any(e.side == "model" for e in chosen):
+            model_now = render_plantuml(new_model)
+        del new_model
+    del chosen
+    # a side left unchanged keeps only the model parsed from it, and
+    # writes its input bytes, line ends included
+    re_design = re_code = None
+    if model_now == model_text:
+        re_design, model_now = design, None
+    if code_now == code_text:
+        re_code, code_now = code_doc.model, None
+    del model_text, code_text, design, code_doc
+
+    # a rewritten side is verified in memory before anything is written
+    if model_now is not None:
+        model_data = (_BOM if model_data.startswith(_BOM) else b"") + \
+            model_now.encode("utf-8")
+        re_design = repair.reparse(parse_plantuml, model_now,
+                                   model_out).model
+        del model_now
+    if code_now is not None:
+        code_data = (_BOM if code_data.startswith(_BOM) else b"") + \
+            code_now.encode("utf-8")
+        re_code = repair.reparse(parse_code, code_now, code_out).model
+        del code_now
     remaining = check(re_design, re_code, options).error_findings()
 
     print("\n".join(lines))
@@ -296,53 +325,6 @@ def cmd_sync(args) -> int:
     print(f"wrote {model_out}")
     print(f"wrote {code_out}")
     return 0
-
-
-def _sync_choice(args, cfg: Config, repair):
-    """The first phase of ``sync``: the read inputs, their parse, the
-    chosen edits, the lines that report them and the match options.  The
-    report and the alternatives not chosen die when this returns."""
-    model_in, code_in, design, code_doc, report = _checked_pair(args, cfg)
-    sets = propose(report, design, code_doc)
-    policy_name = args.policy or cfg.policy
-    if policy_name == "ask":
-        chosen = repair.ask(sets)
-    else:
-        chosen = repair.resolve(sets, repair.Policy(policy_name),
-                                cfg.preferred_side)
-
-    if chosen:
-        lines = [f"applied {len(chosen)} correction(s):"]
-        lines += [f"  - [{edit.side}] {edit.description}" for edit in chosen]
-    elif report.error_findings():
-        lines = ["no correction chosen; artifacts unchanged"]
-    else:
-        lines = ["already synchronized; artifacts unchanged"]
-    return model_in, code_in, design, code_doc, chosen, lines, report.options
-
-
-def _sync_outputs(args, cfg: Config, repair):
-    """The second phase of ``sync``: the report lines, the match options
-    and, for the model and the code, the bytes to write with either the
-    text to re-parse (the side changed) or the model parsed from it (the
-    side did not change).  The input code document, the design and the
-    input of a rewritten side die when this returns."""
-    model_in, code_in, design, code_doc, chosen, lines, options = \
-        _sync_choice(args, cfg, repair)
-    out_model, out_code = model_in[1], code_in[1]
-    if chosen:
-        new_model, out_code = repair.apply(design, code_doc, chosen)
-        if any(e.side == "model" for e in chosen):
-            out_model = render_plantuml(new_model)
-    return (lines, options, _sync_side(out_model, model_in, design),
-            _sync_side(out_code, code_in, code_doc.model))
-
-
-def _sync_side(text: str, read: tuple[bytes, str], model: ClassModel):
-    """What ``sync`` keeps of one side for its last phase: the bytes to
-    write, and ``text`` to re-parse when it differs from the input's text,
-    else ``model``, parsed from that input."""
-    return output_bytes(text, read), model if text == read[1] else text
 
 
 def cmd_render(args) -> int:

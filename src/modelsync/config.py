@@ -98,6 +98,8 @@ def load_config(path: str | Path | None = None) -> Config:
 def _apply_key(cfg: Config, key: str, value: str, where: str) -> Config:
     if key not in Config._fields:
         raise ConfigError(f"{where}: unknown key {key!r}")
+    if not value and key != "type_equivalences":  # empty: no extra pairs
+        raise ConfigError(f"{where}: {key} needs a value")
     if key in _CHOICES and value not in _CHOICES[key]:
         raise ConfigError(
             f"{where}: {key} must be one of {', '.join(_CHOICES[key])}")

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .model import (Attribute, ClassDef, ClassModel, Method, Record,
                     SourceSpan, TypeRef, TypeTable, DEFAULT_TYPE_EQUIVALENCES,
-                    sha256_hex, type_equivalent)
+                    canonical_name, name_key, sha256_hex, type_equivalent)
 
 
 class FindingKind(Enum):
@@ -243,7 +243,7 @@ def match_models(design: ClassModel, code: ClassModel,
                  opts: MatchOptions | None = None) -> MatchResult:
     """Pair the two sides; see the module docstring for the policy."""
     opts = opts or MatchOptions()
-    key_of = _name_key(opts.name_mode)
+    key_of = name_key(opts.name_mode)
     result = MatchResult()
     code_keys = [key_of(c.name) for c in code.classes]
     code_by_key = dict(zip(code_keys, code.classes))
@@ -261,20 +261,6 @@ def match_models(design: ClassModel, code: ClassModel,
     result.code_only_classes = [cc for key, cc in zip(code_keys, code.classes)
                                 if key not in paired_code]
     return result
-
-
-def _name_key(mode: str):
-    """The function that gives a name its key under ``mode``, as
-    :func:`normalize_name` does."""
-    if mode == "canonical":
-        return _canonical
-    if mode == "exact":
-        return str
-    raise ValueError(f"unknown name mode {mode!r}")
-
-
-def _canonical(name: str) -> str:
-    return name.replace("_", "").lower()
 
 
 def _split_constructor(methods: list[Method]) -> tuple[Method | None, list]:
@@ -304,7 +290,7 @@ def _pair_by_name(model_members, code_members, opts: MatchOptions,
                   out_pairs: list[MemberPair]):
     """Pair by canonical name; a name with several candidates pairs equal
     arity first."""
-    key_of = _name_key(opts.name_mode)
+    key_of = name_key(opts.name_mode)
     c_groups: dict[str, list] = {}
     for c in code_members:
         c_groups.setdefault(key_of(c.name), []).append(c)
@@ -362,7 +348,7 @@ def _pair_renames(model_left, code_left, opts: MatchOptions, *,
     # a negative or NaN threshold admits no distance
     if not (model_left and code_left and threshold >= 0):
         return [], model_left, code_left
-    key_of = _name_key(opts.name_mode)
+    key_of = name_key(opts.name_mode)
     model_keys = [key_of(m.name) for m in model_left]
     code_keys = [key_of(c.name) for c in code_left]
     # per arity: bigram key -> code positions, and name length -> positions
@@ -582,7 +568,7 @@ def _emit_link(out: list[Finding], mc: ClassDef, cc: ClassDef,
 def _code_reference_pairs(code: ClassModel,
                           opts: MatchOptions) -> set[frozenset[str]]:
     """Unordered class pairs evidenced by typed attributes or ctor params."""
-    key_of = _name_key(opts.name_mode)
+    key_of = name_key(opts.name_mode)
     class_keys = {key_of(c.name): c.name for c in code.classes}
 
     def referenced(t: TypeRef) -> str | None:
@@ -608,7 +594,7 @@ def _code_reference_pairs(code: ClassModel,
 def _relationship_findings(out: list[Finding], design: ClassModel,
                            code: ClassModel, opts: MatchOptions) -> None:
     evidence = _code_reference_pairs(code, opts)
-    key_of = _name_key(opts.name_mode)
+    key_of = name_key(opts.name_mode)
     model_pairs: set[frozenset[str]] = set()
     for rel in design.relationships:
         pair = frozenset((key_of(rel.left), key_of(rel.right)))
@@ -635,5 +621,7 @@ def _finding_sort_key(f: Finding) -> tuple:
         if loc is not None:
             cls_name = cls_name or loc.class_name
             member = member or loc.member or ""
-    member_key = member if member.startswith("--") else _canonical(member)
-    return (_canonical(cls_name), member_key, _KIND_ORDER[f.kind], f.detail)
+    member_key = (member if member.startswith("--")
+                  else canonical_name(member))
+    return (canonical_name(cls_name), member_key, _KIND_ORDER[f.kind],
+            f.detail)

@@ -258,20 +258,28 @@ class ClassModel(Record):
         self.relationships = [] if relationships is None else relationships
 
 
-def normalize_name(raw: str, mode: str = "canonical") -> str:
-    """Normalize an identifier for cross-artifact matching.
+def name_key(mode: str):
+    """The function that gives an identifier its matching key under
+    ``mode``: ``exact`` keeps the identifier untouched; ``canonical``
+    lowercases it and deletes underscores, so camelCase and snake_case
+    spellings of one member collide on purpose."""
+    if mode == "canonical":
+        return canonical_name
+    if mode == "exact":
+        return str
+    raise ValueError(f"unknown name mode {mode!r}")
 
-    ``exact`` keeps the identifier untouched; ``canonical`` lowercases it
-    and deletes underscores, so camelCase and snake_case spellings of one
-    member collide on purpose.
-    """
+
+def canonical_name(raw: str) -> str:
+    return raw.replace("_", "").lower()
+
+
+def normalize_name(raw: str, mode: str = "canonical") -> str:
+    """Normalize a nonempty identifier for cross-artifact matching, by the
+    rule :func:`name_key` gives ``mode``."""
     if not raw:
         raise ValueError("identifier must be nonempty")
-    if mode == "exact":
-        return raw
-    if mode == "canonical":
-        return raw.replace("_", "").lower()
-    raise ValueError(f"unknown name mode {mode!r}")
+    return name_key(mode)(raw)
 
 
 # How Python spells the UML-style type names it spells differently
@@ -312,25 +320,18 @@ def type_equivalent(a: TypeRef, b: TypeRef,
     return a.kind == b.kind
 
 
-def _type_key(t: TypeRef) -> tuple:
-    if t.kind == "collection":
-        assert t.element is not None
-        return ("collection", _type_key(t.element))
-    return (t.kind, t.name or "")
-
-
 def _method_proj(m: Method) -> tuple:
     return (
         m.name,
         m.is_constructor,
-        tuple((p.name, _type_key(p.type)) for p in m.params),
-        _type_key(m.return_type),
+        tuple((p.name, p.type) for p in m.params),
+        m.return_type,
     )
 
 
 def _class_proj(c: ClassDef) -> tuple:
     attrs = sorted(
-        ((a.name, _type_key(a.type)) for a in c.attributes),
+        ((a.name, a.type) for a in c.attributes),
         key=lambda t: normalize_name(t[0]),
     )
     methods = sorted(

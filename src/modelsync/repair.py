@@ -30,7 +30,6 @@ raised the peak RSS of a small ``sync`` by about 0.7 MB.
 from __future__ import annotations
 
 import builtins
-import copy
 import os
 from enum import Enum
 from pathlib import Path
@@ -80,9 +79,11 @@ def apply(design: ClassModel, code_doc: CodeDocument,
     The edits must come from ``propose`` on this ``design`` and
     ``code_doc``; edits of another pair raise StaleReportError.  The model
     is edited copy-on-write: ``new_model`` holds a copy of each class and
-    member an edit touches and shares every other one with ``design``, so
-    treat both as values (callers re-render the model).  The code is
-    patched span-wise so untouched bytes survive verbatim.
+    member an edit touches, each added class or member is the edit's own
+    payload (``propose`` built it as a private copy), and every other one
+    is shared with ``design``, so treat all of them as values (callers
+    re-render the model).  The code is patched span-wise so untouched
+    bytes survive verbatim.
     """
     _require_pair(design, code_doc, chosen)
     new_model = ClassModel(list(design.classes), list(design.relationships))
@@ -172,7 +173,7 @@ def _members_like(cls: ClassDef, member) -> list:
 def _apply_model_edit(model: ClassModel, memo: dict[int, object],
                       edit: CorrectionEdit) -> None:
     if edit.kind == "add-class":
-        model.classes.append(copy.deepcopy(edit.payload))
+        model.classes.append(edit.payload)
         return
     if edit.kind == "remove-class":
         cls = memo.get(id(edit.cls), edit.cls)
@@ -184,8 +185,7 @@ def _apply_model_edit(model: ClassModel, memo: dict[int, object],
         return
     cls = _own(model.classes, memo, edit.cls, _copy_class)
     if edit.kind == "add-member":
-        payload = copy.deepcopy(edit.payload)
-        _members_like(cls, payload).append(payload)
+        _members_like(cls, edit.payload).append(edit.payload)
         return
     members = _members_like(cls, edit.member)
     if edit.kind == "remove-member":
@@ -197,7 +197,7 @@ def _apply_model_edit(model: ClassModel, memo: dict[int, object],
         member.name = edit.payload
         return
     if edit.kind == "change-signature":
-        member.params = list(copy.deepcopy(edit.payload))
+        member.params = list(edit.payload)
         return
     if edit.kind == "change-type":
         if isinstance(member, Attribute):

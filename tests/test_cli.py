@@ -508,7 +508,8 @@ def test_cli_config_not_utf8_exits_three(capsys, tmp_path, pair):
      "type equivalence 'Integer' is not of the form a:b"),
     ("type_equivalences = Text:str, :int",
      "type equivalence ':int' has empty names"),
-])
+] + [(f"{key} =", f"{key} needs a value")  # an empty fixtures_dir is '.'
+     for key in Config._fields if key != "type_equivalences"])
 def test_cli_config_refusal_names_its_line_and_exits_three(
         capsys, tmp_path, pair, line, message):
     model, code = pair
@@ -517,6 +518,12 @@ def test_cli_config_refusal_names_its_line_and_exits_three(
     status, out, err = run(capsys, "check", model, code, "--config", conf)
     assert (status, out) == (3, "")
     assert err == f"config error: {conf}:2: {message}\n"
+
+
+def test_config_empty_type_equivalences_add_no_pairs(tmp_path):
+    path = tmp_path / "modelsync.conf"
+    path.write_text("type_equivalences =\n", encoding="utf-8")
+    assert load_config(path) == Config()
 
 
 def test_cli_config_refuses_a_repeated_key_at_its_second_line(
@@ -979,6 +986,42 @@ def test_sync_releases_the_first_analysis_before_it_reparses(
     assert [{kind: n - before[kind] for kind, n in counts.items()}
             for counts in seen] == [{"Finding": 0, "CorrectionSet": 0,
                                      "CodeDocument": 0, "ClassModel": 1}]
+
+
+@pytest.mark.parametrize("policy", ["model-wins", "code-wins"])
+def test_sync_releases_the_input_before_it_encodes_the_rewritten_side(
+        capsys, tmp_path, fixtures_dir, policy):
+    # ``str.encode`` cannot be wrapped, so a profile hook counts the live
+    # objects at each call of it from ``cli``
+    from modelsync.consistency import Finding
+    from modelsync.correction import CorrectionSet
+    from modelsync.pycode import CodeDocument
+
+    def live() -> dict[str, int]:
+        counts = Counter(type(obj) for obj in gc.get_objects())
+        return {kind.__name__: counts[kind] for kind in
+                (Finding, CorrectionSet, CodeDocument)}
+
+    seen = []
+
+    def profile(frame, event, arg):
+        if (event == "c_call" and getattr(arg, "__name__", "") == "encode"
+                and frame.f_code.co_filename == cli.__file__):
+            seen.append(live())
+
+    gc.collect()
+    before = live()
+    sys.setprofile(profile)
+    try:
+        status, _, err = run(capsys, "sync",
+                             fixtures_dir / "library_v1_drifted_model.puml",
+                             fixtures_dir / "library_v1_drifted_code.py",
+                             "--policy", policy, "--out-dir", tmp_path / "out")
+    finally:
+        sys.setprofile(None)
+    assert status == 0, err
+    assert [{kind: n - before[kind] for kind, n in counts.items()}
+            for counts in seen] == [dict.fromkeys(before, 0)]
 
 
 UNPARSABLE_AFTER_SYNC_MODEL = """@startuml

@@ -14,8 +14,8 @@ names forward to it.  ``check --json`` writes its report with its own
 writer, so neither ``check`` nor ``sync`` imports ``json``, and the report
 schema (``modelsync.report_schema``) is loaded only when
 ``modelsync.cli.REPORT_JSON_SCHEMA`` is read.  ``propose`` copies members
-through the records rather than ``copy.deepcopy``, so only the write path
-(``sync``, through ``modelsync.repair``) loads ``copy``.
+through the records rather than ``copy.deepcopy``, and ``apply`` puts
+those copies in the model as they are, so no command loads ``copy``.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def test_check_and_sync_load_no_json(tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["check", "gen", "sync"])
-def test_only_the_write_path_loads_copy(tmp_path, command):
+def test_no_command_loads_copy(tmp_path, command):
     argv = {"check": ["check", *V1_PAIR, "--json"],
             "gen": ["gen", "fixtures/library_problem.txt", "--transport",
                     "fixtures", "--fixtures-dir", "fixtures/llm",
@@ -171,7 +171,7 @@ def test_only_the_write_path_loads_copy(tmp_path, command):
                      "--out-dir", str(tmp_path / "out")]}[command]
     loaded = _loaded_by_command(argv, ROOT)
     assert "modelsync.correction" in loaded
-    assert ("copy" in loaded) is (command == "sync")
+    assert "copy" not in loaded
 
 
 def test_report_schema_loads_when_read():
