@@ -127,17 +127,15 @@ def _span_ref(loc) -> str:
 
 def format_report_text(report: Report,
                        suggestions: dict[str, CorrectionSet]) -> str:
+    if not report.findings:
+        return "Design model and code are structurally consistent.\n"
     errors = report.error_findings()
     advisories = [f for f in report.findings if f.severity == "advisory"]
-    lines: list[str] = []
-    if not report.findings:
-        lines.append("Design model and code are structurally consistent.")
-        return "\n".join(lines) + "\n"
     summary = f"{len(errors)} inconsistenc" + \
         ("y" if len(errors) == 1 else "ies")
     if advisories:
         summary += f", {len(advisories)} advisory note(s)"
-    lines.append(f"Found {summary}:")
+    lines = [f"Found {summary}:"]
     for i, f in enumerate(report.findings, 1):
         tag = " (advisory)" if f.severity == "advisory" else ""
         lines.append(f"\n{i}. {f.detail}{tag}")
@@ -228,7 +226,7 @@ def _checked_pair(args, cfg: Config):
 
 def _print_report(report: Report, sets: list[CorrectionSet],
                   as_json: bool) -> None:
-    suggestions = {s.finding_id: s for s in sets}
+    suggestions = {s.finding.id: s for s in sets}
     if as_json:
         print(format_report_json(report, suggestions))
     else:

@@ -89,13 +89,12 @@ class Finding(Record):
     matched, for the correction engine; neither equality, hashing nor the
     report sees them."""
 
-    __slots__ = ("id", "kind", "severity", "model_loc", "code_loc", "detail",
+    __slots__ = ("id", "kind", "model_loc", "code_loc", "detail",
                  "model_class", "code_class", "model_member", "code_member",
                  "param_index")
-    _compared = __slots__[:6]
+    _compared = __slots__[:5]
 
     def __init__(self, id: str, kind: FindingKind,
-                 severity: str,  # "error" | "advisory"
                  model_loc: Location | None, code_loc: Location | None,
                  detail: str, model_class: ClassDef | None = None,
                  code_class: ClassDef | None = None,
@@ -105,7 +104,6 @@ class Finding(Record):
                  ) -> None:
         self.id = id
         self.kind = kind
-        self.severity = severity
         self.model_loc = model_loc
         self.code_loc = code_loc
         self.detail = detail
@@ -117,6 +115,11 @@ class Finding(Record):
 
     def __hash__(self) -> int:
         return hash(self._key(self))
+
+    @property
+    def severity(self) -> str:
+        """``advisory`` for a relationship finding, else ``error``."""
+        return "advisory" if self.kind in _ADVISORY_KINDS else "error"
 
 
 class InputDescriptor(NamedTuple):
@@ -424,9 +427,8 @@ def _emit(out: list[Finding], kind: FindingKind,
           detail: str, *matched, **named) -> None:
     """Append a finding; the trailing arguments fill its matched-entity
     fields (model class, code class, model member, code member, index)."""
-    severity = "advisory" if kind in _ADVISORY_KINDS else "error"
     out.append(Finding(_finding_id(kind, model_loc, code_loc, detail),
-                       kind, severity, model_loc, code_loc, detail,
+                       kind, model_loc, code_loc, detail,
                        *matched, **named))
 
 

@@ -47,17 +47,21 @@ class CorrectionEdit(NamedTuple):
 
     side: str            # "model" | "code"
     kind: str
-    description: str
     cls: ClassDef | None = None
     member: object | None = None         # Method | Attribute
     param_index: int | None = None       # change-type of a parameter
     payload: object | None = None
 
+    @property
+    def description(self) -> str:
+        """The sentence that says what this edit does."""
+        return _describe(*self)
+
 
 class CorrectionSet(NamedTuple):
-    finding_id: str
-    finding_kind: FindingKind
-    detail: str
+    """The alternatives that each repair ``finding`` on their own."""
+
+    finding: Finding
     alternatives: tuple[CorrectionEdit, ...]
 
     def side(self, side: str) -> CorrectionEdit | None:
@@ -157,10 +161,8 @@ def _targets(f: Finding, side: str) -> tuple:
 
 def _edit(f: Finding, side: str, kind: str, payload=None) -> CorrectionEdit:
     """An edit on ``side`` targeting that side's matched class and member."""
-    cls, member = _targets(f, side)
-    return CorrectionEdit(
-        side, kind, _describe(side, kind, cls, member, f.param_index, payload),
-        cls, member, f.param_index, payload)
+    return CorrectionEdit(side, kind, *_targets(f, side), f.param_index,
+                          payload)
 
 
 def _describe(side: str, kind: str, cls: ClassDef | None, member,
@@ -215,7 +217,7 @@ def _build_set(f: Finding) -> CorrectionSet:
         kind = _TAKE_OTHER[f.kind]
         alts = tuple(_edit(f, side, kind, _payload(kind, side, f))
                      for side in ("model", "code"))
-    return CorrectionSet(f.id, f.kind, f.detail, alts)
+    return CorrectionSet(f, alts)
 
 
 def _payload(kind: str, side: str, f: Finding):

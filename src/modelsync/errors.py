@@ -15,21 +15,16 @@ class ParseError(ModelSyncError):
     """
 
     def __init__(self, message: str, *, artifact: str = "", line: int = 0,
-                 col: int = 0, expected: str = ""):
+                 col: int = 0):
         super().__init__(message)
         self.artifact = artifact
         self.line = line
         self.col = col
-        self.expected = expected
 
     def __str__(self) -> str:
-        prefix = ""
-        if self.artifact:
-            prefix = f"{self.artifact}:"
+        prefix = f"{self.artifact}:" if self.artifact else ""
         if self.line:
-            prefix += f"{self.line}:"
-            if self.col:
-                prefix += f"{self.col}:"
+            prefix += f"{self.line}:" + (f"{self.col}:" if self.col else "")
         msg = super().__str__()
         return f"{prefix} {msg}" if prefix else msg
 

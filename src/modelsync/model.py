@@ -107,9 +107,6 @@ class SourceSpan(_SourceSpanFields):
         # ``_replace`` builds through here, so it validates too
         return cls(*iterable)
 
-    def __deepcopy__(self, memo) -> SourceSpan:
-        return self
-
 
 class _TypeRefFields(NamedTuple):
     kind: str
@@ -141,9 +138,6 @@ class TypeRef(_TypeRefFields):
     @classmethod
     def _make(cls, iterable) -> TypeRef:
         return cls(*iterable)
-
-    def __deepcopy__(self, memo) -> TypeRef:
-        return self
 
     @staticmethod
     def named(name: str) -> TypeRef:

@@ -63,16 +63,14 @@ def _parse_type(text: str, artifact: str, line_no: int) -> TypeRef:
     if depth > MAX_COLLECTION_DEPTH:
         raise ParseError(f"type {t!r} is nested in {depth} collections, "
                          f"more than {MAX_COLLECTION_DEPTH}",
-                         artifact=artifact, line=line_no, col=1,
-                         expected=f"at most {MAX_COLLECTION_DEPTH} []")
+                         artifact=artifact, line=line_no, col=1)
     if t == "void":
         parsed = TypeRef.void()
     elif _TYPE_NAME_RE.fullmatch(t):
         parsed = TypeRef.named(t)
     else:
         raise ParseError(f"invalid type {t!r}",
-                         artifact=artifact, line=line_no, col=1,
-                         expected="type name")
+                         artifact=artifact, line=line_no, col=1)
     for _ in range(depth):
         parsed = TypeRef.collection(parsed)
     return parsed
@@ -94,76 +92,85 @@ def _parse_params(text: str, types: dict[str | None, TypeRef],
         m = _PARAM_RE.match(piece)
         if not m:
             raise ParseError(f"invalid parameter {piece.strip()!r}",
-                             artifact=artifact, line=line_no, col=1,
-                             expected="name[: TYPE]")
+                             artifact=artifact, line=line_no, col=1)
         name, type_text = m.groups()
         params.append(Parameter(name, types.get(type_text) or _new_type(
             types, type_text, artifact, line_no)))
     return params
 
 
-def _find_region(text: str, lines: list[str],
-                 artifact: str) -> tuple[int, int]:
-    """Locate the diagram body in ``text``, split into ``lines``; returns
-    (first, last) 0-based line indexes."""
-    fence_starts = [i for i in _lines_holding(text, "```plantuml")
-                    if lines[i].strip().startswith("```plantuml")]
-    if len(fence_starts) > 1:
-        raise ParseError("multiple ```plantuml blocks",
-                         artifact=artifact, line=fence_starts[1] + 1,
-                         expected="a single fenced block")
-    if fence_starts:
-        start = fence_starts[0] + 1
-        for j in _lines_holding(text, "```"):
-            if j >= start and lines[j].strip() == "```":
-                inner = _inner_startuml(text, lines, start, j, artifact)
-                return inner if inner else (start, j - 1)
-        raise ParseError("unterminated ```plantuml block",
-                         artifact=artifact, line=fence_starts[0] + 1,
-                         expected="```")
-    inner = _inner_startuml(text, lines, 0, len(lines), artifact)
+def fenced_block(text: str, tag: str,
+                 artifact: str) -> tuple[int, int] | None:
+    """The 0-based first and last line of the body of the one ```` ```TAG
+    ```` block in ``text``, closed by a line of ```` ``` ```` alone; None
+    when there is none.  A second block is a ParseError, as is an
+    unterminated one."""
+    marker = "```" + tag
+    opening = [i for i, line in _lines_holding(text, marker)
+               if line.strip().startswith(marker)]
+    if not opening:
+        return None
+    if len(opening) > 1:
+        raise ParseError(f"multiple {marker} blocks",
+                         artifact=artifact, line=opening[1] + 1)
+    start = opening[0] + 1
+    for j, line in _lines_holding(text, "```"):
+        if j >= start and line.strip() == "```":
+            return start, j - 1
+    raise ParseError(f"unterminated {marker} block",
+                     artifact=artifact, line=start)
+
+
+def _find_region(text: str, artifact: str) -> tuple[int, int]:
+    """Locate the diagram body in ``text``; returns (first, last) 0-based
+    line indexes."""
+    fence = fenced_block(text, "plantuml", artifact)
+    if fence is not None:
+        return _inner_startuml(text, fence[0], fence[1] + 1,
+                               artifact) or fence
+    inner = _inner_startuml(text, 0, len(text) + 1, artifact)
     if inner is None:
         raise MissingRegionError("no @startuml region or ```plantuml block",
-                                 artifact=artifact, expected="@startuml")
+                                 artifact=artifact)
     return inner
 
 
-def _inner_startuml(text: str, lines: list[str], lo: int, hi: int,
+def _inner_startuml(text: str, lo: int, hi: int,
                     artifact: str) -> tuple[int, int] | None:
-    starts = [i for i in _lines_holding(text, "@startuml")
-              if lo <= i < hi and lines[i].strip() == "@startuml"]
+    starts = [i for i, line in _lines_holding(text, "@startuml")
+              if lo <= i < hi and line.strip() == "@startuml"]
     if not starts:
         return None
     if len(starts) > 1:
         raise ParseError("multiple @startuml regions",
-                         artifact=artifact, line=starts[1] + 1,
-                         expected="a single region")
+                         artifact=artifact, line=starts[1] + 1)
     start = starts[0]
-    for j in _lines_holding(text, "@enduml"):
-        if start < j < hi and lines[j].strip() == "@enduml":
+    for j, line in _lines_holding(text, "@enduml"):
+        if start < j < hi and line.strip() == "@enduml":
             return (start + 1, j - 1)
     raise ParseError("@startuml without matching @enduml",
-                     artifact=artifact, line=start + 1, expected="@enduml")
+                     artifact=artifact, line=start + 1)
 
 
 def _lines_holding(text: str, marker: str):
-    """The 0-based index of each line of ``text`` that holds ``marker``, in
-    order, found by searching the text instead of walking its lines."""
+    """The 0-based index and the text of each line of ``text`` that holds
+    ``marker``, in order, found by searching the text instead of walking
+    its lines."""
     line = end = 0
     pos = text.find(marker)
     while pos >= 0:
         line += text.count("\n", end, pos)
-        yield line
         end = text.find("\n", pos)
         if end < 0:
-            return
+            end = len(text)
+        yield line, text[text.rfind("\n", 0, pos) + 1:end]
         pos = text.find(marker, end)
 
 
 def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
     """Parse the subset grammar into a :class:`PlantUmlDocument`."""
+    first, last = _find_region(text, artifact)
     lines = text.split("\n")
-    first, last = _find_region(text, lines, artifact)
 
     model = ClassModel()
     seen_classes: dict[str, int] = {}
@@ -201,8 +208,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
                 arrow_lines.append(line_no)
                 continue
             raise ParseError(f"unrecognized line {stripped!r}",
-                             artifact=artifact, line=line_no, col=1,
-                             expected="class, relationship or blank")
+                             artifact=artifact, line=line_no, col=1)
 
         if stripped == "}":
             cur.span = SourceSpan(artifact, cur_start, 1, line_no,
@@ -214,8 +220,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
         m = _MEMBER_RE.match(stripped)
         if not m:
             raise ParseError(f"unrecognized member line {stripped!r}",
-                             artifact=artifact, line=line_no, col=1,
-                             expected="attribute, method or }")
+                             artifact=artifact, line=line_no, col=1)
         vis, name, params_text, type_text = m.groups()
         start = line.index(stripped[0]) + 1
         span = SourceSpan(artifact, line_no, start, line_no,
@@ -250,7 +255,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
 
     if cur is not None:
         raise ParseError(f"class {cur.name!r} is never closed",
-                         artifact=artifact, line=cur_start, expected="}")
+                         artifact=artifact, line=cur_start)
 
     _check_relationship_endpoints(model, arrow_lines, artifact)
     return PlantUmlDocument(model)
@@ -281,8 +286,7 @@ def _check_relationship_endpoints(model: ClassModel, arrow_lines: list[int],
             if normalize_name(end) not in names:
                 raise ParseError(
                     f"relationship endpoint {end!r} names no class",
-                    artifact=artifact, line=line_no,
-                    expected="declared class name")
+                    artifact=artifact, line=line_no)
 
 
 def _render_type(t: TypeRef) -> str | None:

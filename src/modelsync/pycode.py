@@ -7,12 +7,15 @@ data format:
   starting with ``class `` (base classes, ``class A():``, a one-line
   body) is rejected with a ParseError at its line
 * ``def name(self, p[: T][= default]*)[ -> T]:`` introduces a method; the
-  receiver is dropped and the body is kept verbatim, never analyzed —
-  except ``self.x = expr`` lines inside ``__init__``, which declare
-  attributes
+  receiver is dropped, ``-> None`` is the void return type, and the body
+  is kept verbatim, never analyzed — except ``self.x = expr`` lines inside
+  ``__init__``, which declare attributes
 * comments and blank lines are allowed anywhere; imports and top-level
-  statements are ignored but preserved; ```` ```python ```` envelopes are
-  stripped
+  statements are ignored but preserved
+* in a text holding one ```` ```python ```` block, only the block's body
+  is read, in place: lines are counted from the start of the text, and
+  edits land inside the block; a second or unterminated block is a
+  ParseError at its line
 
 Attribute types are inferred without dataflow: an annotation on the
 assigned constructor parameter wins, ``True``/``False`` literals mean
@@ -42,6 +45,7 @@ from .errors import DuplicateClassError, DuplicateMemberError, ParseError
 from .model import (UML_TO_PY, Attribute, ClassDef, ClassModel, Method,
                     Parameter, Record, SourceSpan, TypeRef, Visibility,
                     normalize_name)
+from .plantuml import fenced_block
 
 _CLASS_RE = re.compile(r"class\s+(\w+)\s*:\s*(?:#.*)?$")
 _CLASS_KEYWORD_RE = re.compile(r"class\s")
@@ -255,21 +259,6 @@ def read_plain_def(line: str, pos: int
     return m[1], m[4], _PLAIN_PARAM_RE.findall(line, m.start(2), m.end(2))
 
 
-def _strip_fence(text: str) -> str:
-    if "```python" not in text:
-        return text
-    lines = text.split("\n")
-    starts = [i for i, ln in enumerate(lines)
-              if ln.strip().startswith("```python")]
-    if not starts:
-        return text
-    first = starts[0]
-    for j in range(first + 1, len(lines)):
-        if lines[j].strip() == "```":
-            return "\n".join(lines[first + 1:j])
-    return "\n".join(lines[first + 1:])
-
-
 class _OpenClass:
     def __init__(self, name: str, line_no: int):
         self.cls = ClassDef(name)
@@ -280,11 +269,14 @@ class _OpenClass:
 
 
 def parse_code(text: str, artifact: str = "code") -> CodeDocument:
-    """Parse dialect text into a :class:`CodeDocument`."""
-    content = _strip_fence(text)
-    lines = content.split("\n")
+    """Parse dialect text into a :class:`CodeDocument` holding all of
+    ``text``; only the body of a ```` ```python ```` block in it is read."""
+    lines = text.split("\n")
     model = ClassModel()
-    doc = CodeDocument(model, content, artifact)
+    doc = CodeDocument(model, text, artifact)
+    fence = fenced_block(text, "python", artifact)
+    first = fence[0] if fence else 0
+    block = lines[first:fence[1] + 1] if fence else lines
     seen_classes: set[str] = set()
     # one TypeRef per annotation spelling; None, or '' from a plain header,
     # spells the unknown type
@@ -307,7 +299,7 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
         model.classes.append(cur_class.cls)
         cur_class = None
 
-    for line_no, line in enumerate(lines, 1):
+    for line_no, line in enumerate(block, first + 1):
         body = line.lstrip()
         if not body or body[0] == "#":
             continue
@@ -342,8 +334,7 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
                     continue
                 raise ParseError(
                     f"unexpected class-level line {stripped!r}",
-                    artifact=artifact, line=line_no,
-                    expected="method definition or pass")
+                    artifact=artifact, line=line_no)
             close_class()
 
         if indent:
@@ -360,8 +351,7 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
         elif _CLASS_KEYWORD_RE.match(line):
             raise ParseError(
                 f"unsupported class header {line.rstrip()!r}",
-                artifact=artifact, line=line_no,
-                expected="class NAME: (base classes are not supported)")
+                artifact=artifact, line=line_no)
         # any other top-level statement is preserved opaque
 
     if header is not None:
@@ -388,7 +378,7 @@ def _layout_header(line: str, artifact: str, line_no: int
         return None
     if not layout.params or layout.params[0].name != "self":
         raise ParseError(f"method {layout.name!r} lacks a self receiver",
-                         artifact=artifact, line=line_no, expected="self")
+                         artifact=artifact, line=line_no)
     return layout.name, layout.ret, [(p.name, p.annotation)
                                      for p in layout.params[1:]]
 
@@ -418,9 +408,11 @@ def _add_method(cur_class: _OpenClass,
         cur_class.attr_order.extend(assignments.items())
     cur_class.member_keys.add(key)
     cur_class.last_line = last
+    # a '-> None' return is the void type
+    returns = (TypeRef.void() if ret == "None"
+               else types.get(ret) or _new_type(types, ret))
     cls.methods.append(Method(
-        name, params, types.get(ret) or _new_type(types, ret),
-        Visibility.UNKNOWN, is_ctor,
+        name, params, returns, Visibility.UNKNOWN, is_ctor,
         SourceSpan(artifact, line_no, 1, last, len(lines[last - 1]) + 1)))
 
 

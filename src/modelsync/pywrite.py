@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .errors import OverlappingEditsError, SpanOutOfRangeError
 from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
                     SourceSpan, TypeRef)
+from .plantuml import fenced_block
 from .pycode import CodeDocument, py_annotation
 
 
@@ -117,27 +118,36 @@ _DOCSTRING = r'''
     [ \t]* (?: \#.* )? $'''
 
 
+def dialect_lines(doc: CodeDocument) -> tuple[int, int]:
+    """The first and last line, counted from 1, that ``doc``'s model was
+    read from: the body of its ```` ```python ```` block, or all lines."""
+    first, last = (fenced_block(doc.raw_text, "python", doc.artifact)
+                   or (0, len(doc.lines()) - 2))
+    return first + 1, last + 1
+
+
 def future_import_line(doc: CodeDocument) -> int | None:
     """The line ``from __future__ import annotations`` goes in before;
     None when the text has that import already.  Future imports come
     before every class and after any module docstring: the import goes
     before the text's first future import, else after a module docstring,
-    else before the first line that is not a comment."""
+    else before the first line that is not a comment, all within the
+    lines :func:`dialect_lines` gives."""
     starts = doc.lines()
-    count = len(starts) - 1
-    head = min((c.span.start_line for c in doc.model.classes), default=count)
-    future = [n for n in range(1, head + 1)
+    lo, hi = dialect_lines(doc)
+    head = min((c.span.start_line for c in doc.model.classes), default=hi)
+    future = [n for n in range(lo, head + 1)
               if doc.line(n).startswith("from __future__ import")]
     if any("annotations" in doc.line(n) for n in future):
         return None
     if future:
         return future[0]
-    first = next((n for n in range(1, count + 1)
-                  if not doc.line(n).startswith("#")), count + 1)
+    first = next((n for n in range(lo, hi + 1)
+                  if not doc.line(n).startswith("#")), hi + 1)
     # the first statement, which may be a docstring: a statement above it
     # would make it a plain expression
     start = first
-    while start <= count and doc.line(start).strip()[:1] in ("", "#"):
+    while start <= hi and doc.line(start).strip()[:1] in ("", "#"):
         start += 1
     offset = starts[start - 1]
     m = re.compile(_DOCSTRING, re.M | re.X).match(doc.raw_text, offset)

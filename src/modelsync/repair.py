@@ -41,9 +41,10 @@ from .model import (Attribute, ClassDef, ClassModel, Method, SourceSpan,
 from .pycode import (CodeDocument, py_annotation, scan_attr_line,
                      scan_def_line)
 from .pywrite import (CodeEdit, apply_code_edits, attr_assignment,
-                      block_delete_span, body_indent, future_import_line,
-                      init_stub, member_indent, method_stub, params_text,
-                      placeholder_rhs, render_class_stub)
+                      block_delete_span, body_indent, dialect_lines,
+                      future_import_line, init_stub, member_indent,
+                      method_stub, params_text, placeholder_rhs,
+                      render_class_stub)
 
 
 class Policy(Enum):
@@ -297,7 +298,8 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                        ) -> list[CodeEdit]:
     if edit.kind == "add-class":
         last_line = max((c.span.end_line for c in doc.model.classes
-                         if c.span is not None), default=len(doc.lines()) - 1)
+                         if c.span is not None),
+                        default=dialect_lines(doc)[1])
         return [_insertion(doc, "insert-class", last_line + 1, [
             "", *render_class_stub(edit.payload, py_annotation)])]
 
@@ -467,7 +469,7 @@ def ask(sets: list[CorrectionSet]) -> list[CorrectionEdit]:
     """Let the user pick an alternative per set, or skip it, on stdin."""
     chosen: list[CorrectionEdit] = []
     for i, s in enumerate(sets, 1):
-        print(f"\n[{i}/{len(sets)}] {s.detail}")
+        print(f"\n[{i}/{len(sets)}] {s.finding.detail}")
         for j, alt in enumerate(s.alternatives, 1):
             print(f"  {j}. [{alt.side}] {alt.description}")
         while True:
@@ -492,8 +494,7 @@ def reparse(parse, text: str, artifact: str):
     except ParseError as exc:
         raise ParseError(f"{exc.args[0]} (in the corrected output; "
                          f"nothing written)", artifact=exc.artifact,
-                         line=exc.line, col=exc.col,
-                         expected=exc.expected) from exc
+                         line=exc.line, col=exc.col) from exc
 
 
 def output_paths(args) -> tuple[str, str]:

@@ -7,11 +7,25 @@ helpers it called.  ``test_correction_differential.py`` holds
 from __future__ import annotations
 
 import copy
+from typing import NamedTuple
 
 from modelsync.consistency import Finding, FindingKind
-from modelsync.correction import CorrectionEdit, CorrectionSet
+from modelsync.correction import CorrectionSet
 from modelsync.model import ClassDef, Method
 from modelsync.pycode import py_annotation
+
+
+class CorrectionEdit(NamedTuple):
+    """An edit as it was when it stored its description; the library's
+    edit now writes it from the other fields."""
+
+    side: str
+    kind: str
+    description: str
+    cls: ClassDef | None = None
+    member: object | None = None
+    param_index: int | None = None
+    payload: object | None = None
 
 
 def snake_to_camel(name: str) -> str:
@@ -170,7 +184,7 @@ def _build_set(f: Finding) -> CorrectionSet:
         ]
     else:  # pragma: no cover - advisory kinds are filtered by propose
         raise ValueError(f"no corrections for {kind}")
-    return CorrectionSet(f.id, kind, f.detail, tuple(alts))
+    return CorrectionSet(f, tuple(alts))
 
 
 def _params_text(params) -> str:

@@ -51,17 +51,20 @@ def scan_attr_line(line: str) -> AttrLayout | None:
                       rhs, rhs_start, rhs_start + len(rhs))
 
 
-def _strip_fence(text: str) -> str:
-    lines = text.split("\n")
+def _fenced_lines(lines: list[str]) -> tuple[int, int]:
+    """The 0-based first and last line read: the body of the first
+    ```python block, up to its closing fence or the end, else every
+    line.  (The reference once stripped the fence and numbered lines from
+    the block; it now reads the block in place, as the parser does.)"""
     starts = [i for i, ln in enumerate(lines)
               if ln.strip().startswith("```python")]
     if not starts:
-        return text
+        return 0, len(lines) - 1
     first = starts[0]
     for j in range(first + 1, len(lines)):
         if lines[j].strip() == "```":
-            return "\n".join(lines[first + 1:j])
-    return "\n".join(lines[first + 1:])
+            return first + 1, j - 1
+    return first + 1, len(lines) - 1
 
 
 class _OpenDef:
@@ -86,10 +89,10 @@ class _OpenClass:
 
 def parse_code(text: str, artifact: str = "code") -> CodeDocument:
     """Parse dialect text into a :class:`CodeDocument`."""
-    content = _strip_fence(text)
-    lines = content.split("\n")
+    lines = text.split("\n")
     model = ClassModel()
-    doc = CodeDocument(model, content, artifact)
+    doc = CodeDocument(model, text, artifact)
+    first, last = _fenced_lines(lines)
     seen_classes: set[str] = set()
     cur_class: _OpenClass | None = None
     cur_def: _OpenDef | None = None
@@ -126,7 +129,7 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
         model.classes.append(cur_class.cls)
         cur_class = None
 
-    for idx, line in enumerate(lines):
+    for idx, line in enumerate(lines[first:last + 1], first):
         line_no = idx + 1
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -152,8 +155,7 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
                 continue
             raise ParseError(
                 f"unexpected class-level line {stripped!r}",
-                artifact=artifact, line=line_no,
-                expected="method definition or pass")
+                artifact=artifact, line=line_no)
         close_class()
 
         cm = _CLASS_RE.match(stripped)
@@ -178,7 +180,7 @@ def _open_def(cur_class: _OpenClass, layout: DefLayout, line_no: int,
     if not layout.params or layout.params[0].name != "self":
         raise ParseError(
             f"method {layout.name!r} lacks a self receiver",
-            artifact=artifact, line=line_no, expected="self")
+            artifact=artifact, line=line_no)
     return _OpenDef(layout, line_no, layout.name == "__init__")
 
 
@@ -199,7 +201,10 @@ def _finish_method(cur_class: _OpenClass, cur_def: _OpenDef,
         ptype = TypeRef.named(p.annotation) if p.annotation \
             else TypeRef.unknown()
         params.append(Parameter(p.name, ptype))
-    ret = TypeRef.named(layout.ret) if layout.ret else TypeRef.unknown()
+    # a '-> None' return reads as void (it once read as a type named None)
+    ret = (TypeRef.void() if layout.ret == "None"
+           else TypeRef.named(layout.ret) if layout.ret
+           else TypeRef.unknown())
     name = cur_class.cls.name if cur_def.is_ctor else layout.name
     last = max(cur_def.last_line, cur_def.line_no)
     span = SourceSpan(artifact, cur_def.line_no, 1, last,
@@ -261,8 +266,7 @@ def _parse_type(text: str, artifact: str, line_no: int) -> TypeRef:
         return TypeRef.void()
     if not re.fullmatch(r"\w+", t):
         raise ParseError(f"invalid type {text.strip()!r}",
-                         artifact=artifact, line=line_no, col=1,
-                         expected="type name")
+                         artifact=artifact, line=line_no, col=1)
     return TypeRef.named(t)
 
 
@@ -276,8 +280,7 @@ def _parse_params(text: str, artifact: str,
         m = _PARAM_RE.match(piece.strip())
         if not m:
             raise ParseError(f"invalid parameter {piece.strip()!r}",
-                             artifact=artifact, line=line_no, col=1,
-                             expected="name[: TYPE]")
+                             artifact=artifact, line=line_no, col=1)
         name, type_text = m.groups()
         ptype = (_parse_type(type_text, artifact, line_no)
                  if type_text else TypeRef.unknown())
@@ -298,8 +301,7 @@ def _find_region(lines: list[str], artifact: str) -> tuple[int, int]:
                     if ln.strip().startswith("```plantuml")]
     if len(fence_starts) > 1:
         raise ParseError("multiple ```plantuml blocks",
-                         artifact=artifact, line=fence_starts[1] + 1,
-                         expected="a single fenced block")
+                         artifact=artifact, line=fence_starts[1] + 1)
     if fence_starts:
         start = fence_starts[0] + 1
         for j in range(start, len(lines)):
@@ -307,12 +309,11 @@ def _find_region(lines: list[str], artifact: str) -> tuple[int, int]:
                 inner = _inner_startuml(lines, start, j, artifact)
                 return inner if inner else (start, j - 1)
         raise ParseError("unterminated ```plantuml block",
-                         artifact=artifact, line=fence_starts[0] + 1,
-                         expected="```")
+                         artifact=artifact, line=fence_starts[0] + 1)
     inner = _inner_startuml(lines, 0, len(lines), artifact)
     if inner is None:
         raise MissingRegionError("no @startuml region or ```plantuml block",
-                                 artifact=artifact, expected="@startuml")
+                                 artifact=artifact)
     return inner
 
 
@@ -323,14 +324,13 @@ def _inner_startuml(lines: list[str], lo: int, hi: int,
         return None
     if len(starts) > 1:
         raise ParseError("multiple @startuml regions",
-                         artifact=artifact, line=starts[1] + 1,
-                         expected="a single region")
+                         artifact=artifact, line=starts[1] + 1)
     start = starts[0]
     for j in range(start + 1, hi):
         if lines[j].strip() == "@enduml":
             return (start + 1, j - 1)
     raise ParseError("@startuml without matching @enduml",
-                     artifact=artifact, line=start + 1, expected="@enduml")
+                     artifact=artifact, line=start + 1)
 
 
 def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
@@ -372,8 +372,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
                 model.relationships.append(rel)
                 continue
             raise ParseError(f"unrecognized line {stripped!r}",
-                             artifact=artifact, line=line_no, col=1,
-                             expected="class, relationship or blank")
+                             artifact=artifact, line=line_no, col=1)
 
         if stripped == "}":
             cur.span = SourceSpan(artifact, cur_start, 1, line_no,
@@ -407,7 +406,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
 
     if cur is not None:
         raise ParseError(f"class {cur.name!r} is never closed",
-                         artifact=artifact, line=cur_start, expected="}")
+                         artifact=artifact, line=cur_start)
 
     _check_relationship_endpoints(model, artifact)
     leading = "\n".join(lines[:max(first - 1, 0)])
@@ -437,8 +436,7 @@ def _parse_member(stripped: str, cls: ClassDef, artifact: str, line_no: int,
                  if type_text else TypeRef.unknown())
         return Attribute(name, atype, _VIS_MARKERS[vis], span)
     raise ParseError(f"unrecognized member line {stripped!r}",
-                     artifact=artifact, line=line_no, col=1,
-                     expected="attribute, method or }")
+                     artifact=artifact, line=line_no, col=1)
 
 
 def _parse_relationship(stripped: str) -> Relationship | None:
@@ -465,4 +463,4 @@ def _check_relationship_endpoints(model: ClassModel, artifact: str) -> None:
             if normalize_name(end) not in names:
                 raise ParseError(
                     f"relationship endpoint {end!r} names no class",
-                    artifact=artifact, expected="declared class name")
+                    artifact=artifact)

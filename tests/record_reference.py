@@ -132,7 +132,6 @@ def _matched():
 class Finding:
     id: str
     kind: FindingKind
-    severity: str
     model_loc: Location | None
     code_loc: Location | None
     detail: str
@@ -221,7 +220,6 @@ class Config:
 class CorrectionEdit:
     side: str
     kind: str
-    description: str
     cls: ClassDef | None = None
     member: object | None = None
     param_index: int | None = None
@@ -230,9 +228,7 @@ class CorrectionEdit:
 
 @dataclass(frozen=True)
 class CorrectionSet:
-    finding_id: str
-    finding_kind: FindingKind
-    detail: str
+    finding: Finding
     alternatives: tuple
 
 

@@ -87,7 +87,7 @@ def test_criterion_2_correction_duality(drifted_model_text,
         design, code_doc, report = _checked(drifted_model_text,
                                             drifted_code_text)
         sets = propose(report, design, code_doc)
-        param_set = next(s for s in sets if s.finding_kind is
+        param_set = next(s for s in sets if s.finding.kind is
                          FindingKind.PARAM_TYPE_MISMATCH)
 
         model_alt = param_set.side("model")
@@ -101,7 +101,7 @@ def test_criterion_2_correction_duality(drifted_model_text,
             re_report = check(parse_plantuml(
                 render_plantuml(new_model)).model,
                 parse_code(new_code).model)
-            assert param_set.finding_id not in \
+            assert param_set.finding.id not in \
                 {f.id for f in re_report.findings}, \
                 f"{alt.side} alternative did not clear the finding"
 

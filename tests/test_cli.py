@@ -1391,3 +1391,107 @@ def test_the_console_script_is_the_function_main_runs_as_a_module():
     assert project["project"]["scripts"]["modelsync"] == \
         f"modelsync.cli:{call.func.id}"
     assert call.func.id == "console_main"
+
+
+# --- a code file whose dialect text sits in one ```python block ------------
+
+FENCED_HEAD = "# Notes\n\nSome prose.\n\n```python\n"
+FENCED_TAIL = "```\n\nMore prose.\n"
+FENCED_CODE = (FENCED_HEAD
+               + "class A:\n"
+               "    def __init__(self, size: str):\n"
+               "        self.size = size\n"
+               "\n"
+               "    def grow(self, n: int) -> None:\n"
+               "        pass\n"
+               + FENCED_TAIL)
+# the attribute's type and grow's parameter drift; the void return agrees
+FENCED_MODEL = ("@startuml\nclass A {\n  +size: int\n"
+                "  +grow(n: Amount): void\n}\n@enduml\n")
+
+
+def _write_pair(tmp_path, code_text: str = FENCED_CODE,
+                 model_text: str = FENCED_MODEL):
+    model = tmp_path / "m.puml"
+    code = tmp_path / "c.md"
+    model.write_text(model_text, encoding="utf-8")
+    code.write_text(code_text, encoding="utf-8")
+    return model, code
+
+
+def test_check_names_file_lines_inside_a_fenced_block(capsys, tmp_path):
+    model, code = _write_pair(tmp_path)
+    status, out, _ = run(capsys, "check", model, code)
+    assert status == 1
+    # 'self.size = size' is line 8 of the file, 'def grow' line 10
+    assert [line.strip() for line in out.splitlines()
+            if line.strip().startswith("at:")] == [
+        f"at: model {model}:4, code {code}:10",
+        f"at: model {model}:3, code {code}:8"]
+    status, out, _ = run(capsys, "check", model, code, "--json")
+    assert status == 1
+    assert sorted(f["codeLocation"]["span"]["startLine"]
+                  for f in json.loads(out)["findings"]) == [8, 10]
+
+
+@pytest.mark.parametrize("policy", ["model-wins", "code-wins", "union"])
+def test_sync_edits_only_inside_the_fenced_block(capsys, tmp_path, policy):
+    model, code = _write_pair(tmp_path)
+    status, _, err = run(capsys, "sync", model, code, "--policy", policy,
+                         "--in-place")
+    assert status == 0, err
+    written = code.read_text(encoding="utf-8")
+    if policy == "code-wins":
+        assert written == FENCED_CODE
+        return
+    assert written.startswith(FENCED_HEAD) and written.endswith(FENCED_TAIL)
+    block = written[len(FENCED_HEAD):-len(FENCED_TAIL)]
+    # 'Amount' is no Python name, so the future import heads the block
+    assert block == ("from __future__ import annotations\n"
+                     "class A:\n"
+                     "    def __init__(self, size: int):\n"
+                     "        self.size = size\n"
+                     "\n"
+                     "    def grow(self, n: Amount) -> None:\n"
+                     "        pass\n")
+    exec(compile(block, "c.md", "exec"), {})
+
+
+def test_sync_adds_a_class_inside_a_fenced_block_without_one(capsys,
+                                                             tmp_path):
+    model, code = _write_pair(tmp_path,
+                               FENCED_HEAD + "# no class yet\n" + FENCED_TAIL)
+    status, _, err = run(capsys, "sync", model, code, "--policy",
+                         "model-wins", "--in-place")
+    assert status == 0, err
+    written = code.read_text(encoding="utf-8")
+    assert written.startswith(FENCED_HEAD + "# no class yet\n")
+    assert written.endswith("        pass\n" + FENCED_TAIL)
+    assert "\nclass A:\n" in written
+
+
+@pytest.mark.parametrize("code_text, line, message", [
+    ("```python\nclass A:\n    pass\n```\n\n```python\nclass B:\n"
+     "    pass\n```\n", 6, "multiple ```python blocks"),
+    ("prose\n\n```python\nclass A:\n    pass\n", 3,
+     "unterminated ```python block"),
+], ids=["second-block", "unterminated-block"])
+def test_check_refuses_a_second_or_unterminated_python_block(
+        capsys, tmp_path, code_text, line, message):
+    model, code = _write_pair(tmp_path, code_text)
+    status, out, err = run(capsys, "check", model, code)
+    assert status == 2
+    assert out == ""
+    assert err == f"parse error: {code}:{line}: {message}\n"
+
+
+def test_a_none_return_extracts_as_void_and_checks_clean(capsys, tmp_path):
+    model, code = _write_pair(
+        tmp_path, "class A:\n    def grow(self, n: int) -> None:\n"
+        "        pass\n",
+        "@startuml\nclass A {\n  +grow(n: int): void\n}\n@enduml\n")
+    status, out, _ = run(capsys, "extract", code)
+    assert status == 0
+    assert "  +grow(n: int): void\n" in out
+    status, out, _ = run(capsys, "check", model, code)
+    assert status == 0, out

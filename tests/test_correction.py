@@ -88,7 +88,7 @@ def test_param_type_alternatives_match_both_directions(drifted_model_text,
                                         drifted_code_text)
     sets = propose(report, design, code_doc)
     param_set = next(s for s in sets
-                     if s.finding_kind is FindingKind.PARAM_TYPE_MISMATCH)
+                     if s.finding.kind is FindingKind.PARAM_TYPE_MISMATCH)
     model_alt = param_set.side("model")
     code_alt = param_set.side("code")
     assert "'int'" in model_alt.description
@@ -101,12 +101,12 @@ def test_applying_either_type_alternative_clears_finding(
                                         drifted_code_text)
     sets = propose(report, design, code_doc)
     param_set = next(s for s in sets
-                     if s.finding_kind is FindingKind.PARAM_TYPE_MISMATCH)
+                     if s.finding.kind is FindingKind.PARAM_TYPE_MISMATCH)
     for side in ("model", "code"):
         alt = param_set.side(side)
         new_model, new_code = apply(design, code_doc, [alt])
         re_report = _recheck(render_plantuml(new_model), new_code)
-        assert param_set.finding_id not in {f.id for f in re_report.findings}
+        assert param_set.finding.id not in {f.id for f in re_report.findings}
 
 
 def test_code_annotation_edit_matches_expected_shape(drifted_model_text,
@@ -115,7 +115,7 @@ def test_code_annotation_edit_matches_expected_shape(drifted_model_text,
                                         drifted_code_text)
     sets = propose(report, design, code_doc)
     param_set = next(s for s in sets
-                     if s.finding_kind is FindingKind.PARAM_TYPE_MISMATCH)
+                     if s.finding.kind is FindingKind.PARAM_TYPE_MISMATCH)
     _, new_code = apply(design, code_doc, [param_set.side("code")])
     assert "def __init__(self, userID: str):" in new_code
 
@@ -216,8 +216,8 @@ def test_duality_each_alternative_clears_its_finding(drifted_model_text,
         for alt in s.alternatives:
             new_model, new_code = apply(design, code_doc, [alt])
             re_report = _recheck(render_plantuml(new_model), new_code)
-            assert s.finding_id not in {f.id for f in re_report.findings}, \
-                f"{s.finding_kind} not cleared by {alt.side} alternative"
+            assert s.finding.id not in {f.id for f in re_report.findings}, \
+                f"{s.finding.kind} not cleared by {alt.side} alternative"
 
 
 def test_one_pass_convergence_over_mutations():

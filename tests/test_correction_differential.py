@@ -26,8 +26,8 @@ ERROR_KINDS = set(FindingKind) - {FindingKind.RELATIONSHIP_MISSING_IN_CODE,
 
 
 def _shape(correction_set):
-    return (correction_set.finding_id, correction_set.finding_kind,
-            correction_set.detail,
+    return (correction_set.finding.id, correction_set.finding.kind,
+            correction_set.finding.detail,
             [(a.side, a.kind, a.description, id(a.cls), id(a.member),
               a.param_index, a.payload)
              for a in correction_set.alternatives])
@@ -42,16 +42,15 @@ def _assert_same(model_text: str, code_text: str) -> set[FindingKind]:
     want = [correction_reference._build_set(f) for f in report.findings
             if f.severity == "error"]
     assert [_shape(s) for s in got] == [_shape(s) for s in want]
-    findings = {f.id: f for f in report.findings}
     for correction_set in got:
-        f = findings[correction_set.finding_id]
+        f = correction_set.finding
         for alt in correction_set.alternatives:
             if alt.side == "model" and alt.kind.startswith("add-"):
                 _assert_unshared(alt.payload, f.code_member or f.code_class)
             elif alt.kind == "change-signature":
                 _assert_unshared(alt.payload, f.code_member
                                  if alt.side == "model" else f.model_member)
-    return {s.finding_kind for s in got}
+    return {s.finding.kind for s in got}
 
 
 def _parameter_objects(entity) -> set[int]:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from modelsync.errors import (DuplicateClassError, DuplicateMemberError,
                               OverlappingEditsError, ParseError,
                               SpanOutOfRangeError)
-from modelsync.model import ClassModel, SourceSpan, model_equal
+from modelsync.model import ClassModel, SourceSpan, TypeRef, model_equal
 from modelsync.plantuml import parse_plantuml
 from modelsync import pycode
 from modelsync.pycode import (CodeDocument, CodeEdit, apply_code_edits,
@@ -80,6 +80,27 @@ def test_fenced_envelope_stripped(v1_code_text):
     fenced = f"prose\n```python\n{v1_code_text}```\nmore prose"
     model = parse_code(fenced).model
     assert len(model.classes) == 4
+
+
+def test_fenced_block_is_read_in_place(v1_code_text):
+    fenced = f"prose\n```python\n{v1_code_text}```\nmore prose"
+    doc = parse_code(fenced)
+    assert doc.raw_text == fenced
+    assert model_equal(doc.model, parse_code(v1_code_text).model)
+    # spans count lines from the start of the file, past the fence
+    for cls in doc.model.classes:
+        assert doc.line(cls.span.start_line) == f"class {cls.name}:"
+        for m in cls.methods:
+            assert doc.line(m.span.start_line).lstrip().startswith("def ")
+
+
+def test_a_none_return_is_the_void_type():
+    doc = parse_code("class A:\n    def go(self) -> None:\n        pass\n"
+                     "    def stop(self, x: None):\n        pass\n")
+    go, stop = doc.model.classes[0].methods
+    assert go.return_type == TypeRef.void()
+    # only a return reads None as void
+    assert stop.params[0].type == TypeRef.named("None")
 
 
 def test_class_level_garbage_rejected():

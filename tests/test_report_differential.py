@@ -67,7 +67,7 @@ def _checked(model_text: str, code_text: str,
         InputDescriptor(paths[0], sha256_hex(model_text.encode())),
         InputDescriptor(paths[1], sha256_hex(code_text.encode()))))
     sets = propose(report, design, code_doc)
-    return report, {s.finding_id: s for s in sets}
+    return report, {s.finding.id: s for s in sets}
 
 
 @pytest.mark.parametrize("name", JSON_CASES)
@@ -120,12 +120,12 @@ def test_writer_matches_reference_on_an_empty_report():
 
 def test_writer_matches_reference_without_suggestions():
     span = SourceSpan("m.puml", 3, 1, 4, 7)
-    finding = Finding("abc", FindingKind.MISSING_METHOD_IN_CODE, "error",
+    finding = Finding("abc", FindingKind.MISSING_METHOD_IN_CODE,
                       Location("A", "run", span), Location("A"),
                       'quote " backslash \\ tab \t newline \n')
     report = Report(1, (InputDescriptor('dir/"x"\\ü.puml', "0" * 64),),
                     MatchOptions(), (finding,))
-    empty = CorrectionSet("abc", finding.kind, finding.detail, ())
+    empty = CorrectionSet(finding, ())
     for suggestions in ({}, {"abc": empty}):
         assert '"suggestions": []' in _assert_same(report, suggestions)
 
