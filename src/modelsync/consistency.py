@@ -476,9 +476,10 @@ def _class_findings(out: list[Finding], cm: ClassMatch,
                     same_type: _SameType) -> None:
     mc, cc = cm.model_class, cm.code_class
     _link_findings(out, mc, cc, cm.links, same_type)
+    # an attribute is missing only when its type names a type, as T or T[]
     for m in cm.model_only:
         attr = isinstance(m, Attribute)
-        if attr and not _has_named_evidence(m.type):
+        if attr and m.type.leaf.kind != "named":
             continue
         _emit(out, FindingKind.MISSING_ATTRIBUTE_IN_CODE if attr
               else FindingKind.MISSING_METHOD_IN_CODE,
@@ -488,7 +489,7 @@ def _class_findings(out: list[Finding], cm: ClassMatch,
               mc, cc, model_member=m)
     for c in cm.code_only:
         attr = isinstance(c, Attribute)
-        if attr and not _has_named_evidence(c.type):
+        if attr and c.type.leaf.kind != "named":
             continue
         _emit(out, FindingKind.MISSING_ATTRIBUTE_IN_MODEL if attr
               else FindingKind.MISSING_METHOD_IN_MODEL,
@@ -501,15 +502,6 @@ def _class_findings(out: list[Finding], cm: ClassMatch,
 
 def _what(member) -> str:
     return "attribute" if isinstance(member, Attribute) else "method"
-
-
-def _has_named_evidence(t: TypeRef) -> bool:
-    """True when a type pins down a name somewhere (named or named[])."""
-    if t.kind == "named":
-        return True
-    if t.kind == "collection":
-        return _has_named_evidence(t.element)
-    return False
 
 
 def _link_findings(out: list[Finding], mc: ClassDef, cc: ClassDef,
@@ -573,13 +565,6 @@ def _code_reference_pairs(code: ClassModel,
     key_of = name_key(opts.name_mode)
     class_keys = {key_of(c.name): c.name for c in code.classes}
 
-    def referenced(t: TypeRef) -> str | None:
-        if t.kind == "named":
-            return class_keys.get(key_of(t.name))
-        if t.kind == "collection":
-            return referenced(t.element)
-        return None
-
     pairs: set[frozenset[str]] = set()
     for cls in code.classes:
         sources: list[TypeRef] = [a.type for a in cls.attributes]
@@ -587,7 +572,9 @@ def _code_reference_pairs(code: ClassModel,
         if ctor is not None:
             sources.extend(p.type for p in ctor.params)
         for t in sources:
-            target = referenced(t)
+            leaf = t.leaf
+            target = (class_keys.get(key_of(leaf.name))
+                      if leaf.kind == "named" else None)
             if target and key_of(target) != key_of(cls.name):
                 pairs.add(frozenset((key_of(cls.name), key_of(target))))
     return pairs

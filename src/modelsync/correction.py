@@ -17,8 +17,9 @@ from typing import NamedTuple
 
 from .consistency import Finding, FindingKind, Report, _what
 from .errors import StaleReportError
-from .model import ClassDef, ClassModel, Method, Parameter
-from .pycode import CodeDocument, py_annotation
+from .model import (UML_TO_PY, ClassDef, ClassModel, Method, Parameter,
+                    spell_type)
+from .pycode import CodeDocument
 
 # moved to the write path, which only writing commands import
 _IN_REPAIR = frozenset({"Policy", "apply", "resolve"})
@@ -195,8 +196,8 @@ def _describe(side: str, kind: str, cls: ClassDef | None, member,
         subject = f"the return type of '{member.name}'"
     else:
         subject = f"attribute '{member.name}'"
-    if side == "code":  # the type as the code spells it
-        payload = py_annotation(payload) or payload
+    if side == "code":  # the annotation the code edit writes
+        payload = spell_type(payload, "python", UML_TO_PY) or payload
     return f"change {subject} to '{payload}' in {where}"
 
 

@@ -11,9 +11,12 @@ ignored.  Rendering, by contrast, preserves declaration order.
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from operator import attrgetter
 from typing import NamedTuple
+
+from .errors import ParseError
 
 try:  # CPython's own SHA-256; the OpenSSL-backed module costs 3.5 MB of RSS
     from _sha256 import sha256 as _sha256          # Python 3.10-3.11
@@ -155,6 +158,14 @@ class TypeRef(_TypeRefFields):
     def collection(element: TypeRef) -> TypeRef:
         return TypeRef("collection", element=element)
 
+    @property
+    def leaf(self) -> TypeRef:
+        """The type inside the collections this one nests, or itself."""
+        t = self
+        while t.kind == "collection":
+            t = t.element
+        return t
+
     def __str__(self) -> str:
         if self.kind == "named":
             return self.name or ""
@@ -165,6 +176,72 @@ class TypeRef(_TypeRefFields):
 
 # the default type of a parameter or attribute; TypeRefs never change
 _UNKNOWN = TypeRef("unknown")
+
+# the most collections one type may nest in: what reads a TypeRef (str,
+# spelling, comparison) recurses once per level
+MAX_COLLECTION_DEPTH = 32
+_NAME_RE = re.compile(r"\w+")
+_VOID_SPELLING = {"plantuml": "void", "python": "None"}
+# a layer around a Python type: a subscript NAME[T], None | T or T | None,
+# with T in the last group matched; re's cache compiles it on first use
+_PY_LAYER = r"(\w+)\s*\[(.*)\]|None\s*\|(.*)|(.*)\|\s*None"
+_PY_COLLECTIONS = frozenset({"list", "List", "Sequence", "set"})
+# the layers read through: collections, Optional and unions with None
+_PY_LAYERS = _PY_COLLECTIONS | {"Optional", None}
+
+
+def read_type(text: str, dialect: str, artifact: str = "",
+              line: int = 0) -> TypeRef:
+    """The type ``text`` spells in ``dialect``, ``plantuml`` or ``python``,
+    by README's table of type spellings.  Python reads text the table
+    lacks as the unknown type, and PlantUML refuses it; both refuse a type
+    nested in more than ``MAX_COLLECTION_DEPTH`` collections.  A refusal
+    is a ParseError at ``artifact`` and ``line``."""
+    t = text.strip()
+    depth = 0
+    if dialect == "python":
+        while "[" in t or "|" in t:
+            m = re.fullmatch(_PY_LAYER, t)
+            if m is None or m[1] not in _PY_LAYERS:
+                break
+            depth += m[1] in _PY_COLLECTIONS
+            t = m[m.lastindex].strip()
+    else:
+        while t.endswith("[]"):
+            t = t[:-2].strip()
+            depth += 1
+    if depth > MAX_COLLECTION_DEPTH:
+        raise ParseError(f"type {t!r} is nested in {depth} collections, "
+                         f"more than {MAX_COLLECTION_DEPTH}",
+                         artifact=artifact, line=line, col=1)
+    if t == _VOID_SPELLING[dialect]:
+        parsed = TypeRef("void")
+    elif _NAME_RE.fullmatch(t):
+        parsed = TypeRef("named", t)
+    elif dialect == "python":
+        return _UNKNOWN
+    else:
+        raise ParseError(f"invalid type {t!r}",
+                         artifact=artifact, line=line, col=1)
+    for _ in range(depth):
+        parsed = TypeRef("collection", None, parsed)
+    return parsed
+
+
+def spell_type(t: TypeRef, dialect: str,
+               names: dict[str, str] | None = None) -> str | None:
+    """How ``dialect`` spells ``t``, as :func:`read_type` reads it back,
+    with each name spelled as ``names`` maps it; None for the types it
+    writes no annotation for: the unknown type and collections of it."""
+    if t.kind == "named":
+        return names.get(t.name, t.name) if names else t.name
+    if t.kind == "void":
+        return _VOID_SPELLING[dialect]
+    if t.kind == "collection":
+        inner = spell_type(t.element, dialect, names)
+        if inner is not None:
+            return f"list[{inner}]" if dialect == "python" else f"{inner}[]"
+    return None
 
 
 class Parameter(Record):
@@ -293,10 +370,6 @@ def make_type_table(pairs: tuple[tuple[str, str], ...] = ()) -> TypeTable:
     return frozenset(set(DEFAULT_TYPE_EQUIVALENCES) | extra)
 
 
-def _names_equivalent(a: str, b: str, table: TypeTable) -> bool:
-    return a == b or frozenset((a, b)) in table
-
-
 def type_equivalent(a: TypeRef, b: TypeRef,
                     table: TypeTable = DEFAULT_TYPE_EQUIVALENCES) -> bool:
     """True when two types should not be flagged as mismatched.
@@ -307,7 +380,7 @@ def type_equivalent(a: TypeRef, b: TypeRef,
     if a.kind == "unknown" or b.kind == "unknown":
         return True
     if a.kind == "named" and b.kind == "named":
-        return _names_equivalent(a.name or "", b.name or "", table)
+        return a.name == b.name or frozenset((a.name, b.name)) in table
     if a.kind == "collection" and b.kind == "collection":
         assert a.element is not None and b.element is not None
         return type_equivalent(a.element, b.element, table)

@@ -8,11 +8,11 @@ Supported inside one ``@startuml``/``@enduml`` region (or a single
 * methods ``VIS name(p[: TYPE], ...)[: TYPE]``
 * binary associations ``A ["m"] -- ["m"] B [: label [>]]``
 
-Types are identifiers, optionally suffixed ``[]`` for collections (at most
-``MAX_COLLECTION_DEPTH`` deep); a bare ``void`` names the void type.  A
-member whose name equals its class name is a constructor.  Absent types
-mean "unknown" and are never flagged by the checker.  Anything else inside
-the region is a syntax error carrying the 1-based line number.
+Types are read and spelled by :func:`.model.read_type` and
+:func:`.model.spell_type`.  A member whose name equals its class name is a
+constructor.  Absent types mean "unknown" and are never flagged by the
+checker.  Anything else inside the region is a syntax error carrying the
+1-based line number.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (DuplicateClassError, DuplicateMemberError,
                      MissingRegionError, ParseError)
 from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
                     Relationship, SourceSpan, TypeRef, Visibility,
-                    normalize_name)
+                    normalize_name, read_type, spell_type)
 
 _CLASS_RE = re.compile(r"^class\s+(\w+)\s*\{$")
 # a stripped member line: an attribute, or a method when the parenthesised
@@ -38,49 +38,16 @@ _RELATION_RE = re.compile(
 # splits between two adjacent blank patterns and a failed match backtracks
 # in linear time
 _PARAM_RE = re.compile(r"\s*(\w+)(?:\s*:\s*(\S(?:.*\S)?))?\s*$")
-_TYPE_NAME_RE = re.compile(r"\w+")
-# the most ``[]`` suffixes one type may carry
-MAX_COLLECTION_DEPTH = 32
 
 _VIS_MARKERS = {"+": Visibility.PUBLIC, "-": Visibility.PRIVATE,
                 "#": Visibility.PROTECTED}
+_MARKERS = {vis: marker for marker, vis in _VIS_MARKERS.items()}
 
 
 class PlantUmlDocument(NamedTuple):
     """A parsed model."""
 
     model: ClassModel
-
-
-def _parse_type(text: str, artifact: str, line_no: int) -> TypeRef:
-    t = text.strip()
-    depth = 0
-    while t.endswith("[]"):
-        t = t[:-2].strip()
-        depth += 1
-    # what reads a TypeRef (str, rendering, comparison) recurses once per
-    # level, so a deeper nesting is refused here, at its line
-    if depth > MAX_COLLECTION_DEPTH:
-        raise ParseError(f"type {t!r} is nested in {depth} collections, "
-                         f"more than {MAX_COLLECTION_DEPTH}",
-                         artifact=artifact, line=line_no, col=1)
-    if t == "void":
-        parsed = TypeRef.void()
-    elif _TYPE_NAME_RE.fullmatch(t):
-        parsed = TypeRef.named(t)
-    else:
-        raise ParseError(f"invalid type {t!r}",
-                         artifact=artifact, line=line_no, col=1)
-    for _ in range(depth):
-        parsed = TypeRef.collection(parsed)
-    return parsed
-
-
-def _new_type(types: dict[str | None, TypeRef], text: str, artifact: str,
-              line_no: int) -> TypeRef:
-    """Parse a type spelling that ``types`` does not hold yet, and add it."""
-    t = types[text] = _parse_type(text, artifact, line_no)
-    return t
 
 
 def _parse_params(text: str, types: dict[str | None, TypeRef],
@@ -94,8 +61,9 @@ def _parse_params(text: str, types: dict[str | None, TypeRef],
             raise ParseError(f"invalid parameter {piece.strip()!r}",
                              artifact=artifact, line=line_no, col=1)
         name, type_text = m.groups()
-        params.append(Parameter(name, types.get(type_text) or _new_type(
-            types, type_text, artifact, line_no)))
+        ptype = types.get(type_text) or types.setdefault(
+            type_text, read_type(type_text, "plantuml", artifact, line_no))
+        params.append(Parameter(name, ptype))
     return params
 
 
@@ -225,8 +193,8 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
         start = line.index(stripped[0]) + 1
         span = SourceSpan(artifact, line_no, start, line_no,
                           start + len(stripped))
-        member_type = (types.get(type_text)
-                       or _new_type(types, type_text, artifact, line_no))
+        member_type = types.get(type_text) or types.setdefault(
+            type_text, read_type(type_text, "plantuml", artifact, line_no))
         if params_text is None:
             key_a = normalize_name(name)
             if key_a in attr_keys:
@@ -289,38 +257,19 @@ def _check_relationship_endpoints(model: ClassModel, arrow_lines: list[int],
                     artifact=artifact, line=line_no)
 
 
-def _render_type(t: TypeRef) -> str | None:
-    """PlantUML spelling of a type, or None when it has none (unknown)."""
-    if t.kind == "named":
-        return t.name
-    if t.kind == "void":
-        return "void"
-    if t.kind == "collection":
-        inner = _render_type(t.element)
-        return f"{inner}[]" if inner else None
-    return None
-
-
-def _marker(vis: Visibility, default: str) -> str:
-    for marker, v in _VIS_MARKERS.items():
-        if v is vis:
-            return marker
-    return default
+def _typed(name: str, t: TypeRef) -> str:
+    """``name``, with ``: TYPE`` after it when PlantUML spells ``t``."""
+    spelled = spell_type(t, "plantuml")
+    return f"{name}: {spelled}" if spelled else name
 
 
 def _render_member(member: Attribute | Method) -> str:
     if isinstance(member, Attribute):
-        typed = _render_type(member.type)
-        suffix = f": {typed}" if typed else ""
-        return f"  {_marker(member.visibility, '-')}{member.name}{suffix}"
-    parts = []
-    for p in member.params:
-        typed = _render_type(p.type)
-        parts.append(f"{p.name}: {typed}" if typed else p.name)
-    ret = _render_type(member.return_type)
-    suffix = f": {ret}" if ret and member.return_type.kind != "unknown" else ""
-    return (f"  {_marker(member.visibility, '+')}{member.name}"
-            f"({', '.join(parts)}){suffix}")
+        return (f"  {_MARKERS.get(member.visibility, '-')}"
+                + _typed(member.name, member.type))
+    params = ", ".join(_typed(p.name, p.type) for p in member.params)
+    return (f"  {_MARKERS.get(member.visibility, '+')}"
+            + _typed(f"{member.name}({params})", member.return_type))
 
 
 def _render_relationship(rel: Relationship) -> str:

@@ -7,9 +7,10 @@ data format:
   starting with ``class `` (base classes, ``class A():``, a one-line
   body) is rejected with a ParseError at its line
 * ``def name(self, p[: T][= default]*)[ -> T]:`` introduces a method; the
-  receiver is dropped, ``-> None`` is the void return type, and the body
-  is kept verbatim, never analyzed — except ``self.x = expr`` lines inside
-  ``__init__``, which declare attributes
+  receiver is dropped, each annotation is read by
+  :func:`.model.read_type`, and the body is kept verbatim, never analyzed
+  — except ``self.x = expr`` lines inside ``__init__``, which declare
+  attributes
 * comments and blank lines are allowed anywhere; imports and top-level
   statements are ignored but preserved
 * in a text holding one ```` ```python ```` block, only the block's body
@@ -42,9 +43,9 @@ import re
 from typing import NamedTuple
 
 from .errors import DuplicateClassError, DuplicateMemberError, ParseError
-from .model import (UML_TO_PY, Attribute, ClassDef, ClassModel, Method,
-                    Parameter, Record, SourceSpan, TypeRef, Visibility,
-                    normalize_name)
+from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
+                    Record, SourceSpan, TypeRef, Visibility, normalize_name,
+                    read_type)
 from .plantuml import fenced_block
 
 _CLASS_RE = re.compile(r"class\s+(\w+)\s*:\s*(?:#.*)?$")
@@ -74,10 +75,11 @@ _PLAIN_DEF_RE = re.compile(
 _PLAIN_PARAM_RE = re.compile(r"(\w+)\s*(?::\s*([^,]*[^,\s]))?")
 _ATTR_RE = re.compile(r"(\s*)self\.(\w+)\s*=\s*(\S(?:.*\S)?)\s*$")
 
-def py_annotation(t: TypeRef) -> str | None:
-    """A model type as a Python annotation; None when it names no type."""
-    return UML_TO_PY.get(t.name, t.name)
-
+_UNKNOWN = TypeRef("unknown")
+_BOOLEAN = TypeRef("named", "boolean")
+# the type of an attribute assigned a literal
+_LITERAL_TYPES = {"True": _BOOLEAN, "False": _BOOLEAN,
+                  "[]": TypeRef("collection", None, _UNKNOWN)}
 
 # moved to the writing side, which only writing commands import
 _IN_PYWRITE = frozenset({"CodeEdit", "apply_code_edits", "block_delete_span",
@@ -280,8 +282,7 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
     seen_classes: set[str] = set()
     # one TypeRef per annotation spelling; None, or '' from a plain header,
     # spells the unknown type
-    unknown = TypeRef.unknown()
-    types: dict[str | None, TypeRef] = {None: unknown, "": unknown}
+    types: dict[str | None, TypeRef] = {None: _UNKNOWN, "": _UNKNOWN}
     cur_class: _OpenClass | None = None
     # the open def: its header as read_plain_def gives it, its indent, its
     # first and last line, and for __init__ the first assignment to each
@@ -292,7 +293,7 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
 
     def close_class() -> None:
         nonlocal cur_class
-        _finish_attributes(cur_class, types)
+        _finish_attributes(cur_class)
         cur_class.cls.span = SourceSpan(
             artifact, cur_class.line_no, 1, cur_class.last_line,
             len(lines[cur_class.last_line - 1]) + 1)
@@ -362,13 +363,6 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
     return doc
 
 
-def _new_type(types: dict[str | None, TypeRef], spelling: str) -> TypeRef:
-    """The type an annotation spells that ``types`` does not hold yet, added
-    to it."""
-    t = types[spelling] = TypeRef.named(spelling)
-    return t
-
-
 def _layout_header(line: str, artifact: str, line_no: int
                    ) -> tuple[str, str | None, list[tuple]] | None:
     """A header that is not plain, as :func:`read_plain_def` gives one, from
@@ -390,8 +384,8 @@ def _add_method(cur_class: _OpenClass,
                 artifact: str, lines: list[str],
                 types: dict[str | None, TypeRef]) -> None:
     header_name, ret, header_params = header
-    params = [Parameter(name, types.get(annotation)
-                        or _new_type(types, annotation))
+    params = [Parameter(name, types.get(annotation) or types.setdefault(
+        annotation, read_type(annotation, "python", artifact, line_no)))
               for name, annotation in header_params]
     cls = cur_class.cls
     is_ctor = assignments is not None
@@ -408,16 +402,14 @@ def _add_method(cur_class: _OpenClass,
         cur_class.attr_order.extend(assignments.items())
     cur_class.member_keys.add(key)
     cur_class.last_line = last
-    # a '-> None' return is the void type
-    returns = (TypeRef.void() if ret == "None"
-               else types.get(ret) or _new_type(types, ret))
+    returns = types.get(ret) or types.setdefault(
+        ret, read_type(ret, "python", artifact, line_no))
     cls.methods.append(Method(
         name, params, returns, Visibility.UNKNOWN, is_ctor,
         SourceSpan(artifact, line_no, 1, last, len(lines[last - 1]) + 1)))
 
 
-def _finish_attributes(cur_class: _OpenClass,
-                       types: dict[str | None, TypeRef]) -> None:
+def _finish_attributes(cur_class: _OpenClass) -> None:
     ctor = cur_class.cls.constructor()
     ctor_types = {p.name: p.type for p in ctor.params} if ctor else {}
     seen: set[str] = set()
@@ -426,18 +418,10 @@ def _finish_attributes(cur_class: _OpenClass,
         if key in seen:
             continue
         seen.add(key)
-        # the right-hand side up to any '#'
-        atype = _infer_attr_type(rhs.split("#")[0], ctor_types, types)
+        # the right-hand side up to any '#': a literal, the name of a
+        # constructor parameter, or anything else
+        rhs = rhs.split("#")[0].strip()
+        atype = _LITERAL_TYPES.get(rhs) or ctor_types.get(rhs, _UNKNOWN)
         cur_class.cls.attributes.append(
             Attribute(name, atype, Visibility.UNKNOWN, line_span))
 
-
-def _infer_attr_type(rhs: str, ctor_types: dict[str, TypeRef],
-                     types: dict[str | None, TypeRef]) -> TypeRef:
-    rhs = rhs.strip()
-    if rhs in ("True", "False"):
-        return types.get("boolean") or _new_type(types, "boolean")
-    if rhs == "[]":
-        return TypeRef.collection(types[None])
-    # a parameter's name is a word, so only a word can name one
-    return ctor_types.get(rhs, types[None])

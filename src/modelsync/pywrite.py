@@ -1,6 +1,7 @@
 """Writing the code dialect: edits spliced into a document span-wise, and
 model entities written as code, in the stubs ``sync`` inserts and the
-skeletons ``gen-code`` renders; each caller passes in how types are spelled.
+skeletons ``gen-code`` renders; each caller passes in the map of the type
+names it spells differently from the model.
 
 Only the commands that write (``sync`` and ``gen-code``) import this
 module, when they run; the old import paths (``modelsync.pycode.
@@ -10,15 +11,13 @@ apply_code_edits``, ...) still resolve to the names here.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
-from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import OverlappingEditsError, SpanOutOfRangeError
-from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
-                    SourceSpan, TypeRef)
+from .model import (UML_TO_PY, Attribute, ClassDef, ClassModel, Method,
+                    Parameter, SourceSpan, TypeRef, spell_type)
 from .plantuml import fenced_block
-from .pycode import CodeDocument, py_annotation
+from .pycode import CodeDocument
 
 
 class CodeEdit(NamedTuple):
@@ -156,24 +155,22 @@ def future_import_line(doc: CodeDocument) -> int | None:
     return start + doc.raw_text.count("\n", offset, m.end()) + 1
 
 
-# a model type as a stub annotates with it; None for no annotation
-Spelling = Callable[[TypeRef], "str | None"]
-
-
 def placeholder_rhs(t: TypeRef) -> str:
     """A neutral expression of type ``t``, for a stub to assign."""
     if t.kind == "collection":
         return "[]"
-    if py_annotation(t) == "bool":
+    if spell_type(t, "python", UML_TO_PY) == "bool":
         return "False"
     return "None"
 
 
-def params_text(params: list[Parameter], spell: Spelling) -> str:
+def params_text(params: list[Parameter], names: dict[str, str]) -> str:
     """A def line's parameters: the receiver, then ``params``, each
-    annotated when its type is spelled."""
-    return ", ".join(["self"] + [f"{p.name}: {t}" if (t := spell(p.type))
-                                 else p.name for p in params])
+    annotated when Python spells its type, with type names mapped by
+    ``names``."""
+    return ", ".join(["self"] + [
+        f"{p.name}: {t}" if (t := spell_type(p.type, "python", names))
+        else p.name for p in params])
 
 
 def attr_assignment(indent: str, attr: Attribute,
@@ -187,26 +184,27 @@ def attr_assignment(indent: str, attr: Attribute,
 
 
 def init_stub(indent: str, params: list[Parameter], attrs: list[Attribute],
-              spell: Spelling) -> list[str]:
+              names: dict[str, str]) -> list[str]:
     """The lines of an ``__init__`` taking ``params`` that assigns each of
     ``attrs``."""
     body = indent + "    "
-    lines = [f"{indent}def __init__({params_text(params, spell)}):"]
+    lines = [f"{indent}def __init__({params_text(params, names)}):"]
     lines += [attr_assignment(body, a, params) for a in attrs] or [
         f"{body}pass"]
     return lines
 
 
-def method_stub(indent: str, method: Method, spell: Spelling) -> list[str]:
+def method_stub(indent: str, method: Method,
+                names: dict[str, str]) -> list[str]:
     """The lines of a method with a placeholder body."""
-    ret = spell(method.return_type)
+    ret = spell_type(method.return_type, "python", names)
     suffix = f" -> {ret}" if ret else ""
     return [f"{indent}def {method.name}"
-            f"({params_text(method.params, spell)}){suffix}:",
+            f"({params_text(method.params, names)}){suffix}:",
             f"{indent}    pass"]
 
 
-def render_class_stub(cls: ClassDef, spell: Spelling) -> list[str]:
+def render_class_stub(cls: ClassDef, names: dict[str, str]) -> list[str]:
     """Skeleton lines for one class; bodies are placeholders only."""
     lines = [f"class {cls.name}:"]
     ctor = cls.constructor()
@@ -214,10 +212,10 @@ def render_class_stub(cls: ClassDef, spell: Spelling) -> list[str]:
         params = (ctor.params if ctor is not None else
                   [Parameter(a.name, a.type) for a in cls.attributes
                    if a.type.kind != "collection"])
-        lines += init_stub("    ", params, cls.attributes, spell)
+        lines += init_stub("    ", params, cls.attributes, names)
     for m in cls.methods:
         if not m.is_constructor:
-            lines += method_stub("    ", m, spell)
+            lines += method_stub("    ", m, names)
     if len(lines) == 1:
         lines.append("    pass")
     return lines
@@ -232,12 +230,11 @@ def render_code_skeleton(model: ClassModel) -> str:
     """
     if not model.classes:
         return ""
-    # the model's own spellings, which the future import leaves unevaluated,
-    # so that the skeleton extracts to the same model
-    spell = attrgetter("name")
     out: list[str] = ["from __future__ import annotations", ""]
     for i, cls in enumerate(model.classes):
         if i:
             out.append("")
-        out.extend(render_class_stub(cls, spell))
+        # the model's own names, which the future import leaves unevaluated,
+        # so that the skeleton extracts to the same model
+        out.extend(render_class_stub(cls, {}))
     return "\n".join(out) + "\n"

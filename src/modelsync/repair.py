@@ -36,10 +36,9 @@ from pathlib import Path
 
 from .correction import CorrectionEdit, CorrectionSet, _require_pair
 from .errors import DanglingParameterError, EditConflictError, ParseError
-from .model import (Attribute, ClassDef, ClassModel, Method, SourceSpan,
-                    TypeRef, normalize_name)
-from .pycode import (CodeDocument, py_annotation, scan_attr_line,
-                     scan_def_line)
+from .model import (UML_TO_PY, Attribute, ClassDef, ClassModel, Method,
+                    SourceSpan, TypeRef, normalize_name, spell_type)
+from .pycode import CodeDocument, scan_attr_line, scan_def_line
 from .pywrite import (CodeEdit, apply_code_edits, attr_assignment,
                       block_delete_span, body_indent, dialect_lines,
                       future_import_line, init_stub, member_indent,
@@ -120,7 +119,7 @@ def apply(design: ClassModel, code_doc: CodeDocument,
         code_edits.append(_insertion(
             code_doc, "insert-member", cls.span.start_line + 1,
             init_stub(" " * member_indent(code_doc, cls), [], attrs,
-                      py_annotation)))
+                      UML_TO_PY)))
     code_edits += _emptied_body_fills(code_doc, code_edits)
     code_edits += _future_import(code_doc, chosen)
     code_edits += _final_newline(code_doc, code_edits)
@@ -264,8 +263,10 @@ def _annotated_types(edit: CorrectionEdit) -> list[TypeRef]:
         return [p.type for p in edit.payload]
     if edit.kind == "add-class":
         cls = edit.payload
-        # a stub without a constructor takes the attributes as parameters
-        types = [] if cls.constructor() else [a.type for a in cls.attributes]
+        # a stub without a constructor takes as parameters the attributes
+        # that are not collections
+        types = [] if cls.constructor() else [
+            a.type for a in cls.attributes if a.type.kind != "collection"]
         methods = cls.methods
     elif edit.kind == "add-member" and isinstance(edit.payload, Method):
         types, methods = [], [edit.payload]
@@ -280,8 +281,8 @@ def _future_import(doc: CodeDocument, chosen: list[CorrectionEdit]
     """The import that leaves annotations unevaluated, when a code edit may
     annotate with a name Python does not define and the text lacks it, at
     the line :func:`.pywrite.future_import_line` picks."""
-    names = {py_annotation(t) for e in chosen if e.side == "code"
-             for t in _annotated_types(e) if t.kind == "named"}
+    names = {spell_type(t.leaf, "python", UML_TO_PY) for e in chosen
+             if e.side == "code" for t in _annotated_types(e)} - {None}
     if names.issubset(vars(builtins)):
         return []
     line = future_import_line(doc)
@@ -301,7 +302,7 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                          if c.span is not None),
                         default=dialect_lines(doc)[1])
         return [_insertion(doc, "insert-class", last_line + 1, [
-            "", *render_class_stub(edit.payload, py_annotation)])]
+            "", *render_class_stub(edit.payload, UML_TO_PY)])]
 
     cls = edit.cls
     assert cls is not None and cls.span is not None
@@ -322,7 +323,7 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                                    " " * body_indent(doc, ctor), member)])]
         return [_insertion(doc, "insert-member", cls.span.end_line + 1,
                            method_stub(" " * member_indent(doc, cls),
-                                       member, py_annotation))]
+                                       member, UML_TO_PY))]
 
     member = edit.member
     assert member is not None and member.span is not None
@@ -338,7 +339,7 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
         layout, line_no = _layout(doc, member)
         types = signature_types[id(member)]
         sig = params_text([p.replace(type=types[p.name])
-                           for p in edit.payload], py_annotation)
+                           for p in edit.payload], UML_TO_PY)
         return [_on_line(doc, "set-annotation", line_no, layout.lparen + 1,
                          layout.rparen, sig)]
 
@@ -350,14 +351,11 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
             return [_param_type_edit(doc, member, edit.param_index,
                                      edit.payload)]
         layout, line_no = _layout(doc, member)
-        spelled = py_annotation(edit.payload)
-        if layout.ret is not None:
-            start, end, arrow = layout.ret_start, layout.ret_end, "->"
-        else:  # right after the ')'
-            start = end = layout.rparen + 1
-            arrow = " ->"
-        return [_on_line(doc, "set-annotation", line_no, start, end,
-                         f"{arrow} {spelled}" if spelled else "")]
+        # an unannotated return is unknown, which no type mismatches
+        assert layout.ret is not None
+        spelled = spell_type(edit.payload, "python", UML_TO_PY)
+        return [_on_line(doc, "set-annotation", line_no, layout.ret_start,
+                         layout.ret_end, f"-> {spelled}" if spelled else "")]
 
     raise EditConflictError(f"unknown code edit kind {edit.kind!r}")
 
@@ -374,7 +372,7 @@ def _param_type_edit(doc: CodeDocument, method: Method, index: int,
                      wanted: TypeRef) -> CodeEdit:
     layout, line_no = _layout(doc, method)
     pl = layout.params[index + 1]  # params[0] is the receiver
-    spelled = py_annotation(wanted)
+    spelled = spell_type(wanted, "python", UML_TO_PY)
     start, end = ((pl.annot_start, pl.annot_end) if pl.annotation is not None
                   else (pl.name_end, pl.name_end))
     return _on_line(doc, "set-annotation", line_no, start, end,

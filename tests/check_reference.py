@@ -13,11 +13,19 @@ from __future__ import annotations
 from modelsync.consistency import (_KIND_ORDER, ClassMatch, Finding,
                                    FindingKind, InputDescriptor, Location,
                                    MatchOptions, MatchResult, MemberPair,
-                                   Report, _emit, _emit_link,
-                                   _has_named_evidence, _loc, _pair_renames,
-                                   _what)
+                                   Report, _emit, _emit_link, _loc,
+                                   _pair_renames, _what)
 from modelsync.model import (Attribute, ClassDef, ClassModel, Method,
                              TypeRef, normalize_name, type_equivalent)
+
+
+def _has_named_evidence(t: TypeRef) -> bool:
+    """True when a type pins down a name somewhere (named or named[])."""
+    if t.kind == "named":
+        return True
+    if t.kind == "collection":
+        return _has_named_evidence(t.element)
+    return False
 
 
 def match_models(design: ClassModel, code: ClassModel,

@@ -12,7 +12,20 @@ from typing import NamedTuple
 from modelsync.consistency import Finding, FindingKind
 from modelsync.correction import CorrectionSet
 from modelsync.model import ClassDef, Method
-from modelsync.pycode import py_annotation
+
+# the type names the code spells differently from the model
+_PY_NAMES = {"String": "str", "boolean": "bool"}
+
+
+def py_annotation(t) -> str | None:
+    """How the code annotates with model type ``t``: its name through
+    ``_PY_NAMES``, ``None`` for void, ``list[X]`` for a collection; None
+    when it writes no annotation (unknown, or a collection of it)."""
+    if t.kind == "collection":
+        inner = py_annotation(t.element)
+        return inner and f"list[{inner}]"
+    return {"named": _PY_NAMES.get(t.name, t.name), "void": "None"}.get(
+        t.kind)
 
 
 class CorrectionEdit(NamedTuple):

@@ -11,7 +11,7 @@ class Book:
         pass
     def isBorrowed(self) -> bool:
         pass
-    def setBorrowed(self, borrowed: bool):
+    def setBorrowed(self, borrowed: bool) -> None:
         pass
 
 class User:
@@ -44,9 +44,9 @@ class Library:
                         return "Book returned successfully"
         return "Book is not available"
 
-    def borrowBook(self, user: User, book: Book):
+    def borrowBook(self, user: User, book: Book) -> None:
         pass
-    def checkLendingStatus(self):
+    def checkLendingStatus(self) -> None:
         pass
 
 class UserCard:

@@ -11,7 +11,7 @@ class Book:
         pass
     def isBorrowed(self) -> bool:
         pass
-    def setBorrowed(self, borrowed: bool):
+    def setBorrowed(self, borrowed: bool) -> None:
         pass
 
 class User:
@@ -63,9 +63,9 @@ class Library:
             for book in user.borrowed_books:
                 if (datetime.datetime.now() - book.borrow_date).days > 14:
                     print(f"User {user.name} with phone number {user.phone} has an overdue book: {book.title}")
-    def borrowBook(self, user: User, book: Book):
+    def borrowBook(self, user: User, book: Book) -> None:
         pass
-    def checkLendingStatus(self):
+    def checkLendingStatus(self) -> None:
         pass
 
 class UserCard:

@@ -893,6 +893,18 @@ def test_sync_adds_the_future_import_above_a_string_expression(capsys,
     exec(compile(written, "c.py", "exec"), {})
 
 
+def test_sync_adds_no_future_import_for_an_unannotated_list(capsys,
+                                                            tmp_path):
+    # the stub assigns its collection attribute [] and takes no parameter
+    written = _sync_model_wins(
+        capsys, tmp_path,
+        "class A {\n  +f()\n}\n\nclass B {\n  -cs: Amount[]\n}\n",
+        "class A:\n    def f(self):\n        pass\n")
+    assert written == ("class A:\n    def f(self):\n        pass\n\n"
+                       "class B:\n    def __init__(self):\n"
+                       "        self.cs = []\n")
+
+
 def test_sync_adds_no_second_future_import(capsys, tmp_path):
     code_text = ("from __future__ import annotations\n\n"
                  "class A:\n    def f(self):\n        pass\n")
@@ -1025,30 +1037,26 @@ def test_sync_releases_the_input_before_it_encodes_the_rewritten_side(
 
 
 UNPARSABLE_AFTER_SYNC_MODEL = """@startuml
-class A {
-  +go(x: int): int
+class FooBar {
 }
 @enduml
 """
-UNPARSABLE_AFTER_SYNC_CODE = """class A:
-    def go(self, x: int) -> int:
-        return x
-
-    def extra(self, y: Optional[str]) -> list[int]:
-        return []
+UNPARSABLE_AFTER_SYNC_CODE = """class Foobar:
+    pass
 """
 
 
 def test_sync_unparsable_output_writes_nothing(capsys, tmp_path):
-    # code-wins copies `extra` into the model, whose types PlantUML rejects
+    # under exact names the classes differ, so union adds each to the other
+    # side, but both parsers refuse two names that differ only in case
     model = tmp_path / "m.puml"
     code = tmp_path / "c.py"
     model.write_text(UNPARSABLE_AFTER_SYNC_MODEL, encoding="utf-8")
     code.write_text(UNPARSABLE_AFTER_SYNC_CODE, encoding="utf-8")
-    status, out, err = run(capsys, "sync", model, code,
-                           "--policy", "code-wins", "--in-place")
+    status, out, err = run(capsys, "sync", model, code, "--policy", "union",
+                           "--name-mode", "exact", "--in-place")
     assert status == 2
-    assert "invalid type 'list[int]'" in err
+    assert "class 'Foobar' already declared" in err
     assert "nothing written" in err
     assert out == ""
     assert model.read_text(encoding="utf-8") == UNPARSABLE_AFTER_SYNC_MODEL
@@ -1495,3 +1503,72 @@ def test_a_none_return_extracts_as_void_and_checks_clean(capsys, tmp_path):
     assert "  +grow(n: int): void\n" in out
     status, out, _ = run(capsys, "check", model, code)
     assert status == 0, out
+
+
+def _sync_pair(capsys, tmp_path, model_text: str, code_text: str,
+               policy: str):
+    model, code = tmp_path / "m.puml", tmp_path / "c.py"
+    model.write_text(model_text, encoding="utf-8")
+    code.write_text(code_text, encoding="utf-8")
+    status, out, err = run(capsys, "sync", model, code, "--policy", policy,
+                           "--in-place")
+    assert status == 0, err
+    return model, code, out
+
+
+def test_model_wins_writes_a_void_return_as_none(capsys, tmp_path):
+    model, code, out = _sync_pair(
+        capsys, tmp_path, "@startuml\nclass A {\n  +f(): void\n}\n@enduml\n",
+        "class A:\n    def f(self) -> int:\n        return 1\n",
+        "model-wins")
+    assert "change the return type of 'f' to 'None' in the code" in out
+    assert code.read_text(encoding="utf-8") == \
+        "class A:\n    def f(self) -> None:\n        return 1\n"
+    assert run(capsys, "check", model, code)[0] == 0
+
+
+def test_model_wins_writes_a_typed_collection_that_imports(capsys, tmp_path):
+    model, code, out = _sync_pair(
+        capsys, tmp_path,
+        "@startuml\nclass A {\n  +g(xs: Book[]): int\n}\n@enduml\n",
+        "class A:\n    def g(self, xs: int) -> int:\n        return 0\n",
+        "model-wins")
+    assert "change parameter 'xs' of 'g' to 'list[Book]' in the code" in out
+    written = code.read_text(encoding="utf-8")
+    assert "    def g(self, xs: list[Book]) -> int:\n" in written
+    # Book is defined nowhere, so only the future import lets it load
+    subprocess.run([sys.executable, str(code)], check=True)
+    assert run(capsys, "check", model, code)[0] == 0
+
+
+def test_code_wins_copies_subscripted_annotations_as_plantuml(capsys,
+                                                             tmp_path):
+    model, code, _ = _sync_pair(
+        capsys, tmp_path, "@startuml\nclass A {\n  +go(x: int): int\n}\n"
+        "@enduml\n",
+        "class A:\n    def go(self, x: int) -> int:\n        return x\n\n"
+        "    def extra(self, y: Optional[str]) -> list[int]:\n"
+        "        return []\n", "code-wins")
+    assert "  +extra(y: str): int[]\n" in model.read_text(encoding="utf-8")
+
+
+def test_extract_of_subscripts_and_optionals_checks_clean(capsys, tmp_path):
+    code = tmp_path / "c.py"
+    code.write_text(
+        "from typing import Optional\n\n"
+        "class Shelf:\n"
+        "    def __init__(self, titles: list[str], size: Optional[int]):\n"
+        "        self.titles = titles\n"
+        "        self.size = size\n"
+        "    def find(self, n: int | None) -> Optional[str]:\n"
+        "        pass\n", encoding="utf-8")
+    status, out, _ = run(capsys, "extract", code)
+    assert status == 0
+    assert out == ("@startuml\nclass Shelf {\n  -titles: str[]\n"
+                   "  -size: int\n  +Shelf(titles: str[], size: int)\n"
+                   "  +find(n: int): str\n}\n@enduml\n")
+    model = tmp_path / "m.puml"
+    model.write_text(out, encoding="utf-8")
+    status, out, err = run(capsys, "check", model, code)
+    assert (status, err) == (0, "")
+    assert "consistent" in out

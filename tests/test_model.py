@@ -10,10 +10,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from modelsync.model import (Attribute, ClassDef, ClassModel, Method,
-                             Parameter, TypeRef, DEFAULT_TYPE_EQUIVALENCES,
+from modelsync.errors import ParseError
+from modelsync.model import (MAX_COLLECTION_DEPTH, UML_TO_PY, Attribute,
+                             ClassDef, ClassModel, Method, Parameter,
+                             TypeRef, DEFAULT_TYPE_EQUIVALENCES,
                              make_type_table, model_equal, normalize_name,
-                             sha256_hex, type_equivalent)
+                             read_type, sha256_hex, spell_type,
+                             type_equivalent)
 
 from modelgen import make_plantuml_model, shuffled_copy
 
@@ -165,3 +168,100 @@ def test_sha256_hex_falls_back_to_hashlib():
         check=True, env={**os.environ, "PYTHONPATH": str(src),
                          "PYTHONDONTWRITEBYTECODE": "1"}).stdout
     assert out == hashlib.sha256(b"modelsync").hexdigest() + "\n"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("int", TypeRef.named("int")),
+    ("None", TypeRef.void()),
+    ("void", TypeRef.named("void")),
+    ("list", TypeRef.named("list")),
+    ("list[Book]", TypeRef.collection(TypeRef.named("Book"))),
+    ("List [ Book ]", TypeRef.collection(TypeRef.named("Book"))),
+    ("Sequence[Book]", TypeRef.collection(TypeRef.named("Book"))),
+    ("set[Book]", TypeRef.collection(TypeRef.named("Book"))),
+    ("list[None]", TypeRef.collection(TypeRef.void())),
+    ("Optional[int]", TypeRef.named("int")),
+    ("int | None", TypeRef.named("int")),
+    ("None|int", TypeRef.named("int")),
+    ("list[Optional[str]]", TypeRef.collection(TypeRef.named("str"))),
+    ("Optional[list[list[int]]] | None",
+     TypeRef.collection(TypeRef.collection(TypeRef.named("int")))),
+    ("dict[str, int]", TypeRef.unknown()),
+    ("tuple[int]", TypeRef.unknown()),
+    ("typing.List[int]", TypeRef.unknown()),
+    ("'Book'", TypeRef.unknown()),
+    ("int | str", TypeRef.unknown()),
+    ("list[a.B]", TypeRef.unknown()),
+    ("list[int] | list[str]", TypeRef.unknown()),
+    ("list[int]]", TypeRef.unknown()),
+    ("list[]", TypeRef.unknown()),
+])
+def test_read_type_reads_python_by_the_table(text, expected):
+    assert read_type(text, "python") == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("int", TypeRef.named("int")),
+    ("void", TypeRef.void()),
+    ("None", TypeRef.named("None")),
+    ("Book [] []",
+     TypeRef.collection(TypeRef.collection(TypeRef.named("Book")))),
+])
+def test_read_type_reads_plantuml_by_the_table(text, expected):
+    assert read_type(text, "plantuml") == expected
+
+
+@pytest.mark.parametrize("text", ["list[Book]", "Optional[int]", "a.B",
+                                  "int | None", "[]"])
+def test_read_type_refuses_other_plantuml_at_its_line(text):
+    with pytest.raises(ParseError) as err:
+        read_type(text, "plantuml", "m.puml", 7)
+    assert (err.value.artifact, err.value.line) == ("m.puml", 7)
+    assert "invalid type" in str(err.value)
+
+
+@pytest.mark.parametrize("depth", [MAX_COLLECTION_DEPTH + 1, 300])
+@pytest.mark.parametrize("dialect, spell", [
+    ("plantuml", lambda depth: "int" + "[]" * depth),
+    ("python", lambda depth: "list[" * depth + "int" + "]" * depth),
+    ("python", lambda depth: "Optional[list[" * depth + "int" + "]]" * depth),
+])
+def test_read_type_refuses_nesting_past_its_limit(depth, dialect, spell):
+    with pytest.raises(ParseError) as err:
+        read_type(spell(depth), dialect, "f", 3)
+    assert err.value.line == 3
+    assert f"'int' is nested in {depth} collections" in str(err.value)
+
+
+def test_spell_type_writes_nothing_for_unknown_types():
+    for dialect in ("plantuml", "python"):
+        assert spell_type(TypeRef.unknown(), dialect) is None
+        assert spell_type(TypeRef.collection(TypeRef.collection(
+            TypeRef.unknown())), dialect) is None
+
+
+@st.composite
+def _spelled_types(draw, names) -> TypeRef:
+    """A named or void type nested in up to the most collections allowed."""
+    t = draw(st.one_of(st.builds(TypeRef.named, names),
+                       st.just(TypeRef.void())))
+    for _ in range(draw(st.integers(0, MAX_COLLECTION_DEPTH))):
+        t = TypeRef.collection(t)
+    return t
+
+
+# the model's own names, but for the two that spell void
+_model_names = identifiers.filter(lambda name: name not in ("void", "None"))
+
+
+@given(_spelled_types(_model_names), st.sampled_from(["plantuml", "python"]))
+def test_read_type_reads_back_what_spell_type_writes(t, dialect):
+    assert read_type(spell_type(t, dialect), dialect) == t
+
+
+@given(_spelled_types(st.one_of(st.sampled_from(list(UML_TO_PY)),
+                                _model_names)))
+def test_python_names_read_back_as_equivalent_types(t):
+    read = read_type(spell_type(t, "python", UML_TO_PY), "python")
+    assert read.kind != "unknown"
+    assert type_equivalent(read, t)

@@ -7,7 +7,10 @@ and member-line rework.  On every input both must give equal documents
 exemptions are named below: inputs the reference skipped or modelled
 although they are not Python, which the parser now rejects, and an
 undeclared relationship endpoint, which the reference rejected at no line
-and the parser rejects at its arrow's line.
+and the parser rejects at its arrow's line.  The reference kept every
+Python annotation but ``-> None`` as a type of that name; its models are
+compared after :func:`_reference_parse_code` reads those names by
+README's table of type spellings.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from modelsync.errors import ParseError
+from modelsync.model import TypeRef, read_type
 from modelsync.plantuml import parse_plantuml, render_plantuml
 from modelsync.pycode import parse_code, render_code_skeleton, scan_attr_line
 
@@ -33,6 +37,67 @@ from modelgen import (make_code_model, make_large_code_model,
 # a top-level class header the reference skipped and the parser rejects
 _BASE_CLASS_HEADER = re.compile(r"class\s(?!\s*\w+\s*:\s*(?:#.*)?$)")
 _WORD = re.compile(r"\w+")
+
+
+# the subscripts README's table reads through: True for a collection
+_WRAPPERS = {"list": True, "List": True, "Sequence": True, "set": True,
+             "Optional": False}
+
+
+def _python_type(tokens: list[str]) -> TypeRef:
+    """The type that an annotation, split into ``tokens``, spells by
+    README's table, by recursive descent."""
+    parts: list[list[str]] = [[]]
+    depth = 0
+    for token in tokens:
+        depth += (token == "[") - (token == "]")
+        if depth < 0:
+            return TypeRef.unknown()
+        if token == "|" and depth == 0:
+            parts.append([])
+        else:
+            parts[-1].append(token)
+    if depth:
+        return TypeRef.unknown()
+    if len(parts) > 1:  # a union of None with one other type is that type
+        others = [part for part in parts if part != ["None"]]
+        if not others:
+            return TypeRef.void()
+        return (_python_type(others[0]) if len(others) == 1
+                else TypeRef.unknown())
+    if tokens == ["None"]:
+        return TypeRef.void()
+    if len(tokens) == 1 and _WORD.fullmatch(tokens[0]):
+        return TypeRef.named(tokens[0])
+    if (len(tokens) >= 3 and tokens[0] in _WRAPPERS and tokens[1] == "["
+            and tokens[-1] == "]"):
+        inner = _python_type(tokens[2:-1])
+        if inner.kind != "unknown" and _WRAPPERS[tokens[0]]:
+            return TypeRef.collection(inner)
+        return inner
+    return TypeRef.unknown()
+
+
+def _read_by_table(t: TypeRef) -> TypeRef:
+    if t.kind == "collection":
+        return TypeRef.collection(_read_by_table(t.element))
+    if t.kind == "named":
+        return _python_type(re.findall(r"\w+|\S", t.name))
+    return t
+
+
+def _reference_parse_code(text: str):
+    """The reference's parse of ``text``, each type it named read again by
+    README's table."""
+    doc = parse_reference.parse_code(text)
+    for cls in doc.model.classes:
+        for attr in cls.attributes:
+            attr.type = _read_by_table(attr.type)
+        for method in cls.methods:
+            method.return_type = _read_by_table(method.return_type)
+            for p in method.params:
+                p.type = _read_by_table(p.type)
+    return doc
 
 
 def _outcome(parse, text: str):
@@ -50,7 +115,7 @@ def _same_code_parse(text: str) -> None:
     if any(_BASE_CLASS_HEADER.match(line) for line in lines):
         return  # rejected now, skipped by the reference
     outcome = _outcome(parse_code, text)
-    reference = _outcome(parse_reference.parse_code, text)
+    reference = _outcome(_reference_parse_code, text)
     if outcome != reference:
         # a def header that is not Python: rejected now at its line,
         # modelled by the reference
@@ -105,7 +170,7 @@ def test_code_parser_matches_reference_on_a_large_document():
     assert len({c.name for c in model.classes}) == 150
     assert text.count("    def ") >= 150 * 12
     assert _outcome(parse_code, text) == \
-        _outcome(parse_reference.parse_code, text)
+        _outcome(_reference_parse_code, text)
 
 
 # blanks that str.lstrip() and the regular expressions' \s both take
@@ -138,7 +203,7 @@ def _unicode_spaced_class(draw) -> str:
 @given(_unicode_spaced_class())
 def test_code_parser_matches_reference_on_unicode_blanks(text):
     assert _outcome(parse_code, text) == \
-        _outcome(parse_reference.parse_code, text)
+        _outcome(_reference_parse_code, text)
 
 
 _PARAMS = ", ".join(f"p{i}: T{i % 7}" if i % 3 else f"p{i}"
@@ -164,7 +229,7 @@ def test_code_parser_matches_reference_on_long_headers(header):
     started = time.perf_counter()
     outcome = _outcome(parse_code, text)
     elapsed = time.perf_counter() - started
-    assert outcome == _outcome(parse_reference.parse_code, text)
+    assert outcome == _outcome(_reference_parse_code, text)
     # a match that backtracked super-linearly would take far longer
     assert elapsed < 0.5
 
@@ -176,7 +241,7 @@ def test_code_parser_matches_reference_on_long_attribute_lines(rhs):
     started = time.perf_counter()
     outcome = _outcome(parse_code, text)
     elapsed = time.perf_counter() - started
-    assert outcome == _outcome(parse_reference.parse_code, text)
+    assert outcome == _outcome(_reference_parse_code, text)
     assert elapsed < 0.5
 
 
@@ -297,3 +362,18 @@ _FENCED = "```plantuml\n@startuml\nclass A {\n}\n@enduml\n```\n"
 @example(["```plantuml", "@startuml", "}", "```", "@enduml"], "\r\n")
 def test_plantuml_region_matches_reference(lines, newline):
     _same_plantuml_parse(newline.join(lines))
+
+
+_annotation_token = st.sampled_from(
+    ["list", "List", "Sequence", "set", "Optional", "dict", "None", "int",
+     "Book", "[", "]", "|", ",", ".", "'", " "])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_annotation_token, max_size=12))
+@example(["list", "[", "int", "]", "|", "list", "[", "str", "]"])
+@example(["None", "|", "Optional", "[", "None", "]", "|", "None"])
+def test_python_annotations_read_as_by_recursive_descent(tokens):
+    text = "".join(tokens)
+    assert read_type(text, "python") == \
+        _python_type(re.findall(r"\w+|\S", text))

@@ -6,9 +6,8 @@ import pytest
 
 from modelsync.errors import (DuplicateClassError, MissingRegionError,
                               ParseError)
-from modelsync.model import model_equal
-from modelsync.plantuml import (MAX_COLLECTION_DEPTH, parse_plantuml,
-                                render_plantuml)
+from modelsync.model import MAX_COLLECTION_DEPTH, model_equal
+from modelsync.plantuml import parse_plantuml, render_plantuml
 
 from modelgen import make_plantuml_model
 from helpers import class_named

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from modelsync.errors import (DuplicateClassError, DuplicateMemberError,
                               OverlappingEditsError, ParseError,
                               SpanOutOfRangeError)
-from modelsync.model import ClassModel, SourceSpan, TypeRef, model_equal
+from modelsync.model import (MAX_COLLECTION_DEPTH, ClassModel, SourceSpan,
+                             TypeRef, model_equal)
 from modelsync.plantuml import parse_plantuml
 from modelsync import pycode
 from modelsync.pycode import (CodeDocument, CodeEdit, apply_code_edits,
@@ -99,8 +100,33 @@ def test_a_none_return_is_the_void_type():
                      "    def stop(self, x: None):\n        pass\n")
     go, stop = doc.model.classes[0].methods
     assert go.return_type == TypeRef.void()
-    # only a return reads None as void
-    assert stop.params[0].type == TypeRef.named("None")
+    # a parameter reads None as void too
+    assert stop.params[0].type == TypeRef.void()
+
+
+def test_annotations_read_by_the_type_table():
+    doc = parse_code("class A:\n"
+                     "    def __init__(self, xs: list[Book], n: int | None):\n"
+                     "        self.xs = xs\n"
+                     "    def go(self, d: dict[str, int]) -> Optional[str]:\n"
+                     "        pass\n")
+    ctor, go = doc.model.classes[0].methods
+    books = TypeRef.collection(TypeRef.named("Book"))
+    assert [p.type for p in ctor.params] == [books, TypeRef.named("int")]
+    assert doc.model.classes[0].attributes[0].type == books
+    assert go.params[0].type == TypeRef.unknown()
+    assert go.return_type == TypeRef.named("str")
+
+
+def test_annotation_nesting_past_its_limit_rejected_at_its_line():
+    depth = MAX_COLLECTION_DEPTH + 1
+    nested = "list[" * depth + "int" + "]" * depth
+    with pytest.raises(ParseError) as err:
+        parse_code(f"class A:\n    def ok(self, x: int):\n        pass\n"
+                   f"    def f(self) -> {nested}:\n        pass\n",
+                   artifact="c.py")
+    assert (err.value.artifact, err.value.line) == ("c.py", 4)
+    assert f"nested in {depth} collections" in str(err.value)
 
 
 def test_class_level_garbage_rejected():
@@ -166,6 +192,21 @@ def test_skeleton_round_trip_random_models():
         model = make_code_model(random.Random(seed))
         skeleton = render_code_skeleton(model)
         assert model_equal(parse_code(skeleton).model, model), f"seed {seed}"
+
+
+def test_skeleton_extracts_to_each_method_s_own_types():
+    # void returns and typed collections included
+    for seed in range(1, 401):
+        model = make_plantuml_model(random.Random(seed))
+        extracted = parse_code(render_code_skeleton(model)).model
+        for cls in model.classes:
+            methods = {m.name: m for m in class_named(extracted,
+                                                      cls.name).methods}
+            for m in cls.methods:
+                back = methods[m.name]
+                assert back.return_type == m.return_type, f"seed {seed}"
+                assert [p.type for p in back.params] == \
+                    [p.type for p in m.params], f"seed {seed}"
 
 
 def test_skeleton_from_merged_model_defines_added_classes(merged_model_text):
