@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the recorded chat exchanges under fixtures/llm/.
 
-Each exchange pairs a prompt built from the bundled sample inputs with the
-recorded response text in fixtures/responses/, keyed by the content hash of
-the full request.  Run from the repository root after changing prompt
-templates or the sample inputs, then commit the refreshed fixtures.
+Each exchange pairs the chat request that ``make_request`` builds from the
+bundled sample inputs, a JSON object recorded as it is, with the recorded
+response text in fixtures/responses/, keyed by the content hash of that
+object.  Run from the repository root after changing prompt templates or
+the sample inputs, then commit the refreshed fixtures.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from modelsync.llm import (ChatRequest, PromptKind, make_request,
-                           request_key)
+from modelsync.llm import PromptKind, make_request, request_key
 
 FIXTURES = ROOT / "fixtures"
 LLM_DIR = FIXTURES / "llm"
 RESPONSES = FIXTURES / "responses"
 
 
-def exchanges() -> list[tuple[str, ChatRequest, Path]]:
+def exchanges() -> list[tuple[str, dict, Path]]:
     """Each fixture's file name, its request and its response file."""
     problem = (FIXTURES / "library_problem.txt").read_text(encoding="utf-8")
     drift_model = (FIXTURES / "library_v1_drifted_model.puml").read_text(
@@ -45,11 +45,11 @@ def exchanges() -> list[tuple[str, ChatRequest, Path]]:
     ]
 
 
-def record_exchange(path: Path, request: ChatRequest, content: str) -> str:
+def record_exchange(path: Path, request: dict, content: str) -> str:
     """Write one replayable exchange file; returns its key, the request's
     hash."""
     key = request_key(request)
-    exchange = {"key": key, "request": request.to_json(),
+    exchange = {"key": key, "request": request,
                 "response": {"content": content}}
     path.write_text(json.dumps(exchange, indent=2) + "\n", encoding="utf-8")
     return key

@@ -559,12 +559,11 @@ def _emit_link(out: list[Finding], mc: ClassDef, cc: ClassDef,
           cc, link.model, link.code, param_index=param_index)
 
 
-def _code_reference_pairs(code: ClassModel,
-                          opts: MatchOptions) -> set[frozenset[str]]:
-    """Unordered class pairs evidenced by typed attributes or ctor params."""
-    key_of = name_key(opts.name_mode)
-    class_keys = {key_of(c.name): c.name for c in code.classes}
-
+def _code_reference_pairs(code: ClassModel, key_of,
+                          class_names: dict[str, str]
+                          ) -> set[frozenset[str]]:
+    """Unordered class pairs, by key, evidenced by typed attributes or ctor
+    params; ``class_names`` maps each code class's key to its name."""
     pairs: set[frozenset[str]] = set()
     for cls in code.classes:
         sources: list[TypeRef] = [a.type for a in cls.attributes]
@@ -573,17 +572,17 @@ def _code_reference_pairs(code: ClassModel,
             sources.extend(p.type for p in ctor.params)
         for t in sources:
             leaf = t.leaf
-            target = (class_keys.get(key_of(leaf.name))
-                      if leaf.kind == "named" else None)
-            if target and key_of(target) != key_of(cls.name):
-                pairs.add(frozenset((key_of(cls.name), key_of(target))))
+            target = key_of(leaf.name) if leaf.kind == "named" else None
+            if target in class_names and target != key_of(cls.name):
+                pairs.add(frozenset((key_of(cls.name), target)))
     return pairs
 
 
 def _relationship_findings(out: list[Finding], design: ClassModel,
                            code: ClassModel, opts: MatchOptions) -> None:
-    evidence = _code_reference_pairs(code, opts)
     key_of = name_key(opts.name_mode)
+    class_names = {key_of(c.name): c.name for c in code.classes}
+    evidence = _code_reference_pairs(code, key_of, class_names)
     model_pairs: set[frozenset[str]] = set()
     for rel in design.relationships:
         pair = frozenset((key_of(rel.left), key_of(rel.right)))
@@ -594,10 +593,9 @@ def _relationship_findings(out: list[Finding], design: ClassModel,
                   Location(rel.left, f"--{rel.right}"), None,
                   f"relationship{label} between '{rel.left}' and "
                   f"'{rel.right}' has no code-side evidence")
-    canonical_to_name = {key_of(c.name): c.name for c in code.classes}
     for pair in sorted(evidence, key=sorted):
         if pair not in model_pairs:
-            left, right = sorted(canonical_to_name.get(k, k) for k in pair)
+            left, right = sorted(class_names.get(k, k) for k in pair)
             _emit(out, FindingKind.RELATIONSHIP_MISSING_IN_MODEL, None,
                   Location(left, f"--{right}"),
                   f"code references between '{left}' and '{right}' have "

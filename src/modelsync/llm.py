@@ -18,7 +18,6 @@ import re
 import time
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
 from .config import Config
 from .errors import (GenerationUnparsableError, MissingInputError,
@@ -81,36 +80,18 @@ def build_prompt(kind: PromptKind, **inputs: str) -> str:
                                     instruction=_INSTRUCTIONS[kind])
 
 
-class ChatMessage(NamedTuple):
-    role: str
-    content: str
-
-
-class ChatRequest(NamedTuple):
-    model: str = DEFAULT_MODEL_NAME
-    temperature: float = DEFAULT_TEMPERATURE
-    messages: tuple[ChatMessage, ...] = ()
-
-    def to_json(self) -> dict:
-        return {"model": self.model, "temperature": self.temperature,
-                "messages": [{"role": m.role, "content": m.content}
-                             for m in self.messages]}
-
-
 def make_request(kind: PromptKind, inputs: dict[str, str],
-                 model_name: str = DEFAULT_MODEL_NAME) -> ChatRequest:
-    prompt = build_prompt(kind, **inputs)
-    return ChatRequest(model_name, DEFAULT_TEMPERATURE,
-                       (ChatMessage("user", prompt),))
+                 model_name: str = DEFAULT_MODEL_NAME) -> dict:
+    """The chat request for ``kind``: the JSON object that is posted,
+    hashed into its fixture key and recorded."""
+    return {"model": model_name, "temperature": DEFAULT_TEMPERATURE,
+            "messages": [{"role": "user",
+                          "content": build_prompt(kind, **inputs)}]}
 
 
-def request_key(request: ChatRequest) -> str:
+def request_key(request: dict) -> str:
     """Content hash of the full request; the fixture lookup key."""
-    return _json_key(request.to_json())
-
-
-def _json_key(data) -> str:
-    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(request, sort_keys=True, separators=(",", ":"))
     return sha256_hex(canonical.encode("utf-8"))
 
 
@@ -119,7 +100,7 @@ def _recorded_answer(data) -> tuple[str, str]:
     "request", "response": {"content"}}``; ValueError when ``data`` is not
     one, or its key is not the hash of its request."""
     key = data.get("key") if isinstance(data, dict) else None
-    if not isinstance(key, str) or key != _json_key(data.get("request")):
+    if not isinstance(key, str) or key != request_key(data.get("request")):
         raise ValueError("not a JSON object whose 'key' hashes its 'request'")
     response = data.get("response")
     content = response.get("content") if isinstance(response, dict) else None
@@ -145,7 +126,7 @@ class FixtureTransport:
                 raise TransportError(f"bad fixture {file}: {exc}") from exc
             self._answers[key] = content
 
-    def send(self, request: ChatRequest) -> str:
+    def send(self, request: dict) -> str:
         key = request_key(request)
         answer = self._answers.get(key)
         if answer is None:
@@ -195,11 +176,11 @@ class HttpTransport:
         self._post = post or _urllib_post
         self._sleep = sleep or time.sleep
 
-    def send(self, request: ChatRequest) -> str:
+    def send(self, request: dict) -> str:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        data = json.dumps(request.to_json()).encode("utf-8")
+        data = json.dumps(request).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(HTTP_ATTEMPTS):
             if attempt:

@@ -182,6 +182,8 @@ _UNKNOWN = TypeRef("unknown")
 MAX_COLLECTION_DEPTH = 32
 _NAME_RE = re.compile(r"\w+")
 _VOID_SPELLING = {"plantuml": "void", "python": "None"}
+# both dialects read both void keywords: neither can name a type by one
+_VOID_KEYWORDS = frozenset(_VOID_SPELLING.values())
 # a layer around a Python type: a subscript NAME[T], None | T or T | None,
 # with T in the last group matched; re's cache compiles it on first use
 _PY_LAYER = r"(\w+)\s*\[(.*)\]|None\s*\|(.*)|(.*)\|\s*None"
@@ -214,7 +216,7 @@ def read_type(text: str, dialect: str, artifact: str = "",
         raise ParseError(f"type {t!r} is nested in {depth} collections, "
                          f"more than {MAX_COLLECTION_DEPTH}",
                          artifact=artifact, line=line, col=1)
-    if t == _VOID_SPELLING[dialect]:
+    if t in _VOID_KEYWORDS:
         parsed = TypeRef("void")
     elif _NAME_RE.fullmatch(t):
         parsed = TypeRef("named", t)

@@ -12,12 +12,13 @@ canonically, and compiles code edits down to span-based text patches
 (spliced by :mod:`.pywrite`), so method bodies and comments survive
 byte-for-byte.  Insertions that share a line go innermost block first: a
 line added to a constructor that ends its class before the stubs appended
-to that class, and those before an added class.  When an edit may annotate
-with a name Python does not define, ``from __future__ import annotations``
-goes in before the first future import, else after a module docstring,
-else before the first line that is not a comment.  The rest asks for
-corrections on the terminal, re-parses ``sync``'s outputs and names the
-paths they go to; ``modelsync.cli`` writes them.
+to that class, and those before an added class.  The future import follows
+the names the code edits spell: when one of them is a name Python does not
+define, ``from __future__ import annotations`` goes in before the first
+future import, else after a module docstring, else before the first line
+that is not a comment.  The rest asks for corrections on the terminal,
+re-parses ``sync``'s outputs and names the paths they go to;
+``modelsync.cli`` writes them.
 
 Only ``sync`` imports this module, when it runs, so ``check`` and ``gen``
 never compile it; the old import paths (``modelsync.correction.apply``,
@@ -90,6 +91,7 @@ def apply(design: ClassModel, code_doc: CodeDocument,
     # the copy of each edited design object, by the id of the original
     memo: dict[int, object] = {}
     code_edits: list[CodeEdit] = []
+    names = _Spellings()
     # attribute insertions into classes lacking a constructor are grouped,
     # one synthesized __init__ per class
     ctorless_attrs: dict[int, tuple[ClassDef, list[Attribute]]] = {}
@@ -110,18 +112,18 @@ def apply(design: ClassModel, code_doc: CodeDocument,
             signatures.append(edit)
         else:
             code_edits.extend(_compile_code_edit(
-                code_doc, edit, ctorless_attrs, signature_types))
+                code_doc, edit, ctorless_attrs, signature_types, names))
 
     for edit in signatures:
         code_edits.extend(_compile_code_edit(
-            code_doc, edit, ctorless_attrs, signature_types))
+            code_doc, edit, ctorless_attrs, signature_types, names))
     for cls, attrs in ctorless_attrs.values():
         code_edits.append(_insertion(
             code_doc, "insert-member", cls.span.start_line + 1,
             init_stub(" " * member_indent(code_doc, cls), [], attrs,
-                      UML_TO_PY)))
+                      names)))
     code_edits += _emptied_body_fills(code_doc, code_edits)
-    code_edits += _future_import(code_doc, chosen)
+    code_edits += _future_import(code_doc, names)
     code_edits += _final_newline(code_doc, code_edits)
     # the splice keeps the listed order of insertions at one point, so
     # this closes the innermost block first
@@ -255,35 +257,26 @@ def _final_newline(doc: CodeDocument, edits: list[CodeEdit]
     return [_insertion(doc, "insert-newline", end, [""])]
 
 
-def _annotated_types(edit: CorrectionEdit) -> list[TypeRef]:
-    """The types a code edit may write as annotations."""
-    if edit.kind == "change-type":
-        return [edit.payload]
-    if edit.kind == "change-signature":
-        return [p.type for p in edit.payload]
-    if edit.kind == "add-class":
-        cls = edit.payload
-        # a stub without a constructor takes as parameters the attributes
-        # that are not collections
-        types = [] if cls.constructor() else [
-            a.type for a in cls.attributes if a.type.kind != "collection"]
-        methods = cls.methods
-    elif edit.kind == "add-member" and isinstance(edit.payload, Method):
-        types, methods = [], [edit.payload]
-    else:
-        return []
-    return types + [t for m in methods
-                    for t in (m.return_type, *(p.type for p in m.params))]
+class _Spellings(dict):
+    """``UML_TO_PY``, remembering what it gave for each name looked up
+    through it: the type names that the code edits of one ``apply`` call
+    spell."""
+
+    def __init__(self) -> None:
+        super().__init__(UML_TO_PY)
+        self.spelled: set[str] = set()
+
+    def get(self, name, default=None):
+        spelled = super().get(name, default)
+        self.spelled.add(spelled)
+        return spelled
 
 
-def _future_import(doc: CodeDocument, chosen: list[CorrectionEdit]
-                   ) -> list[CodeEdit]:
-    """The import that leaves annotations unevaluated, when a code edit may
-    annotate with a name Python does not define and the text lacks it, at
-    the line :func:`.pywrite.future_import_line` picks."""
-    names = {spell_type(t.leaf, "python", UML_TO_PY) for e in chosen
-             if e.side == "code" for t in _annotated_types(e)} - {None}
-    if names.issubset(vars(builtins)):
+def _future_import(doc: CodeDocument, names: _Spellings) -> list[CodeEdit]:
+    """The import that leaves annotations unevaluated, when the code edits
+    spelled a name Python does not define and the text lacks it, at the
+    line :func:`.pywrite.future_import_line` picks."""
+    if names.spelled.issubset(vars(builtins)):
         return []
     line = future_import_line(doc)
     if line is None:
@@ -295,14 +288,14 @@ def _future_import(doc: CodeDocument, chosen: list[CorrectionEdit]
 def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                        ctorless_attrs: dict[int, tuple[ClassDef,
                                                        list[Attribute]]],
-                       signature_types: dict[int, dict[str, TypeRef]]
-                       ) -> list[CodeEdit]:
+                       signature_types: dict[int, dict[str, TypeRef]],
+                       names: _Spellings) -> list[CodeEdit]:
     if edit.kind == "add-class":
         last_line = max((c.span.end_line for c in doc.model.classes
                          if c.span is not None),
                         default=dialect_lines(doc)[1])
         return [_insertion(doc, "insert-class", last_line + 1, [
-            "", *render_class_stub(edit.payload, UML_TO_PY)])]
+            "", *render_class_stub(edit.payload, names)])]
 
     cls = edit.cls
     assert cls is not None and cls.span is not None
@@ -323,7 +316,7 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
                                    " " * body_indent(doc, ctor), member)])]
         return [_insertion(doc, "insert-member", cls.span.end_line + 1,
                            method_stub(" " * member_indent(doc, cls),
-                                       member, UML_TO_PY))]
+                                       member, names))]
 
     member = edit.member
     assert member is not None and member.span is not None
@@ -339,21 +332,21 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
         layout, line_no = _layout(doc, member)
         types = signature_types[id(member)]
         sig = params_text([p.replace(type=types[p.name])
-                           for p in edit.payload], UML_TO_PY)
+                           for p in edit.payload], names)
         return [_on_line(doc, "set-annotation", line_no, layout.lparen + 1,
                          layout.rparen, sig)]
 
     if edit.kind == "change-type":
         if isinstance(member, Attribute):
             return _attr_type_edit(doc, cls, member, edit.payload,
-                                   signature_types)
+                                   signature_types, names)
         if edit.param_index is not None:
             return [_param_type_edit(doc, member, edit.param_index,
-                                     edit.payload)]
+                                     edit.payload, names)]
         layout, line_no = _layout(doc, member)
         # an unannotated return is unknown, which no type mismatches
         assert layout.ret is not None
-        spelled = spell_type(edit.payload, "python", UML_TO_PY)
+        spelled = spell_type(edit.payload, "python", names)
         return [_on_line(doc, "set-annotation", line_no, layout.ret_start,
                          layout.ret_end, f"-> {spelled}" if spelled else "")]
 
@@ -369,10 +362,10 @@ def _on_line(doc: CodeDocument, kind: str, line: int, start: int, end: int,
 
 
 def _param_type_edit(doc: CodeDocument, method: Method, index: int,
-                     wanted: TypeRef) -> CodeEdit:
+                     wanted: TypeRef, names: _Spellings) -> CodeEdit:
     layout, line_no = _layout(doc, method)
     pl = layout.params[index + 1]  # params[0] is the receiver
-    spelled = spell_type(wanted, "python", UML_TO_PY)
+    spelled = spell_type(wanted, "python", names)
     start, end = ((pl.annot_start, pl.annot_end) if pl.annotation is not None
                   else (pl.name_end, pl.name_end))
     return _on_line(doc, "set-annotation", line_no, start, end,
@@ -381,8 +374,8 @@ def _param_type_edit(doc: CodeDocument, method: Method, index: int,
 
 def _attr_type_edit(doc: CodeDocument, cls: ClassDef, attr: Attribute,
                     wanted: TypeRef,
-                    signature_types: dict[int, dict[str, TypeRef]]
-                    ) -> list[CodeEdit]:
+                    signature_types: dict[int, dict[str, TypeRef]],
+                    names: _Spellings) -> list[CodeEdit]:
     layout, line_no = _layout(doc, attr)
     ctor = cls.constructor()
     assert ctor is not None  # code attributes are assigned in __init__
@@ -395,7 +388,7 @@ def _attr_type_edit(doc: CodeDocument, cls: ClassDef, attr: Attribute,
             if types is not None and p.name in types:
                 types[p.name] = wanted
                 return []
-            return [_param_type_edit(doc, ctor, i, wanted)]
+            return [_param_type_edit(doc, ctor, i, wanted, names)]
     return [_on_line(doc, "set-annotation", line_no, layout.rhs_start,
                      layout.rhs_end, placeholder_rhs(wanted))]
 

@@ -1,12 +1,18 @@
 """Lookups the tests use to inspect models, rename distances and def
-lines."""
+lines, and the drifted pairs of the mutation suite."""
 
 from __future__ import annotations
 
+import functools
+import random
+
 from modelsync.consistency import levenshtein
 from modelsync.model import ClassDef, ClassModel
+from modelsync.plantuml import render_plantuml
+from modelsync.pycode import render_code_skeleton
 
 import defline_reference
+from modelgen import OPERATORS, make_code_model, mutate
 
 
 def class_named(model: ClassModel, name: str) -> ClassDef | None:
@@ -31,3 +37,40 @@ def reference_accepts_non_python(line: str) -> bool:
     return layout is not None and (
         ":" in (layout.ret or "")
         or any(p.default == "" for p in layout.params))
+
+
+@functools.cache
+def mutation_pairs(mutations: int) -> tuple[tuple[int, bool, str, str], ...]:
+    """(seed, stacked, model text, code text) for the mutation suite's
+    first ``mutations`` seeds that mutate, as ``test_acceptance`` draws
+    them, each followed by the same seed with three further mutations
+    stacked on the same side; ``seed`` is the ``random.Random`` seed, and
+    ``stacked`` tells the second pair from the first.  Made once per
+    pytest process and shared by the tests that ask."""
+    pairs = []
+    seed = 0
+    found = 0
+    while found < mutations:
+        seed += 1
+        rng = random.Random(20_000 + seed)
+        base = make_code_model(rng)
+        side = "model" if seed % 2 else "code"
+        mutation = mutate(rng, base, OPERATORS[seed % len(OPERATORS)], side)
+        if mutation is None:
+            continue
+        found += 1
+        mutated = [mutation.mutated]
+        stacked = mutation.mutated
+        for _ in range(3):
+            if not stacked.classes:
+                break
+            more = mutate(rng, stacked, rng.choice(OPERATORS), side)
+            stacked = more.mutated if more is not None else stacked
+        mutated.append(stacked)
+        for is_stacked, model in zip((False, True), mutated):
+            model_side, code_side = ((model, base) if side == "model"
+                                     else (base, model))
+            pairs.append((20_000 + seed, is_stacked,
+                          render_plantuml(model_side),
+                          render_code_skeleton(code_side)))
+    return tuple(pairs)

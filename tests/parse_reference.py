@@ -262,7 +262,9 @@ def _parse_type(text: str, artifact: str, line_no: int) -> TypeRef:
     t = text.strip()
     if t.endswith("[]"):
         return TypeRef.collection(_parse_type(t[:-2], artifact, line_no))
-    if t == "void":
+    # Python's void keyword reads as void too (it once read as a type named
+    # None)
+    if t in ("void", "None"):
         return TypeRef.void()
     if not re.fullmatch(r"\w+", t):
         raise ParseError(f"invalid type {text.strip()!r}",

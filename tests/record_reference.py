@@ -231,17 +231,3 @@ class CorrectionSet:
     finding: Finding
     alternatives: tuple
 
-
-# --- llm.py ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str
-
-
-@dataclass(frozen=True)
-class ChatRequest:
-    model: str = "gpt-4-0613"
-    temperature: float = 0.0
-    messages: tuple = ()

@@ -15,13 +15,13 @@ from modelsync.consistency import check
 from modelsync.correction import Policy, apply, propose, resolve
 from modelsync.errors import ModelSyncError
 from modelsync.model import Attribute, ClassModel, SourceSpan
-from modelsync.plantuml import parse_plantuml, render_plantuml
+from modelsync.plantuml import parse_plantuml
 from modelsync.pycode import (CodeDocument, CodeEdit, apply_code_edits,
-                              parse_code, render_code_skeleton)
+                              parse_code)
 
 from apply_reference import reference_apply_code_edits, reference_model
 from conftest import fixture_text
-from modelgen import OPERATORS, make_code_model, mutate
+from helpers import mutation_pairs
 
 POLICIES = (Policy.MODEL_WINS, Policy.CODE_WINS, Policy.UNION)
 FIXTURE_PAIRS = [
@@ -31,37 +31,6 @@ FIXTURE_PAIRS = [
     ("library_v1_model.puml", "library_v2_code.py"),
     ("library_v2_model.puml", "library_v1_drifted_code.py"),
 ]
-
-
-def _mutation_pairs(mutations: int):
-    """(model text, code text) for the mutation suite's first
-    ``mutations`` seeds that mutate, as ``test_acceptance`` draws them,
-    each followed by the same seed with three further mutations stacked on
-    the same side."""
-    seed = 0
-    found = 0
-    while found < mutations:
-        seed += 1
-        rng = random.Random(20_000 + seed)
-        base = make_code_model(rng)
-        side = "model" if seed % 2 else "code"
-        mutation = mutate(rng, base, OPERATORS[seed % len(OPERATORS)], side)
-        if mutation is None:
-            continue
-        found += 1
-        mutated = [mutation.mutated]
-        stacked = mutation.mutated
-        for _ in range(3):
-            if not stacked.classes:
-                break
-            more = mutate(rng, stacked, rng.choice(OPERATORS), side)
-            stacked = more.mutated if more is not None else stacked
-        mutated.append(stacked)
-        for model in mutated:
-            if side == "model":
-                yield render_plantuml(model), render_code_skeleton(base)
-            else:
-                yield render_plantuml(base), render_code_skeleton(model)
 
 
 def _apply_with_reference(design, code_doc, chosen, monkeypatch):
@@ -135,7 +104,7 @@ def test_apply_matches_reference_on_fixtures(pair, monkeypatch):
 
 def test_apply_matches_reference_over_mutations(monkeypatch):
     pairs = 0
-    for model_text, code_text in _mutation_pairs(300):
+    for _, _, model_text, code_text in mutation_pairs(300):
         _check_pair(model_text, code_text, monkeypatch)
         pairs += 1
     assert pairs == 600

@@ -905,6 +905,17 @@ def test_sync_adds_no_future_import_for_an_unannotated_list(capsys,
                        "        self.cs = []\n")
 
 
+def test_sync_adds_no_future_import_for_a_retype_to_a_placeholder(
+        capsys, tmp_path):
+    # an attribute assigned a literal is retyped by a placeholder, which
+    # spells no annotation
+    written = _sync_model_wins(
+        capsys, tmp_path, "class A {\n  +x: Amount\n}\n",
+        "class A:\n    def __init__(self):\n        self.x = True\n")
+    assert written == \
+        "class A:\n    def __init__(self):\n        self.x = None\n"
+
+
 def test_sync_adds_no_second_future_import(capsys, tmp_path):
     code_text = ("from __future__ import annotations\n\n"
                  "class A:\n    def f(self):\n        pass\n")
@@ -1524,6 +1535,25 @@ def test_model_wins_writes_a_void_return_as_none(capsys, tmp_path):
     assert "change the return type of 'f' to 'None' in the code" in out
     assert code.read_text(encoding="utf-8") == \
         "class A:\n    def f(self) -> None:\n        return 1\n"
+    assert run(capsys, "check", model, code)[0] == 0
+
+
+def test_code_wins_reads_a_void_annotation_as_the_void_type(capsys,
+                                                           tmp_path):
+    model, code, _ = _sync_pair(
+        capsys, tmp_path, "@startuml\nclass A {\n  +f(): int\n}\n@enduml\n",
+        "class A:\n    def f(self) -> void:\n        pass\n", "code-wins")
+    assert model.read_text(encoding="utf-8") == \
+        "@startuml\nclass A {\n  +f(): void\n}\n@enduml\n"
+    assert run(capsys, "check", model, code)[0] == 0
+
+
+def test_model_wins_reads_a_none_type_in_the_model_as_void(capsys, tmp_path):
+    model, code, _ = _sync_pair(
+        capsys, tmp_path, "@startuml\nclass A {\n  +g(): None\n}\n@enduml\n",
+        "class A:\n    def g(self) -> int:\n        pass\n", "model-wins")
+    assert code.read_text(encoding="utf-8") == \
+        "class A:\n    def g(self) -> None:\n        pass\n"
     assert run(capsys, "check", model, code)[0] == 0
 
 

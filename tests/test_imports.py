@@ -16,10 +16,12 @@ schema (``modelsync.report_schema``) is loaded only when
 ``modelsync.cli.REPORT_JSON_SCHEMA`` is read.  ``propose`` copies members
 through the records rather than ``copy.deepcopy``, and ``apply`` puts
 those copies in the model as they are, so no command loads ``copy``.
+Each library module also reads every name its module-level imports bind.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -185,3 +187,40 @@ def test_report_schema_loads_when_read():
     assert REPORT_JSON_SCHEMA["properties"]["version"] == {"const": 1}
     with pytest.raises(AttributeError, match="no_such_name"):
         cli.no_such_name
+
+
+def _module_imports(tree: ast.Module):
+    """The names the module-level imports of ``tree`` bind, with their
+    lines, those in ``try``/``except`` fallbacks included."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Try):
+            pending += node.body + node.orelse + node.finalbody
+            for handler in node.handlers:
+                pending += handler.body
+        elif (isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                yield bound, node.lineno
+
+
+def test_library_imports_only_what_it_uses():
+    """Each module-level import of ``src/modelsync`` is read somewhere in
+    its module; a name the package lists in ``__all__`` counts as read."""
+    unused = []
+    for path in sorted((SRC / "modelsync").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                read |= set(ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line}: {name}"
+                   for name, line in _module_imports(tree)
+                   if name not in read]
+    assert unused == []

@@ -173,7 +173,7 @@ def test_sha256_hex_falls_back_to_hashlib():
 @pytest.mark.parametrize("text, expected", [
     ("int", TypeRef.named("int")),
     ("None", TypeRef.void()),
-    ("void", TypeRef.named("void")),
+    ("void", TypeRef.void()),  # PlantUML's keyword: no Python type name
     ("list", TypeRef.named("list")),
     ("list[Book]", TypeRef.collection(TypeRef.named("Book"))),
     ("List [ Book ]", TypeRef.collection(TypeRef.named("Book"))),
@@ -203,7 +203,7 @@ def test_read_type_reads_python_by_the_table(text, expected):
 @pytest.mark.parametrize("text, expected", [
     ("int", TypeRef.named("int")),
     ("void", TypeRef.void()),
-    ("None", TypeRef.named("None")),
+    ("None", TypeRef.void()),  # Python's keyword: no PlantUML type name
     ("Book [] []",
      TypeRef.collection(TypeRef.collection(TypeRef.named("Book")))),
 ])

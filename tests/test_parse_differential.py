@@ -65,7 +65,7 @@ def _python_type(tokens: list[str]) -> TypeRef:
             return TypeRef.void()
         return (_python_type(others[0]) if len(others) == 1
                 else TypeRef.unknown())
-    if tokens == ["None"]:
+    if tokens in (["None"], ["void"]):  # either dialect's void keyword
         return TypeRef.void()
     if len(tokens) == 1 and _WORD.fullmatch(tokens[0]):
         return TypeRef.named(tokens[0])
@@ -365,8 +365,8 @@ def test_plantuml_region_matches_reference(lines, newline):
 
 
 _annotation_token = st.sampled_from(
-    ["list", "List", "Sequence", "set", "Optional", "dict", "None", "int",
-     "Book", "[", "]", "|", ",", ".", "'", " "])
+    ["list", "List", "Sequence", "set", "Optional", "dict", "None", "void",
+     "int", "Book", "[", "]", "|", ",", ".", "'", " "])
 
 
 @settings(max_examples=500, deadline=None)

@@ -23,7 +23,6 @@ from modelsync.consistency import (ClassMatch, Finding, FindingKind,
                                    InputDescriptor, Location, MatchOptions,
                                    MatchResult, MemberPair, Report)
 from modelsync.correction import CorrectionEdit, CorrectionSet
-from modelsync.llm import ChatMessage, ChatRequest
 from modelsync.model import (Attribute, ClassDef, ClassModel, Method,
                              Parameter, Record, Relationship, SourceSpan,
                              TypeRef, Visibility)
@@ -69,7 +68,6 @@ _payload = (st.none() | _text | _type | st.tuples(_param) | _class
             | _member)
 _edit = st.builds(CorrectionEdit, _text, _text, st.none() | _class,
                   st.none() | _member, _opt_int, _payload)
-_message = st.builds(ChatMessage, _text, _text)
 
 # (record, its reference, one strategy per field in order)
 RECORDS = [
@@ -124,9 +122,6 @@ RECORDS = [
       _opt_int, _payload]),
     (CorrectionSet, ref.CorrectionSet,
      [_finding, st.tuples(_edit)]),
-    (ChatMessage, ref.ChatMessage, [_text, _text]),
-    (ChatRequest, ref.ChatRequest,
-     [_text, st.floats(allow_nan=True), st.tuples(_message)]),
 ]
 
 
@@ -168,7 +163,7 @@ def _assert_same(new, old, names) -> None:
 
 
 def test_every_record_has_a_reference():
-    assert len({new for new, _, _ in RECORDS}) == len(RECORDS) == 24
+    assert len({new for new, _, _ in RECORDS}) == len(RECORDS) == 22
     for new, old, strategies in RECORDS:
         fields = dataclasses.fields(old)
         assert _field_names(new) == tuple(f.name for f in fields)
