@@ -174,7 +174,7 @@ class TypeRef(_TypeRefFields):
         return self.kind
 
 
-# the default type of a parameter or attribute; TypeRefs never change
+# the one unknown type, shared by records and parsers; TypeRefs never change
 _UNKNOWN = TypeRef("unknown")
 
 # the most collections one type may nest in: what reads a TypeRef (str,

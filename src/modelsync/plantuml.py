@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .errors import (DuplicateClassError, DuplicateMemberError,
                      MissingRegionError, ParseError)
 from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
-                    Relationship, SourceSpan, TypeRef, Visibility,
+                    Relationship, SourceSpan, TypeRef, Visibility, _UNKNOWN,
                     normalize_name, read_type, spell_type)
 
 _CLASS_RE = re.compile(r"^class\s+(\w+)\s*\{$")
@@ -141,9 +141,9 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
     lines = text.split("\n")
 
     model = ClassModel()
-    seen_classes: dict[str, int] = {}
+    seen_classes: set[str] = set()
     # one TypeRef per type spelling; None spells the unknown type
-    types: dict[str | None, TypeRef] = {None: TypeRef.unknown()}
+    types: dict[str | None, TypeRef] = {None: _UNKNOWN}
     cur: ClassDef | None = None
     cur_start = 0
     member_keys: set[tuple[str, int]] = set()
@@ -164,7 +164,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
                     raise DuplicateClassError(
                         f"class {name!r} already declared",
                         artifact=artifact, line=line_no)
-                seen_classes[key] = line_no
+                seen_classes.add(key)
                 cur = ClassDef(name)
                 cur_start = line_no
                 member_keys = set()

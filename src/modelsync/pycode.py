@@ -44,8 +44,8 @@ from typing import NamedTuple
 
 from .errors import DuplicateClassError, DuplicateMemberError, ParseError
 from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
-                    Record, SourceSpan, TypeRef, Visibility, normalize_name,
-                    read_type)
+                    Record, SourceSpan, TypeRef, Visibility, _UNKNOWN,
+                    normalize_name, read_type)
 from .plantuml import fenced_block
 
 _CLASS_RE = re.compile(r"class\s+(\w+)\s*:\s*(?:#.*)?$")
@@ -75,7 +75,6 @@ _PLAIN_DEF_RE = re.compile(
 _PLAIN_PARAM_RE = re.compile(r"(\w+)\s*(?::\s*([^,]*[^,\s]))?")
 _ATTR_RE = re.compile(r"(\s*)self\.(\w+)\s*=\s*(\S(?:.*\S)?)\s*$")
 
-_UNKNOWN = TypeRef("unknown")
 _BOOLEAN = TypeRef("named", "boolean")
 # the type of an attribute assigned a literal
 _LITERAL_TYPES = {"True": _BOOLEAN, "False": _BOOLEAN,

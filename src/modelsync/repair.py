@@ -7,8 +7,8 @@ policy:
 * ``union`` adds missing entities to whichever side lacks them and, for
   value conflicts, imposes the preferred side's value (default: model)
 
-``apply`` then edits the model copy-on-write, to be re-rendered
-canonically, and compiles code edits down to span-based text patches
+``apply`` then builds the edited model, to be re-rendered canonically,
+and compiles code edits down to span-based text patches
 (spliced by :mod:`.pywrite`), so method bodies and comments survive
 byte-for-byte.  Insertions that share a line go innermost block first: a
 line added to a constructor that ends its class before the stubs appended
@@ -23,7 +23,7 @@ re-parses ``sync``'s outputs and names the paths they go to;
 Only ``sync`` imports this module, when it runs, so ``check`` and ``gen``
 never compile it; the old import paths (``modelsync.correction.apply``,
 ...) still resolve to the names here.  The code-text half lives in its own
-module because CPython's compile of a module holds memory in proportion to
+module because CPython's compile of a module takes space in proportion to
 its size, on top of the program already loaded: one module of both halves
 raised the peak RSS of a small ``sync`` by about 0.7 MB.
 """
@@ -45,6 +45,11 @@ from .pywrite import (CodeEdit, apply_code_edits, attr_assignment,
                       future_import_line, init_stub, member_indent,
                       method_stub, params_text, placeholder_rhs,
                       render_class_stub)
+
+
+# the kinds of edit that ``CorrectionEdit`` names
+_KINDS = frozenset({"add-class", "add-member", "rename", "change-type",
+                    "change-signature", "remove-class", "remove-member"})
 
 
 class Policy(Enum):
@@ -78,18 +83,18 @@ def apply(design: ClassModel, code_doc: CodeDocument,
     """Apply chosen edits; returns the new model and the patched code text.
 
     The edits must come from ``propose`` on this ``design`` and
-    ``code_doc``; edits of another pair raise StaleReportError.  The model
-    is edited copy-on-write: ``new_model`` holds a copy of each class and
-    member an edit touches, each added class or member is the edit's own
-    payload (``propose`` built it as a private copy), and every other one
-    is shared with ``design``, so treat all of them as values (callers
-    re-render the model).  The code is patched span-wise so untouched
-    bytes survive verbatim.
+    ``code_doc``; edits of another pair raise StaleReportError, and an
+    edit of an unknown kind raises EditConflictError.  ``new_model`` is
+    built once: each class and member an edit changes is a new record,
+    each added one is the edit's own payload (``propose`` built it as a
+    private copy), and every other one is shared with ``design``, so
+    treat all of them as values (callers re-render the model).  The code
+    is patched span-wise so untouched bytes survive verbatim.
     """
+    for edit in chosen:
+        if edit.kind not in _KINDS:
+            raise EditConflictError(f"unknown edit kind {edit.kind!r}")
     _require_pair(design, code_doc, chosen)
-    new_model = ClassModel(list(design.classes), list(design.relationships))
-    # the copy of each edited design object, by the id of the original
-    memo: dict[int, object] = {}
     code_edits: list[CodeEdit] = []
     names = _Spellings()
     # attribute insertions into classes lacking a constructor are grouped,
@@ -107,8 +112,8 @@ def apply(design: ClassModel, code_doc: CodeDocument,
     signatures: list[CorrectionEdit] = []
     for edit in chosen:
         if edit.side == "model":
-            _apply_model_edit(new_model, memo, edit)
-        elif edit.kind == "change-signature":
+            continue
+        if edit.kind == "change-signature":
             signatures.append(edit)
         else:
             code_edits.extend(_compile_code_edit(
@@ -136,81 +141,62 @@ def apply(design: ClassModel, code_doc: CodeDocument,
                if e.side == "code" and e.kind == "remove-member"}
     for edit in signatures:
         _require_kept_sources(code_doc, edit, removed)
-    return new_model, patched
+    model_edits = [e for e in chosen if e.side == "model"]
+    return _edited_model(design, model_edits), patched
 
 
 # --- model-side edits ------------------------------------------------------
 
-def _slot(items: list, obj: object) -> int:
-    """The index of ``obj`` itself in ``items``; ``list.index`` would
-    match the first equal value instead."""
-    return next(i for i, item in enumerate(items) if item is obj)
-
-
-def _own(items: list, memo: dict[int, object], original, make_copy):
-    """The copy of ``original`` in ``items``, made and put in its slot on
-    the first edit; later edits find it in ``memo``."""
-    copied = memo.get(id(original))
-    if copied is None:
-        copied = memo[id(original)] = make_copy(original)
-        items[_slot(items, original)] = copied
-    return copied
-
-
-def _copy_class(cls: ClassDef) -> ClassDef:
-    return cls.replace(attributes=list(cls.attributes),
-                       methods=list(cls.methods))
-
-
-def _copy_member(member):
-    if isinstance(member, Method):
-        return member.replace(params=list(member.params))
-    return member.replace()
-
-
-def _members_like(cls: ClassDef, member) -> list:
-    return cls.attributes if isinstance(member, Attribute) else cls.methods
-
-
-def _apply_model_edit(model: ClassModel, memo: dict[int, object],
-                      edit: CorrectionEdit) -> None:
-    if edit.kind == "add-class":
-        model.classes.append(edit.payload)
-        return
-    if edit.kind == "remove-class":
-        cls = memo.get(id(edit.cls), edit.cls)
-        del model.classes[_slot(model.classes, cls)]
-        key = normalize_name(cls.name)
-        model.relationships = [
-            r for r in model.relationships
-            if key not in (normalize_name(r.left), normalize_name(r.right))]
-        return
-    cls = _own(model.classes, memo, edit.cls, _copy_class)
-    if edit.kind == "add-member":
-        _members_like(cls, edit.payload).append(edit.payload)
-        return
-    members = _members_like(cls, edit.member)
-    if edit.kind == "remove-member":
-        del members[_slot(members, memo.get(id(edit.member), edit.member))]
-        return
-
-    member = _own(members, memo, edit.member, _copy_member)
-    if edit.kind == "rename":
-        member.name = edit.payload
-        return
-    if edit.kind == "change-signature":
-        member.params = list(edit.payload)
-        return
-    if edit.kind == "change-type":
-        if isinstance(member, Attribute):
-            member.type = edit.payload
-        elif edit.param_index is None:
-            member.return_type = edit.payload
+def _edited_model(design: ClassModel,
+                  edits: list[CorrectionEdit]) -> ClassModel:
+    """``design`` with the model edits applied: each class they touch is
+    built once from its edits, and every other class is shared."""
+    by_class: dict[int, list[CorrectionEdit]] = {}
+    for edit in edits:
+        by_class.setdefault(id(edit.cls), []).append(edit)
+    classes, relationships = [], list(design.relationships)
+    for cls in design.classes:
+        own = by_class.get(id(cls), ())
+        if any(e.kind == "remove-class" for e in own):
+            key = normalize_name(cls.name)
+            relationships = [r for r in relationships if key not in (
+                normalize_name(r.left), normalize_name(r.right))]
         else:
-            member.params[edit.param_index] = member.params[
-                edit.param_index].replace(type=edit.payload)
-        return
-    raise EditConflictError(f"unknown model edit kind {edit.kind!r}")
+            classes.append(_edited_class(cls, own) if own else cls)
+    added = [e.payload for e in edits if e.kind == "add-class"]
+    return ClassModel(classes + added, relationships)
+
+
+def _edited_class(cls: ClassDef, edits: list[CorrectionEdit]) -> ClassDef:
+    """A new ``cls`` with its member edits applied: each changed member is
+    a new record, and each unchanged or added one is shared."""
+    # the fields each edited member changes, by its id; None removes it
+    changes: dict[int, dict | None] = {}
+    for edit in edits:
+        if edit.kind == "add-member":
+            continue
+        fields = changes.setdefault(id(edit.member), {})
+        if edit.kind == "remove-member":
+            changes[id(edit.member)] = None
+        elif edit.kind == "rename":
+            fields["name"] = edit.payload
+        elif edit.kind == "change-signature":
+            fields["params"] = list(edit.payload)
+        elif isinstance(edit.member, Attribute):
+            fields["type"] = edit.payload
+        elif edit.param_index is None:
+            fields["return_type"] = edit.payload
+        else:
+            params = fields.setdefault("params", list(edit.member.params))
+            params[edit.param_index] = params[edit.param_index].replace(
+                type=edit.payload)
+    members = [m.replace(**changes[id(m)]) if id(m) in changes else m
+               for m in (*cls.attributes, *cls.methods)
+               if changes.get(id(m), {}) is not None]
+    members += [e.payload for e in edits if e.kind == "add-member"]
+    return cls.replace(
+        attributes=[m for m in members if isinstance(m, Attribute)],
+        methods=[m for m in members if isinstance(m, Method)])
 
 
 # --- code-side edits -------------------------------------------------------
@@ -336,21 +322,19 @@ def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
         return [_on_line(doc, "set-annotation", line_no, layout.lparen + 1,
                          layout.rparen, sig)]
 
-    if edit.kind == "change-type":
-        if isinstance(member, Attribute):
-            return _attr_type_edit(doc, cls, member, edit.payload,
-                                   signature_types, names)
-        if edit.param_index is not None:
-            return [_param_type_edit(doc, member, edit.param_index,
-                                     edit.payload, names)]
-        layout, line_no = _layout(doc, member)
-        # an unannotated return is unknown, which no type mismatches
-        assert layout.ret is not None
-        spelled = spell_type(edit.payload, "python", names)
-        return [_on_line(doc, "set-annotation", line_no, layout.ret_start,
-                         layout.ret_end, f"-> {spelled}" if spelled else "")]
-
-    raise EditConflictError(f"unknown code edit kind {edit.kind!r}")
+    # change-type
+    if isinstance(member, Attribute):
+        return _attr_type_edit(doc, cls, member, edit.payload,
+                               signature_types, names)
+    if edit.param_index is not None:
+        return [_param_type_edit(doc, member, edit.param_index,
+                                 edit.payload, names)]
+    layout, line_no = _layout(doc, member)
+    # an unannotated return is unknown, which no type mismatches
+    assert layout.ret is not None
+    spelled = spell_type(edit.payload, "python", names)
+    return [_on_line(doc, "set-annotation", line_no, layout.ret_start,
+                     layout.ret_end, f"-> {spelled}" if spelled else "")]
 
 
 def _on_line(doc: CodeDocument, kind: str, line: int, start: int, end: int,

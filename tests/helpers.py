@@ -1,5 +1,6 @@
 """Lookups the tests use to inspect models, rename distances and def
-lines, and the drifted pairs of the mutation suite."""
+lines, the drifted pairs of the mutation suite, and pairs drifted on both
+sides."""
 
 from __future__ import annotations
 
@@ -73,4 +74,32 @@ def mutation_pairs(mutations: int) -> tuple[tuple[int, bool, str, str], ...]:
             pairs.append((20_000 + seed, is_stacked,
                           render_plantuml(model_side),
                           render_code_skeleton(code_side)))
+    return tuple(pairs)
+
+
+@functools.cache
+def drift_pairs(seeds: range = range(50_001, 50_401),
+                rounds: tuple[int, ...] = (2, 4)
+                ) -> tuple[tuple[int, int, str, str], ...]:
+    """(seed, k, model text, code text) for two-sided drift: a
+    ``make_code_model`` base drawn from ``random.Random(seed)`` on both
+    sides, then k rounds that each mutate a side the same ``rng`` picks,
+    while it has classes; a mutation that does not apply leaves its side
+    as it was.  The first j rounds of a k-round walk are the j-round walk,
+    so one walk per seed yields the pair for every k in ``rounds``."""
+    pairs = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        base = make_code_model(rng)
+        sides = {"model": base, "code": base}
+        for done in range(1, max(rounds) + 1):
+            side = rng.choice(("model", "code"))
+            if sides[side].classes:
+                mutation = mutate(rng, sides[side], rng.choice(OPERATORS),
+                                  side)
+                if mutation is not None:
+                    sides[side] = mutation.mutated
+            if done in rounds:
+                pairs.append((seed, done, render_plantuml(sides["model"]),
+                              render_code_skeleton(sides["code"])))
     return tuple(pairs)

@@ -65,7 +65,7 @@ def _check_pair(model_text: str, code_text: str, monkeypatch) -> None:
 
         (new_model, new_code), (ref_model, ref_code) = \
             _apply_with_reference(design, code_doc, chosen, monkeypatch)
-        # copy-on-write never writes through to the inputs
+        # the edits never write through to the inputs
         assert design == parse_plantuml(model_text).model, policy
         assert code_doc.model == parse_code(code_text).model, policy
         assert new_model == ref_model, policy
@@ -93,6 +93,25 @@ def _check_pair(model_text: str, code_text: str, monkeypatch) -> None:
         originals = {id(c) for c in design.classes}
         shared = originals & {id(c) for c in new_model.classes}
         assert shared == originals - touched - removed, policy
+        # in an edited class, each member no edit changes is the design's
+        # own object and each one an edit changes is not; each added class
+        # or member is the edit's own payload
+        changed = {id(e.member) for e in model_edits
+                   if e.kind in ("rename", "change-type", "change-signature",
+                                 "remove-member")}
+        new_members = {id(m) for c in new_model.classes
+                       for m in (*c.attributes, *c.methods)}
+        for cls in design.classes:
+            if id(cls) in touched - removed:
+                for m in (*cls.attributes, *cls.methods):
+                    assert (id(m) in new_members) is (
+                        id(m) not in changed), policy
+        new_classes = {id(c) for c in new_model.classes}
+        for e in model_edits:
+            if e.kind == "add-class":
+                assert id(e.payload) in new_classes, policy
+            elif e.kind == "add-member":
+                assert id(e.payload) in new_members, policy
 
 
 @pytest.mark.parametrize("pair", FIXTURE_PAIRS,

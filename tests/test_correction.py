@@ -5,9 +5,10 @@ import random
 import pytest
 
 from modelsync.consistency import FindingKind, check
-from modelsync.correction import (Policy, apply, propose, resolve,
-                                  snake_to_camel)
-from modelsync.errors import OverlappingEditsError, StaleReportError
+from modelsync.correction import (CorrectionEdit, Policy, apply, propose,
+                                  resolve, snake_to_camel)
+from modelsync.errors import (EditConflictError, OverlappingEditsError,
+                              StaleReportError)
 from modelsync.model import model_equal
 from modelsync.plantuml import parse_plantuml, render_plantuml
 from modelsync.pycode import parse_code, render_code_skeleton
@@ -80,6 +81,20 @@ def test_apply_stale_edits_rejected(drifted_model_text, drifted_code_text):
                                                      "def getTitle(self)"))
     with pytest.raises(StaleReportError):
         apply(design, respelled, resolve(sets, Policy.MODEL_WINS))
+
+
+@pytest.mark.parametrize("side", ["model", "code"])
+@pytest.mark.parametrize("with_class", [False, True])
+def test_apply_refuses_an_unknown_edit_kind(side, with_class):
+    design, code_doc, _ = _checked(
+        "@startuml\nclass A {\n  +go(): void\n}\n@enduml\n",
+        "class A:\n    def go(self) -> None:\n        pass\n")
+    cls = (design if side == "model" else code_doc.model).classes[0]
+    edit = CorrectionEdit(side, "swap-member", cls if with_class else None,
+                          cls.methods[0] if with_class else None)
+    with pytest.raises(EditConflictError, match="unknown edit kind "
+                                                "'swap-member'"):
+        apply(design, code_doc, [edit])
 
 
 def test_param_type_alternatives_match_both_directions(drifted_model_text,

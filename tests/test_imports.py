@@ -224,3 +224,46 @@ def test_library_imports_only_what_it_uses():
                    for name, line in _module_imports(tree)
                    if name not in read]
     assert unused == []
+
+
+def _module_level_names(tree: ast.Module):
+    """The names the module-level definitions and assignments of ``tree``
+    bind, with their lines, those under ``try`` and ``if`` included."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Try, ast.If)):
+            pending += node.body + node.orelse
+            pending += [n for h in getattr(node, "handlers", ())
+                        for n in h.body]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for name in (n for t in targets for n in ast.walk(t)):
+                if isinstance(name, ast.Name):
+                    yield name.id, node.lineno
+
+
+def test_library_private_names_are_read():
+    """Each module-level private name of ``src/modelsync`` is read
+    somewhere in the library: as a name, as an attribute or through an
+    import.  A helper that a refactor leaves behind fails here."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "modelsync").glob("*.py"))}
+    read: set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    private = [(name, f"{module}:{line}: {name}")
+               for module, tree in trees.items()
+               for name, line in _module_level_names(tree)
+               if name.startswith("_") and not name.startswith("__")]
+    assert len(private) >= 100  # the walk reaches the modules' names
+    assert [where for name, where in private if name not in read] == []

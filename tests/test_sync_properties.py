@@ -1,28 +1,32 @@
-"""Two properties of ``sync``, over every golden sync pair and the 600
-pairs of the mutation suite, under each policy.
+"""Properties of ``sync``, over every golden sync pair, the 600 pairs of
+the mutation suite and 800 pairs drifted on both sides, under each policy.
 
 (a) Exit 0 means the written pair re-checks with no error finding; exit 1
     names each finding that remains and writes nothing; nothing raises.
 (b) A second ``sync`` of a converged output chooses no correction and
     writes the same bytes.
+(c) The static half: no function of the written code reads a name that
+    nothing binds.  The few outputs that do are pinned by name.
 
 The command runs in process, ``cli.cmd_sync`` itself, with its file reads
-and its write served from a dict, so that some 3,600 runs take seconds.  An
+and its write served from a dict, so that some 8,000 runs take seconds.  An
 exception that ``main`` would turn into an exit status fails the test.
 """
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import io
 import re
+import symtable
 
 import pytest
 
 from modelsync import cli
 
 from conftest import fixture_text
-from helpers import mutation_pairs
+from helpers import drift_pairs, mutation_pairs
 from test_golden import PAIRS
 
 POLICIES = ("model-wins", "code-wins", "union")
@@ -40,6 +44,28 @@ _STACKED_CTOR_PARAMS = {
     20303, 20311, 20321, 20333, 20345, 20349}
 UNCONVERGED = {"model-wins": _STACKED_CTOR_PARAMS, "code-wins": set(),
                "union": _STACKED_CTOR_PARAMS}
+# the drift seeds that do not converge under model-wins and union after
+# 2 and after 4 rounds; each leaves one constructor parameter typed
+# differently on the two sides
+_DRIFT_2 = {50012, 50015, 50066, 50076, 50085, 50159, 50168, 50193, 50205,
+            50208, 50214, 50224, 50232, 50242, 50246, 50283, 50317, 50364,
+            50377, 50387, 50396}
+_DRIFT_4 = _DRIFT_2 | {50029, 50052, 50067, 50069, 50110, 50145, 50149,
+                       50160, 50188, 50238, 50249, 50273, 50274, 50346,
+                       50351, 50357}
+_DRIFT_CTOR_PARAMS = ({(seed, 2) for seed in _DRIFT_2}
+                      | {(seed, 4) for seed in _DRIFT_4})
+DRIFT_UNCONVERGED = {"model-wins": _DRIFT_CTOR_PARAMS, "code-wins": set(),
+                     "union": _DRIFT_CTOR_PARAMS}
+# the names a function of a converged golden output reads that nothing
+# binds: a constructor still assigns from parameters its new signature
+# dropped (ROADMAP item 1)
+_V1_UNBOUND = {"User.__init__: name", "User.__init__: userCard"}
+_CROSS_UNBOUND = {"Book.__init__: author", "User.__init__: phone"}
+GOLDEN_UNBOUND = {("v1", "model-wins"): _V1_UNBOUND,
+                  ("v1", "union"): _V1_UNBOUND,
+                  ("cross", "model-wins"): _CROSS_UNBOUND,
+                  ("cross", "union"): _CROSS_UNBOUND}
 
 
 @pytest.fixture
@@ -72,10 +98,32 @@ def _sync(files: dict[str, bytes], model: bytes, code: bytes,
     return status, out.getvalue(), err.getvalue()
 
 
+def unbound_reads(code: str) -> set[str]:
+    """``FUNCTION: NAME`` for each name that a function of ``code`` reads
+    and that nothing binds: no local or parameter of it or of a function
+    around it, no module-level name and no builtin.  FUNCTION is
+    qualified by the classes around it."""
+    top = symtable.symtable(code, "<sync output>", "exec")
+    bound = {s.get_name() for s in top.get_symbols()
+             if s.is_assigned() or s.is_imported()} | set(vars(builtins))
+    found = set()
+    pending = [(table, "") for table in top.get_children()]
+    while pending:
+        table, outer = pending.pop()
+        name = outer + table.get_name()
+        pending += [(child, name + ".") for child in table.get_children()]
+        if table.get_type() == "function":
+            found |= {f"{name}: {s.get_name()}" for s in table.get_symbols()
+                      if s.is_referenced() and s.is_global()
+                      and s.get_name() not in bound}
+    return found
+
+
 def _holds(files: dict[str, bytes], model: str, code: str,
-           policy: str) -> list[str] | None:
-    """Check (a) and (b) on one pair; the details of the findings that
-    remain, or None when the pair converges."""
+           policy: str) -> tuple[list[str] | None, set[str]]:
+    """Check (a) and (b) on one pair: the details of the findings that
+    remain, or None when the pair converges; and, for (c), what
+    ``unbound_reads`` finds in the written code."""
     status, _, err = _sync(files, model.encode(), code.encode(), policy)
     if status == 1:
         m = _REMAIN.fullmatch(err)
@@ -83,7 +131,7 @@ def _holds(files: dict[str, bytes], model: str, code: str,
         details = [line[4:] for line in m[2].splitlines()]
         assert int(m[1]) == len(details) > 0
         assert OUT_MODEL not in files and OUT_CODE not in files
-        return details
+        return details, set()
     assert status == 0 and err == "", err
     written = files[OUT_MODEL], files[OUT_CODE]
     # the second run checks the written pair: this line says that it has
@@ -92,7 +140,7 @@ def _holds(files: dict[str, bytes], model: str, code: str,
     assert (status, err) == (0, "")
     assert out.startswith("already synchronized; artifacts unchanged\n")
     assert (files[OUT_MODEL], files[OUT_CODE]) == written
-    return None
+    return None, unbound_reads(written[1].decode("utf-8"))
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -100,16 +148,43 @@ def _holds(files: dict[str, bytes], model: str, code: str,
 def test_golden_pairs_converge_and_resync_unchanged(files, pair, policy):
     model, code = (fixture_text(path.removeprefix("fixtures/"))
                    for path in PAIRS[pair])
-    assert _holds(files, model, code, policy) is None
+    assert _holds(files, model, code, policy) == (
+        None, GOLDEN_UNBOUND.get((pair, policy), set()))
+
+
+def _unconverged_and_unbound(files, pairs, policy):
+    """The details of what remains for each pair that does not converge,
+    by its key, and the ``unbound_reads`` of each converged one that has
+    any."""
+    unconverged, unbound = {}, {}
+    for key, model, code in pairs:
+        remains, names = _holds(files, model, code, policy)
+        if remains is not None:
+            unconverged[key] = remains
+        if names:
+            unbound[key] = names
+    return unconverged, unbound
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_mutation_pairs_converge_or_name_what_remains(files, policy):
-    unconverged = {}
-    for seed, stacked, model, code in mutation_pairs(300):
-        remains = _holds(files, model, code, policy)
-        if remains is not None:
-            unconverged[seed, stacked] = remains
+    unconverged, unbound = _unconverged_and_unbound(
+        files, (((seed, stacked), model, code)
+                for seed, stacked, model, code in mutation_pairs(300)),
+        policy)
     assert set(unconverged) == {(seed, True) for seed in UNCONVERGED[policy]}
     for details in unconverged.values():
         assert all(d.startswith("constructor parameter ") for d in details)
+    assert unbound == {}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_drift_on_both_sides_converges_or_names_what_remains(files, policy):
+    unconverged, unbound = _unconverged_and_unbound(
+        files, (((seed, k), model, code)
+                for seed, k, model, code in drift_pairs()), policy)
+    assert set(unconverged) == DRIFT_UNCONVERGED[policy]
+    for details in unconverged.values():
+        assert len(details) == 1
+        assert details[0].startswith("constructor parameter ")
+    assert unbound == {}
