@@ -38,7 +38,8 @@ from pathlib import Path
 from .correction import CorrectionEdit, CorrectionSet, _require_pair
 from .errors import DanglingParameterError, EditConflictError, ParseError
 from .model import (UML_TO_PY, Attribute, ClassDef, ClassModel, Method,
-                    SourceSpan, TypeRef, normalize_name, spell_type)
+                    Parameter, SourceSpan, TypeRef, normalize_name,
+                    spell_type)
 from .pycode import CodeDocument, scan_attr_line, scan_def_line
 from .pywrite import (CodeEdit, apply_code_edits, attr_assignment,
                       block_delete_span, body_indent, dialect_lines,
@@ -95,39 +96,20 @@ def apply(design: ClassModel, code_doc: CodeDocument,
         if edit.kind not in _KINDS:
             raise EditConflictError(f"unknown edit kind {edit.kind!r}")
     _require_pair(design, code_doc, chosen)
-    code_edits: list[CodeEdit] = []
     names = _Spellings()
-    # attribute insertions into classes lacking a constructor are grouped,
-    # one synthesized __init__ per class
-    ctorless_attrs: dict[int, tuple[ClassDef, list[Attribute]]] = {}
-
-    # a retype of a parameter on a def line that also gets a new signature
-    # is folded into that signature when it keeps the parameter's name: the
-    # parameter types it writes, by name, for each re-signed method
-    signature_types: dict[int, dict[str, TypeRef]] = {
-        id(e.member): {p.name: p.type for p in e.payload}
-        for e in chosen if e.side == "code" and e.kind == "change-signature"}
-
-    # compile signatures after the retypes they take in
-    signatures: list[CorrectionEdit] = []
+    by_class: dict[int, list[CorrectionEdit]] = {}
     for edit in chosen:
-        if edit.side == "model":
-            continue
-        if edit.kind == "change-signature":
-            signatures.append(edit)
-        else:
-            code_edits.extend(_compile_code_edit(
-                code_doc, edit, ctorless_attrs, signature_types, names))
-
-    for edit in signatures:
-        code_edits.extend(_compile_code_edit(
-            code_doc, edit, ctorless_attrs, signature_types, names))
-    for cls, attrs in ctorless_attrs.values():
-        code_edits.append(_insertion(
-            code_doc, "insert-member", cls.span.start_line + 1,
-            init_stub(" " * member_indent(code_doc, cls), [], attrs,
-                      names)))
-    code_edits += _emptied_body_fills(code_doc, code_edits)
+        if edit.side == "code" and edit.kind != "add-class":
+            by_class.setdefault(id(edit.cls), []).append(edit)
+    code_edits: list[CodeEdit] = []
+    for cls in code_doc.model.classes:
+        if id(cls) in by_class:
+            code_edits += _edited_code(code_doc, cls, by_class[id(cls)],
+                                       names)
+    added = [e.payload for e in chosen
+             if e.side == "code" and e.kind == "add-class"]
+    if added:
+        code_edits += _added_classes(code_doc, added, names)
     code_edits += _future_import(code_doc, names)
     code_edits += _final_newline(code_doc, code_edits)
     # the splice keeps the listed order of insertions at one point, so
@@ -136,11 +118,6 @@ def apply(design: ClassModel, code_doc: CodeDocument,
 
     patched = (apply_code_edits(code_doc, code_edits)
                if code_edits else code_doc.raw_text)
-    # after the splice, so that overlapping edits are reported as such
-    removed = {id(e.member) for e in chosen
-               if e.side == "code" and e.kind == "remove-member"}
-    for edit in signatures:
-        _require_kept_sources(code_doc, edit, removed)
     model_edits = [e for e in chosen if e.side == "model"]
     return _edited_model(design, model_edits), patched
 
@@ -271,70 +248,108 @@ def _future_import(doc: CodeDocument, names: _Spellings) -> list[CodeEdit]:
                        ["from __future__ import annotations"])]
 
 
-def _compile_code_edit(doc: CodeDocument, edit: CorrectionEdit,
-                       ctorless_attrs: dict[int, tuple[ClassDef,
-                                                       list[Attribute]]],
-                       signature_types: dict[int, dict[str, TypeRef]],
-                       names: _Spellings) -> list[CodeEdit]:
-    if edit.kind == "add-class":
-        last_line = max((c.span.end_line for c in doc.model.classes
-                         if c.span is not None),
-                        default=dialect_lines(doc)[1])
-        return [_insertion(doc, "insert-class", last_line + 1, [
-            "", *render_class_stub(edit.payload, names)])]
+def _added_classes(doc: CodeDocument, classes: list[ClassDef],
+                   names: _Spellings) -> list[CodeEdit]:
+    """A stub of each added class, in the order given, after the last
+    class of ``doc``."""
+    last_line = max((c.span.end_line for c in doc.model.classes),
+                    default=dialect_lines(doc)[1])
+    return [_insertion(doc, "insert-class", last_line + 1,
+                       ["", *render_class_stub(cls, names)])
+            for cls in classes]
 
-    cls = edit.cls
-    assert cls is not None and cls.span is not None
-    if edit.kind == "remove-class":
-        return [CodeEdit("delete-span", block_delete_span(cls.span))]
 
-    if edit.kind == "add-member":
-        member = edit.payload
-        if isinstance(member, Attribute):
-            ctor = cls.constructor()
-            if ctor is None:
-                ctorless_attrs.setdefault(id(cls), (cls, []))[1].append(
-                    member)
-                return []
-            assert ctor.span is not None
-            return [_insertion(doc, "insert-body", ctor.span.end_line + 1,
-                               [attr_assignment(
-                                   " " * body_indent(doc, ctor), member)])]
-        return [_insertion(doc, "insert-member", cls.span.end_line + 1,
-                           method_stub(" " * member_indent(doc, cls),
-                                       member, names))]
+def _edited_code(doc: CodeDocument, cls: ClassDef,
+                 edits: list[CorrectionEdit],
+                 names: _Spellings) -> list[CodeEdit]:
+    """The text edits that apply ``edits`` to ``cls``: its deletions, its
+    insertions, and one compile of each line that declares a member they
+    edit, from all of that member's edits."""
+    ctor = cls.constructor()
+    out: list[CodeEdit] = []
+    stub_attrs: list[Attribute] = []  # added to a class with no __init__
+    by_member: dict[int, list[CorrectionEdit]] = {}
+    for edit in edits:
+        member = edit.payload if edit.kind == "add-member" else edit.member
+        if edit.kind == "remove-class":
+            out.append(CodeEdit("delete-span", block_delete_span(cls.span)))
+        elif edit.kind == "remove-member":
+            out.append(CodeEdit("delete-span",
+                                block_delete_span(member.span)))
+        elif edit.kind != "add-member":
+            by_member.setdefault(id(member), []).append(edit)
+        elif isinstance(member, Method):
+            out.append(_insertion(
+                doc, "insert-member", cls.span.end_line + 1,
+                method_stub(" " * member_indent(doc, cls), member, names)))
+        elif ctor is None:
+            stub_attrs.append(member)
+        else:
+            out.append(_insertion(
+                doc, "insert-body", ctor.span.end_line + 1,
+                [attr_assignment(" " * body_indent(doc, ctor), member)]))
+    if stub_attrs:
+        out.append(_insertion(
+            doc, "insert-member", cls.span.start_line + 1,
+            init_stub(" " * member_indent(doc, cls), [], stub_attrs, names)))
 
-    member = edit.member
-    assert member is not None and member.span is not None
-    if edit.kind == "remove-member":
-        return [CodeEdit("delete-span", block_delete_span(member.span))]
-
-    if edit.kind == "rename":
+    # the new parameter types of each def line, by parameter index, by the
+    # method's id; an attribute whose type comes from a constructor
+    # parameter's annotation is retyped there
+    retypes: dict[int, dict[int, TypeRef]] = {}
+    sources = {p.name: i for i, p in enumerate(ctor.params)} if ctor else {}
+    for member in (*cls.attributes, *cls.methods):
+        own = by_member.get(id(member), ())
+        if not own and id(member) not in retypes:
+            continue
         layout, line_no = _layout(doc, member)
-        return [_on_line(doc, "rename-identifier", line_no, layout.name_start,
-                         layout.name_end, edit.payload)]
-
-    if edit.kind == "change-signature":
-        layout, line_no = _layout(doc, member)
-        types = signature_types[id(member)]
-        sig = params_text([p.replace(type=types[p.name])
-                           for p in edit.payload], names)
-        return [_on_line(doc, "set-annotation", line_no, layout.lparen + 1,
-                         layout.rparen, sig)]
-
-    # change-type
-    if isinstance(member, Attribute):
-        return _attr_type_edit(doc, cls, member, edit.payload,
-                               signature_types, names)
-    if edit.param_index is not None:
-        return [_param_type_edit(doc, member, edit.param_index,
-                                 edit.payload, names)]
-    layout, line_no = _layout(doc, member)
-    # an unannotated return is unknown, which no type mismatches
-    assert layout.ret is not None
-    spelled = spell_type(edit.payload, "python", names)
-    return [_on_line(doc, "set-annotation", line_no, layout.ret_start,
-                     layout.ret_end, f"-> {spelled}" if spelled else "")]
+        params = None  # the new signature
+        for edit in own:
+            if edit.kind == "rename":
+                out.append(_on_line(doc, "rename-identifier", line_no,
+                                    layout.name_start, layout.name_end,
+                                    edit.payload))
+            elif edit.kind == "change-signature":
+                params = edit.payload
+            elif isinstance(member, Attribute) and layout.rhs in sources:
+                retypes.setdefault(id(ctor), {})[sources[layout.rhs]] = \
+                    edit.payload
+            elif isinstance(member, Attribute):
+                out.append(_on_line(doc, "set-annotation", line_no,
+                                    layout.rhs_start, layout.rhs_end,
+                                    placeholder_rhs(edit.payload)))
+            elif edit.param_index is not None:
+                retypes.setdefault(id(member), {})[edit.param_index] = \
+                    edit.payload
+            else:
+                # an unannotated return is unknown, which no type mismatches
+                assert layout.ret is not None
+                spelled = spell_type(edit.payload, "python", names)
+                out.append(_on_line(doc, "set-annotation", line_no,
+                                    layout.ret_start, layout.ret_end,
+                                    f"-> {spelled}" if spelled else ""))
+        types = retypes.get(id(member), {})
+        if params is not None:
+            # the new signature takes in the retypes of the parameters it
+            # keeps; a retype of one it drops writes nothing
+            kept = {member.params[i].name: t for i, t in types.items()}
+            out.append(_on_line(
+                doc, "set-annotation", line_no, layout.lparen + 1,
+                layout.rparen, params_text([
+                    p.replace(type=kept.get(p.name, p.type)) for p in params],
+                    names)))
+            if member is ctor:
+                _require_kept_sources(doc, cls, ctor, params, edits)
+            continue
+        for i, wanted in types.items():
+            pl = layout.params[i + 1]  # params[0] is the receiver
+            spelled = spell_type(wanted, "python", names)
+            start, end = ((pl.annot_start, pl.annot_end)
+                          if pl.annotation is not None
+                          else (pl.name_end, pl.name_end))
+            out.append(_on_line(doc, "set-annotation", line_no, start, end,
+                                f": {spelled}" if spelled else ""))
+    return out + _emptied_body_fills(doc, cls, out)
 
 
 def _on_line(doc: CodeDocument, kind: str, line: int, start: int, end: int,
@@ -345,58 +360,25 @@ def _on_line(doc: CodeDocument, kind: str, line: int, start: int, end: int,
                                      end + 1), payload)
 
 
-def _param_type_edit(doc: CodeDocument, method: Method, index: int,
-                     wanted: TypeRef, names: _Spellings) -> CodeEdit:
-    layout, line_no = _layout(doc, method)
-    pl = layout.params[index + 1]  # params[0] is the receiver
-    spelled = spell_type(wanted, "python", names)
-    start, end = ((pl.annot_start, pl.annot_end) if pl.annotation is not None
-                  else (pl.name_end, pl.name_end))
-    return _on_line(doc, "set-annotation", line_no, start, end,
-                    f": {spelled}" if spelled else "")
-
-
-def _attr_type_edit(doc: CodeDocument, cls: ClassDef, attr: Attribute,
-                    wanted: TypeRef,
-                    signature_types: dict[int, dict[str, TypeRef]],
-                    names: _Spellings) -> list[CodeEdit]:
-    layout, line_no = _layout(doc, attr)
-    ctor = cls.constructor()
-    assert ctor is not None  # code attributes are assigned in __init__
-    for i, p in enumerate(ctor.params):
-        if p.name == layout.rhs:
-            # the attribute's type comes from this parameter's annotation,
-            # so the edit retypes the parameter, in the constructor's new
-            # signature when that keeps it
-            types = signature_types.get(id(ctor))
-            if types is not None and p.name in types:
-                types[p.name] = wanted
-                return []
-            return [_param_type_edit(doc, ctor, i, wanted, names)]
-    return [_on_line(doc, "set-annotation", line_no, layout.rhs_start,
-                     layout.rhs_end, placeholder_rhs(wanted))]
-
-
-def _require_kept_sources(doc: CodeDocument, edit: CorrectionEdit,
-                          removed: set[int]) -> None:
-    """Raise DanglingParameterError when a constructor's new signature
-    drops an annotated parameter that an attribute assignment in its body
-    still reads, and no chosen edit removes that assignment.
+def _require_kept_sources(doc: CodeDocument, cls: ClassDef, ctor: Method,
+                          params: tuple[Parameter, ...],
+                          edits: list[CorrectionEdit]) -> None:
+    """Raise DanglingParameterError when the constructor's new signature
+    ``params`` drops an annotated parameter that an attribute assignment
+    in its body still reads, and none of ``edits`` removes that
+    assignment.
 
     The attribute's type comes from that annotation, so its re-parsed type
     would turn unknown and the re-check would pass without seeing the
     loss.  A dropped unannotated parameter is still written dangling: the
     attribute's type was unknown before and stays so.
     """
-    ctor = edit.member
-    if not ctor.is_constructor:
-        return
     dropped = ({p.name for p in ctor.params if p.type.kind != "unknown"}
-               - {p.name for p in edit.payload})
-    for attr in edit.cls.attributes:
-        if (id(attr) in removed or attr.span is None
-                or not ctor.span.start_line < attr.span.start_line
-                <= ctor.span.end_line):
+               - {p.name for p in params})
+    removed = {id(e.member) for e in edits if e.kind == "remove-member"}
+    for attr in cls.attributes:
+        if (id(attr) in removed or not ctor.span.start_line
+                < attr.span.start_line <= ctor.span.end_line):
             continue
         layout, line_no = _layout(doc, attr)
         if layout.rhs in dropped:
@@ -406,35 +388,33 @@ def _require_kept_sources(doc: CodeDocument, edit: CorrectionEdit,
                 f"of '{ctor.name}' drops")
 
 
-def _emptied_body_fills(doc: CodeDocument, edits: list[CodeEdit]
-                        ) -> list[CodeEdit]:
-    """A ``pass`` for each class or constructor body whose statements the
-    deletions all remove and into which no line is inserted: a member into
-    a class, a body line into a constructor."""
+def _emptied_body_fills(doc: CodeDocument, cls: ClassDef,
+                        edits: list[CodeEdit]) -> list[CodeEdit]:
+    """A ``pass`` for ``cls``'s body or its constructor's, when ``edits``,
+    the class's own, delete all of its statements and insert no line into
+    it: a member into the class, a body line into the constructor."""
     deleted = {n for e in edits if e.kind == "delete-span"
                for n in range(e.span.start_line, e.span.end_line)}
     if not deleted:
         return []
     fills: list[CodeEdit] = []
-    for cls in doc.model.classes:
-        for block, kind in ((cls, "insert-member"),
-                            (cls.constructor(), "insert-body")):
-            if block is None or block.span.start_line in deleted:
-                continue
-            start, end = block.span.start_line, block.span.end_line
-            body = range(start + 1, end + 1)
-            # a kept line that is neither blank nor a comment is a statement
-            if (deleted.isdisjoint(body)
-                    or any(n not in deleted
-                           and doc.line(n).lstrip()[:1] not in ("", "#")
-                           for n in body)
-                    or any(e.kind == kind and start < e.span.start_line
-                           <= end + 1 for e in edits)):
-                continue
-            indent = (member_indent(doc, cls) if block is cls
-                      else body_indent(doc, block))
-            fills.append(_insertion(doc, kind, end + 1,
-                                    [" " * indent + "pass"]))
+    for block, kind in ((cls, "insert-member"),
+                        (cls.constructor(), "insert-body")):
+        if block is None or block.span.start_line in deleted:
+            continue
+        start, end = block.span.start_line, block.span.end_line
+        body = range(start + 1, end + 1)
+        # a kept line that is neither blank nor a comment is a statement
+        if (deleted.isdisjoint(body)
+                or any(n not in deleted
+                       and doc.line(n).lstrip()[:1] not in ("", "#")
+                       for n in body)
+                or any(e.kind == kind and start < e.span.start_line
+                       <= end + 1 for e in edits)):
+            continue
+        indent = (member_indent(doc, cls) if block is cls
+                  else body_indent(doc, block))
+        fills.append(_insertion(doc, kind, end + 1, [" " * indent + "pass"]))
     return fills
 
 

@@ -1,5 +1,6 @@
-"""Differential tests of ``apply`` against its deep-copying predecessor and
-of the one-pass code splice against the per-edit one, both kept in
+"""Differential tests of ``apply`` against its deep-copying predecessor,
+of its code half against the one that compiled one edit at a time, and of
+the one-pass code splice against the per-edit one, all kept in
 ``tests/apply_reference.py``.
 """
 
@@ -19,9 +20,10 @@ from modelsync.plantuml import parse_plantuml
 from modelsync.pycode import (CodeDocument, CodeEdit, apply_code_edits,
                               parse_code)
 
-from apply_reference import reference_apply_code_edits, reference_model
+from apply_reference import (reference_apply_code_edits, reference_code,
+                             reference_model)
 from conftest import fixture_text
-from helpers import mutation_pairs
+from helpers import drift_pairs, mutation_pairs
 
 POLICIES = (Policy.MODEL_WINS, Policy.CODE_WINS, Policy.UNION)
 FIXTURE_PAIRS = [
@@ -127,6 +129,47 @@ def test_apply_matches_reference_over_mutations(monkeypatch):
         _check_pair(model_text, code_text, monkeypatch)
         pairs += 1
     assert pairs == 600
+
+
+# the runs whose code text differs from the reference's on purpose
+CODE_CHANGED: set = set()
+
+
+def _code_outcome(compile_code, code_doc, chosen):
+    """The code text ``compile_code`` writes, or the type of the error it
+    raises."""
+    try:
+        return compile_code(code_doc, chosen)
+    except ModelSyncError as exc:
+        return type(exc)
+
+
+def _corpus(name: str):
+    """(key, model text, code text) for each pair of a corpus."""
+    if name == "fixtures":
+        return ((f"{m}+{c}", fixture_text(m), fixture_text(c))
+                for m, c in FIXTURE_PAIRS)
+    if name == "mutations":
+        return (((seed, stacked), m, c)
+                for seed, stacked, m, c in mutation_pairs(300))
+    return (((seed, k), m, c) for seed, k, m, c in drift_pairs())
+
+
+@pytest.mark.parametrize("corpus", ["fixtures", "mutations", "drift"])
+def test_code_half_matches_reference(corpus):
+    differ = set()
+    for key, model_text, code_text in _corpus(corpus):
+        design = parse_plantuml(model_text).model
+        code_doc = parse_code(code_text)
+        sets = propose(check(design, code_doc.model), design, code_doc)
+        for policy in POLICIES:
+            chosen = resolve(sets, policy)
+            code = _code_outcome(lambda doc, edits: apply(design, doc,
+                                                          edits)[1],
+                                 code_doc, chosen)
+            if code != _code_outcome(reference_code, code_doc, chosen):
+                differ.add((key, policy))
+    assert differ == {k for k in CODE_CHANGED if corpus == "fixtures"}
 
 
 def _random_edits(rng: random.Random, lines: list[str]) -> list[CodeEdit]:

@@ -1133,31 +1133,44 @@ def test_base_class_header_rejected_at_its_line(capsys, tmp_path):
     assert model.read_text(encoding="utf-8") == BASE_CLASS_MODEL
 
 
-DROPPED_PARAM_MODEL = ("@startuml\nclass A {\n  +size: int\n"
-                       "  +A(count: int, extra)\n}\n@enduml\n")
+# the model keeps 'size' as an attribute, of its type or retyped
+DROPPED_PARAM_MODELS = [
+    "@startuml\nclass A {\n  +size: int\n  +A(count: int, extra)\n}\n"
+    "@enduml\n",
+    "@startuml\nclass A {\n  +size: String\n  +A(count: int, extra)\n}\n"
+    "@enduml\n"]
 DROPPED_PARAM_CODE = ("class A:\n    def __init__(self, size: int):\n"
                       "        self.size = size\n")
 
 
-@pytest.mark.parametrize("in_place", [False, True])
+@pytest.mark.parametrize(
+    "in_place, model_text, policy",
+    [(False, DROPPED_PARAM_MODELS[0], "model-wins"),
+     (True, DROPPED_PARAM_MODELS[0], "model-wins"),
+     (False, DROPPED_PARAM_MODELS[1], "model-wins"),
+     (True, DROPPED_PARAM_MODELS[1], "union")],
+    ids=["False", "True", "retyped-model-wins", "retyped-union-in-place"])
 def test_sync_refuses_to_drop_an_assigned_parameter(capsys, tmp_path,
-                                                    in_place):
+                                                    in_place, model_text,
+                                                    policy):
     # the new signature (count, extra) drops 'size', which line 3 still
     # assigns from: the written code raised NameError on A(1, 2)
     model = tmp_path / "m.puml"
     code = tmp_path / "c.py"
-    model.write_text(DROPPED_PARAM_MODEL, encoding="utf-8")
+    model.write_text(model_text, encoding="utf-8")
     code.write_text(DROPPED_PARAM_CODE, encoding="utf-8")
     out_dir = tmp_path / "out"
     where = ["--in-place"] if in_place else ["--out-dir", out_dir]
     status, out, err = run(capsys, "sync", model, code,
-                           "--policy", "model-wins", *where)
+                           "--policy", policy, *where)
     assert status == 1
-    assert f"{code}:3:" in err and "'size'" in err
+    assert err == (f"error: {code}:3: 'self.size' is assigned from "
+                   f"parameter 'size', which the new signature of 'A' "
+                   f"drops\n")
     assert "wrote" not in out
     assert not out_dir.exists()
     assert code.read_text(encoding="utf-8") == DROPPED_PARAM_CODE
-    assert model.read_text(encoding="utf-8") == DROPPED_PARAM_MODEL
+    assert model.read_text(encoding="utf-8") == model_text
 
 
 def test_check_input_not_utf8_exits_three(capsys, pair):

@@ -7,7 +7,7 @@ import pytest
 from modelsync.consistency import FindingKind, check
 from modelsync.correction import (CorrectionEdit, Policy, apply, propose,
                                   resolve, snake_to_camel)
-from modelsync.errors import (EditConflictError, OverlappingEditsError,
+from modelsync.errors import (DanglingParameterError, EditConflictError,
                               StaleReportError)
 from modelsync.model import model_equal
 from modelsync.plantuml import parse_plantuml, render_plantuml
@@ -282,12 +282,16 @@ def test_constructor_signature_takes_in_parameter_retype(policy):
 
 def test_retype_of_a_dropped_constructor_parameter_is_not_lost():
     # the new signature has no 'size' to carry the attribute's type, so
-    # the retype stays beside it and the two edits are refused together
+    # the retype writes nothing and the assignment from the dropped,
+    # annotated parameter is refused at its line
     model_text = ("@startuml\nclass A {\n  +size: String\n"
                   "  +A(count: int, extra)\n}\n@enduml\n")
     code_text = ("class A:\n    def __init__(self, size: int):\n"
                  "        self.size = size\n")
     design, code_doc, report = _checked(model_text, code_text)
-    chosen = resolve(propose(report, design, code_doc), Policy.MODEL_WINS)
-    with pytest.raises(OverlappingEditsError):
-        apply(design, code_doc, chosen)
+    sets = propose(report, design, code_doc)
+    for policy in (Policy.MODEL_WINS, Policy.UNION):
+        with pytest.raises(DanglingParameterError, match=(
+                "^code:3: 'self.size' is assigned from parameter 'size', "
+                "which the new signature of 'A' drops$")):
+            apply(design, code_doc, resolve(sets, policy))
