@@ -339,7 +339,7 @@ def _edited_code(doc: CodeDocument, cls: ClassDef,
                     p.replace(type=kept.get(p.name, p.type)) for p in params],
                     names)))
             if member is ctor:
-                _require_kept_sources(doc, cls, ctor, params, edits)
+                out += _kept_sources(doc, cls, ctor, params, edits)
             continue
         for i, wanted in types.items():
             pl = layout.params[i + 1]  # params[0] is the receiver
@@ -360,32 +360,45 @@ def _on_line(doc: CodeDocument, kind: str, line: int, start: int, end: int,
                                      end + 1), payload)
 
 
-def _require_kept_sources(doc: CodeDocument, cls: ClassDef, ctor: Method,
-                          params: tuple[Parameter, ...],
-                          edits: list[CorrectionEdit]) -> None:
-    """Raise DanglingParameterError when the constructor's new signature
-    ``params`` drops an annotated parameter that an attribute assignment
-    in its body still reads, and none of ``edits`` removes that
-    assignment.
+def _kept_sources(doc: CodeDocument, cls: ClassDef, ctor: Method,
+                  params: tuple[Parameter, ...],
+                  edits: list[CorrectionEdit]) -> list[CodeEdit]:
+    """The edits for each ``self.A = p`` in the constructor's body that
+    none of ``edits`` removes and whose ``p`` its new signature ``params``
+    drops: ``p`` becomes the new parameter whose name canonically matches
+    ``A``, the attribute's name after any rename in ``edits``.
 
-    The attribute's type comes from that annotation, so its re-parsed type
-    would turn unknown and the re-check would pass without seeing the
-    loss.  A dropped unannotated parameter is still written dangling: the
-    attribute's type was unknown before and stays so.
+    With no such parameter, an annotated ``p`` raises
+    DanglingParameterError: the attribute's type comes from that
+    annotation, so its re-parsed type would turn unknown and the re-check
+    would pass without seeing the loss.  An unannotated ``p`` is still
+    written dangling: the attribute's type was unknown before and stays
+    so.
     """
-    dropped = ({p.name for p in ctor.params if p.type.kind != "unknown"}
-               - {p.name for p in params})
+    kept = {p.name for p in params}
+    dropped = {p.name: p for p in ctor.params if p.name not in kept}
     removed = {id(e.member) for e in edits if e.kind == "remove-member"}
+    renamed = {id(e.member): e.payload for e in edits if e.kind == "rename"}
+    out: list[CodeEdit] = []
     for attr in cls.attributes:
         if (id(attr) in removed or not ctor.span.start_line
                 < attr.span.start_line <= ctor.span.end_line):
             continue
         layout, line_no = _layout(doc, attr)
-        if layout.rhs in dropped:
+        if layout.rhs not in dropped:
+            continue
+        key = normalize_name(renamed.get(id(attr), attr.name))
+        source = next((p.name for p in params
+                       if normalize_name(p.name) == key), None)
+        if source is not None:
+            out.append(_on_line(doc, "rename-identifier", line_no,
+                                layout.rhs_start, layout.rhs_end, source))
+        elif dropped[layout.rhs].type.kind != "unknown":
             raise DanglingParameterError(
                 f"{doc.artifact}:{line_no}: 'self.{attr.name}' is assigned "
                 f"from parameter '{layout.rhs}', which the new signature "
                 f"of '{ctor.name}' drops")
+    return out
 
 
 def _emptied_body_fills(doc: CodeDocument, cls: ClassDef,

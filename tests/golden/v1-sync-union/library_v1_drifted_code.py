@@ -17,7 +17,7 @@ class Library:
 
 class User:
     def __init__(self, namae: str):
-        self.namae = name
+        self.namae = namae
         self.userCard = userCard
 
     def getNamae(self):

@@ -131,8 +131,11 @@ def test_apply_matches_reference_over_mutations(monkeypatch):
     assert pairs == 600
 
 
-# the runs whose code text differs from the reference's on purpose
-CODE_CHANGED: set = set()
+# the runs whose code text differs from the reference's on purpose: v1's
+# constructor drops 'name' for 'namae', and 'self.namae = name' now reads
+# the new parameter
+_V1 = "library_v1_drifted_model.puml+library_v1_drifted_code.py"
+CODE_CHANGED = {(_V1, Policy.MODEL_WINS), (_V1, Policy.UNION)}
 
 
 def _code_outcome(compile_code, code_doc, chosen):

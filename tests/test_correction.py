@@ -280,6 +280,32 @@ def test_constructor_signature_takes_in_parameter_retype(policy):
         assert "def __init__(self, size: str, extra):" in new_code
 
 
+@pytest.mark.parametrize("policy", [Policy.MODEL_WINS, Policy.UNION],
+                         ids=lambda p: p.value)
+def test_assignment_from_a_dropped_parameter_reads_the_new_one(policy):
+    # the signature drops 'name' and 'user_card' for 'namae' and
+    # 'userCard': each attribute, under its name after the sync's rename,
+    # reads the new parameter that canonically names it; 'tag', named by
+    # no new parameter, is unannotated and stays as it was
+    model_text = ("@startuml\nclass A {\n  +namae: String\n"
+                  "  +user_card: int\n  +A(namae: String, userCard: int)\n"
+                  "}\n@enduml\n")
+    code_text = ("class A:\n"
+                 "    def __init__(self, name: str, user_card: int, tag):\n"
+                 "        self.name = name\n"
+                 "        self.user_card = user_card\n"
+                 "        self.tag = tag\n")
+    design, code_doc, report = _checked(model_text, code_text)
+    _, new_code = apply(design, code_doc,
+                        resolve(propose(report, design, code_doc), policy))
+    assert new_code == (
+        "class A:\n"
+        "    def __init__(self, namae: str, userCard: int):\n"
+        "        self.namae = namae\n"
+        "        self.user_card = userCard\n"
+        "        self.tag = tag\n")
+
+
 def test_retype_of_a_dropped_constructor_parameter_is_not_lost():
     # the new signature has no 'size' to carry the attribute's type, so
     # the retype writes nothing and the assignment from the dropped,
