@@ -6,7 +6,10 @@ the mutation suite and 800 pairs drifted on both sides, under each policy.
 (b) A second ``sync`` of a converged output chooses no correction and
     writes the same bytes.
 (c) The static half: no function of the written code reads a name that
-    nothing binds.  The few outputs that do are pinned by name.
+    nothing binds.  The exec half: with its imports and classes run, each
+    class constructs from None for each parameter, and each method that
+    takes only ``self`` returns.  The few outputs that fail either are
+    pinned by name.
 
 The command runs in process, ``cli.cmd_sync`` itself, with its file reads
 and its write served from a dict, so that some 8,000 runs take seconds.  An
@@ -15,8 +18,10 @@ exception that ``main`` would turn into an exit status fails the test.
 
 from __future__ import annotations
 
+import ast
 import builtins
 import contextlib
+import inspect
 import io
 import re
 import symtable
@@ -66,6 +71,14 @@ GOLDEN_UNBOUND = {("v1", "model-wins"): _V1_UNBOUND,
                   ("v1", "union"): _V1_UNBOUND,
                   ("cross", "model-wins"): _CROSS_UNBOUND,
                   ("cross", "union"): _CROSS_UNBOUND}
+# the calls that raise in those outputs, by ``failing_calls``: each
+# constructor that reads an unbound name
+_V1_FAILING = {"User.__init__: NameError"}
+_CROSS_FAILING = {"Book.__init__: NameError", "User.__init__: NameError"}
+GOLDEN_FAILING = {("v1", "model-wins"): _V1_FAILING,
+                  ("v1", "union"): _V1_FAILING,
+                  ("cross", "model-wins"): _CROSS_FAILING,
+                  ("cross", "union"): _CROSS_FAILING}
 
 
 @pytest.fixture
@@ -119,11 +132,47 @@ def unbound_reads(code: str) -> set[str]:
     return found
 
 
-def _holds(files: dict[str, bytes], model: str, code: str,
-           policy: str) -> tuple[list[str] | None, set[str]]:
+def failing_calls(code: str) -> set[str]:
+    """``CLASS.METHOD: ERROR`` for each call that raises when only the
+    imports and class definitions of ``code`` run, in a fresh namespace
+    with stdout captured: each class constructed with None for each of its
+    constructor's parameters, then each method that takes only ``self``
+    called on the instance; a class that does not construct has no method
+    called."""
+    tree = ast.parse(code)
+    tree.body = [n for n in tree.body if isinstance(
+        n, (ast.Import, ast.ImportFrom, ast.ClassDef))]
+    namespace: dict = {}
+    found = set()
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(compile(tree, "<sync output>", "exec"), namespace)
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            cls = namespace[node.name]
+            init = vars(cls).get("__init__")
+            try:
+                instance = cls(*[None] * (init.__code__.co_argcount - 1
+                                          if init else 0))
+            except Exception as exc:
+                found.add(f"{node.name}.__init__: {type(exc).__name__}")
+                continue
+            for name, f in vars(cls).items():
+                if (inspect.isfunction(f) and f is not init
+                        and f.__code__.co_argcount == 1):
+                    try:
+                        getattr(instance, name)()
+                    except Exception as exc:
+                        found.add(f"{node.name}.{name}: "
+                                  f"{type(exc).__name__}")
+    return found
+
+
+def _holds(files: dict[str, bytes], model: str, code: str, policy: str
+           ) -> tuple[list[str] | None, set[str], set[str]]:
     """Check (a) and (b) on one pair: the details of the findings that
     remain, or None when the pair converges; and, for (c), what
-    ``unbound_reads`` finds in the written code."""
+    ``unbound_reads`` and ``failing_calls`` find in the written code."""
     status, _, err = _sync(files, model.encode(), code.encode(), policy)
     if status == 1:
         m = _REMAIN.fullmatch(err)
@@ -131,7 +180,7 @@ def _holds(files: dict[str, bytes], model: str, code: str,
         details = [line[4:] for line in m[2].splitlines()]
         assert int(m[1]) == len(details) > 0
         assert OUT_MODEL not in files and OUT_CODE not in files
-        return details, set()
+        return details, set(), set()
     assert status == 0 and err == "", err
     written = files[OUT_MODEL], files[OUT_CODE]
     # the second run checks the written pair: this line says that it has
@@ -140,7 +189,8 @@ def _holds(files: dict[str, bytes], model: str, code: str,
     assert (status, err) == (0, "")
     assert out.startswith("already synchronized; artifacts unchanged\n")
     assert (files[OUT_MODEL], files[OUT_CODE]) == written
-    return None, unbound_reads(written[1].decode("utf-8"))
+    text = written[1].decode("utf-8")
+    return None, unbound_reads(text), failing_calls(text)
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -149,26 +199,29 @@ def test_golden_pairs_converge_and_resync_unchanged(files, pair, policy):
     model, code = (fixture_text(path.removeprefix("fixtures/"))
                    for path in PAIRS[pair])
     assert _holds(files, model, code, policy) == (
-        None, GOLDEN_UNBOUND.get((pair, policy), set()))
+        None, GOLDEN_UNBOUND.get((pair, policy), set()),
+        GOLDEN_FAILING.get((pair, policy), set()))
 
 
-def _unconverged_and_unbound(files, pairs, policy):
+def _unconverged_and_failing(files, pairs, policy):
     """The details of what remains for each pair that does not converge,
-    by its key, and the ``unbound_reads`` of each converged one that has
-    any."""
-    unconverged, unbound = {}, {}
+    by its key; and the ``unbound_reads`` and the ``failing_calls`` of
+    each converged one that has any, by its key."""
+    unconverged, unbound, failing = {}, {}, {}
     for key, model, code in pairs:
-        remains, names = _holds(files, model, code, policy)
+        remains, names, calls = _holds(files, model, code, policy)
         if remains is not None:
             unconverged[key] = remains
         if names:
             unbound[key] = names
-    return unconverged, unbound
+        if calls:
+            failing[key] = calls
+    return unconverged, unbound, failing
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_mutation_pairs_converge_or_name_what_remains(files, policy):
-    unconverged, unbound = _unconverged_and_unbound(
+    unconverged, unbound, failing = _unconverged_and_failing(
         files, (((seed, stacked), model, code)
                 for seed, stacked, model, code in mutation_pairs(300)),
         policy)
@@ -176,11 +229,12 @@ def test_mutation_pairs_converge_or_name_what_remains(files, policy):
     for details in unconverged.values():
         assert all(d.startswith("constructor parameter ") for d in details)
     assert unbound == {}
+    assert failing == {}
 
 
 @pytest.mark.parametrize("policy", POLICIES)
 def test_drift_on_both_sides_converges_or_names_what_remains(files, policy):
-    unconverged, unbound = _unconverged_and_unbound(
+    unconverged, unbound, failing = _unconverged_and_failing(
         files, (((seed, k), model, code)
                 for seed, k, model, code in drift_pairs()), policy)
     assert set(unconverged) == DRIFT_UNCONVERGED[policy]
@@ -188,3 +242,4 @@ def test_drift_on_both_sides_converges_or_names_what_remains(files, policy):
         assert len(details) == 1
         assert details[0].startswith("constructor parameter ")
     assert unbound == {}
+    assert failing == {}
