@@ -10,9 +10,15 @@ policy:
 ``apply`` then builds the edited model, to be re-rendered canonically,
 and compiles code edits down to span-based text patches
 (spliced by :mod:`.pywrite`), so method bodies and comments survive
-byte-for-byte.  Insertions that share a line go innermost block first: a
-line added to a constructor that ends its class before the stubs appended
-to that class, and those before an added class.  The future import follows
+byte-for-byte.  Both halves take one edited class at a time.  In the
+code, each edited def or attribute line is compiled once from all of its
+edits; a new constructor signature takes in the retypes of the
+parameters it keeps, and an assignment ``self.A = p`` from a parameter it
+drops reads the new parameter that canonically names ``A``, or is
+refused at its line when ``p`` was annotated.  Insertions that share a
+line go innermost block first: a line added to a constructor that ends
+its class before the stubs appended to that class, and those before an
+added class.  The future import follows
 the names the code edits spell: when one of them is a name Python does not
 define, ``from __future__ import annotations`` goes in before the first
 future import, else after a module docstring, else before the first line
@@ -97,19 +103,27 @@ def apply(design: ClassModel, code_doc: CodeDocument,
             raise EditConflictError(f"unknown edit kind {edit.kind!r}")
     _require_pair(design, code_doc, chosen)
     names = _Spellings()
+    added: list[ClassDef] = []
     by_class: dict[int, list[CorrectionEdit]] = {}
     for edit in chosen:
-        if edit.side == "code" and edit.kind != "add-class":
+        if edit.side == "model":
+            continue
+        if edit.kind == "add-class":
+            added.append(edit.payload)
+        else:
             by_class.setdefault(id(edit.cls), []).append(edit)
     code_edits: list[CodeEdit] = []
     for cls in code_doc.model.classes:
         if id(cls) in by_class:
             code_edits += _edited_code(code_doc, cls, by_class[id(cls)],
                                        names)
-    added = [e.payload for e in chosen
-             if e.side == "code" and e.kind == "add-class"]
     if added:
-        code_edits += _added_classes(code_doc, added, names)
+        # after the last class, in the order chosen
+        last_line = max((c.span.end_line for c in code_doc.model.classes),
+                        default=dialect_lines(code_doc)[1])
+        code_edits += [_insertion(code_doc, "insert-class", last_line + 1,
+                                  ["", *render_class_stub(cls, names)])
+                       for cls in added]
     code_edits += _future_import(code_doc, names)
     code_edits += _final_newline(code_doc, code_edits)
     # the splice keeps the listed order of insertions at one point, so
@@ -248,17 +262,6 @@ def _future_import(doc: CodeDocument, names: _Spellings) -> list[CodeEdit]:
                        ["from __future__ import annotations"])]
 
 
-def _added_classes(doc: CodeDocument, classes: list[ClassDef],
-                   names: _Spellings) -> list[CodeEdit]:
-    """A stub of each added class, in the order given, after the last
-    class of ``doc``."""
-    last_line = max((c.span.end_line for c in doc.model.classes),
-                    default=dialect_lines(doc)[1])
-    return [_insertion(doc, "insert-class", last_line + 1,
-                       ["", *render_class_stub(cls, names)])
-            for cls in classes]
-
-
 def _edited_code(doc: CodeDocument, cls: ClassDef,
                  edits: list[CorrectionEdit],
                  names: _Spellings) -> list[CodeEdit]:
@@ -293,17 +296,16 @@ def _edited_code(doc: CodeDocument, cls: ClassDef,
             doc, "insert-member", cls.span.start_line + 1,
             init_stub(" " * member_indent(doc, cls), [], stub_attrs, names)))
 
-    # the new parameter types of each def line, by parameter index, by the
-    # method's id; an attribute whose type comes from a constructor
-    # parameter's annotation is retyped there
-    retypes: dict[int, dict[int, TypeRef]] = {}
     sources = {p.name: i for i, p in enumerate(ctor.params)} if ctor else {}
+    # attributes first: one whose type comes from a constructor
+    # parameter's annotation is retyped on the constructor's def line
     for member in (*cls.attributes, *cls.methods):
-        own = by_member.get(id(member), ())
-        if not own and id(member) not in retypes:
+        own = by_member.get(id(member))
+        if not own:
             continue
         layout, line_no = _layout(doc, member)
         params = None  # the new signature
+        types: dict[int, TypeRef] = {}  # new parameter types, by index
         for edit in own:
             if edit.kind == "rename":
                 out.append(_on_line(doc, "rename-identifier", line_no,
@@ -312,15 +314,14 @@ def _edited_code(doc: CodeDocument, cls: ClassDef,
             elif edit.kind == "change-signature":
                 params = edit.payload
             elif isinstance(member, Attribute) and layout.rhs in sources:
-                retypes.setdefault(id(ctor), {})[sources[layout.rhs]] = \
-                    edit.payload
+                by_member.setdefault(id(ctor), []).append(edit._replace(
+                    member=ctor, param_index=sources[layout.rhs]))
             elif isinstance(member, Attribute):
                 out.append(_on_line(doc, "set-annotation", line_no,
                                     layout.rhs_start, layout.rhs_end,
                                     placeholder_rhs(edit.payload)))
             elif edit.param_index is not None:
-                retypes.setdefault(id(member), {})[edit.param_index] = \
-                    edit.payload
+                types[edit.param_index] = edit.payload
             else:
                 # an unannotated return is unknown, which no type mismatches
                 assert layout.ret is not None
@@ -328,7 +329,6 @@ def _edited_code(doc: CodeDocument, cls: ClassDef,
                 out.append(_on_line(doc, "set-annotation", line_no,
                                     layout.ret_start, layout.ret_end,
                                     f"-> {spelled}" if spelled else ""))
-        types = retypes.get(id(member), {})
         if params is not None:
             # the new signature takes in the retypes of the parameters it
             # keeps; a retype of one it drops writes nothing
