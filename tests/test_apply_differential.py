@@ -138,11 +138,11 @@ _V1 = "library_v1_drifted_model.puml+library_v1_drifted_code.py"
 CODE_CHANGED = {(_V1, Policy.MODEL_WINS), (_V1, Policy.UNION)}
 
 
-def _code_outcome(compile_code, code_doc, chosen):
-    """The code text ``compile_code`` writes, or the type of the error it
-    raises."""
+def _code_outcome(compile_code):
+    """The code text that ``compile_code()`` returns, or the type of the
+    error it raises."""
     try:
-        return compile_code(code_doc, chosen)
+        return compile_code()
     except ModelSyncError as exc:
         return type(exc)
 
@@ -167,10 +167,9 @@ def test_code_half_matches_reference(corpus):
         sets = propose(check(design, code_doc.model), design, code_doc)
         for policy in POLICIES:
             chosen = resolve(sets, policy)
-            code = _code_outcome(lambda doc, edits: apply(design, doc,
-                                                          edits)[1],
-                                 code_doc, chosen)
-            if code != _code_outcome(reference_code, code_doc, chosen):
+            if (_code_outcome(lambda: apply(design, code_doc, chosen)[1])
+                    != _code_outcome(lambda: reference_code(code_doc,
+                                                            chosen))):
                 differ.add((key, policy))
     assert differ == {k for k in CODE_CHANGED if corpus == "fixtures"}
 
