@@ -1517,6 +1517,36 @@ def test_check_refuses_a_second_or_unterminated_python_block(
     assert err == f"parse error: {code}:{line}: {message}\n"
 
 
+EMPTY_CLASS_MODEL = "@startuml\nclass A {\n}\n@enduml\n"
+EMPTY_CLASS_CODE = "class A:\n    pass\n"
+
+
+@pytest.mark.parametrize("side, text, message", [
+    ("code", "class A:\n    def __init__(self, x):\n        pass\n"
+     "    def __init__(self, x, y):\n        pass\n",
+     "class 'A' defines __init__ twice"),
+    ("model", "@startuml\nclass A {\n  +x: int\n  -x\n}\n@enduml\n",
+     "duplicate attribute 'x'"),
+    ("model", "@startuml\nclass A {\n  +f(a)\n  +f(b: int)\n}\n@enduml\n",
+     "duplicate method 'f'/1"),
+    ("model", "@startuml\nclass A {\n  +A()\n  +A(x)\n}\n@enduml\n",
+     "class 'A' declares two constructors"),
+], ids=["init-twice", "duplicate-attribute", "duplicate-method",
+        "two-constructors"])
+def test_check_refuses_a_second_member_at_its_line(capsys, tmp_path, side,
+                                                   text, message):
+    model, code = tmp_path / "m.puml", tmp_path / "c.py"
+    model.write_text(text if side == "model" else EMPTY_CLASS_MODEL,
+                     encoding="utf-8")
+    code.write_text(text if side == "code" else EMPTY_CLASS_CODE,
+                    encoding="utf-8")
+    status, out, err = run(capsys, "check", model, code)
+    assert status == 2
+    assert out == ""
+    bad = model if side == "model" else code
+    assert err == f"parse error: {bad}:4: {message}\n"
+
+
 def test_a_none_return_extracts_as_void_and_checks_clean(capsys, tmp_path):
     model, code = _write_pair(
         tmp_path, "class A:\n    def grow(self, n: int) -> None:\n"

@@ -173,6 +173,15 @@ def test_same_name_different_arity_allowed():
     assert [m.arity for m in model.classes[0].methods] == [1, 2]
 
 
+def test_the_first_assignment_per_canonical_name_declares_the_attribute():
+    code = ("class A:\n    def __init__(self, card: int):\n"
+            "        self.user_card = card\n        self.userCard = None\n")
+    [attr] = parse_code(code, "c.py").model.classes[0].attributes
+    assert attr.name == "user_card"
+    assert attr.type == TypeRef.named("int")
+    assert attr.span == SourceSpan("c.py", 3, 9, 3, 30)
+
+
 def test_skeleton_empty_model():
     from modelsync.model import ClassModel
     assert render_code_skeleton(ClassModel()) == ""
