@@ -7,7 +7,7 @@ from .correction import CorrectionEdit, CorrectionSet, propose
 from .model import (Attribute, ClassDef, ClassModel, Method, Parameter,
                     Relationship, SourceSpan, TypeRef, Visibility,
                     model_equal, normalize_name, type_equivalent)
-from .plantuml import PlantUmlDocument, parse_plantuml, render_plantuml
+from .plantuml import parse_plantuml, render_plantuml
 from .pycode import CodeDocument, parse_code
 
 __version__ = "0.1.0"
@@ -16,7 +16,7 @@ __all__ = [
     "Attribute", "ClassDef", "ClassModel", "CodeDocument", "CodeEdit",
     "CorrectionEdit", "CorrectionSet", "Finding", "FindingKind",
     "InputDescriptor", "Location", "MatchOptions", "MatchResult", "Method",
-    "Parameter", "PlantUmlDocument", "Policy", "Relationship", "Report",
+    "Parameter", "Policy", "Relationship", "Report",
     "SourceSpan", "TypeRef", "Visibility", "apply", "apply_code_edits",
     "check", "match_models", "model_equal", "normalize_name", "parse_code",
     "parse_plantuml", "propose", "render_code_skeleton", "render_plantuml",

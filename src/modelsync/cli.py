@@ -216,7 +216,7 @@ def _checked_pair(args, cfg: Config):
     opts = _match_options(cfg, args)
     model_in = _read_file(args.model)
     code_in = _read_file(args.code)
-    design = parse_plantuml(model_in[1], artifact=args.model).model
+    design = parse_plantuml(model_in[1], artifact=args.model)
     code_doc = parse_code(code_in[1], artifact=args.code)
     report = check(design, code_doc.model, opts,
                    inputs=(_descriptor(args.model, model_in[0]),
@@ -300,8 +300,7 @@ def cmd_sync(args) -> int:
     if model_now is not None:
         model_data = (_BOM if model_data.startswith(_BOM) else b"") + \
             model_now.encode("utf-8")
-        re_design = repair.reparse(parse_plantuml, model_now,
-                                   model_out).model
+        re_design = repair.reparse(parse_plantuml, model_now, model_out)
         del model_now
     if code_now is not None:
         code_data = (_BOM if code_data.startswith(_BOM) else b"") + \
@@ -327,8 +326,8 @@ def cmd_sync(args) -> int:
 
 def cmd_render(args) -> int:
     load_config(args.config)
-    doc = parse_plantuml(_read_file(args.model)[1], artifact=args.model)
-    print(render_plantuml(doc.model), end="")
+    design = parse_plantuml(_read_file(args.model)[1], artifact=args.model)
+    print(render_plantuml(design), end="")
     return 0
 
 
@@ -343,8 +342,8 @@ def cmd_gen_code(args) -> int:
     from .pywrite import render_code_skeleton
 
     load_config(args.config)
-    doc = parse_plantuml(_read_file(args.model)[1], artifact=args.model)
-    print(render_code_skeleton(doc.model), end="")
+    design = parse_plantuml(_read_file(args.model)[1], artifact=args.model)
+    print(render_code_skeleton(design), end="")
     return 0
 
 
@@ -372,7 +371,7 @@ def cmd_gen(args) -> int:
         model_path = str(out_dir / "model.puml")
         model_text = render_plantuml(
             gen_model(requirements, transport, cfg.llm_model))
-        design = parse_plantuml(model_text, artifact=model_path).model
+        design = parse_plantuml(model_text, artifact=model_path)
         outputs.append((model_path, model_text.encode("utf-8")))
     if args.what in ("code", "both"):
         code_path = str(out_dir / "code.py")

@@ -247,7 +247,7 @@ def gen_model(requirements: str, transport,
     """The class model generated for ``requirements``."""
     return _generate(PromptKind.GEN_CLASS_DIAGRAM, "plantuml", "model",
                      parse_plantuml, requirements, transport, model_name,
-                     "generated-model").model
+                     "generated-model")
 
 
 def gen_code(requirements: str, transport,

@@ -18,7 +18,6 @@ checker.  Anything else inside the region is a syntax error carrying the
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .errors import (DuplicateClassError, DuplicateMemberError,
                      MissingRegionError, ParseError)
@@ -42,12 +41,6 @@ _PARAM_RE = re.compile(r"\s*(\w+)(?:\s*:\s*(\S(?:.*\S)?))?\s*$")
 _VIS_MARKERS = {"+": Visibility.PUBLIC, "-": Visibility.PRIVATE,
                 "#": Visibility.PROTECTED}
 _MARKERS = {vis: marker for marker, vis in _VIS_MARKERS.items()}
-
-
-class PlantUmlDocument(NamedTuple):
-    """A parsed model."""
-
-    model: ClassModel
 
 
 def _parse_params(text: str, types: dict[str | None, TypeRef],
@@ -135,8 +128,8 @@ def _lines_holding(text: str, marker: str):
         pos = text.find(marker, end)
 
 
-def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
-    """Parse the subset grammar into a :class:`PlantUmlDocument`."""
+def parse_plantuml(text: str, artifact: str = "model") -> ClassModel:
+    """Parse the subset grammar into a :class:`.model.ClassModel`."""
     first, last = _find_region(text, artifact)
     lines = text.split("\n")
 
@@ -226,7 +219,7 @@ def parse_plantuml(text: str, artifact: str = "model") -> PlantUmlDocument:
                          artifact=artifact, line=cur_start)
 
     _check_relationship_endpoints(model, arrow_lines, artifact)
-    return PlantUmlDocument(model)
+    return model
 
 
 def _parse_relationship(stripped: str) -> Relationship | None:

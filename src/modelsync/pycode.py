@@ -9,8 +9,8 @@ data format:
 * ``def name(self, p[: T][= default]*)[ -> T]:`` introduces a method; the
   receiver is dropped, each annotation is read by
   :func:`.model.read_type`, and the body is kept verbatim, never analyzed
-  — except ``self.x = expr`` lines inside ``__init__``, which declare
-  attributes
+  — except ``self.x = expr`` lines inside ``__init__``: the first one per
+  canonical name of ``x`` declares an attribute
 * comments and blank lines are allowed anywhere; imports and top-level
   statements are ignored but preserved
 * in a text holding one ```` ```python ```` block, only the block's body
@@ -266,7 +266,6 @@ class _OpenClass:
         self.line_no = line_no
         self.last_line = line_no
         self.member_keys: set[tuple[str, int]] = set()
-        self.attr_order: list[tuple[str, tuple[str, SourceSpan]]] = []
 
 
 def parse_code(text: str, artifact: str = "code") -> CodeDocument:
@@ -285,14 +284,13 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
     cur_class: _OpenClass | None = None
     # the open def: its header as read_plain_def gives it, its indent, its
     # first and last line, and for __init__ the first assignment to each
-    # attribute, as (rhs text, line span)
+    # attribute, as (match of the line, line number) by canonical name
     header: tuple[str, str | None, list[tuple]] | None = None
     def_indent = def_line = def_last = 0
-    assignments: dict[str, tuple[str, SourceSpan]] | None = None
+    assignments: dict[str, tuple[re.Match, int]] | None = None
 
     def close_class() -> None:
         nonlocal cur_class
-        _finish_attributes(cur_class)
         cur_class.cls.span = SourceSpan(
             artifact, cur_class.line_no, 1, cur_class.last_line,
             len(lines[cur_class.last_line - 1]) + 1)
@@ -310,10 +308,9 @@ def parse_code(text: str, artifact: str = "code") -> CodeDocument:
                 def_last = line_no
                 if assignments is not None:
                     am = _ATTR_RE.match(line, indent)
-                    if am is not None and am[2] not in assignments:
-                        assignments[am[2]] = (am[3], SourceSpan(
-                            artifact, line_no, indent + 1, line_no,
-                            am.end(3) + 1))
+                    if am is not None:
+                        assignments.setdefault(normalize_name(am[2]),
+                                               (am, line_no))
                 continue
             _add_method(cur_class, header, def_line, def_last, assignments,
                         artifact, lines, types)
@@ -379,7 +376,7 @@ def _layout_header(line: str, artifact: str, line_no: int
 def _add_method(cur_class: _OpenClass,
                 header: tuple[str, str | None, list[tuple]], line_no: int,
                 last: int,
-                assignments: dict[str, tuple[str, SourceSpan]] | None,
+                assignments: dict[str, tuple[re.Match, int]] | None,
                 artifact: str, lines: list[str],
                 types: dict[str | None, TypeRef]) -> None:
     header_name, ret, header_params = header
@@ -398,7 +395,15 @@ def _add_method(cur_class: _OpenClass,
             raise DuplicateMemberError(
                 f"class {cls.name!r} defines __init__ twice",
                 artifact=artifact, line=line_no)
-        cur_class.attr_order.extend(assignments.items())
+        ctor_types = {p.name: p.type for p in params}
+        for am, n in assignments.values():
+            # the right-hand side up to any '#': a literal, the name of a
+            # constructor parameter, or anything else
+            rhs = am[3].split("#")[0].strip()
+            atype = _LITERAL_TYPES.get(rhs) or ctor_types.get(rhs, _UNKNOWN)
+            cls.attributes.append(Attribute(
+                am[2], atype, Visibility.UNKNOWN,
+                SourceSpan(artifact, n, am.start() + 1, n, am.end(3) + 1)))
     cur_class.member_keys.add(key)
     cur_class.last_line = last
     returns = types.get(ret) or types.setdefault(
@@ -406,21 +411,4 @@ def _add_method(cur_class: _OpenClass,
     cls.methods.append(Method(
         name, params, returns, Visibility.UNKNOWN, is_ctor,
         SourceSpan(artifact, line_no, 1, last, len(lines[last - 1]) + 1)))
-
-
-def _finish_attributes(cur_class: _OpenClass) -> None:
-    ctor = cur_class.cls.constructor()
-    ctor_types = {p.name: p.type for p in ctor.params} if ctor else {}
-    seen: set[str] = set()
-    for name, (rhs, line_span) in cur_class.attr_order:
-        key = normalize_name(name)
-        if key in seen:
-            continue
-        seen.add(key)
-        # the right-hand side up to any '#': a literal, the name of a
-        # constructor parameter, or anything else
-        rhs = rhs.split("#")[0].strip()
-        atype = _LITERAL_TYPES.get(rhs) or ctor_types.get(rhs, _UNKNOWN)
-        cur_class.cls.attributes.append(
-            Attribute(name, atype, Visibility.UNKNOWN, line_span))
 

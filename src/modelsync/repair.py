@@ -98,32 +98,31 @@ def apply(design: ClassModel, code_doc: CodeDocument,
     treat all of them as values (callers re-render the model).  The code
     is patched span-wise so untouched bytes survive verbatim.
     """
+    # each side's edits by the class they edit, and the classes each side
+    # adds, in the order chosen
+    by_class: dict[tuple[str, int], list[CorrectionEdit]] = {}
+    added: dict[str, list[ClassDef]] = {"model": [], "code": []}
     for edit in chosen:
         if edit.kind not in _KINDS:
             raise EditConflictError(f"unknown edit kind {edit.kind!r}")
+        if edit.kind == "add-class":
+            added[edit.side].append(edit.payload)
+        else:
+            by_class.setdefault((edit.side, id(edit.cls)), []).append(edit)
     _require_pair(design, code_doc, chosen)
     names = _Spellings()
-    added: list[ClassDef] = []
-    by_class: dict[int, list[CorrectionEdit]] = {}
-    for edit in chosen:
-        if edit.side == "model":
-            continue
-        if edit.kind == "add-class":
-            added.append(edit.payload)
-        else:
-            by_class.setdefault(id(edit.cls), []).append(edit)
     code_edits: list[CodeEdit] = []
     for cls in code_doc.model.classes:
-        if id(cls) in by_class:
-            code_edits += _edited_code(code_doc, cls, by_class[id(cls)],
-                                       names)
-    if added:
+        own = by_class.get(("code", id(cls)))
+        if own:
+            code_edits += _edited_code(code_doc, cls, own, names)
+    if added["code"]:
         # after the last class, in the order chosen
         last_line = max((c.span.end_line for c in code_doc.model.classes),
                         default=dialect_lines(code_doc)[1])
         code_edits += [_insertion(code_doc, "insert-class", last_line + 1,
                                   ["", *render_class_stub(cls, names)])
-                       for cls in added]
+                       for cls in added["code"]]
     code_edits += _future_import(code_doc, names)
     code_edits += _final_newline(code_doc, code_edits)
     # the splice keeps the listed order of insertions at one point, so
@@ -132,29 +131,26 @@ def apply(design: ClassModel, code_doc: CodeDocument,
 
     patched = (apply_code_edits(code_doc, code_edits)
                if code_edits else code_doc.raw_text)
-    model_edits = [e for e in chosen if e.side == "model"]
-    return _edited_model(design, model_edits), patched
+    return _edited_model(design, by_class, added["model"]), patched
 
 
 # --- model-side edits ------------------------------------------------------
 
 def _edited_model(design: ClassModel,
-                  edits: list[CorrectionEdit]) -> ClassModel:
-    """``design`` with the model edits applied: each class they touch is
-    built once from its edits, and every other class is shared."""
-    by_class: dict[int, list[CorrectionEdit]] = {}
-    for edit in edits:
-        by_class.setdefault(id(edit.cls), []).append(edit)
+                  by_class: dict[tuple[str, int], list[CorrectionEdit]],
+                  added: list[ClassDef]) -> ClassModel:
+    """``design`` with the model edits applied: each class they touch, by
+    ``("model", id(cls))`` in ``by_class``, is built once from its edits,
+    every other class is shared, and the ``added`` classes go last."""
     classes, relationships = [], list(design.relationships)
     for cls in design.classes:
-        own = by_class.get(id(cls), ())
+        own = by_class.get(("model", id(cls)), ())
         if any(e.kind == "remove-class" for e in own):
             key = normalize_name(cls.name)
             relationships = [r for r in relationships if key not in (
                 normalize_name(r.left), normalize_name(r.right))]
         else:
             classes.append(_edited_class(cls, own) if own else cls)
-    added = [e.payload for e in edits if e.kind == "add-class"]
     return ClassModel(classes + added, relationships)
 
 
@@ -381,8 +377,7 @@ def _kept_sources(doc: CodeDocument, cls: ClassDef, ctor: Method,
     renamed = {id(e.member): e.payload for e in edits if e.kind == "rename"}
     out: list[CodeEdit] = []
     for attr in cls.attributes:
-        if (id(attr) in removed or not ctor.span.start_line
-                < attr.span.start_line <= ctor.span.end_line):
+        if id(attr) in removed:
             continue
         layout, line_no = _layout(doc, attr)
         if layout.rhs not in dropped:

@@ -180,7 +180,7 @@ class MatchResult:
     code_only_classes: list = field(default_factory=list)
 
 
-# --- pycode.py, plantuml.py, config.py -------------------------------------
+# --- pycode.py, config.py --------------------------------------------------
 
 @dataclass(frozen=True)
 class CodeEdit:
@@ -195,11 +195,6 @@ class CodeDocument:
     raw_text: str
     artifact: str
     line_starts: object = field(default=None, repr=False, compare=False)
-
-
-@dataclass(slots=True)
-class PlantUmlDocument:
-    model: ClassModel
 
 
 @dataclass(frozen=True)

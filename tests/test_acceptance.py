@@ -32,7 +32,7 @@ def criterion(name: str):
 
 
 def _checked(model_text: str, code_text: str):
-    design = parse_plantuml(model_text).model
+    design = parse_plantuml(model_text)
     code_doc = parse_code(code_text)
     report = check(design, code_doc.model)
     return design, code_doc, report
@@ -99,7 +99,7 @@ def test_criterion_2_correction_duality(drifted_model_text,
         for alt in (model_alt, code_alt):
             new_model, new_code = apply(design, code_doc, [alt])
             re_report = check(parse_plantuml(
-                render_plantuml(new_model)).model,
+                render_plantuml(new_model)),
                 parse_code(new_code).model)
             assert param_set.finding.id not in \
                 {f.id for f in re_report.findings}, \
@@ -147,7 +147,7 @@ def test_criterion_3_detailed_pair_sync(v2_model_text, v2_code_text):
         assert {"UserCard", "CounterStaff", "LendingInformation"} <= \
             {c.name for c in merged_code.model.classes}
 
-        re_report = check(parse_plantuml(out_model).model,
+        re_report = check(parse_plantuml(out_model),
                           merged_code.model)
         assert re_report.error_findings() == ()
 
@@ -163,8 +163,8 @@ def test_criterion_4_round_trip_suite(v1_model_text, drifted_model_text,
         model_fixtures = (v1_model_text, drifted_model_text, v2_model_text,
                           merged_model_text)
         for text in model_fixtures:
-            model = parse_plantuml(text).model
-            assert model_equal(parse_plantuml(render_plantuml(model)).model,
+            model = parse_plantuml(text)
+            assert model_equal(parse_plantuml(render_plantuml(model)),
                                model)
 
         code_fixtures = (v1_code_text, drifted_code_text, v2_code_text,
@@ -177,7 +177,7 @@ def test_criterion_4_round_trip_suite(v1_model_text, drifted_model_text,
         passed = 0
         for seed in range(200):
             model = make_plantuml_model(random.Random(seed))
-            assert model_equal(parse_plantuml(render_plantuml(model)).model,
+            assert model_equal(parse_plantuml(render_plantuml(model)),
                                model), f"diagram round trip, seed {seed}"
             passed += 1
         assert passed == 200
@@ -226,7 +226,7 @@ def test_criterion_5_mutation_oracle_suite():
                 chosen = resolve(sets, policy)
                 new_model, new_code = apply(design, code_doc, chosen)
                 re_report = check(
-                    parse_plantuml(render_plantuml(new_model)).model,
+                    parse_plantuml(render_plantuml(new_model)),
                     parse_code(new_code).model)
                 assert re_report.error_findings() == (), \
                     f"seed {seed} {op}/{side} {policy.value}: no convergence"
@@ -250,8 +250,8 @@ def test_criterion_6_offline_pipeline(capsys, monkeypatch, tmp_path,
         assert status == 0
 
         generated = parse_plantuml(
-            (tmp_path / "model.puml").read_text(encoding="utf-8")).model
-        assert model_equal(generated, parse_plantuml(v2_model_text).model)
+            (tmp_path / "model.puml").read_text(encoding="utf-8"))
+        assert model_equal(generated, parse_plantuml(v2_model_text))
         code_model = parse_code(
             (tmp_path / "code.py").read_text(encoding="utf-8")).model
         assert len(code_model.classes) >= 3

@@ -60,7 +60,7 @@ def _apply_with_reference(design, code_doc, chosen, monkeypatch):
 
 def _check_pair(model_text: str, code_text: str, monkeypatch) -> None:
     for policy in POLICIES:
-        design = parse_plantuml(model_text).model
+        design = parse_plantuml(model_text)
         code_doc = parse_code(code_text)
         report = check(design, code_doc.model)
         chosen = resolve(propose(report, design, code_doc), policy)
@@ -68,7 +68,7 @@ def _check_pair(model_text: str, code_text: str, monkeypatch) -> None:
         (new_model, new_code), (ref_model, ref_code) = \
             _apply_with_reference(design, code_doc, chosen, monkeypatch)
         # the edits never write through to the inputs
-        assert design == parse_plantuml(model_text).model, policy
+        assert design == parse_plantuml(model_text), policy
         assert code_doc.model == parse_code(code_text).model, policy
         assert new_model == ref_model, policy
         assert new_code == ref_code, policy
@@ -162,7 +162,7 @@ def _corpus(name: str):
 def test_code_half_matches_reference(corpus):
     differ = set()
     for key, model_text, code_text in _corpus(corpus):
-        design = parse_plantuml(model_text).model
+        design = parse_plantuml(model_text)
         code_doc = parse_code(code_text)
         sets = propose(check(design, code_doc.model), design, code_doc)
         for policy in POLICIES:

@@ -104,7 +104,7 @@ def test_check_matches_reference_on_golden_pairs():
                   (gen / "code.py").read_text(encoding="utf-8")))
     findings = 0
     for model_text, code_text in pairs:
-        findings += _assert_same(parse_plantuml(model_text).model,
+        findings += _assert_same(parse_plantuml(model_text),
                                  parse_code(code_text).model)
     assert findings > 100
 

@@ -39,7 +39,7 @@ def clean_pair(tmp_path, v1_model_text):
     model = tmp_path / "model.puml"
     code = tmp_path / "code.py"
     model.write_text(v1_model_text, encoding="utf-8")
-    code.write_text(render_code_skeleton(parse_plantuml(v1_model_text).model),
+    code.write_text(render_code_skeleton(parse_plantuml(v1_model_text)),
                     encoding="utf-8")
     return model, code
 
@@ -210,8 +210,8 @@ def test_render_canonicalizes(capsys, tmp_path, v1_model_text):
     assert status == 0
     assert out.startswith("@startuml\n")
     assert "junk" not in out
-    assert model_equal(parse_plantuml(out).model,
-                       parse_plantuml(v1_model_text).model)
+    assert model_equal(parse_plantuml(out),
+                       parse_plantuml(v1_model_text))
 
 
 def test_extract_emits_model_from_code(capsys, tmp_path, v1_code_text):
@@ -219,7 +219,7 @@ def test_extract_emits_model_from_code(capsys, tmp_path, v1_code_text):
     code.write_text(v1_code_text, encoding="utf-8")
     status, out, _ = run(capsys, "extract", code)
     assert status == 0
-    extracted = parse_plantuml(out).model
+    extracted = parse_plantuml(out)
     assert {c.name for c in extracted.classes} == \
         {"Library", "User", "UserCard", "Book"}
     assert "+User(name, userCard)" in out
@@ -231,7 +231,7 @@ def test_gen_code_emits_skeleton(capsys, tmp_path, v1_model_text):
     status, out, _ = run(capsys, "gen-code", model)
     assert status == 0
     parsed = parse_code(out).model
-    design = parse_plantuml(v1_model_text).model
+    design = parse_plantuml(v1_model_text)
     from modelsync.consistency import check as check_models
     assert check_models(design, parsed).error_findings() == ()
 
@@ -245,8 +245,8 @@ def test_gen_both_from_fixtures(capsys, tmp_path, fixtures_dir,
                          "--out-dir", tmp_path / "gen")
     assert status == 0
     generated = parse_plantuml(
-        (tmp_path / "gen" / "model.puml").read_text(encoding="utf-8")).model
-    assert model_equal(generated, parse_plantuml(v2_model_text).model)
+        (tmp_path / "gen" / "model.puml").read_text(encoding="utf-8"))
+    assert model_equal(generated, parse_plantuml(v2_model_text))
     code_model = parse_code(
         (tmp_path / "gen" / "code.py").read_text(encoding="utf-8")).model
     assert len(code_model.classes) == 3

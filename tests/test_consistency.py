@@ -103,7 +103,7 @@ def test_empty_models_match_cleanly():
 
 
 def test_v1_pair_matches_members(v1_model_text, v1_code_text):
-    design = parse_plantuml(v1_model_text).model
+    design = parse_plantuml(v1_model_text)
     code = parse_code(v1_code_text).model
     result = match_models(design, code)
     assert len(result.class_matches) == 4
@@ -119,7 +119,7 @@ def test_v1_pair_matches_members(v1_model_text, v1_code_text):
 def test_v1_pair_known_arity_quirk(v1_model_text, v1_code_text):
     # the compact pair declares User(name) in the model but builds with
     # (name, userCard) in the code; the checker flags exactly that
-    design = parse_plantuml(v1_model_text).model
+    design = parse_plantuml(v1_model_text)
     code = parse_code(v1_code_text).model
     report = check(design, code)
     assert _kinds(report) == ["ConstructorArityMismatch"]
@@ -128,7 +128,7 @@ def test_v1_pair_known_arity_quirk(v1_model_text, v1_code_text):
 
 
 def test_drifted_pair_rename_candidate(drifted_model_text, drifted_code_text):
-    design = parse_plantuml(drifted_model_text).model
+    design = parse_plantuml(drifted_model_text)
     code = parse_code(drifted_code_text).model
     result = match_models(design, code)
     user = next(m for m in result.class_matches
@@ -139,7 +139,7 @@ def test_drifted_pair_rename_candidate(drifted_model_text, drifted_code_text):
 
 
 def test_drifted_pair_findings(drifted_model_text, drifted_code_text):
-    design = parse_plantuml(drifted_model_text).model
+    design = parse_plantuml(drifted_model_text)
     code = parse_code(drifted_code_text).model
     report = check(design, code)
     assert _kinds(report) == ["AttributeTypeMismatch",
@@ -155,7 +155,7 @@ def test_drifted_pair_findings(drifted_model_text, drifted_code_text):
 
 def test_generation_consistency_oracle(v1_model_text, v2_model_text):
     for text in (v1_model_text, v2_model_text):
-        design = parse_plantuml(text).model
+        design = parse_plantuml(text)
         code = parse_code(render_code_skeleton(design)).model
         assert check(design, code).error_findings() == ()
 
@@ -236,7 +236,7 @@ def test_missing_kind_symmetry():
 
 
 def test_report_is_deterministic(drifted_model_text, drifted_code_text):
-    design = parse_plantuml(drifted_model_text).model
+    design = parse_plantuml(drifted_model_text)
     code = parse_code(drifted_code_text).model
     first = check(design, code)
     second = check(design, code)
@@ -244,7 +244,7 @@ def test_report_is_deterministic(drifted_model_text, drifted_code_text):
 
 
 def test_report_ordering_by_class_member_kind(v2_model_text, v2_code_text):
-    design = parse_plantuml(v2_model_text).model
+    design = parse_plantuml(v2_model_text)
     code = parse_code(v2_code_text).model
     findings = check(design, code).findings
     keys = [(f.model_loc or f.code_loc).class_name.lower() for f in findings]
@@ -282,7 +282,7 @@ def test_non_constructor_arity_mismatch_uses_arity_kind():
 
 
 def test_relationship_advisories_opt_in(v1_model_text, v1_code_text):
-    design = parse_plantuml(v1_model_text).model
+    design = parse_plantuml(v1_model_text)
     code = parse_code(v1_code_text).model
     silent = check(design, code)
     assert all(f.severity == "error" for f in silent.findings)
@@ -298,7 +298,7 @@ def test_relationship_advisories_opt_in(v1_model_text, v1_code_text):
 def test_relationship_evidence_suppresses_advisory():
     design = parse_plantuml(
         "@startuml\nclass A {\n  -b: B\n}\nclass B {\n}\nA -- B\n@enduml"
-    ).model
+    )
     code = parse_code(
         "class A:\n    def __init__(self, b: B):\n        self.b = b\n\n"
         "class B:\n    pass\n").model
@@ -310,7 +310,7 @@ def test_relationship_evidence_suppresses_advisory():
 
 def test_relationship_evidence_without_model_relationship():
     design = parse_plantuml(
-        "@startuml\nclass A {\n  -b: B\n}\nclass B {\n}\n@enduml").model
+        "@startuml\nclass A {\n  -b: B\n}\nclass B {\n}\n@enduml")
     code = parse_code(
         "class A:\n    def __init__(self, b: B):\n        self.b = b\n\n"
         "class B:\n    pass\n").model
@@ -335,10 +335,10 @@ def test_mutation_detection_all_operators():
             continue
         if side == "model":
             design = parse_plantuml(
-                render_plantuml(mutation.mutated)).model
+                render_plantuml(mutation.mutated))
             code = parse_code(render_code_skeleton(base)).model
         else:
-            design = parse_plantuml(render_plantuml(base)).model
+            design = parse_plantuml(render_plantuml(base))
             code = parse_code(
                 render_code_skeleton(mutation.mutated)).model
         report = check(design, code)

@@ -20,14 +20,14 @@ POLICIES = (Policy.MODEL_WINS, Policy.CODE_WINS, Policy.UNION)
 
 
 def _checked(model_text: str, code_text: str):
-    design = parse_plantuml(model_text).model
+    design = parse_plantuml(model_text)
     code_doc = parse_code(code_text)
     report = check(design, code_doc.model)
     return design, code_doc, report
 
 
 def _recheck(model_out: str, code_out: str):
-    design = parse_plantuml(model_out).model
+    design = parse_plantuml(model_out)
     code = parse_code(code_out).model
     return check(design, code)
 
@@ -39,7 +39,7 @@ def test_snake_to_camel():
 
 
 def test_empty_report_proposes_nothing(v1_model_text):
-    design = parse_plantuml(v1_model_text).model
+    design = parse_plantuml(v1_model_text)
     code_doc = parse_code(render_code_skeleton(design))
     report = check(design, code_doc.model)
     assert propose(report, design, code_doc) == []
@@ -64,7 +64,7 @@ def test_propose_stale_report_rejected(drifted_model_text,
     with pytest.raises(StaleReportError):
         propose(report, design, other_doc)
     with pytest.raises(StaleReportError):  # equal text, other objects
-        propose(report, parse_plantuml(drifted_model_text).model, code_doc)
+        propose(report, parse_plantuml(drifted_model_text), code_doc)
     propose(report, design, code_doc)  # must not raise
 
 
@@ -73,7 +73,7 @@ def test_apply_stale_edits_rejected(drifted_model_text, drifted_code_text):
                                         drifted_code_text)
     sets = propose(report, design, code_doc)
     with pytest.raises(StaleReportError):  # equal text, other objects
-        apply(parse_plantuml(drifted_model_text).model, code_doc,
+        apply(parse_plantuml(drifted_model_text), code_doc,
               resolve(sets, Policy.CODE_WINS))
     # the User method the model calls getNamae, respelled in another doc
     assert "def getName(self)" in drifted_code_text
@@ -200,7 +200,7 @@ def test_union_matches_reference_merge(v2_model_text, v2_code_text,
     design, code_doc, report = _checked(v2_model_text, v2_code_text)
     sets = propose(report, design, code_doc)
     new_model, _ = apply(design, code_doc, resolve(sets, Policy.UNION))
-    reference = parse_plantuml(merged_model_text).model
+    reference = parse_plantuml(merged_model_text)
     ref_library = {m.name for m in class_named(reference, "Library").methods}
     out_library = {m.name for m in class_named(new_model, "Library").methods}
     assert ref_library == out_library

@@ -35,7 +35,7 @@ def _shape(correction_set):
 
 def _assert_same(model_text: str, code_text: str) -> set[FindingKind]:
     """Compare both on one pair; returns the finding kinds proposed for."""
-    design = parse_plantuml(model_text).model
+    design = parse_plantuml(model_text)
     code_doc = parse_code(code_text)
     report = check(design, code_doc.model)
     got = propose(report, design, code_doc)

@@ -164,7 +164,7 @@ def test_gen_model_from_fixtures(llm_fixtures_dir, problem_text,
     transport = FixtureTransport(llm_fixtures_dir)
     model = gen_model(problem_text, transport)
     assert len(model.classes) == 6
-    assert model_equal(model, parse_plantuml(v2_model_text).model)
+    assert model_equal(model, parse_plantuml(v2_model_text))
 
 
 def test_gen_code_from_fixtures(llm_fixtures_dir, problem_text):
@@ -201,7 +201,7 @@ def test_generated_model_survives_rendering(llm_fixtures_dir, problem_text):
     from modelsync.plantuml import render_plantuml
     transport = FixtureTransport(llm_fixtures_dir)
     model = gen_model(problem_text, transport)
-    assert model_equal(parse_plantuml(render_plantuml(model)).model, model)
+    assert model_equal(parse_plantuml(render_plantuml(model)), model)
 
 
 def test_llm_sync_suggest_replays(llm_fixtures_dir, drifted_model_text,

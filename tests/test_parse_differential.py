@@ -107,7 +107,8 @@ def _outcome(parse, text: str):
         return type(err), err.line, str(err)
     if hasattr(doc, "raw_text"):
         return doc.model, doc.raw_text, doc.artifact, doc.lines()
-    return doc.model
+    # the reference's PlantUML parse wraps its model in a document
+    return getattr(doc, "model", doc)
 
 
 def _same_code_parse(text: str) -> None:

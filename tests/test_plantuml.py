@@ -14,8 +14,8 @@ from helpers import class_named
 
 
 def test_empty_region_gives_empty_model():
-    doc = parse_plantuml("@startuml\n@enduml")
-    assert doc.model.classes == [] and doc.model.relationships == []
+    model = parse_plantuml("@startuml\n@enduml")
+    assert model.classes == [] and model.relationships == []
 
 
 def test_render_empty_model():
@@ -24,7 +24,7 @@ def test_render_empty_model():
 
 
 def test_v1_model_contents(v1_model_text):
-    model = parse_plantuml(v1_model_text).model
+    model = parse_plantuml(v1_model_text)
     assert [c.name for c in model.classes] == \
         ["Library", "User", "UserCard", "Book"]
     book = class_named(model, "Book")
@@ -38,7 +38,7 @@ def test_v1_model_contents(v1_model_text):
 
 
 def test_v1_constructor_detection(v1_model_text):
-    user = class_named(parse_plantuml(v1_model_text).model, "User")
+    user = class_named(parse_plantuml(v1_model_text), "User")
     ctor = user.constructor()
     assert ctor is not None and ctor.arity == 1
     assert ctor.params[0].name == "name"
@@ -46,7 +46,7 @@ def test_v1_constructor_detection(v1_model_text):
 
 
 def test_v2_model_contents(v2_model_text):
-    model = parse_plantuml(v2_model_text).model
+    model = parse_plantuml(v2_model_text)
     assert len(model.classes) == 6
     staff = class_named(model, "CounterStaff")
     assert len(staff.methods) == 4
@@ -59,14 +59,14 @@ def test_v2_model_contents(v2_model_text):
 
 
 def test_unparsed_return_type_is_unknown(v2_model_text):
-    lib = class_named(parse_plantuml(v2_model_text).model, "Library")
+    lib = class_named(parse_plantuml(v2_model_text), "Library")
     assert all(m.return_type.kind == "unknown" for m in lib.methods)
 
 
 def test_collection_nesting_is_read_up_to_its_limit():
     text = ("@startuml\nclass A {\n  +x: int" + "[]" * MAX_COLLECTION_DEPTH
             + "\n}\n@enduml\n")
-    model = parse_plantuml(text).model
+    model = parse_plantuml(text)
     t = model.classes[0].attributes[0].type
     for _ in range(MAX_COLLECTION_DEPTH):
         assert t.kind == "collection"
@@ -115,29 +115,29 @@ def test_inheritance_arrows_rejected():
 
 def test_fenced_block_accepted(v1_model_text):
     fenced = f"intro prose\n```plantuml\n{v1_model_text}```\ntrailing"
-    model = parse_plantuml(fenced).model
+    model = parse_plantuml(fenced)
     assert len(model.classes) == 4
 
 
 def test_fenced_block_without_region_markers():
     fenced = "```plantuml\nclass A {\n  +go()\n}\n```"
-    model = parse_plantuml(fenced).model
+    model = parse_plantuml(fenced)
     assert [c.name for c in model.classes] == ["A"]
 
 
 def test_prose_preserved_around_region(v1_model_text):
-    doc = parse_plantuml(f"hello\n{v1_model_text}bye")
-    assert model_equal(doc.model, parse_plantuml(v1_model_text).model)
+    model = parse_plantuml(f"hello\n{v1_model_text}bye")
+    assert model_equal(model, parse_plantuml(v1_model_text))
 
 
 def test_render_contains_canonical_member_lines(v1_model_text):
-    rendered = render_plantuml(parse_plantuml(v1_model_text).model)
+    rendered = render_plantuml(parse_plantuml(v1_model_text))
     assert "  -title: String" in rendered
     assert "  +borrowBook(user: User, book: Book): void" in rendered
 
 
 def test_render_is_deterministic(v1_model_text):
-    model = parse_plantuml(v1_model_text).model
+    model = parse_plantuml(v1_model_text)
     assert render_plantuml(model) == render_plantuml(model)
 
 
@@ -145,9 +145,9 @@ def test_render_parse_fixed_point(v1_model_text, v2_model_text,
                                   drifted_model_text, merged_model_text):
     for text in (v1_model_text, v2_model_text, drifted_model_text,
                  merged_model_text):
-        model = parse_plantuml(text).model
+        model = parse_plantuml(text)
         rendered = render_plantuml(model)
-        again = parse_plantuml(rendered).model
+        again = parse_plantuml(rendered)
         assert model_equal(model, again)
         assert render_plantuml(again) == rendered
 
@@ -156,18 +156,18 @@ def test_round_trip_random_models():
     for seed in range(60):
         model = make_plantuml_model(random.Random(seed))
         rendered = render_plantuml(model)
-        assert model_equal(parse_plantuml(rendered).model, model), \
+        assert model_equal(parse_plantuml(rendered), model), \
             f"seed {seed}"
 
 
 def test_collection_types_round_trip():
     text = ("@startuml\nclass A {\n  -items: Book[]\n"
             "  +load(xs: Label[]): Label[]\n}\n@enduml\n")
-    model = parse_plantuml(text).model
+    model = parse_plantuml(text)
     attr = model.classes[0].attributes[0]
     assert attr.type.kind == "collection"
     assert attr.type.element.name == "Book"
-    assert model_equal(parse_plantuml(render_plantuml(model)).model, model)
+    assert model_equal(parse_plantuml(render_plantuml(model)), model)
 
 
 def test_relationship_endpoint_validation():

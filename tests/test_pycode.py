@@ -219,7 +219,7 @@ def test_skeleton_extracts_to_each_method_s_own_types():
 
 
 def test_skeleton_from_merged_model_defines_added_classes(merged_model_text):
-    model = parse_plantuml(merged_model_text).model
+    model = parse_plantuml(merged_model_text)
     skeleton = render_code_skeleton(model)
     parsed = parse_code(skeleton).model
     assert {"UserCard", "CounterStaff", "LendingInformation"} <= \
@@ -227,7 +227,7 @@ def test_skeleton_from_merged_model_defines_added_classes(merged_model_text):
 
 
 def test_skeleton_from_design_model_keeps_members(v1_model_text):
-    model = parse_plantuml(v1_model_text).model
+    model = parse_plantuml(v1_model_text)
     skeleton = render_code_skeleton(model)
     parsed = parse_code(skeleton).model
     book = class_named(parsed, "Book")

@@ -26,7 +26,7 @@ def test_sync_policies_example_runs(drifted_model_text, drifted_code_text):
     scope = {"model_text": drifted_model_text, "code_text": drifted_code_text}
     exec(_block("Sync policies"), scope)
     assert scope["new_code"] != drifted_code_text
-    design = parse_plantuml(render_plantuml(scope["new_model"])).model
+    design = parse_plantuml(render_plantuml(scope["new_model"]))
     assert check(design, parse_code(scope["new_code"]).model
                  ).error_findings() == ()
 

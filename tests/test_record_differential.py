@@ -26,7 +26,6 @@ from modelsync.correction import CorrectionEdit, CorrectionSet
 from modelsync.model import (Attribute, ClassDef, ClassModel, Method,
                              Parameter, Record, Relationship, SourceSpan,
                              TypeRef, Visibility)
-from modelsync.plantuml import PlantUmlDocument
 from modelsync.pycode import CodeDocument, CodeEdit
 
 import record_reference as ref
@@ -112,7 +111,6 @@ RECORDS = [
     (CodeEdit, ref.CodeEdit, [_text, _span, _text]),
     (CodeDocument, ref.CodeDocument,
      [_model, _text, _text, st.none() | st.lists(_ints, max_size=2)]),
-    (PlantUmlDocument, ref.PlantUmlDocument, [_model]),
     (Config, ref.Config,
      [_text, st.floats(allow_nan=True),
       st.tuples(st.tuples(_text, _text)), _text, _text, _text, _text,
@@ -163,7 +161,7 @@ def _assert_same(new, old, names) -> None:
 
 
 def test_every_record_has_a_reference():
-    assert len({new for new, _, _ in RECORDS}) == len(RECORDS) == 22
+    assert len({new for new, _, _ in RECORDS}) == len(RECORDS) == 21
     for new, old, strategies in RECORDS:
         fields = dataclasses.fields(old)
         assert _field_names(new) == tuple(f.name for f in fields)

@@ -61,7 +61,7 @@ def _assert_same(report: Report, suggestions: dict[str, CorrectionSet]):
 def _checked(model_text: str, code_text: str,
              opts: MatchOptions = MatchOptions(),
              paths: tuple[str, str] = ("model.puml", "code.py")):
-    design = parse_plantuml(model_text, artifact=paths[0]).model
+    design = parse_plantuml(model_text, artifact=paths[0])
     code_doc = parse_code(code_text, artifact=paths[1])
     report = check(design, code_doc.model, opts, inputs=(
         InputDescriptor(paths[0], sha256_hex(model_text.encode())),
