@@ -317,7 +317,17 @@ def _edited_code(doc: CodeDocument, cls: ClassDef,
                                     layout.rhs_start, layout.rhs_end,
                                     placeholder_rhs(edit.payload)))
             elif edit.param_index is not None:
-                types[edit.param_index] = edit.payload
+                # a parameter's own retype and one routed from its
+                # attribute must write one annotation
+                first = types.setdefault(edit.param_index, edit.payload)
+                old, new = (spell_type(t, "python", UML_TO_PY)
+                            for t in (first, edit.payload))
+                if old != new:
+                    raise EditConflictError(
+                        f"{doc.artifact}:{line_no}: parameter "
+                        f"'{member.params[edit.param_index].name}' of "
+                        f"'{member.name}' is retyped both '{old}' and "
+                        f"'{new}'")
             else:
                 # an unannotated return is unknown, which no type mismatches
                 assert layout.ret is not None

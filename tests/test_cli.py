@@ -1173,6 +1173,31 @@ def test_sync_refuses_to_drop_an_assigned_parameter(capsys, tmp_path,
     assert model.read_text(encoding="utf-8") == model_text
 
 
+@pytest.mark.parametrize("policy", ["model-wins", "union"])
+def test_sync_refuses_two_retypes_of_one_parameter(capsys, tmp_path, policy):
+    # the attribute's retype goes to the parameter it is assigned from,
+    # which the model types otherwise: both were listed as applied, then
+    # the re-check failed
+    model_text = ("@startuml\nclass A {\n  +size: String\n"
+                  "  +A(size: Integer)\n}\n@enduml\n")
+    code_text = ("class A:\n    def __init__(self, size: bool):\n"
+                 "        self.size = size\n")
+    model = tmp_path / "m.puml"
+    code = tmp_path / "c.py"
+    model.write_text(model_text, encoding="utf-8")
+    code.write_text(code_text, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    status, out, err = run(capsys, "sync", model, code, "--policy", policy,
+                           "--out-dir", out_dir)
+    assert status == 1
+    assert err == (f"error: {code}:2: parameter 'size' of 'A' is retyped "
+                   f"both 'Integer' and 'str'\n")
+    assert out == ""
+    assert not out_dir.exists()
+    assert code.read_text(encoding="utf-8") == code_text
+    assert model.read_text(encoding="utf-8") == model_text
+
+
 def test_check_input_not_utf8_exits_three(capsys, pair):
     model, _ = pair
     bad = model.parent / "bad.py"
