@@ -106,6 +106,47 @@ def member_indent(doc: CodeDocument, cls: ClassDef) -> int:
     return 4
 
 
+def first_read(doc: CodeDocument, method: Method, names,
+               skip: set[int]) -> tuple[int, str] | None:
+    """The line and name of the first read of one of ``names`` in
+    ``method``'s body outside the lines ``skip``: a name token that follows
+    no ``.`` and names no keyword argument; None when there is none.  In a
+    body that Python cannot tokenize, each line past where it stops that
+    spells a name counts as a read of it."""
+    first = method.span.start_line + 1
+    body = [doc.line(n) for n in range(first, method.span.end_line + 1)]
+    # a line that spells none of the names reads none of them: most bodies
+    # are read without loading tokenize
+    spelled = [(n, name) for n, line in enumerate(body, first)
+               if n not in skip for name in names if name in line]
+    if not spelled:
+        return None
+    import tokenize
+
+    lines = iter([line + "\n" for line in body])
+    tokens: list[tokenize.TokenInfo] = []
+    unread: list[tuple[int, str]] = []
+    try:
+        for tok in tokenize.generate_tokens(lambda: next(lines, "")):
+            tokens.append(tok)
+    except (tokenize.TokenError, SyntaxError):
+        end = first + tokens[-1].start[0] - 1 if tokens else first - 1
+        unread = [(n, name) for n, name in spelled if n > end]
+    depth = 0
+    for i, tok in enumerate(tokens):
+        line_no = first + tok.start[0] - 1
+        if tok.string in ("(", "[", "{"):
+            depth += 1
+        elif tok.string in (")", "]", "}"):
+            depth -= 1
+        elif (tok.type == tokenize.NAME and tok.string in names
+              and line_no not in skip and tokens[i - 1].string != "."
+              and not (depth and tokens[i + 1:i + 2]
+                       and tokens[i + 1].string == "=")):
+            return line_no, tok.string
+    return unread[0] if unread else None
+
+
 # a string literal alone on its line or lines, up to an optional comment
 # (compiled on first use, by re's cache: few syncs need it)
 _DOCSTRING = r'''

@@ -49,9 +49,9 @@ from .model import (UML_TO_PY, Attribute, ClassDef, ClassModel, Method,
 from .pycode import CodeDocument, scan_attr_line, scan_def_line
 from .pywrite import (CodeEdit, apply_code_edits, attr_assignment,
                       block_delete_span, body_indent, dialect_lines,
-                      future_import_line, init_stub, member_indent,
-                      method_stub, params_text, placeholder_rhs,
-                      render_class_stub)
+                      first_read, future_import_line, init_stub,
+                      member_indent, method_stub, params_text,
+                      placeholder_rhs, render_class_stub)
 
 
 # the kinds of edit that ``CorrectionEdit`` names
@@ -379,19 +379,25 @@ def _kept_sources(doc: CodeDocument, cls: ClassDef, ctor: Method,
     annotation, so its re-parsed type would turn unknown and the re-check
     would pass without seeing the loss.  An unannotated ``p`` is still
     written dangling: the attribute's type was unknown before and stays
-    so.
+    so.  Any other read of a dropped ``p`` in the body, outside the lines
+    of removed attributes, raises DanglingParameterError at its line.
     """
     kept = {p.name for p in params}
     dropped = {p.name: p for p in ctor.params if p.name not in kept}
+    if not dropped:
+        return []
     removed = {id(e.member) for e in edits if e.kind == "remove-member"}
     renamed = {id(e.member): e.payload for e in edits if e.kind == "rename"}
     out: list[CodeEdit] = []
+    handled: set[int] = set()  # the lines deleted or checked here
     for attr in cls.attributes:
         if id(attr) in removed:
+            handled.add(attr.span.start_line)
             continue
         layout, line_no = _layout(doc, attr)
         if layout.rhs not in dropped:
             continue
+        handled.add(line_no)
         key = normalize_name(renamed.get(id(attr), attr.name))
         source = next((p.name for p in params
                        if normalize_name(p.name) == key), None)
@@ -403,6 +409,11 @@ def _kept_sources(doc: CodeDocument, cls: ClassDef, ctor: Method,
                 f"{doc.artifact}:{line_no}: 'self.{attr.name}' is assigned "
                 f"from parameter '{layout.rhs}', which the new signature "
                 f"of '{ctor.name}' drops")
+    read = first_read(doc, ctor, dropped, handled)
+    if read is not None:
+        raise DanglingParameterError(
+            f"{doc.artifact}:{read[0]}: the body reads parameter "
+            f"'{read[1]}', which the new signature of '{ctor.name}' drops")
     return out
 
 

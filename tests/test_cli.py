@@ -1141,35 +1141,49 @@ DROPPED_PARAM_MODELS = [
     "@enduml\n"]
 DROPPED_PARAM_CODE = ("class A:\n    def __init__(self, size: int):\n"
                       "        self.size = size\n")
+ASSIGNED_FROM_SIZE = ("'self.size' is assigned from parameter 'size', which "
+                      "the new signature of 'A' drops")
+# the body reads 'size' inside an expression
+READ_SIZE_CODE = ("class A:\n    def __init__(self, size: int):\n"
+                  "        self.total = size * 2\n")
+READS_SIZE = ("the body reads parameter 'size', which the new signature of "
+              "'A' drops")
 
 
 @pytest.mark.parametrize(
-    "in_place, model_text, policy",
-    [(False, DROPPED_PARAM_MODELS[0], "model-wins"),
-     (True, DROPPED_PARAM_MODELS[0], "model-wins"),
-     (False, DROPPED_PARAM_MODELS[1], "model-wins"),
-     (True, DROPPED_PARAM_MODELS[1], "union")],
-    ids=["False", "True", "retyped-model-wins", "retyped-union-in-place"])
+    "in_place, model_text, code_text, policy, message",
+    [(False, DROPPED_PARAM_MODELS[0], DROPPED_PARAM_CODE, "model-wins",
+      ASSIGNED_FROM_SIZE),
+     (True, DROPPED_PARAM_MODELS[0], DROPPED_PARAM_CODE, "model-wins",
+      ASSIGNED_FROM_SIZE),
+     (False, DROPPED_PARAM_MODELS[1], DROPPED_PARAM_CODE, "model-wins",
+      ASSIGNED_FROM_SIZE),
+     (True, DROPPED_PARAM_MODELS[1], DROPPED_PARAM_CODE, "union",
+      ASSIGNED_FROM_SIZE),
+     (False, DROPPED_PARAM_MODELS[0], READ_SIZE_CODE, "model-wins",
+      READS_SIZE),
+     (False, DROPPED_PARAM_MODELS[0], READ_SIZE_CODE, "union", READS_SIZE)],
+    ids=["False", "True", "retyped-model-wins", "retyped-union-in-place",
+         "expression-model-wins", "expression-union"])
 def test_sync_refuses_to_drop_an_assigned_parameter(capsys, tmp_path,
                                                     in_place, model_text,
-                                                    policy):
+                                                    code_text, policy,
+                                                    message):
     # the new signature (count, extra) drops 'size', which line 3 still
-    # assigns from: the written code raised NameError on A(1, 2)
+    # reads: the written code raised NameError on A(1, 2)
     model = tmp_path / "m.puml"
     code = tmp_path / "c.py"
     model.write_text(model_text, encoding="utf-8")
-    code.write_text(DROPPED_PARAM_CODE, encoding="utf-8")
+    code.write_text(code_text, encoding="utf-8")
     out_dir = tmp_path / "out"
     where = ["--in-place"] if in_place else ["--out-dir", out_dir]
     status, out, err = run(capsys, "sync", model, code,
                            "--policy", policy, *where)
     assert status == 1
-    assert err == (f"error: {code}:3: 'self.size' is assigned from "
-                   f"parameter 'size', which the new signature of 'A' "
-                   f"drops\n")
-    assert "wrote" not in out
+    assert err == f"error: {code}:3: {message}\n"
+    assert out == ""
     assert not out_dir.exists()
-    assert code.read_text(encoding="utf-8") == DROPPED_PARAM_CODE
+    assert code.read_text(encoding="utf-8") == code_text
     assert model.read_text(encoding="utf-8") == model_text
 
 

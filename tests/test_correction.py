@@ -321,3 +321,44 @@ def test_retype_of_a_dropped_constructor_parameter_is_not_lost():
                 "^code:3: 'self.size' is assigned from parameter 'size', "
                 "which the new signature of 'A' drops$")):
             apply(design, code_doc, resolve(sets, policy))
+
+
+DROPPED_SIZE_MODEL = ("@startuml\nclass A {\n  +A(count: int, extra)\n}\n"
+                      "@enduml\n")
+
+
+@pytest.mark.parametrize("policy", [Policy.MODEL_WINS, Policy.UNION],
+                         ids=lambda p: p.value)
+@pytest.mark.parametrize("read, line", [
+    ("        self.total = size * 2\n", 3),
+    ("        self.total = 0\n        print(len(size))\n", 4),
+    ("        self.total = dict(\n            n=size)\n", 4),
+    # tokenize stops at the end of the text, after the read
+    ("        self.total = (size\n", 3),
+    # tokenize stops before the line that reads, which counts as a read
+    ("            self.total = 0\n        print(size)\n", 4),
+], ids=["expression", "statement", "continued-call", "unclosed",
+        "bad-dedent"])
+def test_a_dropped_parameter_read_in_the_body_is_refused(policy, read, line):
+    code_text = "class A:\n    def __init__(self, size: int):\n" + read
+    design, code_doc, report = _checked(DROPPED_SIZE_MODEL, code_text)
+    with pytest.raises(DanglingParameterError, match=(
+            f"^code:{line}: the body reads parameter 'size', which the new "
+            f"signature of 'A' drops$")):
+        apply(design, code_doc,
+              resolve(propose(report, design, code_doc), policy))
+
+
+def test_a_dropped_parameter_s_name_alone_is_no_read():
+    # an attribute, a keyword argument, a comment and a string spell the
+    # name without reading the parameter
+    body = ("        self.total = self.size  # size\n"
+            "        self.note = \"size\"\n"
+            "        self.twice = dict(\n"
+            "            size=2)\n")
+    code_text = "class A:\n    def __init__(self, size: int):\n" + body
+    design, code_doc, report = _checked(DROPPED_SIZE_MODEL, code_text)
+    _, new_code = apply(design, code_doc, resolve(
+        propose(report, design, code_doc), Policy.MODEL_WINS))
+    assert new_code == ("class A:\n    def __init__(self, count: int, "
+                        "extra):\n" + body)

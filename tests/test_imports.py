@@ -112,6 +112,9 @@ def test_only_writing_commands_load_the_write_path(tmp_path, command):
     assert ("modelsync.llm" in loaded) is (command == "gen")
     # an import of the CLI from the library would compile and run it twice
     assert "modelsync.cli" not in loaded
+    # only a constructor body that spells a parameter its new signature
+    # drops is tokenized, and no bundled pair's does
+    assert "tokenize" not in loaded
 
 
 def test_package_import_leaves_the_write_path_unloaded():
