@@ -58,7 +58,7 @@ class EditConflictError(EditError):
 
 
 class DanglingParameterError(EditError):
-    """A new signature drops a parameter that the body still assigns from."""
+    """A new signature drops a parameter that the body still reads."""
 
 
 class StaleReportError(ModelSyncError):

@@ -12,7 +12,9 @@ Types are read and spelled by :func:`.model.read_type` and
 :func:`.model.spell_type`.  A member whose name equals its class name is a
 constructor.  Absent types mean "unknown" and are never flagged by the
 checker.  Anything else inside the region is a syntax error carrying the
-1-based line number.
+1-based line number, as is a second attribute or a second method of one
+canonical name and arity in a class, or a second constructor.
+:func:`parse_plantuml` returns the :class:`.model.ClassModel` it builds.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Writing the code dialect: edits spliced into a document span-wise, and
 model entities written as code, in the stubs ``sync`` inserts and the
 skeletons ``gen-code`` renders; each caller passes in the map of the type
-names it spells differently from the model.
+names it spells differently from the model.  :func:`first_read` finds
+where a method body still reads a name, for a new signature that drops a
+parameter.
 
 Only the commands that write (``sync`` and ``gen-code``) import this
 module, when they run; the old import paths (``modelsync.pycode.

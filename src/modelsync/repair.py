@@ -15,7 +15,11 @@ code, each edited def or attribute line is compiled once from all of its
 edits; a new constructor signature takes in the retypes of the
 parameters it keeps, and an assignment ``self.A = p`` from a parameter it
 drops reads the new parameter that canonically names ``A``, or is
-refused at its line when ``p`` was annotated.  Insertions that share a
+refused at its line when ``p`` was annotated.  Any other read of a
+dropped parameter in the body is refused at its line, and so are two
+retypes of one parameter that spell different annotations.  ``apply``
+groups the chosen edits by side and class in one pass, and each half
+takes its own groups.  Insertions that share a
 line go innermost block first: a line added to a constructor that ends
 its class before the stubs appended to that class, and those before an
 added class.  The future import follows
